@@ -10,8 +10,8 @@ brute-force oracle (oracle) used for cross-checks throughout.
 from .lattice import (CostOrder, IntMatrix, IntVector, VectorSet, as_vector,
                       kernel_basis)
 from .oracle import (INFEASIBLE_IN_BOX, OPTIMAL, IpOutcome, IpProblem,
-                     OracleResourceError, enumerate_feasible,
-                     enumerate_graver_in_box, solve_bruteforce)
+                     OracleResourceError, enumerate_graver_in_box,
+                     solve_bruteforce)
 from .groebner import GroebnerBasis, buchberger, normal_form, orient, test_set
 from .toric import ToricGenerators, flip_coordinate, toric_generating_set
 from .graver import (GraverBasis, GraverResourceError, SipBlockStructure,
@@ -37,10 +37,9 @@ __all__ = [
     "METHOD_ORACLE", "OPTIMAL", "OppCostMatrix", "OracleResourceError",
     "Scenario", "SipBlockStructure", "SipInstance", "SndConfig",
     "ToricGenerators", "VectorSet", "artificial_system", "as_vector",
-    "augment", "buchberger", "contains_groebner", "enumerate_feasible",
-    "enumerate_graver_in_box", "flip_coordinate", "gen_hs", "gen_snd",
-    "graver_basis", "hs_feasible", "hs_recourse_bounds", "instance_from_json",
-    "instance_to_json",
+    "augment", "buchberger", "contains_groebner", "enumerate_graver_in_box",
+    "flip_coordinate", "gen_hs", "gen_snd", "graver_basis", "hs_feasible",
+    "hs_recourse_bounds", "instance_from_json", "instance_to_json",
     "kernel_basis", "lift_sip_graver", "normal_form", "opcost_graver",
     "opcost_kernel", "opcost_oracle", "orient", "phase_one_feasible", "rhs",
     "single_scenario_decisions", "solve_bruteforce", "test_set",

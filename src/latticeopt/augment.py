@@ -73,22 +73,19 @@ def augment(z0: "IntVector | Iterable[int]", c: "IntVector | Iterable[int]",
     return AugmentResult(solution, order.dot(solution), steps)
 
 
-def artificial_system(A: IntMatrix, b: "IntVector | Iterable[int]"):
-    """Extended system [A | D] with one signed artificial column per row.
+def artificial_system(A: IntMatrix):
+    """Extended system [A | I | -I] serving every right-hand side of A.
 
-    Returns (matrix, cost, start): cost charges only artificials, and the
-    start point (0, |b|) is always feasible for the extended system.
+    Returns (matrix, cost): cost charges both artificial blocks, so one test
+    set of the extended system drives Phase-I for any b, starting from
+    (0, b+, b-).
     """
-    b = as_vector(b)
-    if len(b) != A.nrows:
-        raise ValueError("right-hand side length must match row count")
     m = A.nrows
-    sign = [(x > 0) - (x < 0) for x in b.entries]
-    rows = [tuple(row) + tuple(sign[i] if j == i else 0 for j in range(m))
+    rows = [tuple(row) + tuple(int(j == i) for j in range(m))
+            + tuple(-int(j == i) for j in range(m))
             for i, row in enumerate(A.rows)]
-    cost = IntVector((0,) * A.ncols + (1,) * m)
-    start = IntVector((0,) * A.ncols + tuple(abs(x) for x in b.entries))
-    return IntMatrix(rows), cost, start
+    cost = IntVector((0,) * A.ncols + (1,) * (2 * m))
+    return IntMatrix(rows), cost
 
 
 def phase_one_feasible(A: IntMatrix, b: "IntVector | Iterable[int]",
@@ -96,14 +93,19 @@ def phase_one_feasible(A: IntMatrix, b: "IntVector | Iterable[int]",
                        ) -> Optional[IntVector]:
     """A feasible point of {z >= 0 : Az = b}, or None when there is none.
 
-    Minimizes the artificial total by augmentation; `moves` may carry a
-    precomputed test set for the extended system (callers doing many solves
-    against the same matrix cache it keyed on the extended matrix).
+    Minimizes the artificial total by augmentation on the extended system of
+    `artificial_system(A)`; `moves` may carry its precomputed test set, which
+    serves every right-hand side of A, so callers solving many b against one
+    matrix complete it once.
     """
     b = as_vector(b)
-    ext, cost, start = artificial_system(A, b)
+    if len(b) != A.nrows:
+        raise ValueError("right-hand side length must match row count")
+    ext, cost = artificial_system(A)
     if moves is None:
         moves = test_set(ext, cost)
+    start = IntVector((0,) * A.ncols + tuple(max(x, 0) for x in b.entries)
+                      + tuple(max(-x, 0) for x in b.entries))
     res = augment(start, cost, moves, ext, b)
     if res.value != 0:
         return None

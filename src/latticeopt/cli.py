@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .augment import augment
+from .augment import augment  # noqa: F401 -- perfbench traces it here
 from .graver import GraverResourceError, graver_basis
 from .groebner import buchberger, test_set
 from .instances import (HsConfig, SndConfig, gen_hs, gen_snd,
@@ -78,17 +78,14 @@ def bench_hs(n_list, seed, scaled, methods, threads=1, oracle_bound=None):
                 m = opcost_graver(inst, dec, threads=threads)
             else:
                 m = opcost_oracle(inst, dec, var_bound=oracle_bound)
-            sizes = {}
+            c = m.counters
             if method == METHOD_KERNEL:
-                gens = toric_generating_set(W)
-                sizes["toric"] = len(gens.generators)
-                distinct = {s.cost.entries for s in inst.scenarios}
-                sizes["groebner"] = sum(
-                    len(buchberger(gens.generators, CostOrder(IntVector(c)),
-                                   matrix=W))
-                    for c in sorted(distinct))
+                sizes = {"toric": c.toric_elements,
+                         "groebner": c.groebner_elements}
             elif method == METHOD_GRAVER:
-                sizes["graver"] = len(graver_basis(W))
+                sizes = {"graver": c.graver_elements}
+            else:
+                sizes = {}
             timings = {"decisions_us": decisions_us}
             timings.update(m.timings_us)
             records.append(BenchRecord(

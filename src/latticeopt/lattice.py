@@ -7,7 +7,7 @@ there is deliberately no floating-point or rational mode.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class IntVector:
@@ -49,9 +49,6 @@ class IntVector:
     def is_zero(self) -> bool:
         return not any(self.entries)
 
-    def is_nonnegative(self) -> bool:
-        return all(a >= 0 for a in self.entries)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntVector) and self.entries == other.entries
 
@@ -64,19 +61,6 @@ class IntVector:
 
 def as_vector(v: "IntVector | Sequence[int]") -> IntVector:
     return v if isinstance(v, IntVector) else IntVector(v)
-
-
-class SignSplit(NamedTuple):
-    """Positive and negative parts of a vector: positive - negative = source."""
-
-    positive: IntVector
-    negative: IntVector
-
-
-def sign_split(v: IntVector) -> SignSplit:
-    pos = IntVector(a if a > 0 else 0 for a in v.entries)
-    neg = IntVector(-a if a < 0 else 0 for a in v.entries)
-    return SignSplit(pos, neg)
 
 
 def conforms(a: IntVector, b: IntVector) -> bool:

@@ -5,7 +5,9 @@ recourse problem min{c_j . y : W y = h_j - T x_i, y >= 0} is solved by
 augmentation over a Groebner basis (kernel method), over the Graver basis
 of W (graver method), or by brute force (oracle method). The expensive
 algebra is computed once per matrix and, for Groebner bases, once per
-distinct scenario cost; counters make that reuse observable.
+distinct scenario cost. Cells without a closed-form start find one by
+Phase-I over a single test set of the extended system [W | I | -I], which
+serves every right-hand side; counters make that reuse observable.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, Optional
 from . import oracle
 from .augment import artificial_system, augment, phase_one_feasible
 from .graver import graver_basis
-from .groebner import buchberger
+from .groebner import buchberger, test_set
 from .lattice import CostOrder, IntMatrix, IntVector, as_vector
 from .toric import toric_generating_set
 
@@ -130,22 +132,22 @@ class DecisionList:
 class BuildCounters:
     """Observable reuse: algebra runs on W, plus per-cell work tallies.
 
-    toric/buchberger/graver count recourse-matrix computations only;
-    Phase-I work on extended matrices is tracked separately.
+    toric/buchberger/graver count recourse-matrix computations only, and the
+    *_elements fields give the sizes of the bases the build used (Groebner
+    sizes summed over distinct costs). Phase-I work is tracked separately:
+    phase_one_bases is 1 when the build completed the test set of
+    [W | I | -I], 0 when a closed-form start made it unnecessary, and
+    phase_one_calls counts the cells handed that set.
     """
 
     __slots__ = ("toric_runs", "buchberger_runs", "graver_runs",
                  "augment_calls", "oracle_solves", "phase_one_calls",
-                 "phase_one_bases")
+                 "phase_one_bases", "toric_elements", "groebner_elements",
+                 "graver_elements")
 
     def __init__(self):
-        self.toric_runs = 0
-        self.buchberger_runs = 0
-        self.graver_runs = 0
-        self.augment_calls = 0
-        self.oracle_solves = 0
-        self.phase_one_calls = 0
-        self.phase_one_bases = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -231,8 +233,11 @@ def _one_scenario_system(instance: SipInstance, j: int):
 
 
 def _stacked_start(instance: SipInstance, j: int, M: IntMatrix,
-                   b: IntVector) -> Optional[IntVector]:
-    """Feasible point of the stacked system: closed form if usable, else Phase-I."""
+                   b: IntVector, phase_one_sets: dict) -> Optional[IntVector]:
+    """Feasible point of the stacked system: closed form if usable, else Phase-I.
+
+    Phase-I test sets are kept in `phase_one_sets`, one per stacked matrix.
+    """
     nx = instance.first_stage_dim
     if instance.feasible_recourse is not None:
         zero_ok = True
@@ -246,7 +251,9 @@ def _stacked_start(instance: SipInstance, j: int, M: IntMatrix,
                 cand = IntVector(x0.entries + as_vector(y0).entries)
                 if M.mat_vec(cand) == b and all(e >= 0 for e in cand.entries):
                     return cand
-    return phase_one_feasible(M, b)
+    if M.rows not in phase_one_sets:
+        phase_one_sets[M.rows] = test_set(*artificial_system(M))
+    return phase_one_feasible(M, b, moves=phase_one_sets[M.rows])
 
 
 def _derived_uniform_bound(instance: SipInstance, b: IntVector) -> int:
@@ -266,11 +273,13 @@ def single_scenario_decisions(instance: SipInstance,
     refinement optimum; x_j is its first-stage part. The stacked test set is
     computed once per distinct (matrix, cost) for the kernel method and once
     per distinct matrix for the graver method, then shared by every scenario
-    with that system.
+    with that system; so is the Phase-I test set, once per distinct matrix,
+    when a scenario has no closed-form start.
     """
     nx = instance.first_stage_dim
     out = []
     test_sets = {}
+    phase_one_sets = {}
     for j in range(instance.num_scenarios):
         M, cost, b = _one_scenario_system(instance, j)
         if method == METHOD_ORACLE:
@@ -282,7 +291,7 @@ def single_scenario_decisions(instance: SipInstance,
                 raise ValueError("scenario %d: stacked system infeasible" % j)
             x = res.solution.entries[:nx]
         elif method in (METHOD_KERNEL, METHOD_GRAVER):
-            start = _stacked_start(instance, j, M, b)
+            start = _stacked_start(instance, j, M, b, phase_one_sets)
             if start is None:
                 raise ValueError("scenario %d: stacked system infeasible" % j)
             if method == METHOD_KERNEL:
@@ -303,13 +312,18 @@ def single_scenario_decisions(instance: SipInstance,
     return DecisionList(tuple(out))
 
 
+def _zero_timings() -> dict:
+    return {"toric_us": 0, "groebner_us": 0, "graver_us": 0,
+            "phase_one_us": 0, "augment_us": 0, "oracle_us": 0}
+
+
 def _cell_worker(payload):
     """One row of cells; self-contained so process pools can run it."""
-    (W, gamma, x, cells, q_only, hook) = payload
+    (W, gamma, x, cells, q_only, hook, p1_moves) = payload
     row_vals = []
     row_status = []
     gx = gamma.dot(x)
-    for (b, cost, moves, p1_moves) in cells:
+    for (b, cost, moves) in cells:
         start = None
         if hook is not None:
             y0 = hook(x, b[1])
@@ -335,8 +349,7 @@ def _build_algebraic(instance, decisions, method, q_only, threads):
     decisions.check(instance)
     W = instance.recourse
     counters = BuildCounters()
-    timings = {"toric_us": 0, "groebner_us": 0, "graver_us": 0,
-               "augment_us": 0, "oracle_us": 0}
+    timings = _zero_timings()
 
     moves_by_scenario = []
     if method == METHOD_KERNEL:
@@ -344,6 +357,7 @@ def _build_algebraic(instance, decisions, method, q_only, threads):
         gens = toric_generating_set(W)
         timings["toric_us"] += (time.perf_counter_ns() - t0) // 1000
         counters.toric_runs += 1
+        counters.toric_elements = len(gens.generators)
         by_cost = {}
         for sc in instance.scenarios:
             key = sc.cost.entries
@@ -353,41 +367,30 @@ def _build_algebraic(instance, decisions, method, q_only, threads):
                                           matrix=W)
                 timings["groebner_us"] += (time.perf_counter_ns() - t0) // 1000
                 counters.buchberger_runs += 1
+                counters.groebner_elements += len(by_cost[key])
             moves_by_scenario.append(by_cost[key])
     else:
         t0 = time.perf_counter_ns()
         gamma_w = graver_basis(W)
         timings["graver_us"] += (time.perf_counter_ns() - t0) // 1000
         counters.graver_runs += 1
+        counters.graver_elements = len(gamma_w)
         moves_by_scenario = [gamma_w] * instance.num_scenarios
 
-    # Phase-I move sets are shared across cells whose extended system has the
-    # same artificial sign pattern; they are only built when no closed-form
-    # start is available.
-    p1_cache = {}
-
-    def p1_moves_for(b):
-        if instance.feasible_recourse is not None:
-            return None
-        ext, cost, _ = artificial_system(W, b)
-        key = ext.rows
-        if key not in p1_cache:
-            gens = toric_generating_set(ext)
-            p1_cache[key] = buchberger(gens.generators, CostOrder(cost),
-                                       matrix=ext)
-            counters.phase_one_bases += 1
-        counters.phase_one_calls += 1
-        return p1_cache[key]
+    p1_moves = None
+    if instance.feasible_recourse is None:
+        t0 = time.perf_counter_ns()
+        p1_moves = test_set(*artificial_system(W))
+        timings["phase_one_us"] += (time.perf_counter_ns() - t0) // 1000
+        counters.phase_one_bases = 1
+        counters.phase_one_calls = len(decisions) * instance.num_scenarios
 
     payloads = []
     for x in decisions:
-        cells = []
-        for j, sc in enumerate(instance.scenarios):
-            b = rhs(instance, x, j)
-            cells.append(((b, sc.rhs), sc.cost, moves_by_scenario[j],
-                          p1_moves_for(b)))
+        cells = [((rhs(instance, x, j), sc.rhs), sc.cost, moves_by_scenario[j])
+                 for j, sc in enumerate(instance.scenarios)]
         payloads.append((W, instance.gamma, x, cells, q_only,
-                         instance.feasible_recourse))
+                         instance.feasible_recourse, p1_moves))
 
     t0 = time.perf_counter_ns()
     if threads > 1:
@@ -424,8 +427,7 @@ def opcost_oracle(instance: SipInstance, decisions: DecisionList,
     decisions.check(instance)
     W = instance.recourse
     counters = BuildCounters()
-    timings = {"toric_us": 0, "groebner_us": 0, "graver_us": 0,
-               "augment_us": 0, "oracle_us": 0}
+    timings = _zero_timings()
     values = []
     status = []
     t0 = time.perf_counter_ns()

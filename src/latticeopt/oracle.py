@@ -172,19 +172,6 @@ def solve_bruteforce(problem: IpProblem, node_cap: Optional[int] = None) -> IpOu
     return IpOutcome(OPTIMAL, IntVector(best_sol), best_val)
 
 
-def enumerate_feasible(problem: IpProblem, node_cap: Optional[int] = None) -> list:
-    """All feasible points in the box, as entry tuples. Test helper."""
-    cap = _resolve_cap(node_cap)
-    rows = [tuple(r) for r in problem.A.rows]
-    b = tuple(problem.b.entries)
-    highs = problem.bounds()
-    n = len(highs)
-    lo, hi = _suffix_intervals(rows, (0,) * n, highs)
-    out: list = []
-    _collect(rows, b, lo, hi, (0,) * n, highs, cap, out)
-    return out
-
-
 def enumerate_graver_in_box(A: IntMatrix, bound: int,
                             node_cap: Optional[int] = None) -> VectorSet:
     """Conformally minimal nonzero kernel vectors with every |v_i| <= bound."""

@@ -1,5 +1,6 @@
 """Augmentation walks, Phase-I feasibility, and exactness against the oracle."""
 
+import itertools
 import random
 
 import pytest
@@ -80,10 +81,9 @@ def test_zero_cost_moves_respect_tie_order():
 
 def test_artificial_system_shape():
     A = IntMatrix([[1, -1], [2, 1]])
-    ext, cost, start = artificial_system(A, (-2, 3))
-    assert ext.rows == ((1, -1, -1, 0), (2, 1, 0, 1))
-    assert cost == IntVector((0, 0, 1, 1))
-    assert start == IntVector((0, 0, 2, 3))
+    ext, cost = artificial_system(A)
+    assert ext.rows == ((1, -1, 1, 0, -1, 0), (2, 1, 0, 1, 0, -1))
+    assert cost == IntVector((0, 0, 1, 1, 1, 1))
 
 
 def test_phase_one_finds_point():
@@ -110,10 +110,29 @@ def test_phase_one_negative_rhs():
 
 def test_phase_one_accepts_precomputed_moves():
     A = IntMatrix([[1, 1, 1]])
-    ext, cost, _ = artificial_system(A, (3,))
-    moves = groebner.test_set(ext, cost)
-    z = phase_one_feasible(A, (3,), moves=moves)
-    assert z is not None and A.mat_vec(z) == IntVector((3,))
+    moves = groebner.test_set(*artificial_system(A))
+    for b in (3, 0, -1):
+        z = phase_one_feasible(A, (b,), moves=moves)
+        if b < 0:
+            assert z is None
+        else:
+            assert z is not None and A.mat_vec(z) == IntVector((b,))
+
+
+def test_phase_one_one_move_set_serves_every_rhs():
+    rng = random.Random(2024)
+    for _ in range(3):
+        A = support.random_matrix(rng, 2, 4, 0, 3)
+        moves = groebner.test_set(*artificial_system(A))
+        fibers = support.boxed_fibers(A, 6)
+        for b in itertools.product(range(-2, 7), repeat=2):
+            z = phase_one_feasible(A, b, moves=moves)
+            if b not in fibers:
+                assert z is None, (A.rows, b, z)
+            else:
+                assert z is not None, (A.rows, b)
+                assert A.mat_vec(z) == IntVector(b)
+                assert all(e >= 0 for e in z.entries)
 
 
 def test_phase_one_rhs_length_checked():

@@ -16,7 +16,6 @@ from latticeopt.lattice import (
     VectorSet,
     conforms,
     kernel_basis,
-    sign_split,
 )
 
 
@@ -124,26 +123,7 @@ def test_compare_translation_invariance():
         assert order.compare(u, v) == order.compare(u + w, v + w)
 
 
-# ----- sign_split / conforms -----
-
-def test_sign_split_examples():
-    s = sign_split(IntVector([2, -3, 0]))
-    assert s.positive == IntVector([2, 0, 0])
-    assert s.negative == IntVector([0, 3, 0])
-    z = sign_split(IntVector([0, 0]))
-    assert z.positive == z.negative == IntVector([0, 0])
-    a = sign_split(IntVector([-1, -1]))
-    assert (a.positive, a.negative) == (IntVector([0, 0]), IntVector([1, 1]))
-
-
-def test_sign_split_reconstructs():
-    rng = random.Random(3)
-    for _ in range(100):
-        v = IntVector(rng.randint(-9, 9) for _ in range(rng.randint(1, 6)))
-        s = sign_split(v)
-        assert s.positive - s.negative == v
-        assert all(p == 0 or q == 0 for p, q in zip(s.positive, s.negative))
-
+# ----- conforms -----
 
 def test_conforms():
     assert conforms(IntVector([1, -1]), IntVector([2, -1]))

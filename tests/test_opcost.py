@@ -111,7 +111,8 @@ def test_single_scenario_decisions_match_oracle_values():
 def test_single_scenario_decisions_build_each_stacked_test_set_once(
         monkeypatch):
     calls = {}
-    for name in ("toric_generating_set", "buchberger", "graver_basis"):
+    for name in ("toric_generating_set", "buchberger", "graver_basis",
+                 "test_set"):
         calls[name] = 0
 
         def counted(*args, _name=name, _fn=getattr(opcost, name), **kwargs):
@@ -125,8 +126,9 @@ def test_single_scenario_decisions_build_each_stacked_test_set_once(
     assert tuple(map(tuple, single_scenario_decisions(hs))) == HS_DECISIONS
     assert tuple(map(tuple, single_scenario_decisions(
         hs, method=METHOD_GRAVER))) == HS_DECISIONS
+    # closed-form starts: no Phase-I completion
     assert calls == {"toric_generating_set": 1, "buchberger": 1,
-                     "graver_basis": 1}
+                     "graver_basis": 1, "test_set": 0}
 
     def scenario(cost, h, technology=None):
         return Scenario(Fraction(1, 4), IntVector(cost), IntVector(h),
@@ -148,10 +150,11 @@ def test_single_scenario_decisions_build_each_stacked_test_set_once(
     for name in calls:
         calls[name] = 0
     assert tuple(map(tuple, single_scenario_decisions(overrides))) == expected
+    assert calls["test_set"] == 2  # one Phase-I set per stacked matrix
     assert tuple(map(tuple, single_scenario_decisions(
         overrides, method=METHOD_GRAVER))) == expected
     assert calls == {"toric_generating_set": 3, "buchberger": 3,
-                     "graver_basis": 2}
+                     "graver_basis": 2, "test_set": 4}
 
 
 def test_single_scenario_decisions_oracle_mode_small():
@@ -226,6 +229,9 @@ def test_snd_matrix_with_infeasible_cell():
     assert mk.values == SND_VALUES
     assert mk.status == SND_STATUS
     assert mk == mg == mo
+    # one Phase-I test set of [W | I | -I] serves all four cells
+    assert mk.counters.phase_one_bases == 1
+    assert mk.counters.phase_one_calls == 4
 
 
 def test_q_only_drops_first_stage_cost():
