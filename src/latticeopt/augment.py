@@ -69,7 +69,8 @@ def augment(z0: "IntVector | Iterable[int]", c: "IntVector | Iterable[int]",
                 progress = True
                 break
     solution = IntVector(z)
-    assert A.mat_vec(solution) == b and all(e >= 0 for e in solution.entries)
+    if A.mat_vec(solution) != b or any(e < 0 for e in solution.entries):
+        raise ValueError("walk left the fiber: a move is not in the kernel")
     return AugmentResult(solution, order.dot(solution), steps)
 
 

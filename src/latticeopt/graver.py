@@ -30,9 +30,9 @@ class GraverBasis:
         self.matrix = matrix
         self.elements = elements
         for g in elements:
-            assert not g.is_zero()
-            assert matrix.in_kernel(g), g
-            assert -g in elements, g
+            if g.is_zero() or not matrix.in_kernel(g) or -g not in elements:
+                raise ValueError("not a negation-closed set of nonzero "
+                                 "kernel vectors: %r" % (g,))
 
     def __iter__(self):
         return iter(self.elements)
@@ -188,7 +188,9 @@ def lift_sip_graver(gamma1: GraverBasis,
     lifted = []
     for g in gamma1:
         head = g.entries[:na]
-        assert not any(head), g
+        if any(head):
+            raise ValueError("element with nonzero first-stage part: %r"
+                             % (g,))
         v = g.entries[na:]
         for i in range(N):
             lifted.append((0,) * na + (0,) * (i * nw) + v

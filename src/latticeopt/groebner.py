@@ -28,7 +28,8 @@ class GroebnerBasis:
         self.elements = elements
         if matrix is not None:
             for g in elements:
-                assert matrix.in_kernel(g), g
+                if not matrix.in_kernel(g):
+                    raise ValueError("element not in the kernel: %r" % (g,))
 
     def __iter__(self):
         return iter(self.elements)

@@ -1,13 +1,15 @@
 """Opportunity cost matrices for two-stage stochastic integer programs.
 
 A cell (i, j) evaluates first-stage decision x_i under scenario j: the
-recourse problem min{c_j . y : W y = h_j - T x_i, y >= 0} is solved by
-augmentation over a Groebner basis (kernel method), over the Graver basis
-of W (graver method), or by brute force (oracle method). The expensive
-algebra is computed once per matrix and, for Groebner bases, once per
-distinct scenario cost. Cells without a closed-form start find one by
-Phase-I over a single test set of the extended system [W | I | -I], which
-serves every right-hand side; counters make that reuse observable.
+recourse problem min{c_j . y : W y = h_j - T x_i, y >= 0}. The decisions
+phase solves one stacked program [T | W] per scenario. Both kinds of
+integer program go through one per-method solver: augmentation
+over a Groebner basis (kernel method), over the Graver basis (graver
+method), or brute force in a box (oracle method). The solver computes the
+algebra once per matrix and, for Groebner bases, once per distinct cost. A
+solve without a closed-form start finds one by Phase-I over a single test
+set of the extended system [M | I | -I], which serves every right-hand
+side; counters make that reuse observable.
 """
 
 from __future__ import annotations
@@ -170,7 +172,8 @@ class OppCostMatrix:
         self.timings_us = dict(timings_us)
         for vrow, srow in zip(self.values, self.status):
             for v, s in zip(vrow, srow):
-                assert (v is None) == (s == CELL_INFEASIBLE)
+                if (v is None) != (s == CELL_INFEASIBLE):
+                    raise ValueError("cell value and status disagree")
 
     @property
     def size(self) -> int:
@@ -232,30 +235,6 @@ def _one_scenario_system(instance: SipInstance, j: int):
     return IntMatrix(rows), cost, IntVector(rhs_entries)
 
 
-def _stacked_start(instance: SipInstance, j: int, M: IntMatrix,
-                   b: IntVector, phase_one_sets: dict) -> Optional[IntVector]:
-    """Feasible point of the stacked system: closed form if usable, else Phase-I.
-
-    Phase-I test sets are kept in `phase_one_sets`, one per stacked matrix.
-    """
-    nx = instance.first_stage_dim
-    if instance.feasible_recourse is not None:
-        zero_ok = True
-        if instance.first_stage_constraints is not None:
-            A, fb = instance.first_stage_constraints
-            zero_ok = not any(as_vector(fb).entries)
-        if zero_ok:
-            x0 = IntVector((0,) * nx)
-            y0 = instance.feasible_recourse(x0, instance.scenarios[j].rhs)
-            if y0 is not None:
-                cand = IntVector(x0.entries + as_vector(y0).entries)
-                if M.mat_vec(cand) == b and all(e >= 0 for e in cand.entries):
-                    return cand
-    if M.rows not in phase_one_sets:
-        phase_one_sets[M.rows] = test_set(*artificial_system(M))
-    return phase_one_feasible(M, b, moves=phase_one_sets[M.rows])
-
-
 def _derived_uniform_bound(instance: SipInstance, b: IntVector) -> int:
     if instance.first_stage_bounds is None:
         raise ValueError(
@@ -264,192 +243,202 @@ def _derived_uniform_bound(instance: SipInstance, b: IntVector) -> int:
     return max(1, fs + max(abs(e) for e in b.entries))
 
 
+def _hook_start(instance: SipInstance, x: IntVector, j: int, M: IntMatrix,
+                b: IntVector, head: tuple = ()) -> Optional[IntVector]:
+    """`head` followed by feasible_recourse's point for x in scenario j.
+
+    None when there is no hook or it gives no point. A point that does not
+    solve M z = b, z >= 0 is the hook's fault, in either phase.
+    """
+    if instance.feasible_recourse is None:
+        return None
+    y = instance.feasible_recourse(x, instance.scenarios[j].rhs)
+    if y is None:
+        return None
+    z = as_vector(y)
+    if head:
+        z = IntVector(head + z.entries)
+    if M.mat_vec(z) != b or any(e < 0 for e in z.entries):
+        raise ValueError("feasible_recourse returned an invalid point")
+    return z
+
+
+class _Solver:
+    """One method's integer-program solves, each algebraic object built once.
+
+    Toric generators, the Graver basis and the Phase-I test set of
+    [M | I | -I] are kept per matrix, Groebner bases per (matrix, cost). Each
+    first build is timed and counted, so a solver that only ever sees W
+    records exactly the build's algebra.
+    """
+
+    def __init__(self, instance: SipInstance, method: str, var_bound=None):
+        if method not in (METHOD_KERNEL, METHOD_GRAVER, METHOD_ORACLE):
+            raise ValueError("unknown method %r" % method)
+        self.instance = instance
+        self.method = method
+        self.var_bound = var_bound
+        self.counters = BuildCounters()
+        self.timings_us = {"toric_us": 0, "groebner_us": 0, "graver_us": 0,
+                           "phase_one_us": 0, "augment_us": 0, "oracle_us": 0}
+        self._built = {}
+
+    def _once(self, key, build, runs, elements=None):
+        """The object under key, built on first use; key[0] is its timing."""
+        obj = self._built.get(key)
+        if obj is None:
+            t0 = time.perf_counter_ns()
+            obj = self._built[key] = build()
+            self.timings_us[key[0]] += (time.perf_counter_ns() - t0) // 1000
+            c = self.counters
+            setattr(c, runs, getattr(c, runs) + 1)
+            if elements is not None:
+                setattr(c, elements, getattr(c, elements) + len(obj))
+        return obj
+
+    def moves(self, M: IntMatrix, cost: IntVector):
+        """The test set that the kernel or graver walk uses for (M, cost)."""
+        if self.method == METHOD_GRAVER:
+            return self._once(("graver_us", M.rows), lambda: graver_basis(M),
+                              "graver_runs", "graver_elements")
+        gens = self._once(("toric_us", M.rows),
+                          lambda: toric_generating_set(M),
+                          "toric_runs", "toric_elements")
+        return self._once(
+            ("groebner_us", M.rows, cost.entries),
+            lambda: buchberger(gens.generators, CostOrder(cost), matrix=M),
+            "buchberger_runs", "groebner_elements")
+
+    def phase_one_set(self, M: IntMatrix):
+        """The Phase-I test set of [M | I | -I], for every b of M."""
+        return self._once(("phase_one_us", M.rows),
+                          lambda: test_set(*artificial_system(M)),
+                          "phase_one_bases")
+
+    def prepare(self):
+        """Complete W's objects here, so that pool workers receive them."""
+        if self.method == METHOD_ORACLE:
+            return
+        W = self.instance.recourse
+        for sc in self.instance.scenarios:
+            self.moves(W, sc.cost)
+        if self.instance.feasible_recourse is None:
+            self.phase_one_set(W)
+
+    def solve(self, M: IntMatrix, cost: IntVector, b: IntVector,
+              start: Optional[IntVector]):
+        """The refined optimum of min cost.z : M z = b, z >= 0, or None.
+
+        The result carries the optimum as `.solution` and its cost as
+        `.value`. Kernel and graver walk from `start`, or from a Phase-I
+        point when it is None; the oracle searches var_bound's box, or one
+        derived from b.
+        """
+        c = self.counters
+        if self.method == METHOD_ORACLE:
+            bound = self.var_bound
+            if bound is None:
+                bound = _derived_uniform_bound(self.instance, b)
+            c.oracle_solves += 1
+            res = oracle.solve_bruteforce(oracle.IpProblem(M, b, cost, bound))
+            return res if res.status == oracle.OPTIMAL else None
+        if start is None:
+            c.phase_one_calls += 1
+            start = phase_one_feasible(M, b, moves=self.phase_one_set(M))
+            if start is None:
+                return None
+        c.augment_calls += 1
+        return augment(start, cost, self.moves(M, cost), M, b)
+
+
 def single_scenario_decisions(instance: SipInstance,
                               method: str = METHOD_KERNEL,
                               oracle_bound=None) -> DecisionList:
     """One optimal first-stage decision per scenario, deterministic ties.
 
     Each scenario's stacked IP min gamma.x + c_j.y is solved to the unique
-    refinement optimum; x_j is its first-stage part. The stacked test set is
-    computed once per distinct (matrix, cost) for the kernel method and once
-    per distinct matrix for the graver method, then shared by every scenario
-    with that system; so is the Phase-I test set, once per distinct matrix,
-    when a scenario has no closed-form start.
+    refinement optimum; x_j is its first-stage part. One solver serves every
+    scenario, so each stacked test set is computed once per distinct
+    (matrix, cost) for the kernel method and once per distinct matrix for
+    the graver method, and so is the Phase-I test set when a scenario has
+    no closed-form start.
     """
-    nx = instance.first_stage_dim
+    solver = _Solver(instance, method, oracle_bound)
+    x0 = IntVector((0,) * instance.first_stage_dim)
+    fsc = instance.first_stage_constraints
+    # the closed-form start takes x = 0, which must meet A x = b
+    zero_ok = fsc is None or not any(as_vector(fsc[1]).entries)
     out = []
-    test_sets = {}
-    phase_one_sets = {}
     for j in range(instance.num_scenarios):
         M, cost, b = _one_scenario_system(instance, j)
-        if method == METHOD_ORACLE:
-            bound = oracle_bound
-            if bound is None:
-                bound = _derived_uniform_bound(instance, b)
-            res = oracle.solve_bruteforce(oracle.IpProblem(M, b, cost, bound))
-            if res.status != oracle.OPTIMAL:
-                raise ValueError("scenario %d: stacked system infeasible" % j)
-            x = res.solution.entries[:nx]
-        elif method in (METHOD_KERNEL, METHOD_GRAVER):
-            start = _stacked_start(instance, j, M, b, phase_one_sets)
-            if start is None:
-                raise ValueError("scenario %d: stacked system infeasible" % j)
-            if method == METHOD_KERNEL:
-                key = (M.rows, cost.entries)
-                if key not in test_sets:
-                    test_sets[key] = buchberger(
-                        toric_generating_set(M).generators, CostOrder(cost),
-                        matrix=M)
-            else:
-                key = M.rows
-                if key not in test_sets:
-                    test_sets[key] = graver_basis(M)
-            res = augment(start, cost, test_sets[key], M, b)
-            x = res.solution.entries[:nx]
-        else:
-            raise ValueError("unknown method %r" % method)
-        out.append(IntVector(x))
+        start = (_hook_start(instance, x0, j, M, b, x0.entries)
+                 if zero_ok else None)
+        res = solver.solve(M, cost, b, start)
+        if res is None:
+            raise ValueError("scenario %d: stacked system infeasible" % j)
+        out.append(IntVector(res.solution.entries[:instance.first_stage_dim]))
     return DecisionList(tuple(out))
 
 
-def _zero_timings() -> dict:
-    return {"toric_us": 0, "groebner_us": 0, "graver_us": 0,
-            "phase_one_us": 0, "augment_us": 0, "oracle_us": 0}
+def _solve_row(job):
+    """Decision x's recourse value in every scenario (None if infeasible),
+    and what the row added to the counters; module-level for process pools.
+    """
+    solver, x = job
+    inst = solver.instance
+    W = inst.recourse
+    before = solver.counters.as_dict()
+    row = []
+    for j, sc in enumerate(inst.scenarios):
+        b = rhs(inst, x, j)
+        res = solver.solve(W, sc.cost, b, _hook_start(inst, x, j, W, b))
+        row.append(None if res is None else res.value)
+    added = {k: v - before[k] for k, v in solver.counters.as_dict().items()}
+    return row, added
 
 
-def _cell_worker(payload):
-    """One row of cells; self-contained so process pools can run it."""
-    (W, gamma, x, cells, q_only, hook, p1_moves) = payload
-    row_vals = []
-    row_status = []
-    gx = gamma.dot(x)
-    for (b, cost, moves) in cells:
-        start = None
-        if hook is not None:
-            y0 = hook(x, b[1])
-            if y0 is not None:
-                y0 = as_vector(y0)
-                if W.mat_vec(y0) != b[0] or any(e < 0 for e in y0.entries):
-                    raise ValueError("feasible_recourse returned an invalid point")
-                start = y0
-        if start is None:
-            start = phase_one_feasible(W, b[0], moves=p1_moves)
-        if start is None:
-            row_vals.append(None)
-            row_status.append(CELL_INFEASIBLE)
-            continue
-        res = augment(start, cost, moves, W, b[0])
-        q = res.value
-        row_vals.append(q if q_only else gx + q)
-        row_status.append(CELL_OK)
-    return row_vals, row_status
-
-
-def _build_algebraic(instance, decisions, method, q_only, threads):
+def _build(instance, decisions, method, q_only, threads, var_bound=None):
     decisions.check(instance)
-    W = instance.recourse
-    counters = BuildCounters()
-    timings = _zero_timings()
-
-    moves_by_scenario = []
-    if method == METHOD_KERNEL:
-        t0 = time.perf_counter_ns()
-        gens = toric_generating_set(W)
-        timings["toric_us"] += (time.perf_counter_ns() - t0) // 1000
-        counters.toric_runs += 1
-        counters.toric_elements = len(gens.generators)
-        by_cost = {}
-        for sc in instance.scenarios:
-            key = sc.cost.entries
-            if key not in by_cost:
-                t0 = time.perf_counter_ns()
-                by_cost[key] = buchberger(gens.generators, CostOrder(sc.cost),
-                                          matrix=W)
-                timings["groebner_us"] += (time.perf_counter_ns() - t0) // 1000
-                counters.buchberger_runs += 1
-                counters.groebner_elements += len(by_cost[key])
-            moves_by_scenario.append(by_cost[key])
-    else:
-        t0 = time.perf_counter_ns()
-        gamma_w = graver_basis(W)
-        timings["graver_us"] += (time.perf_counter_ns() - t0) // 1000
-        counters.graver_runs += 1
-        counters.graver_elements = len(gamma_w)
-        moves_by_scenario = [gamma_w] * instance.num_scenarios
-
-    p1_moves = None
-    if instance.feasible_recourse is None:
-        t0 = time.perf_counter_ns()
-        p1_moves = test_set(*artificial_system(W))
-        timings["phase_one_us"] += (time.perf_counter_ns() - t0) // 1000
-        counters.phase_one_bases = 1
-        counters.phase_one_calls = len(decisions) * instance.num_scenarios
-
-    payloads = []
-    for x in decisions:
-        cells = [((rhs(instance, x, j), sc.rhs), sc.cost, moves_by_scenario[j])
-                 for j, sc in enumerate(instance.scenarios)]
-        payloads.append((W, instance.gamma, x, cells, q_only,
-                         instance.feasible_recourse, p1_moves))
-
+    solver = _Solver(instance, method, var_bound)
+    solver.prepare()
+    jobs = [(solver, x) for x in decisions]
     t0 = time.perf_counter_ns()
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_cell_worker, payloads))
+            results = list(pool.map(_solve_row, jobs))
+        for _, added in results:  # the workers counted on copies
+            for name, n in added.items():
+                setattr(solver.counters, name,
+                        getattr(solver.counters, name) + n)
     else:
-        results = [_cell_worker(p) for p in payloads]
-    timings["augment_us"] += (time.perf_counter_ns() - t0) // 1000
-    counters.augment_calls += sum(
-        1 for vals, _ in results for v in vals if v is not None)
+        results = [_solve_row(job) for job in jobs]
+    walk = "oracle_us" if method == METHOD_ORACLE else "augment_us"
+    solver.timings_us[walk] += (time.perf_counter_ns() - t0) // 1000
 
-    values = [vals for vals, _ in results]
-    status = [stat for _, stat in results]
+    values, status = [], []
+    for x, (row, _) in zip(decisions, results):
+        gx = 0 if q_only else instance.gamma.dot(x)
+        values.append([None if q is None else gx + q for q in row])
+        status.append([CELL_INFEASIBLE if q is None else CELL_OK for q in row])
     return OppCostMatrix(values, status, decisions, method, q_only,
-                         counters, timings)
+                         solver.counters, solver.timings_us)
 
 
 def opcost_kernel(instance: SipInstance, decisions: DecisionList,
                   q_only: bool = False, threads: int = 1) -> OppCostMatrix:
     """Toric generators once, one Groebner basis per distinct scenario cost."""
-    return _build_algebraic(instance, decisions, METHOD_KERNEL, q_only, threads)
+    return _build(instance, decisions, METHOD_KERNEL, q_only, threads)
 
 
 def opcost_graver(instance: SipInstance, decisions: DecisionList,
                   q_only: bool = False, threads: int = 1) -> OppCostMatrix:
     """One Graver basis of W serves every scenario."""
-    return _build_algebraic(instance, decisions, METHOD_GRAVER, q_only, threads)
+    return _build(instance, decisions, METHOD_GRAVER, q_only, threads)
 
 
 def opcost_oracle(instance: SipInstance, decisions: DecisionList,
                   q_only: bool = False, threads: int = 1,
                   var_bound=None) -> OppCostMatrix:
     """Brute-force ground truth; var_bound overrides the derived box."""
-    decisions.check(instance)
-    W = instance.recourse
-    counters = BuildCounters()
-    timings = _zero_timings()
-    values = []
-    status = []
-    t0 = time.perf_counter_ns()
-    for x in decisions:
-        gx = instance.gamma.dot(x)
-        row_vals = []
-        row_status = []
-        for j, sc in enumerate(instance.scenarios):
-            b = rhs(instance, x, j)
-            bound = var_bound
-            if bound is None:
-                bound = _derived_uniform_bound(instance, b)
-            res = oracle.solve_bruteforce(oracle.IpProblem(W, b, sc.cost, bound))
-            counters.oracle_solves += 1
-            if res.status != oracle.OPTIMAL:
-                row_vals.append(None)
-                row_status.append(CELL_INFEASIBLE)
-            else:
-                row_vals.append(res.value if q_only else gx + res.value)
-                row_status.append(CELL_OK)
-        values.append(row_vals)
-        status.append(row_status)
-    timings["oracle_us"] += (time.perf_counter_ns() - t0) // 1000
-    return OppCostMatrix(values, status, decisions, METHOD_ORACLE, q_only,
-                         counters, timings)
+    return _build(instance, decisions, METHOD_ORACLE, q_only, threads,
+                  var_bound)

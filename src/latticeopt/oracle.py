@@ -113,92 +113,12 @@ def _value_range(j, rows, b, s, lo, hi, vlo, vhi):
     return vlo, vhi
 
 
-def solve_bruteforce(problem: IpProblem, node_cap: Optional[int] = None) -> IpOutcome:
-    """Exhaustive search for the >_c-smallest cost minimizer in the box.
+def _walk(rows, b, lows, highs, cap, leaf):
+    """Depth-first over the box lows <= z <= highs; leaf(z) at each A z = b.
 
-    Ties in c.z are broken toward the lexicographically smallest solution, so
-    the outcome is the unique optimum of the refined order, matching what the
-    augmentation methods converge to.
+    z is one list, reused for every point: a leaf copies what it keeps.
     """
-    cap = _resolve_cap(node_cap)
-    rows = [tuple(r) for r in problem.A.rows]
-    b = tuple(problem.b.entries)
-    c = tuple(problem.c.entries)
-    highs = problem.bounds()
-    n = len(highs)
-    lows = (0,) * n
     lo, hi = _suffix_intervals(rows, lows, highs)
-
-    z = [0] * n
-    s = [0] * len(rows)
-    best_val: Optional[int] = None
-    best_sol: Optional[tuple] = None
-    nodes = 0
-
-    def walk(j: int):
-        nonlocal best_val, best_sol, nodes
-        if j == n:
-            val = sum(ci * zi for ci, zi in zip(c, z))
-            if best_val is None or val < best_val or \
-                    (val == best_val and tuple(z) < best_sol):
-                best_val = val
-                best_sol = tuple(z)
-            return
-        vlo, vhi = _value_range(j, rows, b, s, lo, hi, 0, highs[j])
-        if vlo > vhi:
-            return
-        arj = [row[j] for row in rows]
-        for r, a in enumerate(arj):
-            s[r] += a * vlo
-        val = vlo
-        while val <= vhi:
-            nodes += 1
-            if nodes > cap:
-                raise OracleResourceError(
-                    "node cap %d exceeded; shrink the box or raise %s"
-                    % (cap, NODE_CAP_ENV))
-            z[j] = val
-            walk(j + 1)
-            val += 1
-            for r, a in enumerate(arj):
-                s[r] += a
-        for r, a in enumerate(arj):
-            s[r] -= a * (vhi + 1)
-        z[j] = 0
-
-    walk(0)
-    if best_sol is None:
-        return IpOutcome(INFEASIBLE_IN_BOX, None, None)
-    return IpOutcome(OPTIMAL, IntVector(best_sol), best_val)
-
-
-def enumerate_graver_in_box(A: IntMatrix, bound: int,
-                            node_cap: Optional[int] = None) -> VectorSet:
-    """Conformally minimal nonzero kernel vectors with every |v_i| <= bound."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    cap = _resolve_cap(node_cap)
-    rows = [tuple(r) for r in A.rows]
-    n = A.ncols
-    b = (0,) * len(rows)
-    lows = (-bound,) * n
-    highs = (bound,) * n
-    lo, hi = _suffix_intervals(rows, lows, highs)
-    sols: list = []
-    _collect(rows, b, lo, hi, lows, highs, cap, sols)
-    sols = [v for v in sols if any(v)]
-    sols.sort(key=lambda t: (sum(abs(x) for x in t), t))
-    kept: list = []
-    for v in sols:
-        # a conforming strict minorant has strictly smaller L1 norm, so it
-        # was already kept; scanning kept is enough
-        if not any(all(x * y >= 0 and abs(x) <= abs(y) for x, y in zip(u, v))
-                   for u in kept):
-            kept.append(v)
-    return VectorSet(IntVector(v) for v in kept)
-
-
-def _collect(rows, b, lo, hi, lows, highs, cap, out):
     n = len(highs)
     z = [0] * n
     s = [0] * len(rows)
@@ -207,7 +127,7 @@ def _collect(rows, b, lo, hi, lows, highs, cap, out):
     def walk(j: int):
         nonlocal nodes
         if j == n:
-            out.append(tuple(z))
+            leaf(z)
             return
         vlo, vhi = _value_range(j, rows, b, s, lo, hi, lows[j], highs[j])
         if vlo > vhi:
@@ -232,3 +152,52 @@ def _collect(rows, b, lo, hi, lows, highs, cap, out):
         z[j] = 0
 
     walk(0)
+
+
+def solve_bruteforce(problem: IpProblem, node_cap: Optional[int] = None) -> IpOutcome:
+    """Exhaustive search for the >_c-smallest cost minimizer in the box.
+
+    Ties in c.z are broken toward the lexicographically smallest solution, so
+    the outcome is the unique optimum of the refined order, matching what the
+    augmentation methods converge to.
+    """
+    c = tuple(problem.c.entries)
+    highs = problem.bounds()
+    best_val: Optional[int] = None
+    best_sol: Optional[tuple] = None
+
+    def keep_best(z):
+        nonlocal best_val, best_sol
+        val = sum(ci * zi for ci, zi in zip(c, z))
+        if best_val is None or val < best_val or \
+                (val == best_val and tuple(z) < best_sol):
+            best_val = val
+            best_sol = tuple(z)
+
+    _walk([tuple(r) for r in problem.A.rows], tuple(problem.b.entries),
+          (0,) * len(highs), highs, _resolve_cap(node_cap), keep_best)
+    if best_sol is None:
+        return IpOutcome(INFEASIBLE_IN_BOX, None, None)
+    return IpOutcome(OPTIMAL, IntVector(best_sol), best_val)
+
+
+def enumerate_graver_in_box(A: IntMatrix, bound: int,
+                            node_cap: Optional[int] = None) -> VectorSet:
+    """Conformally minimal nonzero kernel vectors with every |v_i| <= bound."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    n = A.ncols
+    sols: list = []
+    _walk([tuple(r) for r in A.rows], (0,) * A.nrows, (-bound,) * n,
+          (bound,) * n, _resolve_cap(node_cap),
+          lambda z: sols.append(tuple(z)))
+    sols = [v for v in sols if any(v)]
+    sols.sort(key=lambda t: (sum(abs(x) for x in t), t))
+    kept: list = []
+    for v in sols:
+        # a conforming strict minorant has strictly smaller L1 norm, so it
+        # was already kept; scanning kept is enough
+        if not any(all(x * y >= 0 and abs(x) <= abs(y) for x, y in zip(u, v))
+                   for u in kept):
+            kept.append(v)
+    return VectorSet(IntVector(v) for v in kept)

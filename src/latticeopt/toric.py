@@ -22,7 +22,8 @@ class ToricGenerators:
         self.matrix = matrix
         self.generators = generators
         for g in generators:
-            assert matrix.in_kernel(g), g
+            if not matrix.in_kernel(g):
+                raise ValueError("generator not in the kernel: %r" % (g,))
 
     def __iter__(self):
         return iter(self.generators)

@@ -1,10 +1,15 @@
 """Augmentation walks, Phase-I feasibility, and exactness against the oracle."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import latticeopt
 from latticeopt import groebner
 from latticeopt.augment import artificial_system, augment, phase_one_feasible
 from latticeopt.graver import graver_basis
@@ -138,3 +143,30 @@ def test_phase_one_one_move_set_serves_every_rhs():
 def test_phase_one_rhs_length_checked():
     with pytest.raises(ValueError):
         phase_one_feasible(IntMatrix([[1, 1]]), (1, 2))
+
+
+def test_invariants_hold_under_optimize_flag():
+    # python -O strips assert statements; these checks must survive it.
+    code = textwrap.dedent("""
+        from latticeopt.augment import augment
+        from latticeopt.graver import GraverBasis
+        from latticeopt.lattice import IntMatrix, IntVector, VectorSet
+        A = IntMatrix(((1, 1),))
+        calls = {
+            "GraverBasis": lambda: GraverBasis(
+                A, VectorSet([IntVector((1, 0))])),
+            "augment": lambda: augment(
+                (1, 1), (1, 1), [IntVector((1, 0))], A, (2,)),
+        }
+        for name, call in calls.items():
+            try:
+                call()
+            except ValueError:
+                continue
+            raise SystemExit(name + " accepted an invalid input")
+    """)
+    package = os.path.dirname(os.path.abspath(latticeopt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stdout + out.stderr

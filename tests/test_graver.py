@@ -168,5 +168,5 @@ def test_block_validation():
 
 def test_negation_closure_checked_by_constructor():
     A = IntMatrix([[1, 1]])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         GraverBasis(A, VectorSet([IntVector((1, -1))]))

@@ -152,5 +152,5 @@ def test_test_set_property_random_exhaustive():
 
 def test_groebner_basis_kernel_assert():
     order = CostOrder((1, 1))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         GroebnerBasis(IntMatrix([[1, 1]]), order, _vs((1, 1)))

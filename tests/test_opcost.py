@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -153,8 +154,20 @@ def test_single_scenario_decisions_build_each_stacked_test_set_once(
     assert calls["test_set"] == 2  # one Phase-I set per stacked matrix
     assert tuple(map(tuple, single_scenario_decisions(
         overrides, method=METHOD_GRAVER))) == expected
-    assert calls == {"toric_generating_set": 3, "buchberger": 3,
+    # toric generators depend only on the matrix
+    assert calls == {"toric_generating_set": 2, "buchberger": 3,
                      "graver_basis": 2, "test_set": 4}
+
+
+def test_closed_form_start_checked_in_both_phases():
+    # a hook whose point solves neither the stacked system nor W y = h - T x
+    inst = dataclasses.replace(
+        gen_hs(HS_CFG), feasible_recourse=lambda x, h: IntVector((0,) * 8))
+    with pytest.raises(ValueError, match="invalid point"):
+        single_scenario_decisions(inst)
+    dec = DecisionList(tuple(IntVector(x) for x in HS_DECISIONS))
+    with pytest.raises(ValueError, match="invalid point"):
+        opcost_kernel(inst, dec)
 
 
 def test_single_scenario_decisions_oracle_mode_small():
@@ -266,6 +279,47 @@ def test_kernel_counters_one_basis_per_distinct_cost():
     assert m.counters.buchberger_runs == 2
 
 
+TIMING_KEYS = {"toric_us", "groebner_us", "graver_us", "phase_one_us",
+               "augment_us", "oracle_us"}
+
+
+def _counters(**nonzero):
+    out = dict.fromkeys(opcost.BuildCounters.__slots__, 0)
+    out.update(nonzero)
+    return out
+
+
+def test_build_counters_frozen_for_every_method():
+    hs = gen_hs(HS_CFG)
+    hs_dec = single_scenario_decisions(hs)
+    snd = gen_snd(SndConfig(scenario_count=2, seed=3))
+    snd_dec = DecisionList(SND_DECISIONS)
+    cases = [
+        (opcost_kernel(hs, hs_dec), _counters(
+            toric_runs=1, toric_elements=6, buchberger_runs=1,
+            groebner_elements=8, augment_calls=4)),
+        (opcost_graver(hs, hs_dec), _counters(
+            graver_runs=1, graver_elements=44, augment_calls=4)),
+        (opcost_oracle(hs, hs_dec, var_bound=24), _counters(oracle_solves=4)),
+        # one infeasible cell: four Phase-I calls, three walks
+        (opcost_kernel(snd, snd_dec), _counters(
+            toric_runs=1, toric_elements=1, buchberger_runs=1,
+            groebner_elements=1, augment_calls=3, phase_one_calls=4,
+            phase_one_bases=1)),
+        (opcost_kernel(snd, snd_dec, threads=2), _counters(
+            toric_runs=1, toric_elements=1, buchberger_runs=1,
+            groebner_elements=1, augment_calls=3, phase_one_calls=4,
+            phase_one_bases=1)),
+        (opcost_graver(snd, snd_dec), _counters(
+            graver_runs=1, graver_elements=2, augment_calls=3,
+            phase_one_calls=4, phase_one_bases=1)),
+        (opcost_oracle(snd, snd_dec), _counters(oracle_solves=4)),
+    ]
+    for m, expected in cases:
+        assert m.counters.as_dict() == expected, m.method
+        assert set(m.timings_us) == TIMING_KEYS
+
+
 def test_graver_counters():
     inst = gen_hs(HS_CFG)
     dec = single_scenario_decisions(inst)
@@ -278,6 +332,7 @@ def test_thread_schedule_independence():
     snd = gen_snd(SndConfig(scenario_count=2, seed=3))
     dec = DecisionList(SND_DECISIONS)
     assert opcost_kernel(snd, dec, threads=2) == opcost_kernel(snd, dec)
+    assert opcost_oracle(snd, dec, threads=2) == opcost_oracle(snd, dec)
     hs = gen_hs(HS_CFG)
     hs_dec = single_scenario_decisions(hs)
     assert opcost_kernel(hs, hs_dec, threads=2) == opcost_kernel(hs, hs_dec)

@@ -71,7 +71,7 @@ def test_twisted_cubic_fiber_needs_saturation():
 
 def test_constructor_asserts_kernel_membership():
     from latticeopt.lattice import VectorSet
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ToricGenerators(IntMatrix([[1, 1]]), VectorSet([IntVector((1, 1))]))
 
 
