@@ -1,9 +1,12 @@
 """Augmentation walks over test sets, and Phase-I feasibility.
 
-A walk repeatedly subtracts the first applicable improving move in a fixed
-scan order until none applies. Over a valid test set the fixed point is the
-optimum of the cost order's lexicographic refinement; over a negation-closed
-Graver basis the improving halves of the pairs play the same role.
+A walk repeatedly takes the first applicable improving move in a fixed scan
+order and subtracts the largest multiple of it that stays non-negative,
+until no move applies. Each full-multiple step is a run of unit steps along
+one move, so the fixed point is the same: over a valid test set it is the
+optimum of the cost order's lexicographic refinement; over a
+negation-closed Graver basis the improving halves of the pairs play the
+same role.
 """
 
 from __future__ import annotations
@@ -20,13 +23,26 @@ class AugmentResult(NamedTuple):
     steps: int
 
 
-def _improving_moves(T, order: CostOrder):
+class PreparedMoves(NamedTuple):
+    """A move set's improving moves in scan order, for one cost vector.
+
+    `cost` holds the entries the moves were filtered and sorted for, and
+    each move is (entries, positive part as (index, entry) pairs).
+    """
+
+    cost: tuple
+    moves: tuple
+
+
+def prepare_moves(T, c: "IntVector | Iterable[int]") -> PreparedMoves:
     """Moves with positive cost, or zero cost and lexicographically downhill.
 
     Applying such a t to any point strictly decreases (c.z, tie-broken z);
     every other element can never be taken, so it is dropped up front. The
     scan order is fixed: best cost improvement first, then entry order.
+    Walks that share a move set and a cost can share the result.
     """
+    order = CostOrder(c)
     keyed = []
     for t in T:
         entries = t.entries if isinstance(t, IntVector) else tuple(t)
@@ -42,36 +58,47 @@ def _improving_moves(T, order: CostOrder):
         pos = tuple((i, x) for i, x in enumerate(entries) if x > 0)
         keyed.append((-cdot, entries, pos))
     keyed.sort()
-    return [(entries, pos) for _, entries, pos in keyed]
+    return PreparedMoves(order.cost.entries,
+                         tuple((entries, pos) for _, entries, pos in keyed))
 
 
 def augment(z0: "IntVector | Iterable[int]", c: "IntVector | Iterable[int]",
             T, A: IntMatrix, b: "IntVector | Iterable[int]") -> AugmentResult:
-    """Walk downhill from a feasible point; returns the fixed point reached."""
+    """Walk downhill from a feasible point; returns the fixed point reached.
+
+    T is a move set, or its `prepare_moves` result for c. Each step applies
+    the largest feasible multiple of the first applicable move.
+    """
     z0, c, b = as_vector(z0), as_vector(c), as_vector(b)
-    order = CostOrder(c)
     if len(z0) != A.ncols or len(c) != A.ncols:
         raise ValueError("dimension mismatch with matrix columns")
+    if not isinstance(T, PreparedMoves):
+        T = prepare_moves(T, c)
+    elif T.cost != c.entries:
+        raise ValueError("moves were prepared for another cost vector")
     if any(e < 0 for e in z0.entries) or A.mat_vec(z0) != b:
         raise ValueError("starting point is not feasible")
 
-    moves = _improving_moves(T, order)
     z = list(z0.entries)
     steps = 0
     progress = True
     while progress:
         progress = False
-        for entries, pos in moves:
+        for entries, pos in T.moves:
             if all(z[i] >= x for i, x in pos):
-                for i, x in enumerate(entries):
-                    z[i] -= x
+                if not pos:
+                    raise ValueError("improving move %r has no positive "
+                                     "entry: the walk would not end"
+                                     % (entries,))
+                k = min(z[i] // x for i, x in pos)
+                z = [zi - k * x for zi, x in zip(z, entries)]
                 steps += 1
                 progress = True
                 break
     solution = IntVector(z)
     if A.mat_vec(solution) != b or any(e < 0 for e in solution.entries):
         raise ValueError("walk left the fiber: a move is not in the kernel")
-    return AugmentResult(solution, order.dot(solution), steps)
+    return AugmentResult(solution, c.dot(solution), steps)
 
 
 def artificial_system(A: IntMatrix):
@@ -90,14 +117,16 @@ def artificial_system(A: IntMatrix):
 
 
 def phase_one_feasible(A: IntMatrix, b: "IntVector | Iterable[int]",
-                       moves: Optional[GroebnerBasis] = None
-                       ) -> Optional[IntVector]:
+                       moves: "Optional[GroebnerBasis | PreparedMoves]" = None,
+                       steps: Optional[list] = None) -> Optional[IntVector]:
     """A feasible point of {z >= 0 : Az = b}, or None when there is none.
 
     Minimizes the artificial total by augmentation on the extended system of
-    `artificial_system(A)`; `moves` may carry its precomputed test set, which
-    serves every right-hand side of A, so callers solving many b against one
-    matrix complete it once.
+    `artificial_system(A)`; `moves` may carry its precomputed test set, or
+    that set prepared for the artificial cost, which serves every
+    right-hand side of A, so callers solving many b against one matrix
+    complete it once. When `steps` is a list, the walk's step count is
+    appended to it.
     """
     b = as_vector(b)
     if len(b) != A.nrows:
@@ -108,6 +137,8 @@ def phase_one_feasible(A: IntMatrix, b: "IntVector | Iterable[int]",
     start = IntVector((0,) * A.ncols + tuple(max(x, 0) for x in b.entries)
                       + tuple(max(-x, 0) for x in b.entries))
     res = augment(start, cost, moves, ext, b)
+    if steps is not None:
+        steps.append(res.steps)
     if res.value != 0:
         return None
     return IntVector(res.solution.entries[:A.ncols])

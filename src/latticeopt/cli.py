@@ -38,6 +38,7 @@ class BenchRecord:
     timings_us: dict
     basis_sizes: dict
     checksum: str
+    counters: dict
 
     def to_json_line(self) -> str:
         return json.dumps({
@@ -47,6 +48,7 @@ class BenchRecord:
             "timings_us": self.timings_us,
             "basis_sizes": self.basis_sizes,
             "checksum": self.checksum,
+            "counters": self.counters,
         }, sort_keys=True)
 
 
@@ -95,6 +97,7 @@ def bench_hs(n_list, seed, scaled, methods, threads=1, oracle_bound=None):
                 timings_us=timings,
                 basis_sizes=sizes,
                 checksum=matrix_checksum(m),
+                counters=c.as_dict(),
             ))
     return records
 

@@ -3,13 +3,15 @@
 A cell (i, j) evaluates first-stage decision x_i under scenario j: the
 recourse problem min{c_j . y : W y = h_j - T x_i, y >= 0}. The decisions
 phase solves one stacked program [T | W] per scenario. Both kinds of
-integer program go through one per-method solver: augmentation
-over a Groebner basis (kernel method), over the Graver basis (graver
-method), or brute force in a box (oracle method). The solver computes the
-algebra once per matrix and, for Groebner bases, once per distinct cost. A
-solve without a closed-form start finds one by Phase-I over a single test
-set of the extended system [M | I | -I], which serves every right-hand
-side; counters make that reuse observable.
+integer program go through one per-method solver: augmentation with
+full-multiple steps over a Groebner basis (kernel method), over the Graver
+basis (graver method), or brute force in a box (oracle method). The solver
+computes the algebra once per matrix and, for Groebner bases, once per
+distinct cost, and prepares each walk's improving moves once per (matrix,
+cost). A solve without a closed-form start finds one by Phase-I over a
+single test set of the extended system [M | I | -I], which serves every
+right-hand side. A matrix row depends only on its decision, so each
+distinct decision is solved once; counters make that reuse observable.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import oracle
-from .augment import artificial_system, augment, phase_one_feasible
+from .augment import (artificial_system, augment, phase_one_feasible,
+                      prepare_moves)
 from .graver import graver_basis
 from .groebner import buchberger, test_set
 from .lattice import CostOrder, IntMatrix, IntVector, as_vector
@@ -139,13 +142,16 @@ class BuildCounters:
     sizes summed over distinct costs). Phase-I work is tracked separately:
     phase_one_bases is 1 when the build completed the test set of
     [W | I | -I], 0 when a closed-form start made it unnecessary, and
-    phase_one_calls counts the cells handed that set.
+    phase_one_calls counts the cells handed that set. The per-cell tallies
+    cover the rows of distinct decisions only, since repeated decisions
+    copy their row; walk_steps sums the steps of the optimisation and
+    Phase-I walks.
     """
 
     __slots__ = ("toric_runs", "buchberger_runs", "graver_runs",
                  "augment_calls", "oracle_solves", "phase_one_calls",
                  "phase_one_bases", "toric_elements", "groebner_elements",
-                 "graver_elements")
+                 "graver_elements", "walk_steps")
 
     def __init__(self):
         for name in self.__slots__:
@@ -267,9 +273,10 @@ class _Solver:
     """One method's integer-program solves, each algebraic object built once.
 
     Toric generators, the Graver basis and the Phase-I test set of
-    [M | I | -I] are kept per matrix, Groebner bases per (matrix, cost). Each
-    first build is timed and counted, so a solver that only ever sees W
-    records exactly the build's algebra.
+    [M | I | -I] are kept per matrix, Groebner bases and the walks' prepared
+    improving moves per (matrix, cost). Each first build is timed and
+    counted, so a solver that only ever sees W records exactly the build's
+    algebra.
     """
 
     def __init__(self, instance: SipInstance, method: str, var_bound=None):
@@ -283,7 +290,7 @@ class _Solver:
                            "phase_one_us": 0, "augment_us": 0, "oracle_us": 0}
         self._built = {}
 
-    def _once(self, key, build, runs, elements=None):
+    def _once(self, key, build, runs=None, elements=None):
         """The object under key, built on first use; key[0] is its timing."""
         obj = self._built.get(key)
         if obj is None:
@@ -291,48 +298,61 @@ class _Solver:
             obj = self._built[key] = build()
             self.timings_us[key[0]] += (time.perf_counter_ns() - t0) // 1000
             c = self.counters
-            setattr(c, runs, getattr(c, runs) + 1)
+            if runs is not None:
+                setattr(c, runs, getattr(c, runs) + 1)
             if elements is not None:
                 setattr(c, elements, getattr(c, elements) + len(obj))
         return obj
 
     def moves(self, M: IntMatrix, cost: IntVector):
-        """The test set that the kernel or graver walk uses for (M, cost)."""
+        """The kernel or graver walk's prepared moves for (M, cost)."""
         if self.method == METHOD_GRAVER:
-            return self._once(("graver_us", M.rows), lambda: graver_basis(M),
-                              "graver_runs", "graver_elements")
-        gens = self._once(("toric_us", M.rows),
-                          lambda: toric_generating_set(M),
-                          "toric_runs", "toric_elements")
-        return self._once(
-            ("groebner_us", M.rows, cost.entries),
-            lambda: buchberger(gens.generators, CostOrder(cost), matrix=M),
-            "buchberger_runs", "groebner_elements")
+            timing = "graver_us"
+            basis = self._once((timing, M.rows), lambda: graver_basis(M),
+                               "graver_runs", "graver_elements")
+        else:
+            timing = "groebner_us"
+            gens = self._once(("toric_us", M.rows),
+                              lambda: toric_generating_set(M),
+                              "toric_runs", "toric_elements")
+            basis = self._once(
+                (timing, M.rows, cost.entries),
+                lambda: buchberger(gens.generators, CostOrder(cost), matrix=M),
+                "buchberger_runs", "groebner_elements")
+        return self._once((timing, "moves", M.rows, cost.entries),
+                          lambda: prepare_moves(basis, cost))
 
     def phase_one_set(self, M: IntMatrix):
-        """The Phase-I test set of [M | I | -I], for every b of M."""
-        return self._once(("phase_one_us", M.rows),
-                          lambda: test_set(*artificial_system(M)),
-                          "phase_one_bases")
+        """The prepared Phase-I test set of [M | I | -I], for every b of M."""
+        def build():
+            ext, cost = artificial_system(M)
+            return prepare_moves(test_set(ext, cost), cost)
+        return self._once(("phase_one_us", M.rows), build, "phase_one_bases")
 
-    def prepare(self):
-        """Complete W's objects here, so that pool workers receive them."""
+    def prepare(self) -> tuple:
+        """Complete W's objects here, so that pool workers receive them.
+
+        Returns W's prepared moves per scenario (None for the oracle), for
+        the row loop to pass to `solve`.
+        """
+        inst = self.instance
         if self.method == METHOD_ORACLE:
-            return
-        W = self.instance.recourse
-        for sc in self.instance.scenarios:
-            self.moves(W, sc.cost)
-        if self.instance.feasible_recourse is None:
+            return (None,) * inst.num_scenarios
+        W = inst.recourse
+        row_moves = tuple(self.moves(W, sc.cost) for sc in inst.scenarios)
+        if inst.feasible_recourse is None:
             self.phase_one_set(W)
+        return row_moves
 
     def solve(self, M: IntMatrix, cost: IntVector, b: IntVector,
-              start: Optional[IntVector]):
+              start: Optional[IntVector], moves=None):
         """The refined optimum of min cost.z : M z = b, z >= 0, or None.
 
         The result carries the optimum as `.solution` and its cost as
         `.value`. Kernel and graver walk from `start`, or from a Phase-I
-        point when it is None; the oracle searches var_bound's box, or one
-        derived from b.
+        point when it is None, over `moves` when the caller has looked up
+        the prepared moves of (M, cost); the oracle searches var_bound's
+        box, or one derived from b.
         """
         c = self.counters
         if self.method == METHOD_ORACLE:
@@ -344,11 +364,18 @@ class _Solver:
             return res if res.status == oracle.OPTIMAL else None
         if start is None:
             c.phase_one_calls += 1
-            start = phase_one_feasible(M, b, moves=self.phase_one_set(M))
+            steps = []
+            start = phase_one_feasible(M, b, moves=self.phase_one_set(M),
+                                       steps=steps)
+            c.walk_steps += steps[0]
             if start is None:
                 return None
+        if moves is None:
+            moves = self.moves(M, cost)
         c.augment_calls += 1
-        return augment(start, cost, self.moves(M, cost), M, b)
+        res = augment(start, cost, moves, M, b)
+        c.walk_steps += res.steps
+        return res
 
 
 def single_scenario_decisions(instance: SipInstance,
@@ -384,14 +411,15 @@ def _solve_row(job):
     """Decision x's recourse value in every scenario (None if infeasible),
     and what the row added to the counters; module-level for process pools.
     """
-    solver, x = job
+    solver, row_moves, x = job
     inst = solver.instance
     W = inst.recourse
     before = solver.counters.as_dict()
     row = []
-    for j, sc in enumerate(inst.scenarios):
+    for j, (sc, moves) in enumerate(zip(inst.scenarios, row_moves)):
         b = rhs(inst, x, j)
-        res = solver.solve(W, sc.cost, b, _hook_start(inst, x, j, W, b))
+        res = solver.solve(W, sc.cost, b, _hook_start(inst, x, j, W, b),
+                           moves)
         row.append(None if res is None else res.value)
     added = {k: v - before[k] for k, v in solver.counters.as_dict().items()}
     return row, added
@@ -400,8 +428,10 @@ def _solve_row(job):
 def _build(instance, decisions, method, q_only, threads, var_bound=None):
     decisions.check(instance)
     solver = _Solver(instance, method, var_bound)
-    solver.prepare()
-    jobs = [(solver, x) for x in decisions]
+    row_moves = solver.prepare()
+    # a row depends only on its decision: solve each distinct one once
+    distinct = list(dict.fromkeys(decisions))
+    jobs = [(solver, row_moves, x) for x in distinct]
     t0 = time.perf_counter_ns()
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -415,8 +445,10 @@ def _build(instance, decisions, method, q_only, threads, var_bound=None):
     walk = "oracle_us" if method == METHOD_ORACLE else "augment_us"
     solver.timings_us[walk] += (time.perf_counter_ns() - t0) // 1000
 
+    rows = {x: row for x, (row, _) in zip(distinct, results)}
     values, status = [], []
-    for x, (row, _) in zip(decisions, results):
+    for x in decisions:
+        row = rows[x]
         gx = 0 if q_only else instance.gamma.dot(x)
         values.append([None if q is None else gx + q for q in row])
         status.append([CELL_INFEASIBLE if q is None else CELL_OK for q in row])

@@ -11,7 +11,8 @@ import pytest
 
 import latticeopt
 from latticeopt import groebner
-from latticeopt.augment import artificial_system, augment, phase_one_feasible
+from latticeopt.augment import (PreparedMoves, artificial_system, augment,
+                                phase_one_feasible, prepare_moves)
 from latticeopt.graver import graver_basis
 from latticeopt.lattice import IntMatrix, IntVector, VectorSet
 
@@ -27,8 +28,8 @@ def test_worked_walk_on_sum_matrix():
     res = augment((0, 0, 3), (1, 2, 3), _vs((-1, 1, 0), (0, -1, 1)), A, (3,))
     assert res.solution == IntVector((3, 0, 0))
     assert res.value == 3
-    # every move lowers the cost by exactly one from 9 to 3
-    assert res.steps == 6
+    # each step takes a move as far as it goes: (0,3,0), then (3,0,0)
+    assert res.steps == 2
 
 
 def test_empty_move_set_is_fixed_point():
@@ -81,7 +82,30 @@ def test_zero_cost_moves_respect_tie_order():
     gamma = graver_basis(A)
     res = augment((4, 0), (0, 0), gamma, A, (4,))
     assert res.solution == IntVector((0, 4))
-    assert res.steps == 4
+    assert res.steps == 1
+
+
+def test_full_multiple_steps_on_large_rhs():
+    # unit steps would take a million; each step applies a whole multiple
+    A = IntMatrix([[1, 1, 1]])
+    n = 10 ** 6
+    res = augment((0, 0, n), (1, 2, 3), graver_basis(A), A, (n,))
+    assert res.solution == IntVector((n, 0, 0))
+    assert res.value == n
+    assert res.steps <= 2
+
+
+def test_prepared_moves_walk_like_the_move_set():
+    rng = random.Random(91)
+    A = support.random_matrix(rng, 2, 4, 0, 3)
+    gamma = graver_basis(A)
+    c = (3, 1, 4, 1)
+    prepared = prepare_moves(gamma, c)
+    assert prepared.cost == c
+    assert all(pos for _, pos in prepared.moves)
+    for b, pts in support.boxed_fibers(A, 4).items():
+        for z in pts:
+            assert augment(z, c, prepared, A, b) == augment(z, c, gamma, A, b)
 
 
 def test_artificial_system_shape():
@@ -148,7 +172,7 @@ def test_phase_one_rhs_length_checked():
 def test_invariants_hold_under_optimize_flag():
     # python -O strips assert statements; these checks must survive it.
     code = textwrap.dedent("""
-        from latticeopt.augment import augment
+        from latticeopt.augment import PreparedMoves, augment, prepare_moves
         from latticeopt.graver import GraverBasis
         from latticeopt.lattice import IntMatrix, IntVector, VectorSet
         A = IntMatrix(((1, 1),))
@@ -157,6 +181,12 @@ def test_invariants_hold_under_optimize_flag():
                 A, VectorSet([IntVector((1, 0))])),
             "augment": lambda: augment(
                 (1, 1), (1, 1), [IntVector((1, 0))], A, (2,)),
+            "augment, moves prepared for another cost": lambda: augment(
+                (1, 1), (1, 1), prepare_moves([IntVector((1, -1))], (2, 1)),
+                A, (2,)),
+            "augment, improving move without a positive entry":
+                lambda: augment((1, 1), (1, 1), PreparedMoves(
+                    (1, 1), (((-1, 0), ()),)), IntMatrix(((0, 1),)), (1,)),
         }
         for name, call in calls.items():
             try:

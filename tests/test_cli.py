@@ -110,6 +110,7 @@ def test_bench_emits_json_lines(capsys):
     assert by_method["graver"]["basis_sizes"]["graver"] > 0
     for rec in lines:
         assert all(t >= 0 for t in rec["timings_us"].values())
+        assert rec["counters"]["walk_steps"] == 6
 
 
 def test_bad_input_exit_codes(tmp_path, capsys):

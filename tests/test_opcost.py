@@ -297,27 +297,56 @@ def test_build_counters_frozen_for_every_method():
     cases = [
         (opcost_kernel(hs, hs_dec), _counters(
             toric_runs=1, toric_elements=6, buchberger_runs=1,
-            groebner_elements=8, augment_calls=4)),
+            groebner_elements=8, augment_calls=4, walk_steps=6)),
         (opcost_graver(hs, hs_dec), _counters(
-            graver_runs=1, graver_elements=44, augment_calls=4)),
+            graver_runs=1, graver_elements=44, augment_calls=4,
+            walk_steps=6)),
         (opcost_oracle(hs, hs_dec, var_bound=24), _counters(oracle_solves=4)),
         # one infeasible cell: four Phase-I calls, three walks
         (opcost_kernel(snd, snd_dec), _counters(
             toric_runs=1, toric_elements=1, buchberger_runs=1,
             groebner_elements=1, augment_calls=3, phase_one_calls=4,
-            phase_one_bases=1)),
+            phase_one_bases=1, walk_steps=8)),
         (opcost_kernel(snd, snd_dec, threads=2), _counters(
             toric_runs=1, toric_elements=1, buchberger_runs=1,
             groebner_elements=1, augment_calls=3, phase_one_calls=4,
-            phase_one_bases=1)),
+            phase_one_bases=1, walk_steps=8)),
         (opcost_graver(snd, snd_dec), _counters(
             graver_runs=1, graver_elements=2, augment_calls=3,
-            phase_one_calls=4, phase_one_bases=1)),
+            phase_one_calls=4, phase_one_bases=1, walk_steps=8)),
         (opcost_oracle(snd, snd_dec), _counters(oracle_solves=4)),
     ]
     for m, expected in cases:
         assert m.counters.as_dict() == expected, m.method
         assert set(m.timings_us) == TIMING_KEYS
+
+
+def test_repeated_decisions_share_one_row():
+    inst = gen_hs(HS_CFG)
+    x, y = (IntVector(d) for d in HS_DECISIONS)
+    dec = DecisionList((x, y, x, x))
+    m = opcost_kernel(inst, dec)
+    assert m.values == HS_VALUES + HS_VALUES[:1] * 2
+    assert m.status[2] == m.status[3] == m.status[0]
+    # two distinct decisions in two scenarios: four walks, not eight
+    assert m.counters.augment_calls == 4
+    pooled = opcost_kernel(inst, dec, threads=2)
+    assert pooled == m
+    assert pooled.counters.as_dict() == m.counters.as_dict()
+    oracle_m = opcost_oracle(inst, dec, var_bound=24)
+    assert oracle_m == m and oracle_m.counters.oracle_solves == 4
+
+
+def test_unscaled_hs_kernel_equals_graver_at_n100():
+    # right-hand sides in the thousands; kernel and graver must still agree
+    inst = gen_hs(HsConfig(scenario_count=100, seed=1, scaled=False))
+    dec = single_scenario_decisions(inst)
+    assert tuple(map(tuple, single_scenario_decisions(
+        inst, method=METHOD_GRAVER))) == tuple(map(tuple, dec))
+    mk = opcost_kernel(inst, dec)
+    mg = opcost_graver(inst, dec)
+    assert mk.size == 100
+    assert mk.values == mg.values and mk.status == mg.status
 
 
 def test_graver_counters():
