@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -61,23 +60,25 @@ def matrix_checksum(matrix) -> str:
     return hashlib.sha256(",".join(cells).encode()).hexdigest()[:16]
 
 
-def bench_hs(n_list, seed, scaled, methods, threads=1, oracle_bound=None):
-    """Time the decision + matrix pipeline per method and scenario count."""
+def bench_hs(n_list, seed, scaled, methods, oracle_bound=None):
+    """Time the decision + matrix pipeline per method and scenario count.
+
+    The oracle builds on the kernel method's decisions.
+    """
     records = []
     for n in n_list:
         inst = gen_hs(HsConfig(scenario_count=n, seed=seed, scaled=scaled))
         W = inst.recourse
         for method in methods:
             t0 = time.perf_counter_ns()
-            if method == METHOD_ORACLE:
-                dec = single_scenario_decisions(inst)
-            else:
-                dec = single_scenario_decisions(inst, method=method)
+            dec = single_scenario_decisions(
+                inst,
+                method=METHOD_KERNEL if method == METHOD_ORACLE else method)
             decisions_us = (time.perf_counter_ns() - t0) // 1000
             if method == METHOD_KERNEL:
-                m = opcost_kernel(inst, dec, threads=threads)
+                m = opcost_kernel(inst, dec)
             elif method == METHOD_GRAVER:
-                m = opcost_graver(inst, dec, threads=threads)
+                m = opcost_graver(inst, dec)
             else:
                 m = opcost_oracle(inst, dec, var_bound=oracle_bound)
             c = m.counters
@@ -171,9 +172,9 @@ def _cmd_opcost(args) -> int:
         dec = DecisionList(tuple(IntVector(tuple(int(e) for e in x))
                                  for x in raw))
     if args.method == METHOD_KERNEL:
-        m = opcost_kernel(inst, dec, q_only=args.q_only, threads=args.threads)
+        m = opcost_kernel(inst, dec, q_only=args.q_only)
     elif args.method == METHOD_GRAVER:
-        m = opcost_graver(inst, dec, q_only=args.q_only, threads=args.threads)
+        m = opcost_graver(inst, dec, q_only=args.q_only)
     else:
         m = opcost_oracle(inst, dec, q_only=args.q_only,
                           var_bound=args.var_bound)
@@ -185,7 +186,7 @@ def _cmd_opcost(args) -> int:
 
 def _cmd_bench(args) -> int:
     records = bench_hs(_parse_int_list(args.n_list), args.seed, args.scaled,
-                       tuple(args.methods.split(",")), threads=args.threads,
+                       tuple(args.methods.split(",")),
                        oracle_bound=args.var_bound)
     _emit("\n".join(r.to_json_line() for r in records), args.out)
     return 0
@@ -307,8 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latticeopt",
         description="Lattice test sets and opportunity cost matrices.")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="cell-level parallelism for opcost builds")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted and ignored: every build runs in one "
+                        "process")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-hs", help="write a sampled instance as JSON")

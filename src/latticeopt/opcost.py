@@ -12,13 +12,13 @@ cost). A solve without a closed-form start finds one by Phase-I over a
 single test set of the extended system [M | I | -I], which serves every
 right-hand side. A matrix row depends only on its decision, so each
 distinct decision is solved once; counters make that reuse observable.
+Every build runs in one process.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -57,9 +57,8 @@ class Scenario:
 class SipInstance:
     """gamma.x + E[min c.y : Wy = h - Tx] over integer points.
 
-    `feasible_recourse`, when present, is a module-level function
-    (x, h) -> y giving a feasible recourse point, bypassing Phase-I; it must
-    be picklable for multi-process builds and is dropped by JSON round-trips.
+    `feasible_recourse`, when present, is a callable (x, h) -> y giving a
+    feasible recourse point, bypassing Phase-I; JSON round-trips drop it.
     """
 
     gamma: IntVector
@@ -330,10 +329,12 @@ class _Solver:
         return self._once(("phase_one_us", M.rows), build, "phase_one_bases")
 
     def prepare(self) -> tuple:
-        """Complete W's objects here, so that pool workers receive them.
+        """Complete W's algebra before the row loop.
 
-        Returns W's prepared moves per scenario (None for the oracle), for
-        the row loop to pass to `solve`.
+        The build books the whole row loop as augment_us (oracle_us), so
+        building W's objects here keeps that figure to the walks and counts
+        no phase twice. Returns W's prepared moves per scenario (None for
+        the oracle), for the row loop to pass to `solve`.
         """
         inst = self.instance
         if self.method == METHOD_ORACLE:
@@ -407,45 +408,24 @@ def single_scenario_decisions(instance: SipInstance,
     return DecisionList(tuple(out))
 
 
-def _solve_row(job):
-    """Decision x's recourse value in every scenario (None if infeasible),
-    and what the row added to the counters; module-level for process pools.
-    """
-    solver, row_moves, x = job
-    inst = solver.instance
-    W = inst.recourse
-    before = solver.counters.as_dict()
-    row = []
-    for j, (sc, moves) in enumerate(zip(inst.scenarios, row_moves)):
-        b = rhs(inst, x, j)
-        res = solver.solve(W, sc.cost, b, _hook_start(inst, x, j, W, b),
-                           moves)
-        row.append(None if res is None else res.value)
-    added = {k: v - before[k] for k, v in solver.counters.as_dict().items()}
-    return row, added
-
-
-def _build(instance, decisions, method, q_only, threads, var_bound=None):
+def _build(instance, decisions, method, q_only, var_bound=None):
     decisions.check(instance)
     solver = _Solver(instance, method, var_bound)
     row_moves = solver.prepare()
-    # a row depends only on its decision: solve each distinct one once
-    distinct = list(dict.fromkeys(decisions))
-    jobs = [(solver, row_moves, x) for x in distinct]
+    W = instance.recourse
+    rows = {}
     t0 = time.perf_counter_ns()
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_solve_row, jobs))
-        for _, added in results:  # the workers counted on copies
-            for name, n in added.items():
-                setattr(solver.counters, name,
-                        getattr(solver.counters, name) + n)
-    else:
-        results = [_solve_row(job) for job in jobs]
+    # a row depends only on its decision: solve each distinct one once
+    for x in dict.fromkeys(decisions):
+        row = rows[x] = []
+        for j, (sc, moves) in enumerate(zip(instance.scenarios, row_moves)):
+            b = rhs(instance, x, j)
+            res = solver.solve(W, sc.cost, b,
+                               _hook_start(instance, x, j, W, b), moves)
+            row.append(None if res is None else res.value)
     walk = "oracle_us" if method == METHOD_ORACLE else "augment_us"
     solver.timings_us[walk] += (time.perf_counter_ns() - t0) // 1000
 
-    rows = {x: row for x, (row, _) in zip(distinct, results)}
     values, status = [], []
     for x in decisions:
         row = rows[x]
@@ -458,19 +438,23 @@ def _build(instance, decisions, method, q_only, threads, var_bound=None):
 
 def opcost_kernel(instance: SipInstance, decisions: DecisionList,
                   q_only: bool = False, threads: int = 1) -> OppCostMatrix:
-    """Toric generators once, one Groebner basis per distinct scenario cost."""
-    return _build(instance, decisions, METHOD_KERNEL, q_only, threads)
+    """Toric generators once, one Groebner basis per distinct scenario cost.
+
+    `threads` is accepted and has no effect: the build runs in one process.
+    """
+    return _build(instance, decisions, METHOD_KERNEL, q_only)
 
 
 def opcost_graver(instance: SipInstance, decisions: DecisionList,
                   q_only: bool = False, threads: int = 1) -> OppCostMatrix:
-    """One Graver basis of W serves every scenario."""
-    return _build(instance, decisions, METHOD_GRAVER, q_only, threads)
+    """One Graver basis of W serves every scenario.
+
+    `threads` is accepted and has no effect: the build runs in one process.
+    """
+    return _build(instance, decisions, METHOD_GRAVER, q_only)
 
 
 def opcost_oracle(instance: SipInstance, decisions: DecisionList,
-                  q_only: bool = False, threads: int = 1,
-                  var_bound=None) -> OppCostMatrix:
+                  q_only: bool = False, var_bound=None) -> OppCostMatrix:
     """Brute-force ground truth; var_bound overrides the derived box."""
-    return _build(instance, decisions, METHOD_ORACLE, q_only, threads,
-                  var_bound)
+    return _build(instance, decisions, METHOD_ORACLE, q_only, var_bound)

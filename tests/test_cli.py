@@ -69,14 +69,20 @@ def test_opcost_kernel_oracle_identical_csv(tmp_path):
     inst = tmp_path / "inst.json"
     assert cli.run(["gen-hs", "--n", "2", "--seed", "7", "--scaled",
                     "--out", str(inst)]) == 0
-    k_csv = tmp_path / "k.csv"
     o_csv = tmp_path / "o.csv"
-    meta = tmp_path / "meta.json"
-    assert cli.run(["opcost", "--instance", str(inst), "--method", "kernel",
-                    "--out", str(k_csv), "--meta", str(meta)]) == 0
+    runs = {}
+    for threads in ("1", "2"):  # --threads is accepted and ignored
+        k_csv = tmp_path / ("k%s.csv" % threads)
+        meta = tmp_path / ("meta%s.json" % threads)
+        assert cli.run(["--threads", threads, "opcost", "--instance",
+                        str(inst), "--method", "kernel", "--out", str(k_csv),
+                        "--meta", str(meta)]) == 0
+        runs[threads] = (k_csv.read_bytes(),
+                         json.dumps(json.loads(meta.read_text())["counters"]))
+    assert runs["2"] == runs["1"]
     assert cli.run(["opcost", "--instance", str(inst), "--method", "oracle",
                     "--var-bound", "24", "--out", str(o_csv)]) == 0
-    assert k_csv.read_text() == o_csv.read_text()
+    assert runs["1"][0] == o_csv.read_bytes()
     doc = json.loads(meta.read_text())
     assert doc["method"] == "kernel"
     assert doc["counters"]["toric_runs"] == 1
