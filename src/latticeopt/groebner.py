@@ -225,11 +225,8 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
     return GroebnerBasis(matrix, order, VectorSet(IntVector(t) for t in reduced))
 
 
-def test_set(A: IntMatrix, c: "IntVector | Iterable[int]",
-             seed: Optional[VectorSet] = None) -> GroebnerBasis:
+def test_set(A: IntMatrix, c: "IntVector | Iterable[int]") -> GroebnerBasis:
     """Reduced basis whose oriented elements form a test set for IP(c, .)."""
     order = CostOrder(c if isinstance(c, IntVector) else IntVector(c))
-    if seed is None:
-        from .toric import toric_generating_set  # import cycle: deferred
-        seed = toric_generating_set(A).generators
-    return buchberger(seed, order, matrix=A)
+    from .toric import toric_generating_set  # import cycle: deferred
+    return buchberger(toric_generating_set(A).generators, order, matrix=A)

@@ -118,11 +118,6 @@ class CostOrder:
                 return 1 if ue[i] > ve[i] else -1
         return 0
 
-    def key(self, v: IntVector):
-        """Sort key: ascending in the order."""
-        e = v.entries
-        return (self.cost.dot(v), tuple(e[i] for i in self.tie_order))
-
     def __repr__(self) -> str:
         return f"CostOrder({list(self.cost.entries)!r})"
 

@@ -12,7 +12,9 @@ cost). A solve without a closed-form start finds one by Phase-I over a
 single test set of the extended system [M | I | -I], which serves every
 right-hand side. A matrix row depends only on its decision, so each
 distinct decision is solved once; counters make that reuse observable.
-Every build runs in one process.
+Every build runs in one process. Each phase books its time where it runs
+and the row loop books only what no phase inside it booked, so a build's
+timings are disjoint and add up to its timed wall clock.
 """
 
 from __future__ import annotations
@@ -273,9 +275,10 @@ class _Solver:
 
     Toric generators, the Graver basis and the Phase-I test set of
     [M | I | -I] are kept per matrix, Groebner bases and the walks' prepared
-    improving moves per (matrix, cost). Each first build is timed and
-    counted, so a solver that only ever sees W records exactly the build's
-    algebra.
+    improving moves per (matrix, cost). Each object is built on its first
+    use, wherever that falls; its build is timed and counted there, so a
+    solver that only ever sees W records exactly the build's algebra. Each
+    Phase-I walk is timed apart from the set it walks over.
     """
 
     def __init__(self, instance: SipInstance, method: str, var_bound=None):
@@ -286,7 +289,8 @@ class _Solver:
         self.var_bound = var_bound
         self.counters = BuildCounters()
         self.timings_us = {"toric_us": 0, "groebner_us": 0, "graver_us": 0,
-                           "phase_one_us": 0, "augment_us": 0, "oracle_us": 0}
+                           "phase_one_us": 0, "phase_one_walk_us": 0,
+                           "augment_us": 0, "oracle_us": 0}
         self._built = {}
 
     def _once(self, key, build, runs=None, elements=None):
@@ -328,23 +332,6 @@ class _Solver:
             return prepare_moves(test_set(ext, cost), cost)
         return self._once(("phase_one_us", M.rows), build, "phase_one_bases")
 
-    def prepare(self) -> tuple:
-        """Complete W's algebra before the row loop.
-
-        The build books the whole row loop as augment_us (oracle_us), so
-        building W's objects here keeps that figure to the walks and counts
-        no phase twice. Returns W's prepared moves per scenario (None for
-        the oracle), for the row loop to pass to `solve`.
-        """
-        inst = self.instance
-        if self.method == METHOD_ORACLE:
-            return (None,) * inst.num_scenarios
-        W = inst.recourse
-        row_moves = tuple(self.moves(W, sc.cost) for sc in inst.scenarios)
-        if inst.feasible_recourse is None:
-            self.phase_one_set(W)
-        return row_moves
-
     def solve(self, M: IntMatrix, cost: IntVector, b: IntVector,
               start: Optional[IntVector], moves=None):
         """The refined optimum of min cost.z : M z = b, z >= 0, or None.
@@ -365,9 +352,12 @@ class _Solver:
             return res if res.status == oracle.OPTIMAL else None
         if start is None:
             c.phase_one_calls += 1
+            p1_moves = self.phase_one_set(M)
             steps = []
-            start = phase_one_feasible(M, b, moves=self.phase_one_set(M),
-                                       steps=steps)
+            t0 = time.perf_counter_ns()
+            start = phase_one_feasible(M, b, moves=p1_moves, steps=steps)
+            self.timings_us["phase_one_walk_us"] += (
+                time.perf_counter_ns() - t0) // 1000
             c.walk_steps += steps[0]
             if start is None:
                 return None
@@ -380,8 +370,7 @@ class _Solver:
 
 
 def single_scenario_decisions(instance: SipInstance,
-                              method: str = METHOD_KERNEL,
-                              oracle_bound=None) -> DecisionList:
+                              method: str = METHOD_KERNEL) -> DecisionList:
     """One optimal first-stage decision per scenario, deterministic ties.
 
     Each scenario's stacked IP min gamma.x + c_j.y is solved to the unique
@@ -391,7 +380,7 @@ def single_scenario_decisions(instance: SipInstance,
     the graver method, and so is the Phase-I test set when a scenario has
     no closed-form start.
     """
-    solver = _Solver(instance, method, oracle_bound)
+    solver = _Solver(instance, method)
     x0 = IntVector((0,) * instance.first_stage_dim)
     fsc = instance.first_stage_constraints
     # the closed-form start takes x = 0, which must meet A x = b
@@ -411,9 +400,13 @@ def single_scenario_decisions(instance: SipInstance,
 def _build(instance, decisions, method, q_only, var_bound=None):
     decisions.check(instance)
     solver = _Solver(instance, method, var_bound)
-    row_moves = solver.prepare()
     W = instance.recourse
+    row_moves = tuple(None if method == METHOD_ORACLE
+                      else solver.moves(W, sc.cost)
+                      for sc in instance.scenarios)
+    timings = solver.timings_us
     rows = {}
+    booked = sum(timings.values())
     t0 = time.perf_counter_ns()
     # a row depends only on its decision: solve each distinct one once
     for x in dict.fromkeys(decisions):
@@ -423,8 +416,10 @@ def _build(instance, decisions, method, q_only, var_bound=None):
             res = solver.solve(W, sc.cost, b,
                                _hook_start(instance, x, j, W, b), moves)
             row.append(None if res is None else res.value)
+    # the loop's time less what the phases inside it booked themselves
     walk = "oracle_us" if method == METHOD_ORACLE else "augment_us"
-    solver.timings_us[walk] += (time.perf_counter_ns() - t0) // 1000
+    timings[walk] += ((time.perf_counter_ns() - t0) // 1000
+                      - (sum(timings.values()) - booked))
 
     values, status = [], []
     for x in decisions:

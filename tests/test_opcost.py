@@ -282,7 +282,7 @@ def test_kernel_counters_one_basis_per_distinct_cost():
 
 
 TIMING_KEYS = {"toric_us", "groebner_us", "graver_us", "phase_one_us",
-               "augment_us", "oracle_us"}
+               "phase_one_walk_us", "augment_us", "oracle_us"}
 
 
 def _counters(**nonzero):
@@ -379,6 +379,29 @@ def test_timings_account_for_the_build_wall_clock():
             total_us = sum(m.timings_us.values())
             assert 0.95 * wall_us <= total_us <= wall_us, (
                 build.__name__, total_us, wall_us)
+
+
+def test_timings_add_up_when_the_hook_declines():
+    # a declined cell builds W's Phase-I set inside the row loop: its time
+    # must be booked once, not by both phase_one_us and the loop
+    snd = gen_snd(SndConfig(scenario_count=30, seed=1, max_demand=2))
+    hs = gen_hs(HsConfig(scenario_count=30, seed=1, scaled=True))
+    cases = (
+        (snd, lambda x, h: None),
+        (hs, lambda x, h: None if h[0] % 2 == 0 else hs_feasible(x, h)),
+    )
+    for inst, declining in cases:
+        dec = single_scenario_decisions(inst)
+        hooked = dataclasses.replace(inst, feasible_recourse=declining)
+        for build in (opcost_kernel, opcost_graver):
+            t0 = time.perf_counter_ns()
+            m = build(hooked, dec)
+            wall_us = (time.perf_counter_ns() - t0) / 1000
+            total_us = sum(m.timings_us.values())
+            assert 0.95 * wall_us <= total_us <= wall_us, (
+                build.__name__, total_us, wall_us)
+            assert m.counters.phase_one_bases == 1
+            assert m == build(inst, dec)
 
 
 def test_identical_scenarios_identical_columns():
