@@ -8,17 +8,17 @@ interchange format in the instances module. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from .augment import augment  # noqa: F401 -- perfbench traces it here
 from .graver import GraverResourceError, graver_basis
 from .groebner import buchberger, test_set
-from .instances import (HsConfig, SndConfig, gen_hs, gen_snd,
-                        instance_from_json, instance_to_json)
+from .instances import (HsConfig, SndConfig, _dec_as, _dec_mat, _dec_vec,
+                        gen_hs, gen_snd, instance_from_json, instance_to_json)
 from .lattice import CostOrder, IntMatrix, IntVector
 from .opcost import (DecisionList, METHOD_GRAVER, METHOD_KERNEL,
                      METHOD_ORACLE, opcost_graver, opcost_kernel,
@@ -27,7 +27,7 @@ from .oracle import OracleResourceError, enumerate_graver_in_box
 from .toric import toric_generating_set
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class BenchRecord:
     """One benchmark row: a full matrix build pipeline at one size."""
 
@@ -40,15 +40,7 @@ class BenchRecord:
     counters: dict
 
     def to_json_line(self) -> str:
-        return json.dumps({
-            "method": self.method,
-            "scenario_count": self.scenario_count,
-            "variable_count": self.variable_count,
-            "timings_us": self.timings_us,
-            "basis_sizes": self.basis_sizes,
-            "checksum": self.checksum,
-            "counters": self.counters,
-        }, sort_keys=True)
+        return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
 
 def matrix_checksum(matrix) -> str:
@@ -60,6 +52,18 @@ def matrix_checksum(matrix) -> str:
     return hashlib.sha256(",".join(cells).encode()).hexdigest()[:16]
 
 
+def _opcost(method, inst, dec, q_only=False, var_bound=None):
+    """The matrix that `method`'s builder makes.
+
+    The builders are read from this module's globals on each call, so a
+    tracer that wraps them here sees every build.
+    """
+    if method == METHOD_ORACLE:
+        return opcost_oracle(inst, dec, q_only=q_only, var_bound=var_bound)
+    build = {METHOD_KERNEL: opcost_kernel, METHOD_GRAVER: opcost_graver}
+    return build[method](inst, dec, q_only=q_only)
+
+
 def bench_hs(n_list, seed, scaled, methods, oracle_bound=None):
     """Time the decision + matrix pipeline per method and scenario count.
 
@@ -68,33 +72,24 @@ def bench_hs(n_list, seed, scaled, methods, oracle_bound=None):
     records = []
     for n in n_list:
         inst = gen_hs(HsConfig(scenario_count=n, seed=seed, scaled=scaled))
-        W = inst.recourse
         for method in methods:
             t0 = time.perf_counter_ns()
             dec = single_scenario_decisions(
                 inst,
                 method=METHOD_KERNEL if method == METHOD_ORACLE else method)
             decisions_us = (time.perf_counter_ns() - t0) // 1000
-            if method == METHOD_KERNEL:
-                m = opcost_kernel(inst, dec)
-            elif method == METHOD_GRAVER:
-                m = opcost_graver(inst, dec)
-            else:
-                m = opcost_oracle(inst, dec, var_bound=oracle_bound)
+            m = _opcost(method, inst, dec, var_bound=oracle_bound)
             c = m.counters
-            if method == METHOD_KERNEL:
-                sizes = {"toric": c.toric_elements,
-                         "groebner": c.groebner_elements}
-            elif method == METHOD_GRAVER:
-                sizes = {"graver": c.graver_elements}
-            else:
-                sizes = {}
+            sizes = {METHOD_KERNEL: {"toric": c.toric_elements,
+                                     "groebner": c.groebner_elements},
+                     METHOD_GRAVER: {"graver": c.graver_elements}}.get(
+                         method, {})
             timings = {"decisions_us": decisions_us}
             timings.update(m.timings_us)
             records.append(BenchRecord(
                 method=method,
                 scenario_count=n,
-                variable_count=W.ncols,
+                variable_count=inst.recourse.ncols,
                 timings_us=timings,
                 basis_sizes=sizes,
                 checksum=matrix_checksum(m),
@@ -105,8 +100,7 @@ def bench_hs(n_list, seed, scaled, methods, oracle_bound=None):
 
 def _read_matrix(path: str) -> IntMatrix:
     with open(path) as fh:
-        doc = json.load(fh)
-    return IntMatrix(tuple(tuple(int(e) for e in row) for row in doc["rows"]))
+        return _dec_mat(_dec_as(json.load(fh), dict)["rows"])
 
 
 def _emit(text: str, path):
@@ -168,16 +162,9 @@ def _cmd_opcost(args) -> int:
         dec = single_scenario_decisions(inst)
     else:
         with open(args.decisions) as fh:
-            raw = json.load(fh)
-        dec = DecisionList(tuple(IntVector(tuple(int(e) for e in x))
-                                 for x in raw))
-    if args.method == METHOD_KERNEL:
-        m = opcost_kernel(inst, dec, q_only=args.q_only)
-    elif args.method == METHOD_GRAVER:
-        m = opcost_graver(inst, dec, q_only=args.q_only)
-    else:
-        m = opcost_oracle(inst, dec, q_only=args.q_only,
-                          var_bound=args.var_bound)
+            rows = _dec_as(json.load(fh), list)
+        dec = DecisionList(tuple(map(_dec_vec, rows)))
+    m = _opcost(args.method, inst, dec, args.q_only, args.var_bound)
     _emit(m.to_csv(), args.out)
     if args.meta is not None:
         _emit(m.to_json(), args.meta)

@@ -154,7 +154,6 @@ class SipBlockStructure:
 
     def stacked(self) -> IntMatrix:
         """[[A 0 ... 0], [T W 0 ... 0], [T 0 W ... 0], ...]."""
-        na = self.first_stage.ncols
         nw = self.recourse.ncols
         N = self.scenarios
         rows = []

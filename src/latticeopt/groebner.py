@@ -148,8 +148,13 @@ def _interreduce(vecs, order):
         return (sum(c * x for c, x in zip(cost, pos)),
                 tuple(pos[i] for i in tie))
 
+    # No round limit is needed. A round that changes no lead is followed by
+    # a round that returns, because the tails were already reduced against
+    # those same leads. Every other round drops an element or lowers a lead,
+    # so the multiset of leads falls in a well-founded order (c >= 0, ties
+    # broken lexicographically) and such rounds cannot go on forever.
     work = sorted(set(vecs))
-    for _ in range(100):
+    while True:
         recs = sorted((_record(v) for v in work), key=pos_key)
         kept = []
         for rec in recs:
@@ -169,7 +174,6 @@ def _interreduce(vecs, order):
         if new_work == work:
             return work
         work = new_work
-    raise AssertionError("inter-reduction did not stabilize")
 
 
 def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -18,6 +19,7 @@ from .lattice import IntMatrix, IntVector, as_vector
 from .opcost import Scenario, SipInstance
 
 _JSON_SAFE = 2 ** 53
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 HS_GAMMA = (35, 40)
 HS_COST = (16, 19, 47, 54, 0, 0, 0, 0)
@@ -239,10 +241,6 @@ def _enc(x: int):
     return x if -_JSON_SAFE <= x <= _JSON_SAFE else str(x)
 
 
-def _dec(v) -> int:
-    return int(v)
-
-
 def _enc_vec(v: IntVector) -> list:
     return [_enc(e) for e in v.entries]
 
@@ -251,12 +249,37 @@ def _enc_mat(m: IntMatrix) -> list:
     return [[_enc(e) for e in row] for row in m.rows]
 
 
+def _dec(v) -> int:
+    """A JSON integer, or a decimal string; anything else is bad input."""
+    if type(v) is int or (isinstance(v, str) and _DECIMAL.fullmatch(v)):
+        return int(v)
+    raise ValueError("expected an integer, got %r" % (v,))
+
+
+def _dec_as(data, kind):
+    """data when it is a `kind` (list or dict); anything else is bad input."""
+    if not isinstance(data, kind):
+        raise ValueError("expected a %s, got %s"
+                         % (kind.__name__, type(data).__name__))
+    return data
+
+
 def _dec_vec(data) -> IntVector:
-    return IntVector(tuple(_dec(e) for e in data))
+    return IntVector(tuple(_dec(e) for e in _dec_as(data, list)))
 
 
 def _dec_mat(data) -> IntMatrix:
-    return IntMatrix(tuple(tuple(_dec(e) for e in row) for row in data))
+    return IntMatrix(tuple(_dec_vec(row).entries
+                           for row in _dec_as(data, list)))
+
+
+def _dec_scenario(data) -> Scenario:
+    s = _dec_as(data, dict)
+    den = _dec(s["p_den"])
+    if den <= 0:
+        raise ValueError("p_den must be positive")
+    return Scenario(Fraction(_dec(s["p_num"]), den), _dec_vec(s["cost"]),
+                    _dec_vec(s["rhs"]))
 
 
 def instance_to_json(instance: SipInstance) -> str:
@@ -293,18 +316,12 @@ def instance_to_json(instance: SipInstance) -> str:
 
 
 def instance_from_json(text: str) -> SipInstance:
-    doc = json.loads(text)
-    scenarios = tuple(
-        Scenario(
-            Fraction(_dec(s["p_num"]), _dec(s["p_den"])),
-            _dec_vec(s["cost"]),
-            _dec_vec(s["rhs"]),
-        )
-        for s in doc["scenarios"]
-    )
+    """Inverse of instance_to_json; a wrong JSON type raises ValueError."""
+    doc = _dec_as(json.loads(text), dict)
+    scenarios = tuple(map(_dec_scenario, _dec_as(doc["scenarios"], list)))
     constraints = None
     if doc.get("first_stage_constraints") is not None:
-        block = doc["first_stage_constraints"]
+        block = _dec_as(doc["first_stage_constraints"], dict)
         constraints = (_dec_mat(block["A"]), _dec_vec(block["b"]))
     bounds = doc.get("first_stage_bounds")
     return SipInstance(
@@ -314,5 +331,5 @@ def instance_from_json(text: str) -> SipInstance:
         scenarios=scenarios,
         first_stage_constraints=constraints,
         first_stage_bounds=(
-            None if bounds is None else tuple(_dec(u) for u in bounds)),
+            None if bounds is None else _dec_vec(bounds).entries),
     )

@@ -63,16 +63,6 @@ def as_vector(v: "IntVector | Sequence[int]") -> IntVector:
     return v if isinstance(v, IntVector) else IntVector(v)
 
 
-def conforms(a: IntVector, b: IntVector) -> bool:
-    """True iff a lies in the same orthant as b with entries no larger in magnitude."""
-    if len(a) != len(b):
-        raise ValueError("dimension mismatch: %d vs %d" % (len(a), len(b)))
-    for x, y in zip(a.entries, b.entries):
-        if x * y < 0 or abs(x) > abs(y):
-            return False
-    return True
-
-
 class CostOrder:
     """Total order on non-negative vectors: compare c.x first, ties lexicographic.
 
@@ -281,6 +271,7 @@ def kernel_basis(matrix: IntMatrix) -> VectorSet:
         work[lead], work[p] = work[p], work[lead]
         trans[lead], trans[p] = trans[p], trans[lead]
         lead += 1
+    if any(any(work[j]) for j in range(lead, n)):
+        raise ValueError("column reduction left a nonzero non-pivot column")
     kernel = [trans[j] for j in range(lead, n)]
-    assert all(not any(work[j]) for j in range(lead, n))
     return VectorSet(IntVector(v) for v in _size_reduce(kernel))

@@ -78,6 +78,8 @@ class SipInstance:
             raise ValueError("technology columns must match first-stage dim")
         if not self.scenarios:
             raise ValueError("at least one scenario required")
+        if any(s.probability < 0 for s in self.scenarios):
+            raise ValueError("scenario probabilities must be non-negative")
         if sum(s.probability for s in self.scenarios) != 1:
             raise ValueError("scenario probabilities must sum to 1")
         for s in self.scenarios:
@@ -226,7 +228,6 @@ def _one_scenario_system(instance: SipInstance, j: int):
     """Stacked (matrix, cost, rhs) of the deterministic one-scenario IP."""
     sc = instance.scenarios[j]
     T = sc.technology if sc.technology is not None else instance.technology
-    nx = instance.first_stage_dim
     ny = instance.recourse.ncols
     rows = []
     rhs_entries = []
@@ -278,7 +279,8 @@ class _Solver:
     improving moves per (matrix, cost). Each object is built on its first
     use, wherever that falls; its build is timed and counted there, so a
     solver that only ever sees W records exactly the build's algebra. Each
-    Phase-I walk is timed apart from the set it walks over.
+    Phase-I walk is timed apart from the set it walks over. No other code
+    branches on the method; `walk_us` names the timing a walk books to.
     """
 
     def __init__(self, instance: SipInstance, method: str, var_bound=None):
@@ -287,6 +289,7 @@ class _Solver:
         self.instance = instance
         self.method = method
         self.var_bound = var_bound
+        self.walk_us = "oracle_us" if method == METHOD_ORACLE else "augment_us"
         self.counters = BuildCounters()
         self.timings_us = {"toric_us": 0, "groebner_us": 0, "graver_us": 0,
                            "phase_one_us": 0, "phase_one_walk_us": 0,
@@ -308,7 +311,9 @@ class _Solver:
         return obj
 
     def moves(self, M: IntMatrix, cost: IntVector):
-        """The kernel or graver walk's prepared moves for (M, cost)."""
+        """The walk's prepared moves for (M, cost); None for the oracle."""
+        if self.method == METHOD_ORACLE:
+            return None
         if self.method == METHOD_GRAVER:
             timing = "graver_us"
             basis = self._once((timing, M.rows), lambda: graver_basis(M),
@@ -333,14 +338,13 @@ class _Solver:
         return self._once(("phase_one_us", M.rows), build, "phase_one_bases")
 
     def solve(self, M: IntMatrix, cost: IntVector, b: IntVector,
-              start: Optional[IntVector], moves=None):
+              start: Optional[IntVector], moves):
         """The refined optimum of min cost.z : M z = b, z >= 0, or None.
 
         The result carries the optimum as `.solution` and its cost as
         `.value`. Kernel and graver walk from `start`, or from a Phase-I
-        point when it is None, over `moves` when the caller has looked up
-        the prepared moves of (M, cost); the oracle searches var_bound's
-        box, or one derived from b.
+        point when it is None, over `moves`, which is `self.moves(M, cost)`;
+        the oracle searches var_bound's box, or one derived from b.
         """
         c = self.counters
         if self.method == METHOD_ORACLE:
@@ -361,8 +365,6 @@ class _Solver:
             c.walk_steps += steps[0]
             if start is None:
                 return None
-        if moves is None:
-            moves = self.moves(M, cost)
         c.augment_calls += 1
         res = augment(start, cost, moves, M, b)
         c.walk_steps += res.steps
@@ -390,7 +392,7 @@ def single_scenario_decisions(instance: SipInstance,
         M, cost, b = _one_scenario_system(instance, j)
         start = (_hook_start(instance, x0, j, M, b, x0.entries)
                  if zero_ok else None)
-        res = solver.solve(M, cost, b, start)
+        res = solver.solve(M, cost, b, start, solver.moves(M, cost))
         if res is None:
             raise ValueError("scenario %d: stacked system infeasible" % j)
         out.append(IntVector(res.solution.entries[:instance.first_stage_dim]))
@@ -401,9 +403,7 @@ def _build(instance, decisions, method, q_only, var_bound=None):
     decisions.check(instance)
     solver = _Solver(instance, method, var_bound)
     W = instance.recourse
-    row_moves = tuple(None if method == METHOD_ORACLE
-                      else solver.moves(W, sc.cost)
-                      for sc in instance.scenarios)
+    row_moves = tuple(solver.moves(W, sc.cost) for sc in instance.scenarios)
     timings = solver.timings_us
     rows = {}
     booked = sum(timings.values())
@@ -417,9 +417,8 @@ def _build(instance, decisions, method, q_only, var_bound=None):
                                _hook_start(instance, x, j, W, b), moves)
             row.append(None if res is None else res.value)
     # the loop's time less what the phases inside it booked themselves
-    walk = "oracle_us" if method == METHOD_ORACLE else "augment_us"
-    timings[walk] += ((time.perf_counter_ns() - t0) // 1000
-                      - (sum(timings.values()) - booked))
+    timings[solver.walk_us] += ((time.perf_counter_ns() - t0) // 1000
+                                - (sum(timings.values()) - booked))
 
     values, status = [], []
     for x in decisions:

@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from latticeopt import cli
-from latticeopt.instances import instance_from_json
+from latticeopt.instances import (HsConfig, gen_hs, instance_from_json,
+                                  instance_to_json)
 
 
 def write_matrix(tmp_path, rows, name="m.json"):
@@ -131,6 +134,51 @@ def test_bad_input_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert cli.run(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+# Each case is (input kind, payload): a matrix document for `toric`, an
+# (entry path, value) edit of a valid instance for `opcost`, or a decisions
+# document for `opcost --decisions`. Each once ran on a truncated number or
+# died with a traceback.
+MALFORMED_INPUTS = {
+    "matrix-float-entry": ("matrix", {"rows": [[1.5, 2, 3]]}),
+    "matrix-rows-not-a-list": ("matrix", {"rows": 5}),
+    "matrix-top-level-list": ("matrix", [[1, 2, 3]]),
+    "rhs-float": ("instance", (("scenarios", 0, "rhs", 0), 8.9)),
+    "rhs-underscored-string": ("instance",
+                               (("scenarios", 0, "rhs", 0), "1_0")),
+    "gamma-bool": ("instance", (("gamma",), [True, 40])),
+    "scenarios-null": ("instance", (("scenarios",), None)),
+    "p-den-zero": ("instance", (("scenarios", 0, "p_den"), 0)),
+    "decisions-float": ("decisions", [[7.9, 0], [0, 4]]),
+}
+
+
+@pytest.mark.parametrize("kind,payload", list(MALFORMED_INPUTS.values()),
+                         ids=list(MALFORMED_INPUTS))
+def test_malformed_json_input_exits_2(tmp_path, capsys, kind, payload):
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    if kind == "matrix":
+        argv = ["toric", "--matrix", write("m.json", payload)]
+    else:
+        doc = json.loads(instance_to_json(
+            gen_hs(HsConfig(scenario_count=2, seed=7, scaled=True))))
+        decisions = []
+        if kind == "instance":
+            path, value = payload
+            target = doc
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        else:
+            decisions = ["--decisions", write("dec.json", payload)]
+        argv = ["opcost", "--instance", write("inst.json", doc)] + decisions
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_checksum_is_order_independent():

@@ -14,7 +14,6 @@ from latticeopt.lattice import (
     IntMatrix,
     IntVector,
     VectorSet,
-    conforms,
     kernel_basis,
 )
 
@@ -121,16 +120,6 @@ def test_compare_translation_invariance():
         v = IntVector(rng.randint(0, 9) for _ in range(n))
         w = IntVector(rng.randint(0, 9) for _ in range(n))
         assert order.compare(u, v) == order.compare(u + w, v + w)
-
-
-# ----- conforms -----
-
-def test_conforms():
-    assert conforms(IntVector([1, -1]), IntVector([2, -1]))
-    assert not conforms(IntVector([1, 1]), IntVector([2, -1]))
-    assert conforms(IntVector([0, 0]), IntVector([17, -5]))
-    with pytest.raises(ValueError):
-        conforms(IntVector([1]), IntVector([1, 2]))
 
 
 # ----- kernel_basis -----

@@ -67,6 +67,13 @@ def test_instance_validation():
                     scenarios=(Scenario(Fraction(1), IntVector((1,)),
                                         IntVector((1,))),),
                     first_stage_bounds=(1, 2))
+    with pytest.raises(ValueError):
+        SipInstance(gamma=IntVector((1,)), technology=IntMatrix(((1,),)),
+                    recourse=IntMatrix(((1,),)),
+                    scenarios=(Scenario(Fraction(-1, 2), IntVector((1,)),
+                                        IntVector((1,))),
+                               Scenario(Fraction(3, 2), IntVector((1,)),
+                                        IntVector((1,)))))
 
 
 def test_decision_list_validation():
