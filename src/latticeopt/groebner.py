@@ -55,23 +55,18 @@ def _orient_tuple(t, cost, tie):
     raise ValueError("cannot orient the zero vector")
 
 
-def _record(vec):
-    """(vector, positive part, negative part, support mask of the lead)."""
-    pos = tuple(x if x > 0 else 0 for x in vec)
-    neg = tuple(-x if x < 0 else 0 for x in vec)
-    mask = 0
-    for i, x in enumerate(pos):
-        if x:
-            mask |= 1 << i
-    return (vec, pos, neg, mask)
-
-
 def _part_mask(part):
     mask = 0
     for i, x in enumerate(part):
         if x:
             mask |= 1 << i
     return mask
+
+
+def _record(vec):
+    """(vector, positive part, support mask of the lead)."""
+    pos = tuple(x if x > 0 else 0 for x in vec)
+    return (vec, pos, _part_mask(pos))
 
 
 def _reduce(vec, elems, cost, tie, full):
@@ -86,7 +81,7 @@ def _reduce(vec, elems, cost, tie, full):
         pos = tuple(x if x > 0 else 0 for x in vec)
         pmask = _part_mask(pos)
         hit = False
-        for gv, gp, _, gm in elems:
+        for gv, gp, gm in elems:
             if gm & ~pmask:
                 continue
             if all(a <= b for a, b in zip(gp, pos)):
@@ -103,7 +98,7 @@ def _reduce(vec, elems, cost, tie, full):
         neg = tuple(-x if x < 0 else 0 for x in vec)
         nmask = _part_mask(neg)
         hit = False
-        for gv, gp, _, gm in elems:
+        for gv, gp, gm in elems:
             if gm & ~nmask:
                 continue
             if all(a <= b for a, b in zip(gp, neg)):
@@ -158,10 +153,10 @@ def _interreduce(vecs, order):
         recs = sorted((_record(v) for v in work), key=pos_key)
         kept = []
         for rec in recs:
-            pos, pmask = rec[1], rec[3]
+            pos, pmask = rec[1], rec[2]
             dominated = any(
                 not (km & ~pmask) and all(a <= b for a, b in zip(kp, pos))
-                for _, kp, _, km in kept)
+                for _, kp, km in kept)
             if not dominated:
                 kept.append(rec)
         out = []
@@ -182,12 +177,19 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
 
     Pairs are processed in ascending order of the componentwise max of the two
     leads (normal selection); pairs with disjoint lead supports reduce to zero
-    and are skipped.
+    and are skipped. A matrix or seed vector whose length differs from the
+    order's raises ValueError.
     """
+    if matrix is not None and matrix.ncols != order.dim:
+        raise ValueError("cost has %d entries, the matrix %d columns"
+                         % (order.dim, matrix.ncols))
     cost, tie = order.cost.entries, order.tie_order
     basis = []
     seen = set()
     for v in seed:
+        if len(v) != order.dim:
+            raise ValueError("cost has %d entries, a seed vector %d"
+                             % (order.dim, len(v)))
         if v.is_zero():
             continue
         t = _orient_tuple(v.entries, cost, tie)
@@ -209,7 +211,7 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
     while heap:
         _, _, i, j = heapq.heappop(heap)
         ri, rj = basis[i], basis[j]
-        if not (ri[3] & rj[3]):
+        if not (ri[2] & rj[2]):
             continue
         s = tuple(a - b for a, b in zip(ri[0], rj[0]))
         if not any(s):

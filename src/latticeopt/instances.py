@@ -285,12 +285,8 @@ def _dec_scenario(data) -> Scenario:
 def instance_to_json(instance: SipInstance) -> str:
     """Bit-exact interchange form; integers beyond 2^53 become strings.
 
-    The feasible-recourse hook is not representable and is dropped;
-    per-scenario technology overrides have no serialized form and are
-    rejected.
+    The feasible-recourse hook is not representable and is dropped.
     """
-    if any(s.technology is not None for s in instance.scenarios):
-        raise ValueError("scenario technology overrides are not serializable")
     doc = {
         "gamma": _enc_vec(instance.gamma),
         "technology": _enc_mat(instance.technology),

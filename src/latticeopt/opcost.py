@@ -1,20 +1,22 @@
 """Opportunity cost matrices for two-stage stochastic integer programs.
 
 A cell (i, j) evaluates first-stage decision x_i under scenario j: the
-recourse problem min{c_j . y : W y = h_j - T x_i, y >= 0}. The decisions
-phase solves one stacked program [T | W] per scenario. Both kinds of
-integer program go through one per-method solver: augmentation with
-full-multiple steps over a Groebner basis (kernel method), over the Graver
-basis (graver method), or brute force in a box (oracle method). The solver
-computes the algebra once per matrix and, for Groebner bases, once per
-distinct cost, and prepares each walk's improving moves once per (matrix,
-cost). A solve without a closed-form start finds one by Phase-I over a
-single test set of the extended system [M | I | -I], which serves every
-right-hand side. A matrix row depends only on its decision, so each
-distinct decision is solved once; counters make that reuse observable.
-Every build runs in one process. Each phase books its time where it runs
-and the row loop books only what no phase inside it booked, so a build's
-timings are disjoint and add up to its timed wall clock.
+recourse problem min{c_j . y : W y = h_j - T x_i, y >= 0}. T and W belong
+to the instance; only costs and right-hand sides vary by scenario. The
+decisions phase solves every scenario's one-scenario program over one
+stacked matrix [[A, 0], [T, W]]. Both kinds of integer program go through a
+per-method solver, one for the stacked matrix and one for W: augmentation
+with full-multiple steps over a Groebner basis (kernel method), over the
+Graver basis (graver method), or brute force in a box (oracle method). A
+solver computes its matrix's algebra once and, for Groebner bases, once per
+distinct cost, and prepares each walk's improving moves once per cost. A
+solve without a closed-form start finds one by Phase-I over a single test
+set of the extended system [M | I | -I], which serves every right-hand
+side. A matrix row depends only on its decision, so each distinct decision
+is solved once; counters make that reuse observable. Every build runs in
+one process. Each phase books its time where it runs and the row loop
+books only what no phase inside it booked, so a build's timings are
+disjoint and add up to its timed wall clock.
 """
 
 from __future__ import annotations
@@ -45,14 +47,13 @@ METHOD_ORACLE = "oracle"
 class Scenario:
     """One realization: weight, recourse cost, right-hand side.
 
-    `technology` optionally overrides the instance-level T for this scenario
-    (the recourse matrix W never varies, only the right-hand side does).
+    The technology matrix T and the recourse matrix W belong to the
+    instance; only the cost and the right-hand side vary by scenario.
     """
 
     probability: Fraction
     cost: IntVector
     rhs: IntVector
-    technology: Optional[IntMatrix] = None
 
 
 @dataclass(frozen=True)
@@ -89,10 +90,6 @@ class SipInstance:
                 raise ValueError("scenario rhs length mismatch")
             if any(e < 0 for e in s.cost.entries):
                 raise ValueError("scenario costs must be non-negative")
-            if s.technology is not None and (
-                    s.technology.nrows != self.technology.nrows
-                    or s.technology.ncols != self.technology.ncols):
-                raise ValueError("scenario technology shape mismatch")
         if self.first_stage_constraints is not None:
             A, b = self.first_stage_constraints
             if A.ncols != len(self.gamma) or A.nrows != len(b):
@@ -165,40 +162,45 @@ class BuildCounters:
 
 
 class OppCostMatrix:
-    """N x N grid of alpha_ij = gamma.x_i + Q(x_i, scenario_j)."""
+    """K x N grid of alpha_ij = gamma.x_i + Q(x_i, scenario_j).
 
-    __slots__ = ("values", "status", "decisions", "method", "q_only",
-                 "counters", "timings_us")
+    K is the number of decisions and N the number of scenarios; the
+    single-scenario decisions make K = N.
+    """
 
-    def __init__(self, values, status, decisions, method, q_only,
-                 counters, timings_us):
+    __slots__ = ("values", "decisions", "method", "q_only", "counters",
+                 "timings_us", "num_scenarios")
+
+    def __init__(self, values, decisions, method, q_only, counters,
+                 timings_us, num_scenarios):
         self.values = tuple(tuple(row) for row in values)
-        self.status = tuple(tuple(row) for row in status)
         self.decisions = decisions
         self.method = method
         self.q_only = q_only
         self.counters = counters
         self.timings_us = dict(timings_us)
-        for vrow, srow in zip(self.values, self.status):
-            for v, s in zip(vrow, srow):
-                if (v is None) != (s == CELL_INFEASIBLE):
-                    raise ValueError("cell value and status disagree")
+        self.num_scenarios = num_scenarios
 
     @property
     def size(self) -> int:
         return len(self.values)
 
+    @property
+    def status(self) -> tuple:
+        """CELL_INFEASIBLE where a cell has no value, CELL_OK elsewhere."""
+        return tuple(tuple(CELL_INFEASIBLE if v is None else CELL_OK
+                           for v in row) for row in self.values)
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, OppCostMatrix)
-                and self.values == other.values
-                and self.status == other.status)
+                and self.values == other.values)
 
     def __repr__(self) -> str:
         return "OppCostMatrix(%dx%d, method=%s)" % (
-            self.size, self.size, self.method)
+            self.size, self.num_scenarios, self.method)
 
     def to_csv(self) -> str:
-        header = ["decision"] + ["s%d" % j for j in range(self.size)]
+        header = ["decision"] + ["s%d" % j for j in range(self.num_scenarios)]
         lines = [",".join(header)]
         for i, row in enumerate(self.values):
             cells = ["" if v is None else str(v) for v in row]
@@ -219,28 +221,24 @@ class OppCostMatrix:
 
 def rhs(instance: SipInstance, x: IntVector, j: int) -> IntVector:
     """Right-hand side h_j - T x of decision x's recourse under scenario j."""
-    sc = instance.scenarios[j]
-    T = sc.technology if sc.technology is not None else instance.technology
-    return sc.rhs - T.mat_vec(x)
+    return instance.scenarios[j].rhs - instance.technology.mat_vec(x)
 
 
-def _one_scenario_system(instance: SipInstance, j: int):
-    """Stacked (matrix, cost, rhs) of the deterministic one-scenario IP."""
-    sc = instance.scenarios[j]
-    T = sc.technology if sc.technology is not None else instance.technology
+def _stacked_system(instance: SipInstance):
+    """The one-scenario IPs' matrix [[A, 0], [T, W]] and the b of A x = b.
+
+    Scenario j's program has cost (gamma, c_j) and right-hand side (b, h_j);
+    without first-stage constraints the matrix is [T | W] and b is empty.
+    """
     ny = instance.recourse.ncols
-    rows = []
-    rhs_entries = []
+    rows, head = [], ()
     if instance.first_stage_constraints is not None:
         A, b = instance.first_stage_constraints
-        for row in A.rows:
-            rows.append(tuple(row) + (0,) * ny)
-        rhs_entries.extend(as_vector(b).entries)
-    for trow, wrow in zip(T.rows, instance.recourse.rows):
-        rows.append(tuple(trow) + tuple(wrow))
-    rhs_entries.extend(sc.rhs.entries)
-    cost = IntVector(instance.gamma.entries + sc.cost.entries)
-    return IntMatrix(rows), cost, IntVector(rhs_entries)
+        rows = [tuple(row) + (0,) * ny for row in A.rows]
+        head = as_vector(b).entries
+    rows += [tuple(trow) + tuple(wrow) for trow, wrow in
+             zip(instance.technology.rows, instance.recourse.rows)]
+    return IntMatrix(rows), head
 
 
 def _derived_uniform_bound(instance: SipInstance, b: IntVector) -> int:
@@ -272,22 +270,24 @@ def _hook_start(instance: SipInstance, x: IntVector, j: int, M: IntMatrix,
 
 
 class _Solver:
-    """One method's integer-program solves, each algebraic object built once.
+    """One method's solves of min cost.z : M z = b, z >= 0 for one matrix M.
 
-    Toric generators, the Graver basis and the Phase-I test set of
-    [M | I | -I] are kept per matrix, Groebner bases and the walks' prepared
-    improving moves per (matrix, cost). Each object is built on its first
-    use, wherever that falls; its build is timed and counted there, so a
-    solver that only ever sees W records exactly the build's algebra. Each
-    Phase-I walk is timed apart from the set it walks over. No other code
-    branches on the method; `walk_us` names the timing a walk books to.
+    A solver serves one matrix: its toric generators, its Graver basis and
+    the Phase-I test set of [M | I | -I] are built once, Groebner bases and
+    the walks' prepared improving moves once per cost. Each object is built
+    on its first use, wherever that falls; its build is timed and counted
+    there, so the build's solver for W records exactly the build's algebra.
+    Each Phase-I walk is timed apart from the set it walks over. No other
+    code branches on the method; `walk_us` names the timing a walk books to.
     """
 
-    def __init__(self, instance: SipInstance, method: str, var_bound=None):
+    def __init__(self, instance: SipInstance, method: str, M: IntMatrix,
+                 var_bound=None):
         if method not in (METHOD_KERNEL, METHOD_GRAVER, METHOD_ORACLE):
             raise ValueError("unknown method %r" % method)
         self.instance = instance
         self.method = method
+        self.M = M
         self.var_bound = var_bound
         self.walk_us = "oracle_us" if method == METHOD_ORACLE else "augment_us"
         self.counters = BuildCounters()
@@ -310,43 +310,43 @@ class _Solver:
                 setattr(c, elements, getattr(c, elements) + len(obj))
         return obj
 
-    def moves(self, M: IntMatrix, cost: IntVector):
-        """The walk's prepared moves for (M, cost); None for the oracle."""
+    def moves(self, cost: IntVector):
+        """The walk's prepared moves for cost; None for the oracle."""
         if self.method == METHOD_ORACLE:
             return None
+        M = self.M
         if self.method == METHOD_GRAVER:
             timing = "graver_us"
-            basis = self._once((timing, M.rows), lambda: graver_basis(M),
+            basis = self._once((timing,), lambda: graver_basis(M),
                                "graver_runs", "graver_elements")
         else:
             timing = "groebner_us"
-            gens = self._once(("toric_us", M.rows),
-                              lambda: toric_generating_set(M),
+            gens = self._once(("toric_us",), lambda: toric_generating_set(M),
                               "toric_runs", "toric_elements")
             basis = self._once(
-                (timing, M.rows, cost.entries),
+                (timing, cost.entries),
                 lambda: buchberger(gens.generators, CostOrder(cost), matrix=M),
                 "buchberger_runs", "groebner_elements")
-        return self._once((timing, "moves", M.rows, cost.entries),
+        return self._once((timing, "moves", cost.entries),
                           lambda: prepare_moves(basis, cost))
 
-    def phase_one_set(self, M: IntMatrix):
-        """The prepared Phase-I test set of [M | I | -I], for every b of M."""
+    def phase_one_set(self):
+        """The prepared Phase-I test set of [M | I | -I], for every b."""
         def build():
-            ext, cost = artificial_system(M)
+            ext, cost = artificial_system(self.M)
             return prepare_moves(test_set(ext, cost), cost)
-        return self._once(("phase_one_us", M.rows), build, "phase_one_bases")
+        return self._once(("phase_one_us",), build, "phase_one_bases")
 
-    def solve(self, M: IntMatrix, cost: IntVector, b: IntVector,
+    def solve(self, cost: IntVector, b: IntVector,
               start: Optional[IntVector], moves):
         """The refined optimum of min cost.z : M z = b, z >= 0, or None.
 
         The result carries the optimum as `.solution` and its cost as
         `.value`. Kernel and graver walk from `start`, or from a Phase-I
-        point when it is None, over `moves`, which is `self.moves(M, cost)`;
+        point when it is None, over `moves`, which is `self.moves(cost)`;
         the oracle searches var_bound's box, or one derived from b.
         """
-        c = self.counters
+        M, c = self.M, self.counters
         if self.method == METHOD_ORACLE:
             bound = self.var_bound
             if bound is None:
@@ -356,7 +356,7 @@ class _Solver:
             return res if res.status == oracle.OPTIMAL else None
         if start is None:
             c.phase_one_calls += 1
-            p1_moves = self.phase_one_set(M)
+            p1_moves = self.phase_one_set()
             steps = []
             t0 = time.perf_counter_ns()
             start = phase_one_feasible(M, b, moves=p1_moves, steps=steps)
@@ -376,23 +376,24 @@ def single_scenario_decisions(instance: SipInstance,
     """One optimal first-stage decision per scenario, deterministic ties.
 
     Each scenario's stacked IP min gamma.x + c_j.y is solved to the unique
-    refinement optimum; x_j is its first-stage part. One solver serves every
-    scenario, so each stacked test set is computed once per distinct
-    (matrix, cost) for the kernel method and once per distinct matrix for
-    the graver method, and so is the Phase-I test set when a scenario has
-    no closed-form start.
+    refinement optimum; x_j is its first-stage part. Every scenario shares
+    one stacked matrix and one solver, so the stacked test set is computed
+    once per distinct cost for the kernel method and once for the graver
+    method, and so is the Phase-I test set when a scenario has no
+    closed-form start.
     """
-    solver = _Solver(instance, method)
+    M, head = _stacked_system(instance)
+    solver = _Solver(instance, method, M)
     x0 = IntVector((0,) * instance.first_stage_dim)
-    fsc = instance.first_stage_constraints
     # the closed-form start takes x = 0, which must meet A x = b
-    zero_ok = fsc is None or not any(as_vector(fsc[1]).entries)
+    zero_ok = not any(head)
     out = []
-    for j in range(instance.num_scenarios):
-        M, cost, b = _one_scenario_system(instance, j)
+    for j, sc in enumerate(instance.scenarios):
+        cost = IntVector(instance.gamma.entries + sc.cost.entries)
+        b = IntVector(head + sc.rhs.entries)
         start = (_hook_start(instance, x0, j, M, b, x0.entries)
                  if zero_ok else None)
-        res = solver.solve(M, cost, b, start, solver.moves(M, cost))
+        res = solver.solve(cost, b, start, solver.moves(cost))
         if res is None:
             raise ValueError("scenario %d: stacked system infeasible" % j)
         out.append(IntVector(res.solution.entries[:instance.first_stage_dim]))
@@ -401,9 +402,9 @@ def single_scenario_decisions(instance: SipInstance,
 
 def _build(instance, decisions, method, q_only, var_bound=None):
     decisions.check(instance)
-    solver = _Solver(instance, method, var_bound)
     W = instance.recourse
-    row_moves = tuple(solver.moves(W, sc.cost) for sc in instance.scenarios)
+    solver = _Solver(instance, method, W, var_bound)
+    row_moves = tuple(solver.moves(sc.cost) for sc in instance.scenarios)
     timings = solver.timings_us
     rows = {}
     booked = sum(timings.values())
@@ -413,21 +414,19 @@ def _build(instance, decisions, method, q_only, var_bound=None):
         row = rows[x] = []
         for j, (sc, moves) in enumerate(zip(instance.scenarios, row_moves)):
             b = rhs(instance, x, j)
-            res = solver.solve(W, sc.cost, b,
-                               _hook_start(instance, x, j, W, b), moves)
+            res = solver.solve(sc.cost, b, _hook_start(instance, x, j, W, b),
+                               moves)
             row.append(None if res is None else res.value)
     # the loop's time less what the phases inside it booked themselves
     timings[solver.walk_us] += ((time.perf_counter_ns() - t0) // 1000
                                 - (sum(timings.values()) - booked))
 
-    values, status = [], []
+    values = []
     for x in decisions:
-        row = rows[x]
         gx = 0 if q_only else instance.gamma.dot(x)
-        values.append([None if q is None else gx + q for q in row])
-        status.append([CELL_INFEASIBLE if q is None else CELL_OK for q in row])
-    return OppCostMatrix(values, status, decisions, method, q_only,
-                         solver.counters, solver.timings_us)
+        values.append([None if q is None else gx + q for q in rows[x]])
+    return OppCostMatrix(values, decisions, method, q_only, solver.counters,
+                         solver.timings_us, instance.num_scenarios)
 
 
 def opcost_kernel(instance: SipInstance, decisions: DecisionList,

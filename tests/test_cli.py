@@ -105,6 +105,25 @@ def test_opcost_decisions_file_and_q_only(tmp_path, capsys):
     assert lines[2] == "1,%d,%d" % (462 - 160, 208 - 160)
 
 
+# K decisions priced in the two scenarios make a K x 2 matrix, whose header
+# names the scenarios whatever K is.
+@pytest.mark.parametrize("decisions,rows", [
+    ([[7, 0]], ["0,356,426"]),
+    ([[7, 0], [0, 4], [1, 1]], ["0,356,426", "1,462,208", "2,418,265"]),
+    ([], []),
+], ids=["one", "three", "none"])
+def test_opcost_header_names_every_scenario(tmp_path, capsys, decisions,
+                                            rows):
+    inst = tmp_path / "inst.json"
+    assert cli.run(["gen-hs", "--n", "2", "--seed", "7", "--scaled",
+                    "--out", str(inst)]) == 0
+    dec = tmp_path / "dec.json"
+    dec.write_text(json.dumps(decisions))
+    assert cli.run(["opcost", "--instance", str(inst), "--decisions",
+                    str(dec)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["decision,s0,s1"] + rows
+
+
 def test_bench_emits_json_lines(capsys):
     assert cli.run(["bench", "--n-list", "2", "--seed", "7", "--scaled",
                     "--methods", "kernel,graver"]) == 0
@@ -131,6 +150,11 @@ def test_bad_input_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     path = write_matrix(tmp_path, [[1, 1, 1]])
     assert cli.run(["groebner", "--matrix", path, "--cost", "1,-2,3"]) == 2
+    capsys.readouterr()
+    # a cost shorter or longer than the matrix is wide
+    assert cli.run(["groebner", "--matrix", path, "--cost", "1,2"]) == 2
+    capsys.readouterr()
+    assert cli.run(["groebner", "--matrix", path, "--cost", "1,2,3,4"]) == 2
     capsys.readouterr()
     assert cli.run(["no-such-command"]) == 2
     capsys.readouterr()

@@ -236,14 +236,3 @@ def test_json_large_integers_become_strings():
     assert again.scenarios[0].rhs.entries == (big,)
     assert instance_to_json(again) == text
 
-
-def test_json_rejects_scenario_technology_override():
-    inst = SipInstance(
-        gamma=IntVector((1,)),
-        technology=IntMatrix(((1,),)),
-        recourse=IntMatrix(((1,),)),
-        scenarios=(Scenario(Fraction(1), IntVector((0,)), IntVector((2,)),
-                            technology=IntMatrix(((3,),))),),
-    )
-    with pytest.raises(ValueError):
-        instance_to_json(inst)

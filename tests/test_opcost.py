@@ -94,22 +94,6 @@ def test_rhs_worked_example():
     assert tuple(rhs(inst, IntVector((1,)), 1)) == (2,)
 
 
-def test_rhs_scenario_technology_override():
-    inst = SipInstance(
-        gamma=IntVector((1,)),
-        technology=IntMatrix(((1,),)),
-        recourse=IntMatrix(((1,),)),
-        scenarios=(
-            Scenario(Fraction(1, 2), IntVector((1,)), IntVector((5,))),
-            Scenario(Fraction(1, 2), IntVector((1,)), IntVector((5,)),
-                     technology=IntMatrix(((3,),))),
-        ),
-    )
-    x = IntVector((1,))
-    assert tuple(rhs(inst, x, 0)) == (4,)
-    assert tuple(rhs(inst, x, 1)) == (2,)
-
-
 def test_single_scenario_decisions_match_oracle_values():
     inst = gen_hs(HS_CFG)
     dec = single_scenario_decisions(inst)
@@ -140,32 +124,30 @@ def test_single_scenario_decisions_build_each_stacked_test_set_once(
     assert calls == {"toric_generating_set": 1, "buchberger": 1,
                      "graver_basis": 1, "test_set": 0}
 
-    def scenario(cost, h, technology=None):
-        return Scenario(Fraction(1, 4), IntVector(cost), IntVector(h),
-                        None if technology is None else IntMatrix(technology))
+    def scenario(cost, h):
+        return Scenario(Fraction(1, 4), IntVector(cost), IntVector(h))
 
-    # Stacked systems: (T, c1), (T, c2), (T', c1), (T', c1) -- three
-    # distinct (matrix, cost) pairs over two distinct matrices.
-    overrides = SipInstance(
+    # four scenarios over two distinct costs, no closed-form start
+    two_costs = SipInstance(
         gamma=IntVector((1, 2)),
         technology=IntMatrix(((1, 1),)),
         recourse=IntMatrix(((1, 2),)),
         scenarios=(scenario((2, 3), (5,)), scenario((1, 3), (6,)),
-                   scenario((2, 3), (7,), ((2, 1),)),
-                   scenario((2, 3), (4,), ((2, 1),))),
+                   scenario((2, 3), (7,)), scenario((2, 3), (4,))),
         first_stage_bounds=(4, 4),
     )
     expected = tuple(map(tuple, single_scenario_decisions(
-        overrides, method=METHOD_ORACLE)))
+        two_costs, method=METHOD_ORACLE)))
     for name in calls:
         calls[name] = 0
-    assert tuple(map(tuple, single_scenario_decisions(overrides))) == expected
-    assert calls["test_set"] == 2  # one Phase-I set per stacked matrix
+    assert tuple(map(tuple, single_scenario_decisions(two_costs))) == expected
+    # toric generators once, one Groebner basis per cost, one Phase-I set
+    assert calls == {"toric_generating_set": 1, "buchberger": 2,
+                     "graver_basis": 0, "test_set": 1}
     assert tuple(map(tuple, single_scenario_decisions(
-        overrides, method=METHOD_GRAVER))) == expected
-    # toric generators depend only on the matrix
-    assert calls == {"toric_generating_set": 2, "buchberger": 3,
-                     "graver_basis": 2, "test_set": 4}
+        two_costs, method=METHOD_GRAVER))) == expected
+    assert calls == {"toric_generating_set": 1, "buchberger": 2,
+                     "graver_basis": 1, "test_set": 2}
 
 
 def test_closed_form_start_checked_in_both_phases():
@@ -483,3 +465,6 @@ def test_matrix_repr_and_size():
     m = opcost_kernel(inst, dec)
     assert m.size == 2
     assert "2x2" in repr(m) and "kernel" in repr(m)
+    # one decision in two scenarios: a 1 x 2 matrix
+    one = opcost_kernel(inst, DecisionList(dec.decisions[:1]))
+    assert one.size == 1 and "1x2" in repr(one)
