@@ -6,11 +6,29 @@ reduction is componentwise subtraction. Common monomial factors disappear
 implicitly in vector arithmetic, which is sound for the saturated ideals
 this package feeds in (the toric module's saturation rounds exist exactly
 to make that so).
+
+Completion skips the S-pairs that two criteria prove useless (Buchberger's
+product and chain criteria; Gebauer-Moeller, J. Symb. Comput. 6, 1988).
+Hemmecke-Malkin (J. Symb. Comput. 44, 2009) show both carry over to this
+vector form. In it a pair (i, j) is settled once the two points
+lcm - v_i and lcm - v_j, where lcm is the componentwise max of the leads,
+are joined by a path of basis moves whose points all lie below lcm in the
+order:
+- product: disjoint leads settle the pair outright, since from either
+  point the other element's move applies and both paths meet at
+  trail_i + trail_j;
+- chain: if the lead of a third element k divides the lcm and the pairs
+  (i, k) and (j, k) are settled, their paths, shifted up by a non-negative
+  vector, stay below lcm and join both points through lcm - v_k.
+Skipping only drops work and the reduced basis is unique, so the result is
+the same as without the criteria.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+from operator import le, mul, sub
 from typing import Iterable, Optional
 
 from .lattice import CostOrder, IntMatrix, IntVector, VectorSet
@@ -176,9 +194,12 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
     """Complete a kernel-vector seed to the unique reduced basis for the order.
 
     Pairs are processed in ascending order of the componentwise max of the two
-    leads (normal selection); pairs with disjoint lead supports reduce to zero
-    and are skipped. A matrix or seed vector whose length differs from the
-    order's raises ValueError.
+    leads (normal selection). A pair with disjoint lead supports is never
+    queued (product criterion), and a popped pair (i, j) is dropped when
+    some k has a lead dividing lcm(lead_i, lead_j) and neither (i, k) nor
+    (j, k) is still pending (chain criterion); the module docstring says
+    why both are sound. A matrix or seed vector whose length differs from
+    the order's raises ValueError.
     """
     if matrix is not None and matrix.ncols != order.dim:
         raise ValueError("cost has %d entries, the matrix %d columns"
@@ -197,35 +218,51 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
             seen.add(t)
             basis.append(_record(t))
 
-    def lcm_key(ri, rj):
-        lcm = tuple(a if a > b else b for a, b in zip(ri[1], rj[1]))
-        return (sum(c * x for c, x in zip(cost, lcm)),
-                tuple(lcm[i] for i in tie))
+    def lcm_of(i, j):
+        return tuple(map(max, basis[i][1], basis[j][1]))
+
+    def push(i, j):
+        """Queue the pair i < j unless its leads are disjoint (product
+        criterion)."""
+        if basis[i][2] & basis[j][2]:
+            lcm = lcm_of(i, j)
+            key = (sum(map(mul, cost, lcm)), tuple(lcm[t] for t in tie))
+            heapq.heappush(heap, (key, next(tick), i, j))
+            pending.add((i, j))
+
+    def chain(i, j):
+        """True when some k has a lead dividing the pair's lcm and neither
+        (i, k) nor (j, k) is pending (chain criterion)."""
+        lcm = lcm_of(i, j)
+        outside = ~(basis[i][2] | basis[j][2])
+        for k, (_, kp, km) in enumerate(basis):
+            if km & outside or k == i or k == j:
+                continue
+            if (all(map(le, kp, lcm))
+                    and (min(i, k), max(i, k)) not in pending
+                    and (min(j, k), max(j, k)) not in pending):
+                return True
+        return False
 
     heap = []
-    tick = 0
+    pending = set()  # pairs pushed and not yet popped
+    tick = itertools.count()
     for i in range(len(basis)):
         for j in range(i):
-            heapq.heappush(heap, (lcm_key(basis[i], basis[j]), tick, j, i))
-            tick += 1
+            push(j, i)
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        ri, rj = basis[i], basis[j]
-        if not (ri[2] & rj[2]):
+        pending.remove((i, j))
+        if chain(i, j):
             continue
-        s = tuple(a - b for a, b in zip(ri[0], rj[0]))
-        if not any(s):
-            continue
-        s = _orient_tuple(s, cost, tie)
+        s = _orient_tuple(tuple(map(sub, basis[i][0], basis[j][0])), cost, tie)
         s = _reduce(s, basis, cost, tie, False)
         if s is None or s in seen:
             continue
         seen.add(s)
-        rec = _record(s)
-        for k in range(len(basis)):
-            heapq.heappush(heap, (lcm_key(basis[k], rec), tick, k, len(basis)))
-            tick += 1
-        basis.append(rec)
+        basis.append(_record(s))
+        for k in range(len(basis) - 1):
+            push(k, len(basis) - 1)
 
     reduced = _interreduce([rec[0] for rec in basis], order)
     return GroebnerBasis(matrix, order, VectorSet(IntVector(t) for t in reduced))

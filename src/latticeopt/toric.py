@@ -46,51 +46,48 @@ def flip_coordinate(v: IntVector, j: int) -> IntVector:
     return IntVector(entries)
 
 
-def _mixed_columns(vectors):
-    """Indices where the set has both a positive and a negative entry."""
-    if not vectors:
-        return set()
-    n = len(vectors[0])
-    mixed = set()
-    for j in range(n):
-        has_pos = any(v[j] > 0 for v in vectors)
-        has_neg = any(v[j] < 0 for v in vectors)
-        if has_pos and has_neg:
-            mixed.add(j)
-    return mixed
-
-
 def _common_orthant_push(vectors):
     """Greedy elementary ops v_i <- v_i +/- v_k lowering the mixed-column count.
 
-    Each accepted move is unimodular, so the lattice spanned is unchanged.
-    The count is bounded below, so the loop terminates.
+    A column is mixed when the set has both a positive and a negative entry
+    in it. Per-column counts of positive and negative entries let each trial
+    move be scored in O(n); they change only when a move is accepted. Each
+    accepted move is unimodular, so the lattice spanned is unchanged. The
+    count is bounded below, so the loop terminates.
     """
     vecs = [tuple(v) for v in vectors]
-    best = len(_mixed_columns(vecs))
-    improved = True
-    while improved and best > 0:
-        improved = False
-        for i in range(len(vecs)):
-            for k in range(len(vecs)):
+    cols = range(len(vecs[0]) if vecs else 0)
+    pos = [sum(v[j] > 0 for v in vecs) for j in cols]
+    neg = [sum(v[j] < 0 for v in vecs) for j in cols]
+
+    def mixed_after(old, new):
+        return sum(1 for j in cols
+                   if pos[j] - (old[j] > 0) + (new[j] > 0)
+                   and neg[j] - (old[j] < 0) + (new[j] < 0))
+
+    def first_improving_move(best):
+        for i, vi in enumerate(vecs):
+            for k, vk in enumerate(vecs):
                 if i == k:
                     continue
                 for sign in (1, -1):
-                    cand = tuple(a + sign * b for a, b in zip(vecs[i], vecs[k]))
-                    if not any(cand):
-                        continue
-                    trial = list(vecs)
-                    trial[i] = cand
-                    count = len(_mixed_columns(trial))
-                    if count < best:
-                        vecs = trial
-                        best = count
-                        improved = True
-                        break
-                if improved:
-                    break
-            if improved:
-                break
+                    cand = tuple(a + sign * b for a, b in zip(vi, vk))
+                    if any(cand):
+                        count = mixed_after(vi, cand)
+                        if count < best:
+                            return i, cand, count
+        return None
+
+    best = sum(1 for j in cols if pos[j] and neg[j])
+    while best > 0:
+        move = first_improving_move(best)
+        if move is None:
+            break
+        i, cand, best = move
+        for j in cols:
+            pos[j] += (cand[j] > 0) - (vecs[i][j] > 0)
+            neg[j] += (cand[j] < 0) - (vecs[i][j] < 0)
+        vecs[i] = cand
     return vecs
 
 

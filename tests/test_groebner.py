@@ -1,5 +1,6 @@
 """Completion, normal forms, and the test-set property checked by brute force."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from latticeopt import groebner
 from latticeopt.groebner import GroebnerBasis, buchberger, normal_form, orient
 from latticeopt.lattice import CostOrder, IntMatrix, IntVector, VectorSet
+from latticeopt.toric import toric_generating_set
 
 import support
 
@@ -115,7 +117,6 @@ def test_reduced_basis_unique_under_seed_shuffles():
     for A, c in fixtures:
         order = CostOrder(c)
         reference = groebner.test_set(A, IntVector(c))
-        from latticeopt.toric import toric_generating_set
         gens = list(toric_generating_set(A))
         baseline = support.as_tuple_set(buchberger(support.shuffled_vectorset(rng, gens), order, matrix=A))
         for _ in range(10):
@@ -154,3 +155,51 @@ def test_groebner_basis_kernel_assert():
     order = CostOrder((1, 1))
     with pytest.raises(ValueError):
         GroebnerBasis(IntMatrix([[1, 1]]), order, _vs((1, 1)))
+
+
+# sha256 of every toric generating set and reduced basis that
+# test_seeded_completions_match_frozen_digest builds, recorded before the
+# chain criterion and the counted orthant push were added. Both only skip
+# work, so the generators and the (unique) reduced bases must not move.
+FROZEN_COMPLETION_DIGEST = (
+    "8375d630f377cb651405a1756f25febb630e0e0c1b2f20d3a0957254c1a17534")
+
+
+def test_seeded_completions_match_frozen_digest():
+    rng = random.Random(20261018)
+    digest = hashlib.sha256()
+    for k in range(24):
+        nrows, ncols = rng.choice([(1, 3), (2, 4), (2, 5), (3, 5), (3, 6)])
+        lo = -2 if k % 3 == 2 else 0
+        A = support.random_matrix(rng, nrows, ncols, lo, 4)
+        costs = [tuple(rng.randint(0, 5) for _ in range(ncols))
+                 for _ in range(rng.choice([2, 3]))]
+        gens = toric_generating_set(A)
+        digest.update(repr((A.rows, sorted(g.entries for g in gens))).encode())
+        for c in costs:
+            order = CostOrder(c)
+            gb = buchberger(gens.generators, order, matrix=A)
+            for g in gens:
+                assert normal_form(g, gb, order).is_zero()
+            digest.update(repr((c, sorted(g.entries for g in gb))).encode())
+    assert digest.hexdigest() == FROZEN_COMPLETION_DIGEST
+
+
+def test_chain_criterion_skips_reductions(monkeypatch):
+    # Before the chain criterion this completion made 11 _reduce calls: 5
+    # S-pair reductions and 6 in inter-reduction. The criterion proves two
+    # of those S-pairs useless without reducing them, leaving 9.
+    A = IntMatrix([[3, 2, 1, 0], [0, 1, 2, 3]])
+    gens = toric_generating_set(A).generators
+    calls = []
+    real_reduce = groebner._reduce
+
+    def counting(*args):
+        calls.append(None)
+        return real_reduce(*args)
+
+    monkeypatch.setattr(groebner, "_reduce", counting)
+    gb = buchberger(gens, CostOrder((1, 1, 1, 1)), matrix=A)
+    assert len(calls) < 11
+    assert support.as_tuple_set(gb) == {
+        (0, 1, -2, 1), (1, -2, 1, 0), (1, -1, -1, 1)}
