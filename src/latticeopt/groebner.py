@@ -34,6 +34,10 @@ from typing import Iterable, Optional
 from .lattice import CostOrder, IntMatrix, IntVector, VectorSet
 
 
+class GraverResourceError(RuntimeError):
+    """Raised when a completion's working basis exceeds its element cap."""
+
+
 class GroebnerBasis:
     """Reduced basis for one matrix/order pair; elements are oriented vectors."""
 
@@ -190,7 +194,8 @@ def _interreduce(vecs, order):
 
 
 def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
-               matrix: Optional[IntMatrix] = None) -> GroebnerBasis:
+               matrix: Optional[IntMatrix] = None,
+               element_cap: Optional[int] = None) -> GroebnerBasis:
     """Complete a kernel-vector seed to the unique reduced basis for the order.
 
     Pairs are processed in ascending order of the componentwise max of the two
@@ -199,14 +204,26 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
     some k has a lead dividing lcm(lead_i, lead_j) and neither (i, k) nor
     (j, k) is still pending (chain criterion); the module docstring says
     why both are sound. A matrix or seed vector whose length differs from
-    the order's raises ValueError.
+    the order's raises ValueError, and so does a cap below 1. With a cap,
+    a working basis that grows past it raises GraverResourceError.
     """
+    if element_cap is not None and element_cap < 1:
+        raise ValueError("element cap must be at least 1, got %d"
+                         % element_cap)
     if matrix is not None and matrix.ncols != order.dim:
         raise ValueError("cost has %d entries, the matrix %d columns"
                          % (order.dim, matrix.ncols))
     cost, tie = order.cost.entries, order.tie_order
     basis = []
     seen = set()
+
+    def add(t):
+        seen.add(t)
+        basis.append(_record(t))
+        if element_cap is not None and len(basis) > element_cap:
+            raise GraverResourceError(
+                "completion exceeded %d elements" % element_cap)
+
     for v in seed:
         if len(v) != order.dim:
             raise ValueError("cost has %d entries, a seed vector %d"
@@ -215,8 +232,7 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
             continue
         t = _orient_tuple(v.entries, cost, tie)
         if t not in seen:
-            seen.add(t)
-            basis.append(_record(t))
+            add(t)
 
     def lcm_of(i, j):
         return tuple(map(max, basis[i][1], basis[j][1]))
@@ -259,8 +275,7 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
         s = _reduce(s, basis, cost, tie, False)
         if s is None or s in seen:
             continue
-        seen.add(s)
-        basis.append(_record(s))
+        add(s)
         for k in range(len(basis) - 1):
             push(k, len(basis) - 1)
 

@@ -9,6 +9,8 @@ undoing each flip as its round completes.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .groebner import buchberger
 from .lattice import CostOrder, IntMatrix, IntVector, VectorSet, kernel_basis
 
@@ -107,14 +109,16 @@ def _sign_normalized(t):
     return t
 
 
-def toric_generating_set(A: IntMatrix) -> ToricGenerators:
+def toric_generating_set(A: IntMatrix,
+                         element_cap: Optional[int] = None) -> ToricGenerators:
     """Generating set of the full move ideal of {z >= 0 : Az = b} fibers.
 
     Steps: kernel basis; greedy push toward a common sign pattern; J = every
     coordinate still carrying a negative entry; flip all of J; for each j in
     J run Buchberger with coordinate j most expensive and flip j back. Each
     round saturates one coordinate, and the flips cancel exactly, so the
-    result lives in ker(A) again.
+    result lives in ker(A) again. The optional cap is passed to every
+    round (see `buchberger`).
     """
     basis = [tuple(v) for v in kernel_basis(A)]
     if not basis:
@@ -132,7 +136,8 @@ def toric_generating_set(A: IntMatrix) -> ToricGenerators:
         order = CostOrder(tuple(1 if i == j else 0 for i in range(n)),
                           tie_order=[j] + [i for i in range(n) if i != j])
         gb = buchberger(generators, order,
-                        matrix=_flip_columns(A, pending))
+                        matrix=_flip_columns(A, pending),
+                        element_cap=element_cap)
         pending.discard(j)
         generators = VectorSet(flip_coordinate(g, j) for g in gb)
 

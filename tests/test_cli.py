@@ -68,6 +68,15 @@ def test_graver_subcommand_and_cap(tmp_path, capsys):
     assert cli.run(["graver", "--matrix", big, "--max-elements", "3"]) == 3
 
 
+@pytest.mark.parametrize("rows,cap", [([[1, 2]], "-1"), ([[1, 2]], "0"),
+                                      ([[1, 0], [0, 1]], "-3")])
+def test_graver_nonpositive_cap_is_bad_input(tmp_path, capsys, rows, cap):
+    # once reported as a cap hit (exit 3), or ignored on a trivial kernel
+    path = write_matrix(tmp_path, rows)
+    assert cli.run(["graver", "--matrix", path, "--max-elements", cap]) == 2
+    assert capsys.readouterr().err.startswith("error: element cap")
+
+
 def test_opcost_kernel_oracle_identical_csv(tmp_path):
     inst = tmp_path / "inst.json"
     assert cli.run(["gen-hs", "--n", "2", "--seed", "7", "--scaled",

@@ -1,10 +1,11 @@
 """Graver completion against the box oracle, and the scenario-block lift."""
 
+import hashlib
 import random
 
 import pytest
 
-from latticeopt import oracle
+from latticeopt import HsConfig, SndConfig, gen_hs, gen_snd, oracle
 from latticeopt.graver import (
     GraverBasis,
     GraverResourceError,
@@ -15,6 +16,7 @@ from latticeopt.graver import (
 )
 from latticeopt.groebner import GroebnerBasis
 from latticeopt.lattice import CostOrder, IntMatrix, IntVector, VectorSet
+from latticeopt.opcost import _stacked_system
 
 import support
 
@@ -80,9 +82,48 @@ def test_pairwise_minimality_and_closure():
                     pytest.fail("%r conforms to %r" % (h, g))
 
 
+# sha256 over the seeded matrices and model matrices below, recorded with the
+# pairwise (Pottier) completion this module used before it completed the
+# Lawrence lifting instead. Graver bases are unique, so it must not move.
+FROZEN_GRAVER_DIGEST = (
+    "59b65ad358d0b7aadd9849bf438a052c25c55f45a77637c26f173cffcb01f63f")
+
+
+def _graver_digest_inputs():
+    rng = random.Random(20261019)
+    for k in range(18):
+        nrows, ncols = rng.choice([(1, 4), (2, 4), (2, 5), (3, 5), (2, 6),
+                                   (3, 6)])
+        lo = 0
+        if k % 3 == 2:
+            lo, ncols = -2, min(ncols, 5)
+        yield support.random_matrix(rng, nrows, ncols, lo, 3)
+    hs = gen_hs(HsConfig(scenario_count=1, seed=0))
+    snd = gen_snd(SndConfig(scenario_count=1, seed=0))
+    for inst in (hs, snd):
+        yield inst.recourse
+        yield _stacked_system(inst)[0]
+
+
+def test_seeded_graver_bases_match_frozen_digest():
+    digest = hashlib.sha256()
+    for A in _graver_digest_inputs():
+        basis = graver_basis(A)
+        digest.update(repr((A.rows, sorted(g.entries for g in basis)))
+                      .encode())
+    assert digest.hexdigest() == FROZEN_GRAVER_DIGEST
+
+
 def test_element_cap_raises():
     with pytest.raises(GraverResourceError):
         graver_basis(IntMatrix([[3, -5, 7, -11, 2]]), element_cap=3)
+
+
+def test_cap_error_is_the_package_and_completion_one():
+    import latticeopt
+    from latticeopt import groebner
+    assert GraverResourceError is groebner.GraverResourceError
+    assert latticeopt.GraverResourceError is groebner.GraverResourceError
 
 
 def test_contains_groebner_and_mismatch():

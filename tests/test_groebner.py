@@ -6,7 +6,8 @@ import random
 import pytest
 
 from latticeopt import groebner
-from latticeopt.groebner import GroebnerBasis, buchberger, normal_form, orient
+from latticeopt.groebner import (GraverResourceError, GroebnerBasis,
+                                 buchberger, normal_form, orient)
 from latticeopt.lattice import CostOrder, IntMatrix, IntVector, VectorSet
 from latticeopt.toric import toric_generating_set
 
@@ -183,6 +184,29 @@ def test_seeded_completions_match_frozen_digest():
                 assert normal_form(g, gb, order).is_zero()
             digest.update(repr((c, sorted(g.entries for g in gb))).encode())
     assert digest.hexdigest() == FROZEN_COMPLETION_DIGEST
+
+
+def test_element_cap_bounds_the_working_basis():
+    # Three generators complete to three elements, but two S-vectors join
+    # the working basis before inter-reduction: the cap counts all five.
+    A = IntMatrix([[1, 1, 1, 1]])
+    gens = toric_generating_set(A).generators
+    order = CostOrder((1, 2, 3, 4))
+    uncapped = support.as_tuple_set(buchberger(gens, order, matrix=A))
+    assert len(gens) == len(uncapped) == 3
+    for k in (1, 3, 4):
+        with pytest.raises(GraverResourceError, match="exceeded %d " % k):
+            buchberger(gens, order, matrix=A, element_cap=k)
+    for k in (5, 100):
+        assert support.as_tuple_set(
+            buchberger(gens, order, matrix=A, element_cap=k)) == uncapped
+
+
+def test_nonpositive_element_cap_is_rejected():
+    gens = _vs((1, -1))
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="element cap"):
+            buchberger(gens, CostOrder((1, 2)), element_cap=k)
 
 
 def test_chain_criterion_skips_reductions(monkeypatch):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from latticeopt.groebner import GraverResourceError
 from latticeopt.lattice import CostOrder, IntMatrix, IntVector
 from latticeopt.toric import ToricGenerators, flip_coordinate, toric_generating_set
 
@@ -67,6 +68,15 @@ def test_twisted_cubic_fiber_needs_saturation():
     for c in [(1, 1, 1, 1), (2, 0, 1, 3), (0, 5, 1, 0)]:
         gb = groebner.test_set(A, IntVector(c))
         support.check_test_set(A, CostOrder(c), gb, box=6)
+
+
+def test_element_cap_reaches_every_saturation_round():
+    A = IntMatrix([[3, 2, 1, 0], [0, 1, 2, 3]])
+    uncapped = support.as_tuple_set(toric_generating_set(A))
+    with pytest.raises(GraverResourceError):
+        toric_generating_set(A, element_cap=2)
+    assert support.as_tuple_set(
+        toric_generating_set(A, element_cap=100)) == uncapped
 
 
 def test_constructor_asserts_kernel_membership():
