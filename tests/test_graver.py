@@ -119,7 +119,7 @@ def test_element_cap_raises():
         graver_basis(IntMatrix([[3, -5, 7, -11, 2]]), element_cap=3)
 
 
-def test_cap_error_is_the_package_and_completion_one():
+def test_cap_error_is_one_class():
     import latticeopt
     from latticeopt import groebner
     assert GraverResourceError is groebner.GraverResourceError

@@ -70,7 +70,7 @@ def test_twisted_cubic_fiber_needs_saturation():
         support.check_test_set(A, CostOrder(c), gb, box=6)
 
 
-def test_element_cap_reaches_every_saturation_round():
+def test_element_cap_reaches_the_saturation_rounds():
     A = IntMatrix([[3, 2, 1, 0], [0, 1, 2, 3]])
     uncapped = support.as_tuple_set(toric_generating_set(A))
     with pytest.raises(GraverResourceError):
