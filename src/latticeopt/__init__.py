@@ -16,8 +16,9 @@ from .groebner import GroebnerBasis, buchberger, normal_form, orient, test_set
 from .toric import ToricGenerators, flip_coordinate, toric_generating_set
 from .graver import (GraverBasis, GraverResourceError, SipBlockStructure,
                      contains_groebner, graver_basis, lift_sip_graver)
-from .augment import (AugmentResult, PreparedMoves, artificial_system,
-                      augment, phase_one_feasible, prepare_moves)
+from .augment import (ArtificialSystem, AugmentResult, PreparedMoves,
+                      artificial_system, augment, phase_one_feasible,
+                      prepare_moves)
 from .opcost import (CELL_INFEASIBLE, CELL_OK, BuildCounters, DecisionList,
                      METHOD_GRAVER, METHOD_KERNEL, METHOD_ORACLE,
                      OppCostMatrix, Scenario, SipInstance, opcost_graver,
@@ -30,18 +31,19 @@ from .instances import (HsConfig, SndConfig, gen_hs, gen_snd, hs_feasible,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentResult", "BuildCounters", "CELL_INFEASIBLE", "CELL_OK",
-    "CostOrder", "DecisionList", "GraverBasis", "GraverResourceError",
-    "GroebnerBasis", "HsConfig", "INFEASIBLE_IN_BOX", "IntMatrix", "IntVector",
-    "IpOutcome", "IpProblem", "METHOD_GRAVER", "METHOD_KERNEL",
-    "METHOD_ORACLE", "OPTIMAL", "OppCostMatrix", "OracleResourceError",
-    "PreparedMoves", "Scenario", "SipBlockStructure", "SipInstance",
-    "SndConfig", "ToricGenerators", "VectorSet", "artificial_system",
-    "as_vector", "augment", "buchberger", "contains_groebner",
-    "enumerate_graver_in_box", "flip_coordinate", "gen_hs", "gen_snd",
-    "graver_basis", "hs_feasible", "hs_recourse_bounds", "instance_from_json",
-    "instance_to_json", "kernel_basis", "lift_sip_graver", "normal_form",
-    "opcost_graver", "opcost_kernel", "opcost_oracle", "orient",
-    "phase_one_feasible", "prepare_moves", "rhs", "single_scenario_decisions",
-    "solve_bruteforce", "test_set", "toric_generating_set",
+    "ArtificialSystem", "AugmentResult", "BuildCounters", "CELL_INFEASIBLE",
+    "CELL_OK", "CostOrder", "DecisionList", "GraverBasis",
+    "GraverResourceError", "GroebnerBasis", "HsConfig", "INFEASIBLE_IN_BOX",
+    "IntMatrix", "IntVector", "IpOutcome", "IpProblem", "METHOD_GRAVER",
+    "METHOD_KERNEL", "METHOD_ORACLE", "OPTIMAL", "OppCostMatrix",
+    "OracleResourceError", "PreparedMoves", "Scenario", "SipBlockStructure",
+    "SipInstance", "SndConfig", "ToricGenerators", "VectorSet",
+    "artificial_system", "as_vector", "augment", "buchberger",
+    "contains_groebner", "enumerate_graver_in_box", "flip_coordinate",
+    "gen_hs", "gen_snd", "graver_basis", "hs_feasible", "hs_recourse_bounds",
+    "instance_from_json", "instance_to_json", "kernel_basis",
+    "lift_sip_graver", "normal_form", "opcost_graver", "opcost_kernel",
+    "opcost_oracle", "orient", "phase_one_feasible", "prepare_moves", "rhs",
+    "single_scenario_decisions", "solve_bruteforce", "test_set",
+    "toric_generating_set",
 ]

@@ -7,6 +7,13 @@ one move, so the fixed point is the same: over a valid test set it is the
 optimum of the cost order's lexicographic refinement; over a
 negation-closed Graver basis the improving halves of the pairs play the
 same role.
+
+Phase-I follows the extended-matrix method of Conti and Traverso
+("Buchberger algorithm and integer programming", AAECC-9, LNCS 539, 1991)
+over a narrow extension: one artificial column per (row, sign) that the
+right-hand sides to be served use, rather than [A | I | -I]. One test set
+of it serves every such b, each walk starting at (0, |b| on the matching
+columns).
 """
 
 from __future__ import annotations
@@ -101,44 +108,78 @@ def augment(z0: "IntVector | Iterable[int]", c: "IntVector | Iterable[int]",
     return AugmentResult(solution, c.dot(solution), steps)
 
 
-def artificial_system(A: IntMatrix):
-    """Extended system [A | I | -I] serving every right-hand side of A.
+class ArtificialSystem(NamedTuple):
+    """A's Phase-I extension [A | S] and the cost that charges S.
 
-    Returns (matrix, cost): cost charges both artificial blocks, so one test
-    set of the extended system drives Phase-I for any b, starting from
-    (0, b+, b-).
+    Each column of S is s e_i for one (row i, sign s) in `columns`, in
+    column order: every positive sign in row order, then every negative one.
+    """
+
+    matrix: IntMatrix
+    cost: IntVector
+    columns: tuple
+
+    def start(self, b: IntVector) -> IntVector:
+        """(0, |b| on the matching columns): the Phase-I walk's start for b."""
+        art = tuple(max(s * b.entries[i], 0) for i, s in self.columns)
+        if sum(art) != sum(abs(x) for x in b.entries):
+            raise ValueError("right-hand side %r has a sign the extension "
+                             "has no artificial column for" % (b.entries,))
+        return IntVector((0,) * (self.matrix.ncols - len(art)) + art)
+
+
+def artificial_system(A: IntMatrix, rhss) -> ArtificialSystem:
+    """A plus one artificial column per (row, sign) some b in rhss uses.
+
+    Rows whose b is always 0 get no column. One test set of the extension
+    drives Phase-I for every right-hand side with those signs; when the
+    right-hand sides use both signs in every row it is [A | I | -I].
     """
     m = A.nrows
-    rows = [tuple(row) + tuple(int(j == i) for j in range(m))
-            + tuple(-int(j == i) for j in range(m))
+    pos, neg = [False] * m, [False] * m
+    for b in rhss:
+        for i, x in enumerate(as_vector(b).entries):
+            if x > 0:
+                pos[i] = True
+            elif x < 0:
+                neg[i] = True
+    columns = (tuple((i, 1) for i in range(m) if pos[i])
+               + tuple((i, -1) for i in range(m) if neg[i]))
+    rows = [tuple(row) + tuple(s if k == i else 0 for k, s in columns)
             for i, row in enumerate(A.rows)]
-    cost = IntVector((0,) * A.ncols + (1,) * (2 * m))
-    return IntMatrix(rows), cost
+    cost = IntVector((0,) * A.ncols + (1,) * len(columns))
+    return ArtificialSystem(IntMatrix(rows), cost, columns)
 
 
 def phase_one_feasible(A: IntMatrix, b: "IntVector | Iterable[int]",
+                       system: Optional[ArtificialSystem] = None,
                        moves: "Optional[GroebnerBasis | PreparedMoves]" = None,
                        steps: Optional[list] = None) -> Optional[IntVector]:
     """A feasible point of {z >= 0 : Az = b}, or None when there is none.
 
-    Minimizes the artificial total by augmentation on the extended system of
-    `artificial_system(A)`; `moves` may carry its precomputed test set, or
-    that set prepared for the artificial cost, which serves every
-    right-hand side of A, so callers solving many b against one matrix
-    complete it once. When `steps` is a list, the walk's step count is
-    appended to it.
+    Minimizes the artificial total by augmentation on `system`, an
+    `artificial_system` of A whose right-hand sides use every sign b uses
+    (by default b alone). `moves` may carry the system's precomputed test
+    set, or that set prepared for its cost, so callers solving many b
+    against one extension complete it once. When `steps` is a list, the
+    walk's step count is appended to it.
     """
     b = as_vector(b)
     if len(b) != A.nrows:
         raise ValueError("right-hand side length must match row count")
-    ext, cost = artificial_system(A)
+    if system is None:
+        if moves is not None:
+            raise ValueError("precomputed moves need the system they serve")
+        system = artificial_system(A, (b,))
+    ext, n = system.matrix, A.ncols
+    if (ext.nrows != A.nrows
+            or any(r[:n] != a for r, a in zip(ext.rows, A.rows))):
+        raise ValueError("artificial system does not extend the matrix")
     if moves is None:
-        moves = test_set(ext, cost)
-    start = IntVector((0,) * A.ncols + tuple(max(x, 0) for x in b.entries)
-                      + tuple(max(-x, 0) for x in b.entries))
-    res = augment(start, cost, moves, ext, b)
+        moves = test_set(ext, system.cost)
+    res = augment(system.start(b), system.cost, moves, ext, b)
     if steps is not None:
         steps.append(res.steps)
     if res.value != 0:
         return None
-    return IntVector(res.solution.entries[:A.ncols])
+    return IntVector(res.solution.entries[:n])

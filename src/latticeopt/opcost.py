@@ -11,12 +11,14 @@ Graver basis (graver method), or brute force in a box (oracle method). A
 solver computes its matrix's algebra once and, for Groebner bases, once per
 distinct cost, and prepares each walk's improving moves once per cost. A
 solve without a closed-form start finds one by Phase-I over a single test
-set of the extended system [M | I | -I], which serves every right-hand
-side. A matrix row depends only on its decision, so each distinct decision
-is solved once; counters make that reuse observable. Every build runs in
-one process. Each phase books its time where it runs and the row loop
-books only what no phase inside it booked, so a build's timings are
-disjoint and add up to its timed wall clock.
+set of M's narrow extension: one artificial column per (row, sign) that a
+right-hand side the solver will see uses, gathered when the set is first
+needed. A matrix row depends only on its decision, so each distinct
+decision is solved once, and its T x computed once; counters make that
+reuse observable. Every build runs in one process. Each phase books its
+time where it runs and the row loop books only what no phase inside it
+booked, so a build's timings are disjoint and add up to its timed wall
+clock.
 """
 
 from __future__ import annotations
@@ -140,12 +142,13 @@ class BuildCounters:
     toric/buchberger/graver count recourse-matrix computations only, and the
     *_elements fields give the sizes of the bases the build used (Groebner
     sizes summed over distinct costs). Phase-I work is tracked separately:
-    phase_one_bases is 1 when the build completed the test set of
-    [W | I | -I], 0 when a closed-form start made it unnecessary, and
-    phase_one_calls counts the cells handed that set. The per-cell tallies
-    cover the rows of distinct decisions only, since repeated decisions
-    copy their row; walk_steps sums the steps of the optimisation and
-    Phase-I walks.
+    phase_one_bases is 1 when the build completed the test set of W's
+    Phase-I extension (one artificial column per (row, sign) the cells'
+    right-hand sides use), 0 when closed-form starts made it unnecessary,
+    and phase_one_calls counts the cells handed that set. The per-cell
+    tallies cover the rows of distinct decisions only, since repeated
+    decisions copy their row; walk_steps sums the steps of the optimisation
+    and Phase-I walks.
     """
 
     __slots__ = ("toric_runs", "buchberger_runs", "graver_runs",
@@ -273,21 +276,25 @@ class _Solver:
     """One method's solves of min cost.z : M z = b, z >= 0 for one matrix M.
 
     A solver serves one matrix: its toric generators, its Graver basis and
-    the Phase-I test set of [M | I | -I] are built once, Groebner bases and
-    the walks' prepared improving moves once per cost. Each object is built
-    on its first use, wherever that falls; its build is timed and counted
-    there, so the build's solver for W records exactly the build's algebra.
-    Each Phase-I walk is timed apart from the set it walks over. No other
-    code branches on the method; `walk_us` names the timing a walk books to.
+    its Phase-I test set are built once, Groebner bases and the walks'
+    prepared improving moves once per cost. `rhss` is a callable giving
+    every right-hand side the solver will see; the Phase-I extension has one
+    artificial column per (row, sign) they use, and is scanned for only
+    when a solve first needs Phase-I. Each object is built on its first
+    use, wherever that falls; its build is timed and counted there, so the
+    build's solver for W records exactly the build's algebra. Each Phase-I
+    walk is timed apart from the set it walks over. No other code branches
+    on the method; `walk_us` names the timing a walk books to.
     """
 
     def __init__(self, instance: SipInstance, method: str, M: IntMatrix,
-                 var_bound=None):
+                 rhss: Callable, var_bound=None):
         if method not in (METHOD_KERNEL, METHOD_GRAVER, METHOD_ORACLE):
             raise ValueError("unknown method %r" % method)
         self.instance = instance
         self.method = method
         self.M = M
+        self.rhss = rhss
         self.var_bound = var_bound
         self.walk_us = "oracle_us" if method == METHOD_ORACLE else "augment_us"
         self.counters = BuildCounters()
@@ -331,10 +338,11 @@ class _Solver:
                           lambda: prepare_moves(basis, cost))
 
     def phase_one_set(self):
-        """The prepared Phase-I test set of [M | I | -I], for every b."""
+        """M's Phase-I extension over `rhss` and its prepared test set."""
         def build():
-            ext, cost = artificial_system(self.M)
-            return prepare_moves(test_set(ext, cost), cost)
+            system = artificial_system(self.M, self.rhss())
+            return system, prepare_moves(test_set(system.matrix, system.cost),
+                                         system.cost)
         return self._once(("phase_one_us",), build, "phase_one_bases")
 
     def solve(self, cost: IntVector, b: IntVector,
@@ -356,10 +364,10 @@ class _Solver:
             return res if res.status == oracle.OPTIMAL else None
         if start is None:
             c.phase_one_calls += 1
-            p1_moves = self.phase_one_set()
+            system, p1_moves = self.phase_one_set()
             steps = []
             t0 = time.perf_counter_ns()
-            start = phase_one_feasible(M, b, moves=p1_moves, steps=steps)
+            start = phase_one_feasible(M, b, system, p1_moves, steps)
             self.timings_us["phase_one_walk_us"] += (
                 time.perf_counter_ns() - t0) // 1000
             c.walk_steps += steps[0]
@@ -383,7 +391,8 @@ def single_scenario_decisions(instance: SipInstance,
     closed-form start.
     """
     M, head = _stacked_system(instance)
-    solver = _Solver(instance, method, M)
+    solver = _Solver(instance, method, M, lambda: (
+        head + sc.rhs.entries for sc in instance.scenarios))
     x0 = IntVector((0,) * instance.first_stage_dim)
     # the closed-form start takes x = 0, which must meet A x = b
     zero_ok = not any(head)
@@ -402,18 +411,20 @@ def single_scenario_decisions(instance: SipInstance,
 
 def _build(instance, decisions, method, q_only, var_bound=None):
     decisions.check(instance)
-    W = instance.recourse
-    solver = _Solver(instance, method, W, var_bound)
-    row_moves = tuple(solver.moves(sc.cost) for sc in instance.scenarios)
+    W, scenarios = instance.recourse, instance.scenarios
+    # a row depends only on its decision: solve each distinct one once
+    tx = {x: instance.technology.mat_vec(x) for x in dict.fromkeys(decisions)}
+    solver = _Solver(instance, method, W, lambda: (
+        sc.rhs - t for t in tx.values() for sc in scenarios), var_bound)
+    row_moves = tuple(solver.moves(sc.cost) for sc in scenarios)
     timings = solver.timings_us
     rows = {}
     booked = sum(timings.values())
     t0 = time.perf_counter_ns()
-    # a row depends only on its decision: solve each distinct one once
-    for x in dict.fromkeys(decisions):
+    for x, t in tx.items():
         row = rows[x] = []
-        for j, (sc, moves) in enumerate(zip(instance.scenarios, row_moves)):
-            b = rhs(instance, x, j)
+        for j, (sc, moves) in enumerate(zip(scenarios, row_moves)):
+            b = sc.rhs - t
             res = solver.solve(sc.cost, b, _hook_start(instance, x, j, W, b),
                                moves)
             row.append(None if res is None else res.value)

@@ -108,11 +108,30 @@ def test_prepared_moves_walk_like_the_move_set():
             assert augment(z, c, prepared, A, b) == augment(z, c, gamma, A, b)
 
 
+# right-hand sides of a two-row matrix that use both signs in both rows
+BOTH_SIGNS = ((1, -1), (-1, 1))
+
+
 def test_artificial_system_shape():
     A = IntMatrix([[1, -1], [2, 1]])
-    ext, cost = artificial_system(A)
+    ext, cost, columns = artificial_system(A, BOTH_SIGNS)
     assert ext.rows == ((1, -1, 1, 0, -1, 0), (2, 1, 0, 1, 0, -1))
     assert cost == IntVector((0, 0, 1, 1, 1, 1))
+    assert columns == ((0, 1), (1, 1), (0, -1), (1, -1))
+
+
+def test_artificial_system_one_column_per_used_sign():
+    A = IntMatrix([[1, -1], [2, 1]])
+    ext, cost, columns = artificial_system(A, [(1, 0), (2, 3)])
+    assert ext.rows == ((1, -1, 1, 0), (2, 1, 0, 1))
+    assert cost == IntVector((0, 0, 1, 1))
+    assert columns == ((0, 1), (1, 1))
+    # row 0 is always zero: it gets no column; row 1 only the negative one
+    ext, cost, columns = artificial_system(A, [(0, -1), (0, 0)])
+    assert ext.rows == ((1, -1, 0), (2, 1, -1))
+    assert cost == IntVector((0, 0, 1)) and columns == ((1, -1),)
+    ext, cost, columns = artificial_system(A, [(0, 0)])
+    assert ext == A and cost == IntVector((0, 0)) and columns == ()
 
 
 def test_phase_one_finds_point():
@@ -139,9 +158,10 @@ def test_phase_one_negative_rhs():
 
 def test_phase_one_accepts_precomputed_moves():
     A = IntMatrix([[1, 1, 1]])
-    moves = groebner.test_set(*artificial_system(A))
+    system = artificial_system(A, [(1,), (-1,)])
+    moves = groebner.test_set(system.matrix, system.cost)
     for b in (3, 0, -1):
-        z = phase_one_feasible(A, (b,), moves=moves)
+        z = phase_one_feasible(A, (b,), system, moves)
         if b < 0:
             assert z is None
         else:
@@ -152,16 +172,46 @@ def test_phase_one_one_move_set_serves_every_rhs():
     rng = random.Random(2024)
     for _ in range(3):
         A = support.random_matrix(rng, 2, 4, 0, 3)
-        moves = groebner.test_set(*artificial_system(A))
+        system = artificial_system(A, BOTH_SIGNS)
+        moves = groebner.test_set(system.matrix, system.cost)
         fibers = support.boxed_fibers(A, 6)
         for b in itertools.product(range(-2, 7), repeat=2):
-            z = phase_one_feasible(A, b, moves=moves)
+            z = phase_one_feasible(A, b, system, moves)
             if b not in fibers:
                 assert z is None, (A.rows, b, z)
             else:
                 assert z is not None, (A.rows, b)
                 assert A.mat_vec(z) == IntVector(b)
                 assert all(e >= 0 for e in z.entries)
+
+
+def test_phase_one_narrow_extension_decides_feasibility():
+    # one-signed and mixed right-hand-side lists: each extension finds a
+    # point for exactly the b of its list that have one
+    rng = random.Random(4242)
+    lists = (
+        list(itertools.product(range(0, 7), repeat=2)),
+        list(itertools.product(range(-2, 7), range(0, 7))),
+        [(b, 0) for b in range(-2, 7)],
+    )
+    for _ in range(3):
+        A = support.random_matrix(rng, 2, 4, 0, 3)
+        fibers = support.boxed_fibers(A, 6)
+        for rhss in lists:
+            system = artificial_system(A, rhss)
+            assert len(system.columns) < 2 * A.nrows
+            moves = prepare_moves(
+                groebner.test_set(system.matrix, system.cost), system.cost)
+            for b in rhss:
+                z = phase_one_feasible(A, b, system, moves)
+                if b not in fibers:
+                    assert z is None, (A.rows, b, z)
+                else:
+                    assert z is not None, (A.rows, b)
+                    assert A.mat_vec(z) == IntVector(b)
+                    assert all(e >= 0 for e in z.entries)
+        with pytest.raises(ValueError, match="no artificial column"):
+            phase_one_feasible(A, (-1, 0), artificial_system(A, lists[0]))
 
 
 def test_phase_one_rhs_length_checked():
@@ -172,7 +222,9 @@ def test_phase_one_rhs_length_checked():
 def test_invariants_hold_under_optimize_flag():
     # python -O strips assert statements; these checks must survive it.
     code = textwrap.dedent("""
-        from latticeopt.augment import PreparedMoves, augment, prepare_moves
+        from latticeopt.augment import (PreparedMoves, artificial_system,
+                                        augment, phase_one_feasible,
+                                        prepare_moves)
         from latticeopt.graver import GraverBasis
         from latticeopt.lattice import IntMatrix, IntVector, VectorSet
         A = IntMatrix(((1, 1),))
@@ -187,6 +239,12 @@ def test_invariants_hold_under_optimize_flag():
             "augment, improving move without a positive entry":
                 lambda: augment((1, 1), (1, 1), PreparedMoves(
                     (1, 1), (((-1, 0), ()),)), IntMatrix(((0, 1),)), (1,)),
+            "phase_one_feasible, b uses a sign with no artificial column":
+                lambda: phase_one_feasible(
+                    A, (-2,), artificial_system(A, [(2,)])),
+            "phase_one_feasible, extension of another matrix":
+                lambda: phase_one_feasible(
+                    A, (2,), artificial_system(IntMatrix(((1, 2),)), [(2,)])),
         }
         for name, call in calls.items():
             try:

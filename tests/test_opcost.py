@@ -233,9 +233,38 @@ def test_snd_matrix_with_infeasible_cell():
     assert mk.values == SND_VALUES
     assert mk.status == SND_STATUS
     assert mk == mg == mo
-    # one Phase-I test set of [W | I | -I] serves all four cells
+    # one Phase-I test set of W's narrow extension serves all four cells
     assert mk.counters.phase_one_bases == 1
     assert mk.counters.phase_one_calls == 4
+
+
+def four_node_snd(scenario_count):
+    """SND on a 4-node network: W is 10x12, the stacked system 16x24."""
+    return gen_snd(SndConfig(
+        scenario_count=scenario_count, seed=1, vertices=4,
+        arcs=((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)),
+        fixed_costs=(3, 4, 5, 3, 6, 6), capacities=(2,) * 6, max_demand=2))
+
+
+def test_four_node_snd_methods_agree():
+    inst = four_node_snd(3)
+    dec = single_scenario_decisions(inst)
+    assert dec.decisions == single_scenario_decisions(
+        inst, method=METHOD_ORACLE).decisions
+    mk = opcost_kernel(inst, dec)
+    assert mk == opcost_graver(inst, dec) == opcost_oracle(inst, dec)
+    assert mk.counters.phase_one_bases == 1
+
+
+def test_four_node_snd_kernel_pipeline_at_n10():
+    # seconds only while Phase-I stays narrow: the test set of the stacked
+    # system's [M | I | -I] has 1,210 elements here
+    inst = four_node_snd(10)
+    dec = single_scenario_decisions(inst)
+    mk = opcost_kernel(inst, dec)
+    assert mk.size == 10
+    assert mk.counters.phase_one_bases == 1
+    assert mk == opcost_oracle(inst, dec)
 
 
 def test_q_only_drops_first_stage_cost():
@@ -297,10 +326,10 @@ def test_build_counters_frozen_for_every_method():
         (opcost_kernel(snd, snd_dec), _counters(
             toric_runs=1, toric_elements=1, buchberger_runs=1,
             groebner_elements=1, augment_calls=3, phase_one_calls=4,
-            phase_one_bases=1, walk_steps=8)),
+            phase_one_bases=1, walk_steps=7)),
         (opcost_graver(snd, snd_dec), _counters(
             graver_runs=1, graver_elements=2, augment_calls=3,
-            phase_one_calls=4, phase_one_bases=1, walk_steps=8)),
+            phase_one_calls=4, phase_one_bases=1, walk_steps=7)),
         (opcost_oracle(snd, snd_dec), _counters(oracle_solves=4)),
     ]
     for m, expected in cases:
