@@ -215,15 +215,14 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
                          % (order.dim, matrix.ncols))
     cost, tie = order.cost.entries, order.tie_order
     basis = []
-    seen = set()
 
     def add(t):
-        seen.add(t)
         basis.append(_record(t))
         if element_cap is not None and len(basis) > element_cap:
             raise GraverResourceError(
                 "completion exceeded %d elements" % element_cap)
 
+    seen = set()
     for v in seed:
         if len(v) != order.dim:
             raise ValueError("cost has %d entries, a seed vector %d"
@@ -232,6 +231,7 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
             continue
         t = _orient_tuple(v.entries, cost, tie)
         if t not in seen:
+            seen.add(t)
             add(t)
 
     def lcm_of(i, j):
@@ -273,7 +273,7 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
             continue
         s = _orient_tuple(tuple(map(sub, basis[i][0], basis[j][0])), cost, tie)
         s = _reduce(s, basis, cost, tie, False)
-        if s is None or s in seen:
+        if s is None:
             continue
         add(s)
         for k in range(len(basis) - 1):

@@ -117,9 +117,11 @@ def toric_generating_set(A: IntMatrix,
     coordinate still carrying a negative entry; flip all of J; for each j in
     J run Buchberger with coordinate j most expensive and flip j back. Each
     round saturates one coordinate, and the flips cancel exactly, so the
-    result lives in ker(A) again. The optional cap is passed to every
-    round (see `buchberger`).
+    result lives in ker(A) again. The optional cap, at least 1 even when
+    no round runs, is passed to every round (see `buchberger`).
     """
+    if element_cap is not None and element_cap < 1:
+        raise ValueError("element cap must be at least 1, got %d" % element_cap)
     basis = [tuple(v) for v in kernel_basis(A)]
     if not basis:
         return ToricGenerators(A, VectorSet())

@@ -8,9 +8,14 @@ keeping the per-criterion runtime budgets honest.
 
 import dataclasses
 import functools
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 
+import latticeopt
 from latticeopt import cli, opcost
 from latticeopt import groebner
 from latticeopt.graver import (SipBlockStructure, contains_groebner,
@@ -251,7 +256,27 @@ def test_criterion_09_basis_reuse_counters():
     assert got == (1, 1, 1, 4, 1)
 
 
-def test_criterion_10_determinism(capsys):
+def _opcost_in_fresh_process(instance, method, hash_seed, out_dir):
+    """CSV bytes and meta JSON of one CLI opcost run in its own process."""
+    csv_path = os.path.join(out_dir, "%s-%s.csv" % (method, hash_seed))
+    meta_path = os.path.join(out_dir, "%s-%s.json" % (method, hash_seed))
+    package = os.path.dirname(os.path.abspath(latticeopt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(package),
+               PYTHONHASHSEED=str(hash_seed))
+    out = subprocess.run(
+        [sys.executable, "-m", "latticeopt.cli", "opcost", "--instance",
+         instance, "--method", method, "--out", csv_path, "--meta",
+         meta_path], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
+    with open(csv_path, "rb") as fh:
+        csv_bytes = fh.read()
+    with open(meta_path) as fh:
+        meta = json.load(fh)
+    meta["timings_us"] = {k: 0 for k in meta["timings_us"]}
+    return csv_bytes, json.dumps(meta, sort_keys=True)
+
+
+def test_criterion_10_determinism(capsys, tmp_path):
     assert cli.run(["verify"]) == 0
     first = capsys.readouterr().out
     assert cli.run(["verify"]) == 0
@@ -260,9 +285,27 @@ def test_criterion_10_determinism(capsys):
     dec = single_scenario_decisions(inst)
     serial = opcost_kernel(inst, dec, threads=1)
     parallel = opcost_kernel(inst, dec, threads=8)
-    ok = first == second and serial == parallel
+    # Two processes with different hash seeds must write the same CSV and
+    # the same meta once timings are zeroed: no output may depend on set or
+    # dict iteration order that varies between runs.
+    instances = {
+        "snd": ["gen-snd", "--n", "6", "--seed", "3", "--max-demand", "2"],
+        "hs": ["gen-hs", "--n", "6", "--seed", "7", "--scaled"],
+    }
+    differing = []
+    for family, argv in instances.items():
+        path = str(tmp_path / (family + ".json"))
+        assert cli.run(argv + ["--out", path]) == 0
+        for method in ("kernel", "graver", "oracle"):
+            runs = [_opcost_in_fresh_process(path, method, seed, tmp_path)
+                    for seed in (1, 2)]
+            if runs[0] != runs[1]:
+                differing.append("%s/%s" % (family, method))
+    ok = first == second and serial == parallel and not differing
     with capsys.disabled():
-        report(10, ok, "verify outputs identical=%s, threads 1 vs 8 equal=%s"
-               % (first == second, serial == parallel))
+        report(10, ok, "verify outputs identical=%s, threads 1 vs 8 equal=%s, "
+               "6 CLI run pairs, hash seeds 1 vs 2, differing=%s"
+               % (first == second, serial == parallel, differing))
     assert first == second
     assert serial == parallel
+    assert not differing, differing

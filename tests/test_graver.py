@@ -114,6 +114,23 @@ def test_seeded_graver_bases_match_frozen_digest():
     assert digest.hexdigest() == FROZEN_GRAVER_DIGEST
 
 
+def test_graver_basis_runs_no_completion_of_its_own(monkeypatch):
+    # The toric set of a Lawrence lifting is already its Graver basis, so
+    # nothing beyond the saturation rounds (toric's own calls) may complete.
+    from latticeopt import groebner
+    calls = []
+    real = groebner.buchberger
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    W = gen_hs(HsConfig(scenario_count=1, seed=0, scaled=True)).recourse
+    assert len(graver_basis(W)) > 0
+    assert calls == []
+
+
 def test_element_cap_raises():
     with pytest.raises(GraverResourceError):
         graver_basis(IntMatrix([[3, -5, 7, -11, 2]]), element_cap=3)

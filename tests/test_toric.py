@@ -79,6 +79,14 @@ def test_element_cap_reaches_the_saturation_rounds():
         toric_generating_set(A, element_cap=100)) == uncapped
 
 
+@pytest.mark.parametrize("rows", [((1, 0), (0, 1)), ((1, 2, 3),)])
+@pytest.mark.parametrize("cap", [0, -3])
+def test_nonpositive_cap_rejected_on_entry(rows, cap):
+    # on a trivial kernel no saturation round runs to check the cap
+    with pytest.raises(ValueError, match="element cap"):
+        toric_generating_set(IntMatrix(rows), element_cap=cap)
+
+
 def test_constructor_asserts_kernel_membership():
     from latticeopt.lattice import VectorSet
     with pytest.raises(ValueError):
