@@ -74,7 +74,8 @@ def augment(z0: "IntVector | Iterable[int]", c: "IntVector | Iterable[int]",
     """Walk downhill from a feasible point; returns the fixed point reached.
 
     T is a move set, or its `prepare_moves` result for c. Each step applies
-    the largest feasible multiple of the first applicable move.
+    the largest feasible multiple of the first applicable move. A start or
+    end off {z >= 0 in ints : A z = b} raises ValueError.
     """
     z0, c, b = as_vector(z0), as_vector(c), as_vector(b)
     if len(z0) != A.ncols or len(c) != A.ncols:
@@ -83,8 +84,9 @@ def augment(z0: "IntVector | Iterable[int]", c: "IntVector | Iterable[int]",
         T = prepare_moves(T, c)
     elif T.cost != c.entries:
         raise ValueError("moves were prepared for another cost vector")
-    if any(e < 0 for e in z0.entries) or A.mat_vec(z0) != b:
-        raise ValueError("starting point is not feasible")
+    if (not all(isinstance(e, int) and e >= 0 for e in z0.entries)
+            or A.mat_vec(z0) != b):
+        raise ValueError("invalid point: start must be in ints, >= 0, A z = b")
 
     z = list(z0.entries)
     steps = 0

@@ -145,11 +145,16 @@ def orient(v: IntVector, order: CostOrder) -> IntVector:
 
 def normal_form(v: IntVector, G: "VectorSet | Iterable[IntVector]",
                 order: CostOrder, full: bool = True) -> IntVector:
-    """Reduce v against G; with full=True the trailing part is reduced too."""
+    """Reduce v against G; with full=True the trailing part is reduced too.
+
+    v and every element of G must have the order's length.
+    """
+    elems = [_record(g.entries) for g in G]
+    if any(len(u) != order.dim for u in [v.entries] + [r[0] for r in elems]):
+        raise ValueError("v and G must have the order's %d entries" % order.dim)
     if v.is_zero():
         return v
     cost, tie = order.cost.entries, order.tie_order
-    elems = [_record(g.entries) for g in G]
     out = _reduce(_orient_tuple(v.entries, cost, tie), elems, cost, tie, full)
     if out is None:
         return IntVector((0,) * len(v))

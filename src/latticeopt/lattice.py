@@ -32,10 +32,12 @@ class IntVector:
         return iter(self.entries)
 
     def __add__(self, other: "IntVector") -> "IntVector":
-        return IntVector(a + b for a, b in zip(self.entries, other.entries))
+        pairs = zip(self.entries, other.entries, strict=True)
+        return IntVector(a + b for a, b in pairs)
 
     def __sub__(self, other: "IntVector") -> "IntVector":
-        return IntVector(a - b for a, b in zip(self.entries, other.entries))
+        pairs = zip(self.entries, other.entries, strict=True)
+        return IntVector(a - b for a, b in pairs)
 
     def __neg__(self) -> "IntVector":
         return IntVector(-a for a in self.entries)
@@ -44,7 +46,8 @@ class IntVector:
         return IntVector(k * a for a in self.entries)
 
     def dot(self, other: "IntVector") -> int:
-        return sum(a * b for a, b in zip(self.entries, other.entries))
+        pairs = zip(self.entries, other.entries, strict=True)
+        return sum(a * b for a, b in pairs)
 
     def is_zero(self) -> bool:
         return not any(self.entries)

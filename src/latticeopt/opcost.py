@@ -7,10 +7,11 @@ decisions phase solves every scenario's one-scenario program over one
 stacked matrix [[A, 0], [T, W]]. Both kinds of integer program go through a
 per-method solver, one for the stacked matrix and one for W: augmentation
 with full-multiple steps over a Groebner basis (kernel method), over the
-Graver basis (graver method), or brute force in a box (oracle method). A
-solver computes its matrix's algebra once and, for Groebner bases, once per
-distinct cost, and prepares each walk's improving moves once per cost. A
-solve without a closed-form start finds one by Phase-I over a single test
+Graver basis (graver method), or brute force in a box (oracle method),
+which asks no hook. A solver computes its matrix's algebra once and, for
+Groebner bases, once per distinct cost, and prepares each walk's improving
+moves once per cost. A walk starts at the instance's hook point for its
+cell, which `augment` tests, or at a Phase-I point found over a single test
 set of M's narrow extension: one artificial column per (row, sign) that a
 right-hand side the solver will see uses, gathered when the set is first
 needed. A matrix row depends only on its decision, so each distinct
@@ -63,7 +64,8 @@ class SipInstance:
     """gamma.x + E[min c.y : Wy = h - Tx] over integer points.
 
     `feasible_recourse`, when present, is a callable (x, h) -> y giving a
-    feasible recourse point, bypassing Phase-I; JSON round-trips drop it.
+    feasible recourse point in place of Phase-I. The walk that starts there
+    tests it, the oracle never asks for it, and JSON round-trips drop it.
     """
 
     gamma: IntVector
@@ -252,26 +254,6 @@ def _derived_uniform_bound(instance: SipInstance, b: IntVector) -> int:
     return max(1, fs + max(abs(e) for e in b.entries))
 
 
-def _hook_start(instance: SipInstance, x: IntVector, j: int, M: IntMatrix,
-                b: IntVector, head: tuple = ()) -> Optional[IntVector]:
-    """`head` followed by feasible_recourse's point for x in scenario j.
-
-    None when there is no hook or it gives no point. A point that does not
-    solve M z = b, z >= 0 is the hook's fault, in either phase.
-    """
-    if instance.feasible_recourse is None:
-        return None
-    y = instance.feasible_recourse(x, instance.scenarios[j].rhs)
-    if y is None:
-        return None
-    z = as_vector(y)
-    if head:
-        z = IntVector(head + z.entries)
-    if M.mat_vec(z) != b or any(e < 0 for e in z.entries):
-        raise ValueError("feasible_recourse returned an invalid point")
-    return z
-
-
 class _Solver:
     """One method's solves of min cost.z : M z = b, z >= 0 for one matrix M.
 
@@ -280,15 +262,18 @@ class _Solver:
     prepared improving moves once per cost. `rhss` is a callable giving
     every right-hand side the solver will see; the Phase-I extension has one
     artificial column per (row, sign) they use, and is scanned for only
-    when a solve first needs Phase-I. Each object is built on its first
-    use, wherever that falls; its build is timed and counted there, so the
-    build's solver for W records exactly the build's algebra. Each Phase-I
-    walk is timed apart from the set it walks over. No other code branches
-    on the method; `walk_us` names the timing a walk books to.
+    when a solve first needs Phase-I. A walk starts at `head` followed by
+    the hook's point for the cell, or at a Phase-I point when `head` is
+    None or the instance has no hook or it gives no point. Each object is
+    built on its first use, wherever that falls; its build is timed and
+    counted there, so the build's solver for W records exactly the build's
+    algebra. Each Phase-I walk is timed apart from the set it walks over.
+    No other code branches on the method; `walk_us` names the timing a walk
+    books to.
     """
 
     def __init__(self, instance: SipInstance, method: str, M: IntMatrix,
-                 rhss: Callable, var_bound=None):
+                 rhss: Callable, var_bound=None, head: Optional[tuple] = ()):
         if method not in (METHOD_KERNEL, METHOD_GRAVER, METHOD_ORACLE):
             raise ValueError("unknown method %r" % method)
         self.instance = instance
@@ -296,6 +281,7 @@ class _Solver:
         self.M = M
         self.rhss = rhss
         self.var_bound = var_bound
+        self.head = head
         self.walk_us = "oracle_us" if method == METHOD_ORACLE else "augment_us"
         self.counters = BuildCounters()
         self.timings_us = {"toric_us": 0, "groebner_us": 0, "graver_us": 0,
@@ -345,14 +331,15 @@ class _Solver:
                                          system.cost)
         return self._once(("phase_one_us",), build, "phase_one_bases")
 
-    def solve(self, cost: IntVector, b: IntVector,
-              start: Optional[IntVector], moves):
+    def solve(self, cost: IntVector, b: IntVector, cell: tuple, moves):
         """The refined optimum of min cost.z : M z = b, z >= 0, or None.
 
         The result carries the optimum as `.solution` and its cost as
-        `.value`. Kernel and graver walk from `start`, or from a Phase-I
-        point when it is None, over `moves`, which is `self.moves(cost)`;
-        the oracle searches var_bound's box, or one derived from b.
+        `.value`. `cell` is the (x, j) that b serves. Kernel and graver walk
+        over `moves`, which is `self.moves(cost)`, from the hook's point for
+        the cell after `head`, or from a Phase-I point; `augment` tests the
+        start. The oracle searches var_bound's box, or one derived from b,
+        and asks no hook.
         """
         M, c = self.M, self.counters
         if self.method == METHOD_ORACLE:
@@ -362,6 +349,12 @@ class _Solver:
             c.oracle_solves += 1
             res = oracle.solve_bruteforce(oracle.IpProblem(M, b, cost, bound))
             return res if res.status == oracle.OPTIMAL else None
+        start, hook = None, self.instance.feasible_recourse
+        if hook is not None and self.head is not None:
+            x, j = cell
+            y = hook(x, self.instance.scenarios[j].rhs)
+            if y is not None:
+                start = self.head + as_vector(y).entries
         if start is None:
             c.phase_one_calls += 1
             system, p1_moves = self.phase_one_set()
@@ -391,18 +384,16 @@ def single_scenario_decisions(instance: SipInstance,
     closed-form start.
     """
     M, head = _stacked_system(instance)
-    solver = _Solver(instance, method, M, lambda: (
-        head + sc.rhs.entries for sc in instance.scenarios))
     x0 = IntVector((0,) * instance.first_stage_dim)
-    # the closed-form start takes x = 0, which must meet A x = b
-    zero_ok = not any(head)
+    # the hook's point starts a walk at x = 0, which must meet A x = b
+    solver = _Solver(instance, method, M, lambda: (
+        head + sc.rhs.entries for sc in instance.scenarios),
+        head=None if any(head) else x0.entries)
     out = []
     for j, sc in enumerate(instance.scenarios):
         cost = IntVector(instance.gamma.entries + sc.cost.entries)
         b = IntVector(head + sc.rhs.entries)
-        start = (_hook_start(instance, x0, j, M, b, x0.entries)
-                 if zero_ok else None)
-        res = solver.solve(cost, b, start, solver.moves(cost))
+        res = solver.solve(cost, b, (x0, j), solver.moves(cost))
         if res is None:
             raise ValueError("scenario %d: stacked system infeasible" % j)
         out.append(IntVector(res.solution.entries[:instance.first_stage_dim]))
@@ -424,9 +415,7 @@ def _build(instance, decisions, method, q_only, var_bound=None):
     for x, t in tx.items():
         row = rows[x] = []
         for j, (sc, moves) in enumerate(zip(scenarios, row_moves)):
-            b = sc.rhs - t
-            res = solver.solve(sc.cost, b, _hook_start(instance, x, j, W, b),
-                               moves)
+            res = solver.solve(sc.cost, sc.rhs - t, (x, j), moves)
             row.append(None if res is None else res.value)
     # the loop's time less what the phases inside it booked themselves
     timings[solver.walk_us] += ((time.perf_counter_ns() - t0) // 1000

@@ -57,6 +57,16 @@ def test_rejects_bad_starts():
         augment((1, 2), (1, 2, 3), T, A, (3,))
 
 
+def test_start_entries_must_be_ints():
+    # floats equal to a feasible start would run the walk in floating point
+    A = IntMatrix([[1, 1, 1]])
+    T = _vs((-1, 1, 0))
+    assert augment((3, 0, 0), (1, 2, 3), T, A, (3,)).value == 3
+    for start in ((3.0, 0, 0), (3, 0.0, 0), (3, 0, 0.0)):
+        with pytest.raises(ValueError, match="invalid point"):
+            augment(start, (1, 2, 3), T, A, (3,))
+
+
 def test_exact_over_test_sets_random():
     rng = random.Random(555)
     for _ in range(6):

@@ -67,6 +67,16 @@ def test_normal_form_reorients_midway():
     assert normal_form(IntVector((1, 0, -1)), G, order) == IntVector((1, -1, 0))
 
 
+def test_normal_form_rejects_lengths_other_than_the_orders():
+    order = CostOrder((1, 2, 3))
+    cases = ((IntVector((1, -1, 0)), [IntVector((0, 1))]),
+             (IntVector((1, -1)), _vs((-1, 1, 0))),
+             (IntVector((0, 0)), _vs((-1, 1, 0))))
+    for v, G in cases:
+        with pytest.raises(ValueError, match="order's 3 entries"):
+            normal_form(v, G, order)
+
+
 def test_buchberger_disjoint_leads_interreduce():
     # The pair is skipped by the support criterion, but inter-reduction still
     # rewrites the trailing part of (0,-1,1), whose negative side equals the

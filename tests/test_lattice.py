@@ -180,6 +180,16 @@ def test_vector_arithmetic():
     assert a.scale(10 ** 20).dot(b) == (10 ** 20) * a.dot(b)
 
 
+def test_vectors_of_different_lengths_do_not_combine():
+    a, b = IntVector((1, 2)), IntVector((5,))
+    for combine in (lambda: a + b, lambda: a - b, lambda: a.dot(b),
+                    lambda: b + a, lambda: b - a, lambda: b.dot(a)):
+        with pytest.raises(ValueError):
+            combine()
+    with pytest.raises(ValueError):
+        CostOrder((1, 2, 3)).dot(IntVector((1, 1)))
+
+
 def test_vector_set_dedup_and_canonical():
     s = VectorSet([IntVector([1, 0]), IntVector([0, 1]), IntVector([1, 0])])
     assert len(s) == 2

@@ -161,6 +161,70 @@ def test_closed_form_start_checked_in_both_phases():
         opcost_kernel(inst, dec)
 
 
+def test_hook_points_must_be_integers():
+    # floats equal to the right integers would make every walk run in floats
+    inst = dataclasses.replace(
+        gen_hs(HS_CFG),
+        feasible_recourse=lambda x, h: [float(e) for e in hs_feasible(x, h)])
+    with pytest.raises(ValueError, match="invalid point"):
+        single_scenario_decisions(inst)
+    dec = DecisionList(tuple(IntVector(x) for x in HS_DECISIONS))
+    with pytest.raises(ValueError, match="invalid point"):
+        opcost_kernel(inst, dec)
+    with pytest.raises(ValueError, match="invalid point"):
+        opcost_graver(inst, dec)
+
+
+def test_oracle_asks_no_hook():
+    calls = []
+
+    def counting(x, h):
+        calls.append((x, h))
+        return hs_feasible(x, h)
+
+    dec = DecisionList(tuple(IntVector(x) for x in HS_DECISIONS))
+    hooked = dataclasses.replace(gen_hs(HS_CFG), feasible_recourse=counting)
+    assert opcost_oracle(hooked, dec, var_bound=24).values == HS_VALUES
+    # a small box keeps the stacked brute-force search quick
+    small = gen_hs(HsConfig(scenario_count=2, seed=5,
+                            box=((1, 3), (1, 3), (1, 2), (1, 2))))
+    hooked = dataclasses.replace(small, feasible_recourse=counting)
+    assert (single_scenario_decisions(hooked, method=METHOD_ORACLE)
+            == single_scenario_decisions(small))
+    assert calls == []
+
+
+def test_oracle_ignores_an_invalid_hook():
+    inst = gen_hs(HS_CFG)
+    dec = DecisionList(tuple(IntVector(x) for x in HS_DECISIONS))
+    bad = dataclasses.replace(
+        inst, feasible_recourse=lambda x, h: IntVector((0,) * 8))
+    unhooked = dataclasses.replace(inst, feasible_recourse=None)
+    assert (opcost_oracle(bad, dec, var_bound=24)
+            == opcost_oracle(unhooked, dec, var_bound=24))
+
+
+def test_hook_start_gets_one_fiber_test(monkeypatch):
+    # one more decision adds one row: its T x, then per cell only augment's
+    # start and end checks; the algebra and hook behave the same for both
+    inst = gen_hs(HS_CFG)
+    counted = []
+    mat_vec = IntMatrix.mat_vec
+
+    def counting(self, v):
+        counted.append(1)
+        return mat_vec(self, v)
+
+    monkeypatch.setattr(IntMatrix, "mat_vec", counting)
+    made = []
+    for xs in (HS_DECISIONS[:1], HS_DECISIONS):
+        counted.clear()
+        m = opcost_kernel(inst, DecisionList(tuple(map(IntVector, xs))))
+        assert m.counters.phase_one_calls == 0
+        made.append(len(counted))
+    assert made[1] - made[0] == 1 + 2 * inst.num_scenarios
+
+
 def test_single_scenario_decisions_oracle_mode_small():
     inst = gen_hs(HsConfig(scenario_count=2, seed=5,
                            box=((1, 3), (1, 3), (1, 2), (1, 2))))
