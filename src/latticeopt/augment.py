@@ -6,13 +6,15 @@ until no move applies. Each full-multiple step is a run of unit steps along
 one move, so the fixed point is the same: over a valid test set it is the
 optimum of the cost order's lexicographic refinement; over a
 negation-closed Graver basis the improving halves of the pairs play the
-same role.
+same role. A walk takes its moves and the cost it minimises together, as
+one `PreparedMoves`.
 
 Phase-I follows the extended-matrix method of Conti and Traverso
 ("Buchberger algorithm and integer programming", AAECC-9, LNCS 539, 1991)
 over a narrow extension: one artificial column per (row, sign) that the
-right-hand sides to be served use, rather than [A | I | -I]. One test set
-of it serves every such b, each walk starting at (0, |b| on the matching
+right-hand sides to be served use, rather than [A | I | -I]. The
+`ArtificialSystem` holds the extension and its prepared test set, which
+serves every such b, each walk starting at (0, |b| on the matching
 columns).
 """
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from .groebner import GroebnerBasis, test_set
+from .groebner import orient, test_set
 from .lattice import CostOrder, IntMatrix, IntVector, as_vector
 
 
@@ -33,57 +35,53 @@ class AugmentResult(NamedTuple):
 class PreparedMoves(NamedTuple):
     """A move set's improving moves in scan order, for one cost vector.
 
-    `cost` holds the entries the moves were filtered and sorted for, and
-    each move is (entries, positive part as (index, entry) pairs).
+    `cost` is the vector a walk over the moves minimises, and each move is
+    (entries, positive part as (index, entry) pairs).
     """
 
-    cost: tuple
+    cost: IntVector
     moves: tuple
 
 
 def prepare_moves(T, c: "IntVector | Iterable[int]") -> PreparedMoves:
-    """Moves with positive cost, or zero cost and lexicographically downhill.
+    """The moves t of T that `orient` leaves as they are, in scan order.
 
-    Applying such a t to any point strictly decreases (c.z, tie-broken z);
-    every other element can never be taken, so it is dropped up front. The
-    scan order is fixed: best cost improvement first, then entry order.
-    Walks that share a move set and a cost can share the result.
+    Those are the t with c.t > 0, or with c.t = 0 and a positive first
+    nonzero entry in tie order. Applying such a t to any point strictly
+    decreases (c.z, tie-broken z); every other element can never be taken,
+    so it is dropped up front. The scan order is fixed: best cost
+    improvement first, then entry order. Walks that share a move set and a
+    cost can share the result.
     """
     order = CostOrder(c)
     keyed = []
     for t in T:
-        entries = t.entries if isinstance(t, IntVector) else tuple(t)
-        if not any(entries):
+        t = as_vector(t)
+        if t.is_zero():
             continue
-        cdot = order.dot(IntVector(entries))
-        if cdot < 0:
-            continue
-        if cdot == 0:
-            lead = next(entries[i] for i in order.tie_order if entries[i])
-            if lead < 0:
-                continue
-        pos = tuple((i, x) for i, x in enumerate(entries) if x > 0)
-        keyed.append((-cdot, entries, pos))
+        cdot = order.dot(t)  # raises on a length mismatch
+        if orient(t, order) is t:
+            pos = tuple((i, x) for i, x in enumerate(t.entries) if x > 0)
+            keyed.append((-cdot, t.entries, pos))
     keyed.sort()
-    return PreparedMoves(order.cost.entries,
+    return PreparedMoves(order.cost,
                          tuple((entries, pos) for _, entries, pos in keyed))
 
 
-def augment(z0: "IntVector | Iterable[int]", c: "IntVector | Iterable[int]",
-            T, A: IntMatrix, b: "IntVector | Iterable[int]") -> AugmentResult:
+def augment(z0: "IntVector | Iterable[int]", moves: PreparedMoves,
+            A: IntMatrix, b: "IntVector | Iterable[int]") -> AugmentResult:
     """Walk downhill from a feasible point; returns the fixed point reached.
 
-    T is a move set, or its `prepare_moves` result for c. Each step applies
-    the largest feasible multiple of the first applicable move. A start or
-    end off {z >= 0 in ints : A z = b} raises ValueError.
+    The walk minimises `moves.cost` over `moves`, a `prepare_moves` result.
+    Each step applies the largest feasible multiple of the first applicable
+    move. A start or end off {z >= 0 in ints : A z = b} raises ValueError.
     """
-    z0, c, b = as_vector(z0), as_vector(c), as_vector(b)
+    if not isinstance(moves, PreparedMoves):
+        raise TypeError("augment walks prepared moves: pass the move set "
+                        "through prepare_moves(T, c)")
+    z0, b, c = as_vector(z0), as_vector(b), moves.cost
     if len(z0) != A.ncols or len(c) != A.ncols:
         raise ValueError("dimension mismatch with matrix columns")
-    if not isinstance(T, PreparedMoves):
-        T = prepare_moves(T, c)
-    elif T.cost != c.entries:
-        raise ValueError("moves were prepared for another cost vector")
     if (not all(isinstance(e, int) and e >= 0 for e in z0.entries)
             or A.mat_vec(z0) != b):
         raise ValueError("invalid point: start must be in ints, >= 0, A z = b")
@@ -93,7 +91,7 @@ def augment(z0: "IntVector | Iterable[int]", c: "IntVector | Iterable[int]",
     progress = True
     while progress:
         progress = False
-        for entries, pos in T.moves:
+        for entries, pos in moves.moves:
             if all(z[i] >= x for i, x in pos):
                 if not pos:
                     raise ValueError("improving move %r has no positive "
@@ -111,15 +109,17 @@ def augment(z0: "IntVector | Iterable[int]", c: "IntVector | Iterable[int]",
 
 
 class ArtificialSystem(NamedTuple):
-    """A's Phase-I extension [A | S] and the cost that charges S.
+    """A's Phase-I extension [A | S] and its prepared test set.
 
     Each column of S is s e_i for one (row i, sign s) in `columns`, in
     column order: every positive sign in row order, then every negative one.
+    The moves are prepared for the cost that charges S: `moves.cost` is 0 on
+    A's columns and 1 on S's.
     """
 
     matrix: IntMatrix
-    cost: IntVector
     columns: tuple
+    moves: PreparedMoves
 
     def start(self, b: IntVector) -> IntVector:
         """(0, |b| on the matching columns): the Phase-I walk's start for b."""
@@ -133,55 +133,51 @@ class ArtificialSystem(NamedTuple):
 def artificial_system(A: IntMatrix, rhss) -> ArtificialSystem:
     """A plus one artificial column per (row, sign) some b in rhss uses.
 
-    Rows whose b is always 0 get no column. One test set of the extension
-    drives Phase-I for every right-hand side with those signs; when the
-    right-hand sides use both signs in every row it is [A | I | -I].
+    Rows whose b is always 0 get no column. The extension's test set is
+    completed here, once: it drives Phase-I for every right-hand side with
+    those signs. When the right-hand sides use both signs in every row the
+    extension is [A | I | -I]. A b whose length is not A's row count raises
+    ValueError.
     """
     m = A.nrows
     pos, neg = [False] * m, [False] * m
     for b in rhss:
-        for i, x in enumerate(as_vector(b).entries):
+        b = as_vector(b)
+        if len(b) != m:
+            raise ValueError("right-hand side %r does not have the matrix's "
+                             "%d rows" % (b.entries, m))
+        for i, x in enumerate(b.entries):
             if x > 0:
                 pos[i] = True
             elif x < 0:
                 neg[i] = True
     columns = (tuple((i, 1) for i in range(m) if pos[i])
                + tuple((i, -1) for i in range(m) if neg[i]))
-    rows = [tuple(row) + tuple(s if k == i else 0 for k, s in columns)
-            for i, row in enumerate(A.rows)]
+    ext = IntMatrix([tuple(row) + tuple(s if k == i else 0 for k, s in columns)
+                     for i, row in enumerate(A.rows)])
     cost = IntVector((0,) * A.ncols + (1,) * len(columns))
-    return ArtificialSystem(IntMatrix(rows), cost, columns)
+    return ArtificialSystem(ext, columns,
+                            prepare_moves(test_set(ext, cost), cost))
 
 
-def phase_one_feasible(A: IntMatrix, b: "IntVector | Iterable[int]",
-                       system: Optional[ArtificialSystem] = None,
-                       moves: "Optional[GroebnerBasis | PreparedMoves]" = None,
+def phase_one_feasible(system: ArtificialSystem,
+                       b: "IntVector | Iterable[int]",
                        steps: Optional[list] = None) -> Optional[IntVector]:
     """A feasible point of {z >= 0 : Az = b}, or None when there is none.
 
-    Minimizes the artificial total by augmentation on `system`, an
-    `artificial_system` of A whose right-hand sides use every sign b uses
-    (by default b alone). `moves` may carry the system's precomputed test
-    set, or that set prepared for its cost, so callers solving many b
-    against one extension complete it once. When `steps` is a list, the
-    walk's step count is appended to it.
+    A is the matrix `system` extends, an `artificial_system` whose
+    right-hand sides use every sign b uses. The walk minimises the
+    artificial total over the system's test set; b is feasible exactly when
+    it reaches 0. When `steps` is a list, the walk's step count is appended
+    to it.
     """
     b = as_vector(b)
-    if len(b) != A.nrows:
+    ext = system.matrix
+    if len(b) != ext.nrows:
         raise ValueError("right-hand side length must match row count")
-    if system is None:
-        if moves is not None:
-            raise ValueError("precomputed moves need the system they serve")
-        system = artificial_system(A, (b,))
-    ext, n = system.matrix, A.ncols
-    if (ext.nrows != A.nrows
-            or any(r[:n] != a for r, a in zip(ext.rows, A.rows))):
-        raise ValueError("artificial system does not extend the matrix")
-    if moves is None:
-        moves = test_set(ext, system.cost)
-    res = augment(system.start(b), system.cost, moves, ext, b)
+    res = augment(system.start(b), system.moves, ext, b)
     if steps is not None:
         steps.append(res.steps)
     if res.value != 0:
         return None
-    return IntVector(res.solution.entries[:n])
+    return IntVector(res.solution.entries[:ext.ncols - len(system.columns)])

@@ -10,16 +10,17 @@ with full-multiple steps over a Groebner basis (kernel method), over the
 Graver basis (graver method), or brute force in a box (oracle method),
 which asks no hook. A solver computes its matrix's algebra once and, for
 Groebner bases, once per distinct cost, and prepares each walk's improving
-moves once per cost. A walk starts at the instance's hook point for its
-cell, which `augment` tests, or at a Phase-I point found over a single test
-set of M's narrow extension: one artificial column per (row, sign) that a
-right-hand side the solver will see uses, gathered when the set is first
-needed. A matrix row depends only on its decision, so each distinct
-decision is solved once, and its T x computed once; counters make that
-reuse observable. Every build runs in one process. Each phase books its
-time where it runs and the row loop books only what no phase inside it
-booked, so a build's timings are disjoint and add up to its timed wall
-clock.
+moves once per cost; the prepared moves carry the cost they minimise, so a
+solve is handed the cost only through them. A walk starts at the
+instance's hook point for its cell, which `augment` tests, or at a Phase-I
+point found over M's narrow artificial system: one artificial column per
+(row, sign) that a right-hand side the solver will see uses, gathered, and
+the extension's test set completed, when Phase-I is first needed. A matrix
+row depends only on its decision, so each distinct decision is solved once,
+and its T x computed once; counters make that reuse observable. Every
+build runs in one process. Each phase books its time where it runs and the
+row loop books only what no phase inside it booked, so a build's timings
+are disjoint and add up to its timed wall clock.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import oracle
-from .augment import (artificial_system, augment, phase_one_feasible,
-                      prepare_moves)
+from .augment import (PreparedMoves, artificial_system, augment,
+                      phase_one_feasible, prepare_moves)
 from .graver import graver_basis
-from .groebner import buchberger, test_set
+from .groebner import buchberger
 from .lattice import CostOrder, IntMatrix, IntVector, as_vector
 from .toric import toric_generating_set
 
@@ -258,18 +259,18 @@ class _Solver:
     """One method's solves of min cost.z : M z = b, z >= 0 for one matrix M.
 
     A solver serves one matrix: its toric generators, its Graver basis and
-    its Phase-I test set are built once, Groebner bases and the walks'
-    prepared improving moves once per cost. `rhss` is a callable giving
-    every right-hand side the solver will see; the Phase-I extension has one
-    artificial column per (row, sign) they use, and is scanned for only
-    when a solve first needs Phase-I. A walk starts at `head` followed by
-    the hook's point for the cell, or at a Phase-I point when `head` is
-    None or the instance has no hook or it gives no point. Each object is
-    built on its first use, wherever that falls; its build is timed and
-    counted there, so the build's solver for W records exactly the build's
-    algebra. Each Phase-I walk is timed apart from the set it walks over.
-    No other code branches on the method; `walk_us` names the timing a walk
-    books to.
+    its Phase-I artificial system are built once, Groebner bases and the
+    walks' prepared improving moves once per cost. `rhss` is a callable
+    giving every right-hand side the solver will see; the Phase-I extension
+    has one artificial column per (row, sign) they use, and is built, with
+    its test set, only when a solve first needs Phase-I. A walk starts at
+    `head` followed by the hook's point for the cell, or at a Phase-I point
+    when `head` is None or the instance has no hook or it gives no point.
+    Each object is built on its first use, wherever that falls; its build
+    is timed and counted there, so the build's solver for W records exactly
+    the build's algebra. Each Phase-I walk is timed apart from the set it
+    walks over. No other code branches on the method; `walk_us` names the
+    timing a walk books to.
     """
 
     def __init__(self, instance: SipInstance, method: str, M: IntMatrix,
@@ -303,10 +304,10 @@ class _Solver:
                 setattr(c, elements, getattr(c, elements) + len(obj))
         return obj
 
-    def moves(self, cost: IntVector):
-        """The walk's prepared moves for cost; None for the oracle."""
+    def moves(self, cost: IntVector) -> PreparedMoves:
+        """The walk's prepared moves for cost; the oracle's hold no moves."""
         if self.method == METHOD_ORACLE:
-            return None
+            return PreparedMoves(cost, ())
         M = self.M
         if self.method == METHOD_GRAVER:
             timing = "graver_us"
@@ -323,23 +324,15 @@ class _Solver:
         return self._once((timing, "moves", cost.entries),
                           lambda: prepare_moves(basis, cost))
 
-    def phase_one_set(self):
-        """M's Phase-I extension over `rhss` and its prepared test set."""
-        def build():
-            system = artificial_system(self.M, self.rhss())
-            return system, prepare_moves(test_set(system.matrix, system.cost),
-                                         system.cost)
-        return self._once(("phase_one_us",), build, "phase_one_bases")
-
-    def solve(self, cost: IntVector, b: IntVector, cell: tuple, moves):
+    def solve(self, b: IntVector, cell: tuple, moves: PreparedMoves):
         """The refined optimum of min cost.z : M z = b, z >= 0, or None.
 
-        The result carries the optimum as `.solution` and its cost as
-        `.value`. `cell` is the (x, j) that b serves. Kernel and graver walk
-        over `moves`, which is `self.moves(cost)`, from the hook's point for
-        the cell after `head`, or from a Phase-I point; `augment` tests the
-        start. The oracle searches var_bound's box, or one derived from b,
-        and asks no hook.
+        `moves` is `self.moves(cost)`, and the cost is `moves.cost`. The
+        result carries the optimum as `.solution` and its cost as `.value`.
+        `cell` is the (x, j) that b serves. Kernel and graver walk over
+        `moves` from the hook's point for the cell after `head`, or from a
+        Phase-I point; `augment` tests the start. The oracle searches
+        var_bound's box, or one derived from b, and asks no hook.
         """
         M, c = self.M, self.counters
         if self.method == METHOD_ORACLE:
@@ -347,7 +340,8 @@ class _Solver:
             if bound is None:
                 bound = _derived_uniform_bound(self.instance, b)
             c.oracle_solves += 1
-            res = oracle.solve_bruteforce(oracle.IpProblem(M, b, cost, bound))
+            res = oracle.solve_bruteforce(
+                oracle.IpProblem(M, b, moves.cost, bound))
             return res if res.status == oracle.OPTIMAL else None
         start, hook = None, self.instance.feasible_recourse
         if hook is not None and self.head is not None:
@@ -357,17 +351,19 @@ class _Solver:
                 start = self.head + as_vector(y).entries
         if start is None:
             c.phase_one_calls += 1
-            system, p1_moves = self.phase_one_set()
+            system = self._once(
+                ("phase_one_us",), lambda: artificial_system(M, self.rhss()),
+                "phase_one_bases")
             steps = []
             t0 = time.perf_counter_ns()
-            start = phase_one_feasible(M, b, system, p1_moves, steps)
+            start = phase_one_feasible(system, b, steps)
             self.timings_us["phase_one_walk_us"] += (
                 time.perf_counter_ns() - t0) // 1000
             c.walk_steps += steps[0]
             if start is None:
                 return None
         c.augment_calls += 1
-        res = augment(start, cost, moves, M, b)
+        res = augment(start, moves, M, b)
         c.walk_steps += res.steps
         return res
 
@@ -393,7 +389,7 @@ def single_scenario_decisions(instance: SipInstance,
     for j, sc in enumerate(instance.scenarios):
         cost = IntVector(instance.gamma.entries + sc.cost.entries)
         b = IntVector(head + sc.rhs.entries)
-        res = solver.solve(cost, b, (x0, j), solver.moves(cost))
+        res = solver.solve(b, (x0, j), solver.moves(cost))
         if res is None:
             raise ValueError("scenario %d: stacked system infeasible" % j)
         out.append(IntVector(res.solution.entries[:instance.first_stage_dim]))
@@ -415,7 +411,7 @@ def _build(instance, decisions, method, q_only, var_bound=None):
     for x, t in tx.items():
         row = rows[x] = []
         for j, (sc, moves) in enumerate(zip(scenarios, row_moves)):
-            res = solver.solve(sc.cost, sc.rhs - t, (x, j), moves)
+            res = solver.solve(sc.rhs - t, (x, j), moves)
             row.append(None if res is None else res.value)
     # the loop's time less what the phases inside it booked themselves
     timings[solver.walk_us] += ((time.perf_counter_ns() - t0) // 1000

@@ -25,9 +25,8 @@ class OracleResourceError(RuntimeError):
     """Raised when the search would visit more nodes than the configured cap."""
 
 
-def _resolve_cap(node_cap: Optional[int]) -> int:
-    if node_cap is not None:
-        return node_cap
+def _resolve_cap() -> int:
+    """OPCOST_NODE_CAP when set, which must be positive; else the default."""
     raw = os.environ.get(NODE_CAP_ENV)
     if raw is None:
         return DEFAULT_NODE_CAP
@@ -154,7 +153,7 @@ def _walk(rows, b, lows, highs, cap, leaf):
     walk(0)
 
 
-def solve_bruteforce(problem: IpProblem, node_cap: Optional[int] = None) -> IpOutcome:
+def solve_bruteforce(problem: IpProblem) -> IpOutcome:
     """Exhaustive search for the >_c-smallest cost minimizer in the box.
 
     Ties in c.z are broken toward the lexicographically smallest solution, so
@@ -175,21 +174,20 @@ def solve_bruteforce(problem: IpProblem, node_cap: Optional[int] = None) -> IpOu
             best_sol = tuple(z)
 
     _walk([tuple(r) for r in problem.A.rows], tuple(problem.b.entries),
-          (0,) * len(highs), highs, _resolve_cap(node_cap), keep_best)
+          (0,) * len(highs), highs, _resolve_cap(), keep_best)
     if best_sol is None:
         return IpOutcome(INFEASIBLE_IN_BOX, None, None)
     return IpOutcome(OPTIMAL, IntVector(best_sol), best_val)
 
 
-def enumerate_graver_in_box(A: IntMatrix, bound: int,
-                            node_cap: Optional[int] = None) -> VectorSet:
+def enumerate_graver_in_box(A: IntMatrix, bound: int) -> VectorSet:
     """Conformally minimal nonzero kernel vectors with every |v_i| <= bound."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     n = A.ncols
     sols: list = []
     _walk([tuple(r) for r in A.rows], (0,) * A.nrows, (-bound,) * n,
-          (bound,) * n, _resolve_cap(node_cap),
+          (bound,) * n, _resolve_cap(),
           lambda z: sols.append(tuple(z)))
     sols = [v for v in sols if any(v)]
     sols.sort(key=lambda t: (sum(abs(x) for x in t), t))

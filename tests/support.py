@@ -65,16 +65,17 @@ def check_test_set(A: IntMatrix, order, elements, box: int = 6, fibers=None):
 
 def check_augmentation_exact(A, c, moves, box=6, fibers=None):
     """Augmenting from every boxed feasible point must reach the fiber optimum."""
-    from latticeopt.augment import augment
+    from latticeopt.augment import augment, prepare_moves
     from latticeopt.lattice import CostOrder
 
     order = CostOrder(c)
+    prepared = prepare_moves(moves, c)
     if fibers is None:
         fibers = boxed_fibers(A, box)
     for b, pts in fibers.items():
         best = min(pts, key=lambda z: order_key(order, z))
         for z in pts:
-            res = augment(z, c, moves, A, b)
+            res = augment(z, prepared, A, b)
             assert tuple(res.solution) == best, (b, z, best, res)
             assert res.value == sum(ci * xi for ci, xi in zip(c, best))
 

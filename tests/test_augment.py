@@ -19,13 +19,14 @@ from latticeopt.lattice import IntMatrix, IntVector, VectorSet
 import support
 
 
-def _vs(*tuples):
-    return VectorSet(IntVector(t) for t in tuples)
+def _moves(c, *tuples):
+    return prepare_moves(VectorSet(IntVector(t) for t in tuples), c)
 
 
 def test_worked_walk_on_sum_matrix():
     A = IntMatrix([[1, 1, 1]])
-    res = augment((0, 0, 3), (1, 2, 3), _vs((-1, 1, 0), (0, -1, 1)), A, (3,))
+    res = augment((0, 0, 3), _moves((1, 2, 3), (-1, 1, 0), (0, -1, 1)), A,
+                  (3,))
     assert res.solution == IntVector((3, 0, 0))
     assert res.value == 3
     # each step takes a move as far as it goes: (0,3,0), then (3,0,0)
@@ -34,37 +35,47 @@ def test_worked_walk_on_sum_matrix():
 
 def test_empty_move_set_is_fixed_point():
     A = IntMatrix([[1, 1, 1]])
-    res = augment((0, 0, 3), (1, 2, 3), VectorSet(), A, (3,))
+    res = augment((0, 0, 3), _moves((1, 2, 3)), A, (3,))
     assert res.solution == IntVector((0, 0, 3))
     assert res.steps == 0
 
 
 def test_optimal_start_unchanged():
     A = IntMatrix([[1, 1, 1]])
-    res = augment((3, 0, 0), (1, 2, 3), _vs((-1, 1, 0), (0, -1, 1)), A, (3,))
+    res = augment((3, 0, 0), _moves((1, 2, 3), (-1, 1, 0), (0, -1, 1)), A,
+                  (3,))
     assert res.solution == IntVector((3, 0, 0))
     assert res.steps == 0
 
 
 def test_rejects_bad_starts():
     A = IntMatrix([[1, 1, 1]])
-    T = _vs((-1, 1, 0))
+    T = _moves((1, 2, 3), (-1, 1, 0))
     with pytest.raises(ValueError):
-        augment((1, 1, 0), (1, 2, 3), T, A, (3,))
+        augment((1, 1, 0), T, A, (3,))
     with pytest.raises(ValueError):
-        augment((4, -1, 0), (1, 2, 3), T, A, (3,))
+        augment((4, -1, 0), T, A, (3,))
     with pytest.raises(ValueError):
-        augment((1, 2), (1, 2, 3), T, A, (3,))
+        augment((1, 2), T, A, (3,))
+
+
+def test_raw_move_set_rejected():
+    # the walk's cost travels with its moves: a bare set has none
+    A = IntMatrix([[1, 1, 1]])
+    T = VectorSet([IntVector((-1, 1, 0))])
+    with pytest.raises(TypeError, match="prepare_moves"):
+        augment((3, 0, 0), T, A, (3,))
+    assert augment((3, 0, 0), prepare_moves(T, (1, 2, 3)), A, (3,)).value == 3
 
 
 def test_start_entries_must_be_ints():
     # floats equal to a feasible start would run the walk in floating point
     A = IntMatrix([[1, 1, 1]])
-    T = _vs((-1, 1, 0))
-    assert augment((3, 0, 0), (1, 2, 3), T, A, (3,)).value == 3
+    T = _moves((1, 2, 3), (-1, 1, 0))
+    assert augment((3, 0, 0), T, A, (3,)).value == 3
     for start in ((3.0, 0, 0), (3, 0.0, 0), (3, 0, 0.0)):
         with pytest.raises(ValueError, match="invalid point"):
-            augment(start, (1, 2, 3), T, A, (3,))
+            augment(start, T, A, (3,))
 
 
 def test_exact_over_test_sets_random():
@@ -83,6 +94,9 @@ def test_graver_universal_over_twenty_costs():
     fibers = support.boxed_fibers(A, 6)
     for _ in range(20):
         c = [rng.randint(0, 7) for _ in range(4)]
+        prepared = prepare_moves(gamma, c)
+        assert prepared.cost == IntVector(c)
+        assert all(pos for _, pos in prepared.moves)
         support.check_augmentation_exact(A, c, gamma, fibers=fibers)
 
 
@@ -90,7 +104,7 @@ def test_zero_cost_moves_respect_tie_order():
     # cost ignores both coordinates, so the walk is pure lexicographic descent
     A = IntMatrix([[1, 1]])
     gamma = graver_basis(A)
-    res = augment((4, 0), (0, 0), gamma, A, (4,))
+    res = augment((4, 0), prepare_moves(gamma, (0, 0)), A, (4,))
     assert res.solution == IntVector((0, 4))
     assert res.steps == 1
 
@@ -99,79 +113,83 @@ def test_full_multiple_steps_on_large_rhs():
     # unit steps would take a million; each step applies a whole multiple
     A = IntMatrix([[1, 1, 1]])
     n = 10 ** 6
-    res = augment((0, 0, n), (1, 2, 3), graver_basis(A), A, (n,))
+    res = augment((0, 0, n), prepare_moves(graver_basis(A), (1, 2, 3)), A,
+                  (n,))
     assert res.solution == IntVector((n, 0, 0))
     assert res.value == n
     assert res.steps <= 2
-
-
-def test_prepared_moves_walk_like_the_move_set():
-    rng = random.Random(91)
-    A = support.random_matrix(rng, 2, 4, 0, 3)
-    gamma = graver_basis(A)
-    c = (3, 1, 4, 1)
-    prepared = prepare_moves(gamma, c)
-    assert prepared.cost == c
-    assert all(pos for _, pos in prepared.moves)
-    for b, pts in support.boxed_fibers(A, 4).items():
-        for z in pts:
-            assert augment(z, c, prepared, A, b) == augment(z, c, gamma, A, b)
 
 
 # right-hand sides of a two-row matrix that use both signs in both rows
 BOTH_SIGNS = ((1, -1), (-1, 1))
 
 
+def _phase_one(A, b):
+    return phase_one_feasible(artificial_system(A, [b]), b)
+
+
 def test_artificial_system_shape():
     A = IntMatrix([[1, -1], [2, 1]])
-    ext, cost, columns = artificial_system(A, BOTH_SIGNS)
+    ext, columns, moves = artificial_system(A, BOTH_SIGNS)
     assert ext.rows == ((1, -1, 1, 0, -1, 0), (2, 1, 0, 1, 0, -1))
-    assert cost == IntVector((0, 0, 1, 1, 1, 1))
+    assert moves.cost == IntVector((0, 0, 1, 1, 1, 1))
     assert columns == ((0, 1), (1, 1), (0, -1), (1, -1))
+    assert moves == prepare_moves(groebner.test_set(ext, moves.cost),
+                                  moves.cost)
 
 
 def test_artificial_system_one_column_per_used_sign():
     A = IntMatrix([[1, -1], [2, 1]])
-    ext, cost, columns = artificial_system(A, [(1, 0), (2, 3)])
+    ext, columns, moves = artificial_system(A, [(1, 0), (2, 3)])
     assert ext.rows == ((1, -1, 1, 0), (2, 1, 0, 1))
-    assert cost == IntVector((0, 0, 1, 1))
+    assert moves.cost == IntVector((0, 0, 1, 1))
     assert columns == ((0, 1), (1, 1))
     # row 0 is always zero: it gets no column; row 1 only the negative one
-    ext, cost, columns = artificial_system(A, [(0, -1), (0, 0)])
+    ext, columns, moves = artificial_system(A, [(0, -1), (0, 0)])
     assert ext.rows == ((1, -1, 0), (2, 1, -1))
-    assert cost == IntVector((0, 0, 1)) and columns == ((1, -1),)
-    ext, cost, columns = artificial_system(A, [(0, 0)])
-    assert ext == A and cost == IntVector((0, 0)) and columns == ()
+    assert moves.cost == IntVector((0, 0, 1)) and columns == ((1, -1),)
+    ext, columns, moves = artificial_system(A, [(0, 0)])
+    assert ext == A and moves.cost == IntVector((0, 0)) and columns == ()
+
+
+def test_artificial_system_rejects_rhs_of_wrong_length():
+    A = IntMatrix([[1, 1]])
+    B = IntMatrix([[1, 1], [1, 0]])
+    for M, rhss in ((A, [(1, 2)]), (A, [()]), (B, [(1,)]),
+                    (B, [(1, 0), (1, 0, 0)])):
+        with pytest.raises(ValueError, match="rows"):
+            artificial_system(M, rhss)
 
 
 def test_phase_one_finds_point():
     A = IntMatrix([[1, 1, 1]])
-    z = phase_one_feasible(A, (3,))
+    z = _phase_one(A, (3,))
     assert z is not None and A.mat_vec(z) == IntVector((3,))
     assert all(e >= 0 for e in z.entries)
 
 
 def test_phase_one_zero_rhs():
-    z = phase_one_feasible(IntMatrix([[1, 1, 1]]), (0,))
+    z = _phase_one(IntMatrix([[1, 1, 1]]), (0,))
     assert z == IntVector((0, 0, 0))
 
 
 def test_phase_one_parity_infeasible():
-    assert phase_one_feasible(IntMatrix([[2]]), (3,)) is None
+    assert _phase_one(IntMatrix([[2]]), (3,)) is None
 
 
 def test_phase_one_negative_rhs():
     A = IntMatrix([[1, -1]])
-    z = phase_one_feasible(A, (-2,))
+    z = _phase_one(A, (-2,))
     assert z is not None and A.mat_vec(z) == IntVector((-2,))
 
 
 def test_phase_one_accepts_precomputed_moves():
     A = IntMatrix([[1, 1, 1]])
     system = artificial_system(A, [(1,), (-1,)])
-    moves = groebner.test_set(system.matrix, system.cost)
     for b in (3, 0, -1):
-        z = phase_one_feasible(A, (b,), system, moves)
+        steps = []
+        z = phase_one_feasible(system, (b,), steps)
+        assert len(steps) == 1
         if b < 0:
             assert z is None
         else:
@@ -183,10 +201,9 @@ def test_phase_one_one_move_set_serves_every_rhs():
     for _ in range(3):
         A = support.random_matrix(rng, 2, 4, 0, 3)
         system = artificial_system(A, BOTH_SIGNS)
-        moves = groebner.test_set(system.matrix, system.cost)
         fibers = support.boxed_fibers(A, 6)
         for b in itertools.product(range(-2, 7), repeat=2):
-            z = phase_one_feasible(A, b, system, moves)
+            z = phase_one_feasible(system, b)
             if b not in fibers:
                 assert z is None, (A.rows, b, z)
             else:
@@ -210,10 +227,8 @@ def test_phase_one_narrow_extension_decides_feasibility():
         for rhss in lists:
             system = artificial_system(A, rhss)
             assert len(system.columns) < 2 * A.nrows
-            moves = prepare_moves(
-                groebner.test_set(system.matrix, system.cost), system.cost)
             for b in rhss:
-                z = phase_one_feasible(A, b, system, moves)
+                z = phase_one_feasible(system, b)
                 if b not in fibers:
                     assert z is None, (A.rows, b, z)
                 else:
@@ -221,12 +236,13 @@ def test_phase_one_narrow_extension_decides_feasibility():
                     assert A.mat_vec(z) == IntVector(b)
                     assert all(e >= 0 for e in z.entries)
         with pytest.raises(ValueError, match="no artificial column"):
-            phase_one_feasible(A, (-1, 0), artificial_system(A, lists[0]))
+            phase_one_feasible(artificial_system(A, lists[0]), (-1, 0))
 
 
 def test_phase_one_rhs_length_checked():
     with pytest.raises(ValueError):
-        phase_one_feasible(IntMatrix([[1, 1]]), (1, 2))
+        phase_one_feasible(artificial_system(IntMatrix([[1, 1]]), [(1,)]),
+                           (1, 2))
 
 
 def test_invariants_hold_under_optimize_flag():
@@ -242,19 +258,16 @@ def test_invariants_hold_under_optimize_flag():
             "GraverBasis": lambda: GraverBasis(
                 A, VectorSet([IntVector((1, 0))])),
             "augment": lambda: augment(
-                (1, 1), (1, 1), [IntVector((1, 0))], A, (2,)),
-            "augment, moves prepared for another cost": lambda: augment(
-                (1, 1), (1, 1), prepare_moves([IntVector((1, -1))], (2, 1)),
-                A, (2,)),
+                (1, 1), prepare_moves([IntVector((1, 0))], (1, 1)), A, (2,)),
             "augment, improving move without a positive entry":
-                lambda: augment((1, 1), (1, 1), PreparedMoves(
-                    (1, 1), (((-1, 0), ()),)), IntMatrix(((0, 1),)), (1,)),
+                lambda: augment((1, 1), PreparedMoves(
+                    IntVector((1, 1)), (((-1, 0), ()),)),
+                    IntMatrix(((0, 1),)), (1,)),
+            "artificial_system, b of another length":
+                lambda: artificial_system(A, [(1, 2)]),
             "phase_one_feasible, b uses a sign with no artificial column":
                 lambda: phase_one_feasible(
-                    A, (-2,), artificial_system(A, [(2,)])),
-            "phase_one_feasible, extension of another matrix":
-                lambda: phase_one_feasible(
-                    A, (2,), artificial_system(IntMatrix(((1, 2),)), [(2,)])),
+                    artificial_system(A, [(2,)]), (-2,)),
         }
         for name, call in calls.items():
             try:

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import time
 from fractions import Fraction
@@ -105,15 +106,18 @@ def test_single_scenario_decisions_match_oracle_values():
 def test_single_scenario_decisions_build_each_stacked_test_set_once(
         monkeypatch):
     calls = {}
-    for name in ("toric_generating_set", "buchberger", "graver_basis",
-                 "test_set"):
+    # the package's `augment` attribute is the function, not the module
+    augment_module = importlib.import_module("latticeopt.augment")
+    for module, name in ((opcost, "toric_generating_set"),
+                         (opcost, "buchberger"), (opcost, "graver_basis"),
+                         (augment_module, "test_set")):
         calls[name] = 0
 
-        def counted(*args, _name=name, _fn=getattr(opcost, name), **kwargs):
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(opcost, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
     hs = gen_hs(HS_CFG)
     assert len({s.cost.entries for s in hs.scenarios}) == 1

@@ -8,6 +8,7 @@ import pytest
 from latticeopt.lattice import IntMatrix, IntVector
 from latticeopt.oracle import (
     INFEASIBLE_IN_BOX,
+    NODE_CAP_ENV,
     OPTIMAL,
     IpOutcome,
     IpProblem,
@@ -67,11 +68,22 @@ def test_per_variable_bounds():
                   (2, 5, 7)).bounds()
 
 
-def test_node_cap_raises():
+def test_node_cap_raises(monkeypatch):
     p = IpProblem(IntMatrix([[1, 1, 1, 1]]), IntVector([8]),
                   IntVector([1, 1, 1, 1]), 8)
+    monkeypatch.setenv(NODE_CAP_ENV, "5")
     with pytest.raises(OracleResourceError):
-        solve_bruteforce(p, node_cap=5)
+        solve_bruteforce(p)
+
+
+def test_node_cap_env_must_be_positive(monkeypatch):
+    p = IpProblem(IntMatrix([[1, 1]]), IntVector([2]), IntVector([1, 1]), 2)
+    for raw in ("0", "-5"):
+        monkeypatch.setenv(NODE_CAP_ENV, raw)
+        with pytest.raises(ValueError, match=NODE_CAP_ENV):
+            solve_bruteforce(p)
+        with pytest.raises(ValueError, match=NODE_CAP_ENV):
+            enumerate_graver_in_box(IntMatrix([[1, 1]]), 1)
 
 
 def test_solve_matches_raw_enumeration_random():

@@ -97,7 +97,7 @@ def test_saturation_certificate_random_instances():
     # Fifty (b, c) pairs across two matrices: a test set seeded by the
     # generators must land on the brute-force optimum from a brute-force
     # feasible start. This is the operational stand-in for ideal membership.
-    from latticeopt.augment import augment
+    from latticeopt.augment import augment, prepare_moves
     from latticeopt.groebner import buchberger
     from latticeopt.oracle import OPTIMAL, IpProblem, solve_bruteforce
 
@@ -115,6 +115,6 @@ def test_saturation_certificate_random_instances():
             assert start.status == OPTIMAL
             best = solve_bruteforce(IpProblem(A, b, c, bound))
             gb = buchberger(gens.generators, CostOrder(c), matrix=A)
-            res = augment(start.solution, c, gb, A, b)
+            res = augment(start.solution, prepare_moves(gb, c), A, b)
             assert res.value == best.value
             assert res.solution == best.solution
