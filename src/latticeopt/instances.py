@@ -13,7 +13,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .lattice import IntMatrix, IntVector, as_vector
 from .opcost import Scenario, SipInstance
@@ -123,7 +123,6 @@ class SndConfig:
     flow_costs: Optional[tuple] = None
     capacities: tuple = (2, 2, 2)
     max_demand: int = 1
-    demand_sampler: Optional[Callable] = None
 
     def __post_init__(self):
         if self.scenario_count < 1:
@@ -154,15 +153,6 @@ class SndConfig:
         if self.flow_costs is not None:
             return tuple(tuple(row) for row in self.flow_costs)
         return tuple((1,) * len(self.arcs) for _ in range(self.commodities))
-
-
-def _default_demands(rng, config, commodity, scenario):
-    d = [0] * config.vertices
-    src, dst = rng.sample(range(config.vertices), 2)
-    amount = rng.randint(0, config.max_demand)
-    d[src] += amount
-    d[dst] -= amount
-    return tuple(d)
 
 
 def gen_snd(config: SndConfig) -> SipInstance:
@@ -211,18 +201,18 @@ def gen_snd(config: SndConfig) -> SipInstance:
 
     cost = IntVector(tuple(flow_costs[c][a] for c in range(ncom)
                            for a in range(narcs)) + (0,) * narcs)
-    sampler = config.demand_sampler or _default_demands
 
     n = config.scenario_count
     scenarios = []
-    for s in range(n):
+    for _ in range(n):
         h = []
-        for c in range(ncom):
-            d = sampler(rng, config, c, s)
-            if len(d) != config.vertices or sum(d) != 0:
-                raise ValueError(
-                    "scenario %d commodity %d: demands must balance" % (s, c))
-            h.extend(int(e) for e in d)
+        for _ in range(ncom):
+            # one balanced demand per commodity: amount from src to dst
+            d = [0] * config.vertices
+            src, dst = rng.sample(range(config.vertices), 2)
+            d[src] = rng.randint(0, config.max_demand)
+            d[dst] = -d[src]
+            h.extend(d)
         h.extend([0] * narcs)
         scenarios.append(Scenario(Fraction(1, n), cost, IntVector(h)))
 

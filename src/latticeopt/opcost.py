@@ -4,23 +4,26 @@ A cell (i, j) evaluates first-stage decision x_i under scenario j: the
 recourse problem min{c_j . y : W y = h_j - T x_i, y >= 0}. T and W belong
 to the instance; only costs and right-hand sides vary by scenario. The
 decisions phase solves every scenario's one-scenario program over one
-stacked matrix [[A, 0], [T, W]]. Both kinds of integer program go through a
-per-method solver, one for the stacked matrix and one for W: augmentation
-with full-multiple steps over a Groebner basis (kernel method), over the
-Graver basis (graver method), or brute force in a box (oracle method),
-which asks no hook. A solver computes its matrix's algebra once and, for
-Groebner bases, once per distinct cost, and prepares each walk's improving
-moves once per cost; the prepared moves carry the cost they minimise, so a
-solve is handed the cost only through them. A walk starts at the
-instance's hook point for its cell, which `augment` tests, or at a Phase-I
-point found over M's narrow artificial system: one artificial column per
-(row, sign) that a right-hand side the solver will see uses, gathered, and
-the extension's test set completed, when Phase-I is first needed. A matrix
-row depends only on its decision, so each distinct decision is solved once,
-and its T x computed once; counters make that reuse observable. Every
-build runs in one process. Each phase books its time where it runs and the
-row loop books only what no phase inside it booked, so a build's timings
-are disjoint and add up to its timed wall clock.
+stacked matrix [[A, 0], [T, W]]; each decision is that program's unique
+refined optimum, so kernel and graver both take it from the kernel solver
+and only the oracle searches a box. Both kinds of integer program go
+through a per-method solver, one for the stacked matrix and one for W:
+augmentation with full-multiple steps over a Groebner basis (kernel
+method), over the Graver basis (graver method), or brute force in a box
+(oracle method), which asks no hook. A solver computes its matrix's algebra
+once and, for Groebner bases, once per distinct cost, so a graver pipeline
+completes one Graver basis, W's. It prepares each walk's improving moves
+once per cost; the prepared moves carry the cost they minimise, so a solve
+is handed the cost only through them. A walk starts at the instance's hook
+point for its cell, which `augment` tests, or at a Phase-I point found over
+M's narrow artificial system: one artificial column per (row, sign) that a
+right-hand side the solver will see uses, gathered, and the extension's
+test set completed, when Phase-I is first needed. A matrix row depends
+only on its decision, so each distinct decision is solved once, and its
+T x computed once; counters make that reuse observable. Every build runs
+in one process. Each phase books its time where it runs and the row loop
+books only what no phase inside it booked, so a build's timings are
+disjoint and add up to its timed wall clock.
 """
 
 from __future__ import annotations
@@ -269,8 +272,8 @@ class _Solver:
     Each object is built on its first use, wherever that falls; its build
     is timed and counted there, so the build's solver for W records exactly
     the build's algebra. Each Phase-I walk is timed apart from the set it
-    walks over. No other code branches on the method; `walk_us` names the
-    timing a walk books to.
+    walks over. Outside it, only `_DECISIONS_SOLVER` maps the method, to
+    the decisions' solver; `walk_us` names the timing a walk books to.
     """
 
     def __init__(self, instance: SipInstance, method: str, M: IntMatrix,
@@ -368,23 +371,31 @@ class _Solver:
         return res
 
 
+# an unknown method reaches _Solver, which rejects it
+_DECISIONS_SOLVER = {METHOD_KERNEL: METHOD_KERNEL,
+                     METHOD_GRAVER: METHOD_KERNEL,
+                     METHOD_ORACLE: METHOD_ORACLE}
+
+
 def single_scenario_decisions(instance: SipInstance,
                               method: str = METHOD_KERNEL) -> DecisionList:
     """One optimal first-stage decision per scenario, deterministic ties.
 
     Each scenario's stacked IP min gamma.x + c_j.y is solved to the unique
-    refinement optimum; x_j is its first-stage part. Every scenario shares
-    one stacked matrix and one solver, so the stacked test set is computed
-    once per distinct cost for the kernel method and once for the graver
-    method, and so is the Phase-I test set when a scenario has no
-    closed-form start.
+    refinement optimum; x_j is its first-stage part. The kernel and graver
+    methods both solve with the kernel solver and give the same decisions;
+    the oracle searches a box. Every scenario shares one stacked matrix and
+    one solver, so its toric generators are computed once, a Groebner basis
+    once per distinct cost, and the Phase-I test set once when a scenario
+    has no closed-form start.
     """
     M, head = _stacked_system(instance)
     x0 = IntVector((0,) * instance.first_stage_dim)
     # the hook's point starts a walk at x = 0, which must meet A x = b
-    solver = _Solver(instance, method, M, lambda: (
-        head + sc.rhs.entries for sc in instance.scenarios),
-        head=None if any(head) else x0.entries)
+    solver = _Solver(instance, _DECISIONS_SOLVER.get(method, method), M,
+                     lambda: (head + sc.rhs.entries
+                              for sc in instance.scenarios),
+                     head=None if any(head) else x0.entries)
     out = []
     for j, sc in enumerate(instance.scenarios):
         cost = IntVector(instance.gamma.entries + sc.cost.entries)

@@ -1,4 +1,8 @@
-"""Shared helpers for exhaustive fiber checks in the test suite."""
+"""Shared helpers for exhaustive fiber checks in the test suite.
+
+pytest rewrites no assert in this module and `python -O` strips them, so
+every check here raises AssertionError explicitly.
+"""
 
 import itertools
 import random
@@ -25,7 +29,8 @@ def boxed_fibers(A: IntMatrix, box: int):
     z_j <= box, so scanning the box enumerates those fibers completely.
     """
     rows = A.rows
-    assert all(x >= 0 for row in rows for x in row)
+    if any(x < 0 for row in rows for x in row):
+        raise AssertionError("boxed fibers need a non-negative matrix")
     fibers = {}
     for z in itertools.product(range(box + 1), repeat=A.ncols):
         b = tuple(sum(r[j] * z[j] for j in range(len(z))) for r in rows)
@@ -57,10 +62,10 @@ def check_test_set(A: IntMatrix, order, elements, box: int = 6, fibers=None):
         for z in pts:
             stepped = any(all(zi - ti >= 0 for zi, ti in zip(z, t))
                           for t in moves)
-            if z == best:
-                assert not stepped, (b, z)
-            else:
-                assert stepped, (b, z, moves)
+            if z == best and stepped:
+                raise AssertionError(("the optimum has a move", b, z))
+            if z != best and not stepped:
+                raise AssertionError(("no improving move", b, z, moves))
 
 
 def check_augmentation_exact(A, c, moves, box=6, fibers=None):
@@ -76,8 +81,10 @@ def check_augmentation_exact(A, c, moves, box=6, fibers=None):
         best = min(pts, key=lambda z: order_key(order, z))
         for z in pts:
             res = augment(z, prepared, A, b)
-            assert tuple(res.solution) == best, (b, z, best, res)
-            assert res.value == sum(ci * xi for ci, xi in zip(c, best))
+            if tuple(res.solution) != best:
+                raise AssertionError((b, z, best, res))
+            if res.value != sum(ci * xi for ci, xi in zip(c, best)):
+                raise AssertionError(("wrong value", b, z, res))
 
 
 def as_tuple_set(vectors):

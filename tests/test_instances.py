@@ -174,14 +174,6 @@ def test_snd_zero_demand_scenarios():
         assert not any(s.rhs.entries)
 
 
-def test_snd_rejects_unbalanced_sampler():
-    def bad(rng, config, commodity, scenario):
-        return (1, 0, 0)
-
-    with pytest.raises(ValueError):
-        gen_snd(SndConfig(scenario_count=1, seed=0, demand_sampler=bad))
-
-
 def test_snd_config_validation():
     with pytest.raises(ValueError):
         SndConfig(scenario_count=1, seed=0, arcs=((0, 0), (1, 2), (2, 0)))

@@ -122,11 +122,14 @@ def test_single_scenario_decisions_build_each_stacked_test_set_once(
     hs = gen_hs(HS_CFG)
     assert len({s.cost.entries for s in hs.scenarios}) == 1
     assert tuple(map(tuple, single_scenario_decisions(hs))) == HS_DECISIONS
+    assert calls == {"toric_generating_set": 1, "buchberger": 1,
+                     "graver_basis": 0, "test_set": 0}
+    # graver decisions run the kernel solver again: no Graver basis, and
+    # closed-form starts make no Phase-I completion
     assert tuple(map(tuple, single_scenario_decisions(
         hs, method=METHOD_GRAVER))) == HS_DECISIONS
-    # closed-form starts: no Phase-I completion
-    assert calls == {"toric_generating_set": 1, "buchberger": 1,
-                     "graver_basis": 1, "test_set": 0}
+    assert calls == {"toric_generating_set": 2, "buchberger": 2,
+                     "graver_basis": 0, "test_set": 0}
 
     def scenario(cost, h):
         return Scenario(Fraction(1, 4), IntVector(cost), IntVector(h))
@@ -150,8 +153,14 @@ def test_single_scenario_decisions_build_each_stacked_test_set_once(
                      "graver_basis": 0, "test_set": 1}
     assert tuple(map(tuple, single_scenario_decisions(
         two_costs, method=METHOD_GRAVER))) == expected
-    assert calls == {"toric_generating_set": 1, "buchberger": 2,
-                     "graver_basis": 1, "test_set": 2}
+    assert calls == {"toric_generating_set": 2, "buchberger": 4,
+                     "graver_basis": 0, "test_set": 2}
+
+
+def test_single_scenario_decisions_reject_unknown_method():
+    # no method may fall back to another solver
+    with pytest.raises(ValueError, match="unknown method"):
+        single_scenario_decisions(gen_hs(HS_CFG), method="simplex")
 
 
 def test_closed_form_start_checked_in_both_phases():
@@ -253,8 +262,6 @@ def test_single_scenario_oracle_needs_bounds():
     )
     with pytest.raises(ValueError):
         single_scenario_decisions(inst, method=METHOD_ORACLE)
-    with pytest.raises(ValueError):
-        single_scenario_decisions(inst, method="simplex")
 
 
 def test_hs_matrix_all_methods_agree():
@@ -333,6 +340,45 @@ def test_four_node_snd_kernel_pipeline_at_n10():
     assert mk.size == 10
     assert mk.counters.phase_one_bases == 1
     assert mk == opcost_oracle(inst, dec)
+
+
+def test_four_node_snd_graver_pipeline_at_n10():
+    # graver decisions come from the kernel solver: the stacked 16x24
+    # Graver basis (1,662 elements, about 20 s) is never completed
+    inst = four_node_snd(10)
+    kernel = opcost_kernel(inst, single_scenario_decisions(inst))
+    graver = opcost_graver(
+        inst, single_scenario_decisions(inst, method=METHOD_GRAVER))
+    assert graver == kernel and graver.decisions == kernel.decisions
+    assert graver.counters.graver_runs == 1
+
+
+def test_four_node_snd_walks_take_steps(monkeypatch):
+    # per-scenario flow costs make the optimisation walks move, which the
+    # shared-cost SND families never do
+    base = four_node_snd(2)
+    demand = IntVector((1, 0, -1, 0) + (0,) * 6)
+    costs = ((1, 1, 1, 1, 9, 9), (9, 9, 1, 1, 1, 1))
+    inst = dataclasses.replace(base, scenarios=tuple(
+        dataclasses.replace(sc, rhs=demand, cost=IntVector(c + (0,) * 6))
+        for sc, c in zip(base.scenarios, costs)))
+    dec = DecisionList((IntVector((1,) * 6 + (0,) * 6),))
+    steps = []
+    walk = opcost.augment
+
+    def counting(*args, **kwargs):
+        res = walk(*args, **kwargs)
+        steps[-1] += res.steps
+        return res
+
+    monkeypatch.setattr(opcost, "augment", counting)
+    built = []
+    for build in (opcost_kernel, opcost_graver):
+        steps.append(0)
+        built.append(build(inst, dec))
+    assert built[0] == built[1] == opcost_oracle(inst, dec)
+    assert built[0].values == ((29, 28),)
+    assert all(n > 0 for n in steps), steps
 
 
 def test_q_only_drops_first_stage_cost():

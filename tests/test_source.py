@@ -3,15 +3,34 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "latticeopt"
+import pytest
+
+from latticeopt.lattice import CostOrder, IntMatrix
+from support import boxed_fibers, check_augmentation_exact, check_test_set
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "latticeopt"
 
 
 def test_no_assert_statements_in_the_package():
     # `python -O` strips assert statements, so an invariant that guards
-    # exactness must raise explicitly to hold under -O.
+    # exactness must raise explicitly to hold under -O; the test helpers'
+    # certificates are not rewritten by pytest and must raise as well.
+    paths = sorted(SRC.glob("*.py")) + [ROOT / "tests" / "support.py"]
     found = [
         "%s:%d" % (path.name, node.lineno)
-        for path in sorted(SRC.glob("*.py"))
+        for path in paths
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_support_checks_raise_under_optimize_flag():
+    with pytest.raises(AssertionError, match="non-negative"):
+        boxed_fibers(IntMatrix([[1, -1]]), 2)
+    # with no moves, (0, 1) in the fiber of b = 1 cannot reach (1, 0)
+    A = IntMatrix([[1, 1]])
+    with pytest.raises(AssertionError, match="no improving move"):
+        check_test_set(A, CostOrder((1, 2)), [], box=2)
+    with pytest.raises(AssertionError):
+        check_augmentation_exact(A, (1, 2), [], box=2)
