@@ -2,7 +2,8 @@
 
 Matrix files are JSON objects {"rows": [[...]]}; instance files follow the
 interchange format in the instances module. Exit codes: 0 success,
-1 verification mismatch, 2 bad input, 3 resource cap hit.
+1 verification mismatch, 2 bad input, 3 a limit hit: an element or node
+cap, or an oracle box too small to decide a cell.
 """
 
 from __future__ import annotations
@@ -368,7 +369,7 @@ def run(argv) -> int:
     try:
         return args.func(args)
     except (OracleResourceError, GraverResourceError) as exc:
-        print("resource cap: %s" % exc, file=sys.stderr)
+        print("limit hit: %s" % exc, file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -22,12 +22,17 @@ order:
   vector, stay below lcm and join both points through lcm - v_k.
 Skipping only drops work and the reduced basis is unique, so the result is
 the same as without the criteria.
+
+Reduction, inter-reduction and the chain criterion all ask one question,
+whose lead divides this exponent vector, and `_divisors` is the one scan
+that answers it. A queued pair's key is its lcm read in tie order, which
+the chain criterion reads back instead of recomputing it, and
+inter-reduction takes one pass (`_interreduce` says why).
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from operator import le, mul, sub
 from typing import Iterable, Optional
 
@@ -91,46 +96,41 @@ def _record(vec):
     return (vec, pos, _part_mask(pos))
 
 
+def _divisors(part, elems):
+    """Indices of the records in elems whose lead divides part, in order;
+    the support mask rules out most records before the entrywise test."""
+    outside = ~_part_mask(part)
+    for k, (_, lead, mask) in enumerate(elems):
+        if not mask & outside and all(map(le, lead, part)):
+            yield k
+
+
 def _reduce(vec, elems, cost, tie, full):
     """Normal form of an oriented vector against prepared records.
 
-    Lead reduction subtracts any element whose lead divides the lead; when
-    `full`, the trailing part is reduced by *adding* elements whose lead
-    divides it. Either move strictly descends in (lead, trail), so the loop
-    terminates. Returns None when the vector cancels to zero.
+    Each step subtracts the first element whose lead divides the lead, or,
+    when `full` and none does, *adds* the first element whose lead divides
+    the trailing part. Either step strictly descends in (lead, trail), so
+    the loop terminates, and a sum of oriented vectors is oriented, so only
+    a lead step can flip the orientation. Returns None when the vector
+    cancels to zero.
     """
     while True:
-        pos = tuple(x if x > 0 else 0 for x in vec)
-        pmask = _part_mask(pos)
-        hit = False
-        for gv, gp, gm in elems:
-            if gm & ~pmask:
-                continue
-            if all(a <= b for a, b in zip(gp, pos)):
-                vec = tuple(a - b for a, b in zip(vec, gv))
-                if not any(vec):
-                    return None
-                vec = _orient_tuple(vec, cost, tie)
-                hit = True
-                break
-        if hit:
-            continue
-        if not full:
+        k = next(_divisors(tuple(x if x > 0 else 0 for x in vec), elems),
+                 None)
+        if k is not None:
+            vec = tuple(map(sub, vec, elems[k][0]))
+        elif full:
+            k = next(_divisors(tuple(-x if x < 0 else 0 for x in vec), elems),
+                     None)
+            if k is None:
+                return vec
+            vec = tuple(a + b for a, b in zip(vec, elems[k][0]))
+        else:
             return vec
-        neg = tuple(-x if x < 0 else 0 for x in vec)
-        nmask = _part_mask(neg)
-        hit = False
-        for gv, gp, gm in elems:
-            if gm & ~nmask:
-                continue
-            if all(a <= b for a, b in zip(gp, neg)):
-                vec = tuple(a + b for a, b in zip(vec, gv))
-                if not any(vec):
-                    return None
-                hit = True
-                break
-        if not hit:
-            return vec
+        if not any(vec):
+            return None
+        vec = _orient_tuple(vec, cost, tie)
 
 
 # ----- public operations -----
@@ -162,7 +162,16 @@ def normal_form(v: IntVector, G: "VectorSet | Iterable[IntVector]",
 
 
 def _interreduce(vecs, order):
-    """Minimalize by leads, tail-reduce survivors, iterate to the fixed point."""
+    """Minimalize a Groebner basis by leads, then tail-reduce each survivor.
+
+    One pass reaches the reduced basis. The kept leads are the minimal
+    generators of the initial ideal, so no lead divides another and each
+    tail step adds an element whose lead divides the trailing part. Such a
+    step cannot lower a lead: a common factor that cancelled would leave a
+    proper divisor of a minimal lead in the initial ideal. So every
+    survivor keeps its lead, and its tail ends reduced against the final
+    leads.
+    """
     cost, tie = order.cost.entries, order.tie_order
 
     def pos_key(rec):
@@ -170,32 +179,12 @@ def _interreduce(vecs, order):
         return (sum(c * x for c, x in zip(cost, pos)),
                 tuple(pos[i] for i in tie))
 
-    # No round limit is needed. A round that changes no lead is followed by
-    # a round that returns, because the tails were already reduced against
-    # those same leads. Every other round drops an element or lowers a lead,
-    # so the multiset of leads falls in a well-founded order (c >= 0, ties
-    # broken lexicographically) and such rounds cannot go on forever.
-    work = sorted(set(vecs))
-    while True:
-        recs = sorted((_record(v) for v in work), key=pos_key)
-        kept = []
-        for rec in recs:
-            pos, pmask = rec[1], rec[2]
-            dominated = any(
-                not (km & ~pmask) and all(a <= b for a, b in zip(kp, pos))
-                for _, kp, km in kept)
-            if not dominated:
-                kept.append(rec)
-        out = []
-        for idx, rec in enumerate(kept):
-            others = kept[:idx] + kept[idx + 1:]
-            t = _reduce(rec[0], others, cost, tie, True)
-            if t is not None:
-                out.append(t)
-        new_work = sorted(set(out))
-        if new_work == work:
-            return work
-        work = new_work
+    kept = []
+    for rec in sorted(map(_record, sorted(set(vecs))), key=pos_key):
+        if next(_divisors(rec[1], kept), None) is None:
+            kept.append(rec)
+    return sorted(_reduce(rec[0], kept[:idx] + kept[idx + 1:], cost, tie, True)
+                  for idx, rec in enumerate(kept))
 
 
 def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
@@ -204,13 +193,15 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
     """Complete a kernel-vector seed to the unique reduced basis for the order.
 
     Pairs are processed in ascending order of the componentwise max of the two
-    leads (normal selection). A pair with disjoint lead supports is never
-    queued (product criterion), and a popped pair (i, j) is dropped when
-    some k has a lead dividing lcm(lead_i, lead_j) and neither (i, k) nor
-    (j, k) is still pending (chain criterion); the module docstring says
-    why both are sound. A matrix or seed vector whose length differs from
-    the order's raises ValueError, and so does a cap below 1. With a cap,
-    a working basis that grows past it raises GraverResourceError.
+    leads (normal selection), and each queued pair's key carries that lcm.
+    A pair with disjoint lead supports is never queued (product criterion),
+    and a popped pair (i, j) is dropped when some k has a lead dividing its lcm
+    and neither (i, k) nor (j, k) is still pending (chain criterion); the
+    module docstring says why both are sound. Inter-reduction of the
+    completed basis takes one pass. A matrix or seed vector whose length
+    differs from the order's raises ValueError, and so does a cap below 1.
+    With a cap, a working basis that grows past it raises
+    GraverResourceError.
     """
     if element_cap is not None and element_cap < 1:
         raise ValueError("element cap must be at least 1, got %d"
@@ -219,6 +210,7 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
         raise ValueError("cost has %d entries, the matrix %d columns"
                          % (order.dim, matrix.ncols))
     cost, tie = order.cost.entries, order.tie_order
+    rank = sorted(range(len(tie)), key=tie.__getitem__)  # inverse of tie
     basis = []
 
     def add(t):
@@ -239,42 +231,33 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
             seen.add(t)
             add(t)
 
-    def lcm_of(i, j):
-        return tuple(map(max, basis[i][1], basis[j][1]))
-
     def push(i, j):
-        """Queue the pair i < j unless its leads are disjoint (product
-        criterion)."""
+        """Queue the pair i < j with its lcm, read in tie order, unless its
+        leads are disjoint (product criterion). Pairs are pushed in (j, i)
+        order, so (j, i) breaks ties first in, first out."""
         if basis[i][2] & basis[j][2]:
-            lcm = lcm_of(i, j)
-            key = (sum(map(mul, cost, lcm)), tuple(lcm[t] for t in tie))
-            heapq.heappush(heap, (key, next(tick), i, j))
+            lcm = tuple(map(max, basis[i][1], basis[j][1]))
+            heapq.heappush(heap, (sum(map(mul, cost, lcm)),
+                                  tuple(map(lcm.__getitem__, tie)), j, i))
             pending.add((i, j))
 
-    def chain(i, j):
+    def chain(i, j, lcm):
         """True when some k has a lead dividing the pair's lcm and neither
         (i, k) nor (j, k) is pending (chain criterion)."""
-        lcm = lcm_of(i, j)
-        outside = ~(basis[i][2] | basis[j][2])
-        for k, (_, kp, km) in enumerate(basis):
-            if km & outside or k == i or k == j:
-                continue
-            if (all(map(le, kp, lcm))
-                    and (min(i, k), max(i, k)) not in pending
-                    and (min(j, k), max(j, k)) not in pending):
-                return True
-        return False
+        return any(k != i and k != j
+                   and (min(i, k), max(i, k)) not in pending
+                   and (min(j, k), max(j, k)) not in pending
+                   for k in _divisors(lcm, basis))
 
     heap = []
     pending = set()  # pairs pushed and not yet popped
-    tick = itertools.count()
     for i in range(len(basis)):
         for j in range(i):
             push(j, i)
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, tied, j, i = heapq.heappop(heap)
         pending.remove((i, j))
-        if chain(i, j):
+        if chain(i, j, tuple(map(tied.__getitem__, rank))):
             continue
         s = _orient_tuple(tuple(map(sub, basis[i][0], basis[j][0])), cost, tie)
         s = _reduce(s, basis, cost, tie, False)

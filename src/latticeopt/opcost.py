@@ -250,14 +250,6 @@ def _stacked_system(instance: SipInstance):
     return IntMatrix(rows), head
 
 
-def _derived_uniform_bound(instance: SipInstance, b: IntVector) -> int:
-    if instance.first_stage_bounds is None:
-        raise ValueError(
-            "oracle mode needs first-stage bounds or an explicit bound")
-    fs = max(instance.first_stage_bounds) if instance.first_stage_bounds else 0
-    return max(1, fs + max(abs(e) for e in b.entries))
-
-
 class _Solver:
     """One method's solves of min cost.z : M z = b, z >= 0 for one matrix M.
 
@@ -335,17 +327,31 @@ class _Solver:
         `cell` is the (x, j) that b serves. Kernel and graver walk over
         `moves` from the hook's point for the cell after `head`, or from a
         Phase-I point; `augment` tests the start. The oracle searches
-        var_bound's box, or one derived from b, and asks no hook.
+        var_bound's box, or the box derived from the first-stage bounds and
+        b, and asks no hook. A miss in the derived box, or in a var_bound box
+        that holds it, is an infeasible cell; a miss in a smaller box proves
+        nothing, so it raises OracleResourceError.
         """
         M, c = self.M, self.counters
         if self.method == METHOD_ORACLE:
-            bound = self.var_bound
+            fs = self.instance.first_stage_bounds
+            derived = None if fs is None else max(
+                1, max(fs, default=0) + max(map(abs, b.entries)))
+            bound = derived if self.var_bound is None else self.var_bound
             if bound is None:
-                bound = _derived_uniform_bound(self.instance, b)
+                raise ValueError("oracle mode needs first-stage bounds or "
+                                 "an explicit bound")
             c.oracle_solves += 1
-            res = oracle.solve_bruteforce(
-                oracle.IpProblem(M, b, moves.cost, bound))
-            return res if res.status == oracle.OPTIMAL else None
+            problem = oracle.IpProblem(M, b, moves.cost, bound)
+            res = oracle.solve_bruteforce(problem)
+            if res.status == oracle.OPTIMAL:
+                return res
+            if derived is not None and min(problem.bounds()) >= derived:
+                return None
+            raise oracle.OracleResourceError(
+                "cell (x=%s, scenario %d): no point in the box 0 <= z <= %r; "
+                "only a box holding the derived one proves a cell infeasible"
+                % (cell[0].entries, cell[1], bound))
         start, hook = None, self.instance.feasible_recourse
         if hook is not None and self.head is not None:
             x, j = cell
@@ -456,5 +462,6 @@ def opcost_graver(instance: SipInstance, decisions: DecisionList,
 
 def opcost_oracle(instance: SipInstance, decisions: DecisionList,
                   q_only: bool = False, var_bound=None) -> OppCostMatrix:
-    """Brute-force ground truth; var_bound overrides the derived box."""
+    """Brute-force ground truth; var_bound overrides the derived box, and a
+    miss in a var_bound box smaller than it raises OracleResourceError."""
     return _build(instance, decisions, METHOD_ORACLE, q_only, var_bound)

@@ -22,7 +22,9 @@ NODE_CAP_ENV = "OPCOST_NODE_CAP"
 
 
 class OracleResourceError(RuntimeError):
-    """Raised when the search would visit more nodes than the configured cap."""
+    """Raised when the search would visit more nodes than the configured cap,
+    or when opcost finds no point for a cell in a given box smaller than the
+    derived one."""
 
 
 def _resolve_cap() -> int:

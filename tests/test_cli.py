@@ -100,6 +100,42 @@ def test_opcost_kernel_oracle_identical_csv(tmp_path):
     assert doc["counters"]["toric_runs"] == 1
 
 
+def test_oracle_miss_in_the_given_box_is_not_infeasible(tmp_path, capsys):
+    # Every cell is feasible (kernel prints 356/426/462/208), but no point
+    # lies in the box z <= 0. Empty cells would claim infeasibility.
+    inst = tmp_path / "inst.json"
+    assert cli.run(["gen-hs", "--n", "2", "--seed", "7", "--scaled",
+                    "--out", str(inst)]) == 0
+    capsys.readouterr()
+    assert cli.run(["opcost", "--instance", str(inst), "--method", "oracle",
+                    "--var-bound", "0"]) == 3
+    out, err = capsys.readouterr()
+    assert "0,," not in out
+    assert err.startswith("limit hit: cell (x=(7, 0), scenario 0)")
+    assert "0 <= z <= 0" in err and "node cap" not in err
+
+
+def test_oracle_box_holding_the_derived_box_prints_infeasible_cells(
+        tmp_path, capsys):
+    # The derived box here is 0 <= z <= 3. A miss in it, or in a given box
+    # that holds it, is an empty cell; a miss in a smaller box exits 3.
+    inst = tmp_path / "inst.json"
+    assert cli.run(["gen-snd", "--n", "3", "--seed", "3", "--max-demand", "2",
+                    "--out", str(inst)]) == 0
+    capsys.readouterr()
+    outputs = []
+    oracle = ["--method", "oracle"]
+    for args in (oracle, oracle + ["--var-bound", "3"],
+                 oracle + ["--var-bound", "5"], ["--method", "kernel"]):
+        assert cli.run(["opcost", "--instance", str(inst)] + args) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == "decision,s0,s1,s2\n0,9,,\n1,,12,10\n2,,,7\n"
+    assert outputs.count(outputs[0]) == 4
+    assert cli.run(["opcost", "--instance", str(inst), "--method", "oracle",
+                    "--var-bound", "2"]) == 3
+    assert "only a box holding the derived one" in capsys.readouterr().err
+
+
 def test_opcost_decisions_file_and_q_only(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     assert cli.run(["gen-hs", "--n", "2", "--seed", "7", "--scaled",

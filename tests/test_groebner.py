@@ -176,7 +176,8 @@ FROZEN_COMPLETION_DIGEST = (
     "8375d630f377cb651405a1756f25febb630e0e0c1b2f20d3a0957254c1a17534")
 
 
-def test_seeded_completions_match_frozen_digest():
+def seeded_completions_digest():
+    """sha256 over 24 seeded toric generating sets and their reduced bases."""
     rng = random.Random(20261018)
     digest = hashlib.sha256()
     for k in range(24):
@@ -193,7 +194,41 @@ def test_seeded_completions_match_frozen_digest():
             for g in gens:
                 assert normal_form(g, gb, order).is_zero()
             digest.update(repr((c, sorted(g.entries for g in gb))).encode())
-    assert digest.hexdigest() == FROZEN_COMPLETION_DIGEST
+    return digest.hexdigest()
+
+
+def test_seeded_completions_match_frozen_digest():
+    assert seeded_completions_digest() == FROZEN_COMPLETION_DIGEST
+
+
+def test_interreduction_reaches_its_fixed_point_in_one_pass(monkeypatch):
+    # A second pass over every inter-reduced basis changes nothing, on the
+    # seeded completions (toric rounds included) and the 7x17 toric set.
+    real = groebner._interreduce
+    outs = []
+
+    def checking(vecs, order):
+        out = real(vecs, order)
+        outs.append(out)
+        assert real(out, order) == out
+        return out
+
+    monkeypatch.setattr(groebner, "_interreduce", checking)
+    assert seeded_completions_digest() == FROZEN_COMPLETION_DIGEST
+    toric_generating_set(support.wide_stairstep_matrix())
+    assert len(outs) > 100
+
+
+def test_divisors_match_brute_force():
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        elems = [groebner._record(tuple(rng.randint(-2, 2) for _ in range(n)))
+                 for _ in range(rng.randint(0, 8))]
+        part = tuple(rng.randint(0, 3) for _ in range(n))
+        expected = [k for k, (_, lead, _) in enumerate(elems)
+                    if all(a <= b for a, b in zip(lead, part))]
+        assert list(groebner._divisors(part, elems)) == expected
 
 
 def test_element_cap_bounds_the_working_basis():
@@ -221,8 +256,9 @@ def test_nonpositive_element_cap_is_rejected():
 
 def test_chain_criterion_skips_reductions(monkeypatch):
     # Before the chain criterion this completion made 11 _reduce calls: 5
-    # S-pair reductions and 6 in inter-reduction. The criterion proves two
-    # of those S-pairs useless without reducing them, leaving 9.
+    # S-pair reductions and 6 in two inter-reduction rounds. The criterion
+    # proves two of those S-pairs useless without reducing them, and
+    # inter-reduction now takes one round of 3, leaving 6.
     A = IntMatrix([[3, 2, 1, 0], [0, 1, 2, 3]])
     gens = toric_generating_set(A).generators
     calls = []

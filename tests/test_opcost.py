@@ -313,6 +313,24 @@ def test_snd_matrix_with_infeasible_cell():
     assert mk.counters.phase_one_calls == 4
 
 
+def test_seeded_snd_methods_agree_with_infeasible_cells():
+    # kernel, graver and the oracle agree cell by cell, and the seeds give
+    # infeasible cells, which the oracle must leave empty both in the
+    # derived box and in a given box that holds it (every derived box here
+    # is at most 3)
+    infeasible = cells = 0
+    for seed in range(1, 7):
+        inst = gen_snd(SndConfig(scenario_count=3, seed=seed, max_demand=2))
+        dec = single_scenario_decisions(inst)
+        mk = opcost_kernel(inst, dec)
+        assert mk == opcost_graver(inst, dec) == opcost_oracle(inst, dec)
+        assert mk == opcost_oracle(inst, dec, var_bound=4)
+        statuses = [s for row in mk.status for s in row]
+        infeasible += statuses.count(CELL_INFEASIBLE)
+        cells += len(statuses)
+    assert (infeasible, cells) == (22, 54)
+
+
 def four_node_snd(scenario_count):
     """SND on a 4-node network: W is 10x12, the stacked system 16x24."""
     return gen_snd(SndConfig(

@@ -17,6 +17,8 @@ from latticeopt.groebner import buchberger, normal_form
 from latticeopt.lattice import CostOrder, IntMatrix, kernel_basis
 from latticeopt.toric import toric_generating_set
 
+import support
+
 pytestmark = [
     pytest.mark.skipif(os.environ.get("LATTICEOPT_STRESS") != "1",
                        reason="stress fixture; set LATTICEOPT_STRESS=1"),
@@ -41,16 +43,8 @@ def time_guard(seconds):
         signal.signal(signal.SIGALRM, old)
 
 
-def wide_stairstep_matrix() -> IntMatrix:
-    """Seven dense arithmetic-progression rows beside an identity block."""
-    rows = [(1,) * 10] + [tuple(i + j for j in range(10)) for i in range(1, 7)]
-    return IntMatrix(tuple(
-        row + tuple(1 if k == r else 0 for k in range(7))
-        for r, row in enumerate(rows)))
-
-
 def test_toric_generators_on_wide_matrix():
-    A = wide_stairstep_matrix()
+    A = support.wide_stairstep_matrix()
     with time_guard(GUARD_SECONDS):
         gens = list(toric_generating_set(A).generators)
     kdim = len(kernel_basis(A))
@@ -63,7 +57,7 @@ def test_toric_generators_on_wide_matrix():
 
 
 def test_completion_finishes_and_is_canonical():
-    A = wide_stairstep_matrix()
+    A = support.wide_stairstep_matrix()
     rng = random.Random(1715)
     with time_guard(GUARD_SECONDS):
         seed = list(toric_generating_set(A).generators)
