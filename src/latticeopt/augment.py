@@ -1,13 +1,13 @@
 """Augmentation walks over test sets, and Phase-I feasibility.
 
-A walk repeatedly takes the first applicable improving move in a fixed scan
-order and subtracts the largest multiple of it that stays non-negative,
-until no move applies. Each full-multiple step is a run of unit steps along
-one move, so the fixed point is the same: over a valid test set it is the
-optimum of the cost order's lexicographic refinement; over a
-negation-closed Graver basis the improving halves of the pairs play the
-same role. A walk takes its moves and the cost it minimises together, as
-one `PreparedMoves`.
+A walk is the normal form of its start: one `groebner._reduce` call, the
+loop that completion uses, over moves that are the completion's own
+records (vector, lead, lead mask). Each step takes the first move whose
+lead fits under z in a fixed scan order, at its largest multiple, until
+none fits. Over a valid test set the end is the optimum of the cost
+order's lexicographic refinement; over a negation-closed Graver basis the
+improving halves of the pairs play the same role. A walk takes its moves
+and the cost it minimises together, as one `PreparedMoves`.
 
 Phase-I follows the extended-matrix method of Conti and Traverso
 ("Buchberger algorithm and integer programming", AAECC-9, LNCS 539, 1991)
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from .groebner import orient, test_set
+from .groebner import _record, _reduce, orient, test_set
 from .lattice import CostOrder, IntMatrix, IntVector, as_vector
 
 
@@ -36,7 +36,7 @@ class PreparedMoves(NamedTuple):
     """A move set's improving moves in scan order, for one cost vector.
 
     `cost` is the vector a walk over the moves minimises, and each move is
-    (entries, positive part as (index, entry) pairs).
+    a `groebner._record`: (vector, lead, support mask of the lead).
     """
 
     cost: IntVector
@@ -61,20 +61,20 @@ def prepare_moves(T, c: "IntVector | Iterable[int]") -> PreparedMoves:
             continue
         cdot = order.dot(t)  # raises on a length mismatch
         if orient(t, order) is t:
-            pos = tuple((i, x) for i, x in enumerate(t.entries) if x > 0)
-            keyed.append((-cdot, t.entries, pos))
+            keyed.append((-cdot, t.entries))
     keyed.sort()
     return PreparedMoves(order.cost,
-                         tuple((entries, pos) for _, entries, pos in keyed))
+                         tuple(_record(entries) for _, entries in keyed))
 
 
 def augment(z0: "IntVector | Iterable[int]", moves: PreparedMoves,
             A: IntMatrix, b: "IntVector | Iterable[int]") -> AugmentResult:
     """Walk downhill from a feasible point; returns the fixed point reached.
 
-    The walk minimises `moves.cost` over `moves`, a `prepare_moves` result.
-    Each step applies the largest feasible multiple of the first applicable
-    move. A start or end off {z >= 0 in ints : A z = b} raises ValueError.
+    The walk minimises `moves.cost` over `moves`, a `prepare_moves` result:
+    it is the lead reduction of z0 against the moves (a z that cancels to
+    zero is the zero point). A start or end off {z >= 0 in ints : A z = b}
+    raises ValueError.
     """
     if not isinstance(moves, PreparedMoves):
         raise TypeError("augment walks prepared moves: pass the move set "
@@ -86,23 +86,9 @@ def augment(z0: "IntVector | Iterable[int]", moves: PreparedMoves,
             or A.mat_vec(z0) != b):
         raise ValueError("invalid point: start must be in ints, >= 0, A z = b")
 
-    z = list(z0.entries)
-    steps = 0
-    progress = True
-    while progress:
-        progress = False
-        for entries, pos in moves.moves:
-            if all(z[i] >= x for i, x in pos):
-                if not pos:
-                    raise ValueError("improving move %r has no positive "
-                                     "entry: the walk would not end"
-                                     % (entries,))
-                k = min(z[i] // x for i, x in pos)
-                z = [zi - k * x for zi, x in zip(z, entries)]
-                steps += 1
-                progress = True
-                break
-    solution = IntVector(z)
+    z, steps = _reduce(z0.entries, moves.moves, c.entries,
+                       tuple(range(len(c))), False)
+    solution = IntVector((0,) * len(c) if z is None else z)
     if A.mat_vec(solution) != b or any(e < 0 for e in solution.entries):
         raise ValueError("walk left the fiber: a move is not in the kernel")
     return AugmentResult(solution, c.dot(solution), steps)

@@ -23,9 +23,10 @@ order:
 Skipping only drops work and the reduced basis is unique, so the result is
 the same as without the criteria.
 
-Reduction, inter-reduction and the chain criterion all ask one question,
-whose lead divides this exponent vector, and `_divisors` is the one scan
-that answers it. A queued pair's key is its lcm read in tie order, which
+One loop, `_reduce`, serves completion, inter-reduction, `normal_form` and
+every augmentation walk. It and the chain criterion ask one question, whose
+lead divides this exponent vector, and `_divisors` is the one scan that
+answers it. A queued pair's key is its lcm read in tie order, which
 the chain criterion reads back instead of recomputing it, and
 inter-reduction takes one pass (`_interreduce` says why).
 """
@@ -33,7 +34,8 @@ inter-reduction takes one pass (`_interreduce` says why).
 from __future__ import annotations
 
 import heapq
-from operator import le, mul, sub
+from itertools import compress
+from operator import add, floordiv, le, mul, neg, sub
 from typing import Iterable, Optional
 
 from .lattice import CostOrder, IntMatrix, IntVector, VectorSet
@@ -71,14 +73,14 @@ class GroebnerBasis:
 # ----- tuple-level helpers (hot paths avoid IntVector wrappers) -----
 
 def _orient_tuple(t, cost, tie):
-    cv = sum(c * x for c, x in zip(cost, t))
+    cv = sum(map(mul, cost, t))
     if cv > 0:
         return t
     if cv < 0:
-        return tuple(-x for x in t)
+        return tuple(map(neg, t))
     for i in tie:
         if t[i]:
-            return t if t[i] > 0 else tuple(-x for x in t)
+            return t if t[i] > 0 else tuple(map(neg, t))
     raise ValueError("cannot orient the zero vector")
 
 
@@ -106,31 +108,41 @@ def _divisors(part, elems):
 
 
 def _reduce(vec, elems, cost, tie, full):
-    """Normal form of an oriented vector against prepared records.
+    """Normal form of an oriented vector against records, and its step count.
 
-    Each step subtracts the first element whose lead divides the lead, or,
-    when `full` and none does, *adds* the first element whose lead divides
-    the trailing part. Either step strictly descends in (lead, trail), so
-    the loop terminates, and a sum of oriented vectors is oriented, so only
-    a lead step can flip the orientation. Returns None when the vector
-    cancels to zero.
+    Each step picks the first record whose lead divides the lead or, when
+    `full` and none does, the trailing part, and subtracts (lead) or adds
+    (trail) its largest multiple m = min(part_i // lead_i) over the record
+    lead's support. Read as the binomial x^lead - x^trail, each unit of the
+    multiple replaces one monomial by a smaller one, so (lead, trail)
+    strictly descends in the well-founded order and the loop ends. Costs
+    are non-negative, so orientation keeps a non-negative vector: a point
+    z >= 0 is its own lead, m keeps it non-negative, and a walk from z is
+    its lead reduction. Returns (vector or None when it cancels to zero,
+    steps). A chosen record with an empty lead has no largest multiple:
+    ValueError names it.
     """
+    steps = 0
     while True:
-        k = next(_divisors(tuple(x if x > 0 else 0 for x in vec), elems),
-                 None)
-        if k is not None:
-            vec = tuple(map(sub, vec, elems[k][0]))
-        elif full:
-            k = next(_divisors(tuple(-x if x < 0 else 0 for x in vec), elems),
-                     None)
-            if k is None:
-                return vec
-            vec = tuple(a + b for a, b in zip(vec, elems[k][0]))
-        else:
-            return vec
-        if not any(vec):
-            return None
-        vec = _orient_tuple(vec, cost, tie)
+        part, sign = vec, -1
+        if min(vec, default=0) < 0:
+            part = tuple(x if x > 0 else 0 for x in vec)
+        k = next(_divisors(part, elems), None)
+        if k is None and full:
+            part, sign = tuple(-x if x < 0 else 0 for x in vec), 1
+            k = next(_divisors(part, elems), None)
+        if k is None:
+            return vec, steps
+        g, lead, mask = elems[k]
+        if not mask:
+            raise ValueError("move %r has an empty lead" % (g,))
+        m = sign * min(map(floordiv, compress(part, lead), filter(None, lead)))
+        vec = tuple(map(add, vec, map(m.__mul__, g)))
+        steps += 1
+        if min(vec) < 0:
+            vec = _orient_tuple(vec, cost, tie)
+        elif not any(vec):
+            return None, steps
 
 
 # ----- public operations -----
@@ -147,7 +159,8 @@ def normal_form(v: IntVector, G: "VectorSet | Iterable[IntVector]",
                 order: CostOrder, full: bool = True) -> IntVector:
     """Reduce v against G; with full=True the trailing part is reduced too.
 
-    v and every element of G must have the order's length.
+    Against a Groebner basis the full remainder is unique, whatever G's
+    order. v and every element of G must have the order's length.
     """
     elems = [_record(g.entries) for g in G]
     if any(len(u) != order.dim for u in [v.entries] + [r[0] for r in elems]):
@@ -155,7 +168,8 @@ def normal_form(v: IntVector, G: "VectorSet | Iterable[IntVector]",
     if v.is_zero():
         return v
     cost, tie = order.cost.entries, order.tie_order
-    out = _reduce(_orient_tuple(v.entries, cost, tie), elems, cost, tie, full)
+    out, _ = _reduce(_orient_tuple(v.entries, cost, tie), elems, cost, tie,
+                     full)
     if out is None:
         return IntVector((0,) * len(v))
     return IntVector(out)
@@ -183,8 +197,8 @@ def _interreduce(vecs, order):
     for rec in sorted(map(_record, sorted(set(vecs))), key=pos_key):
         if next(_divisors(rec[1], kept), None) is None:
             kept.append(rec)
-    return sorted(_reduce(rec[0], kept[:idx] + kept[idx + 1:], cost, tie, True)
-                  for idx, rec in enumerate(kept))
+    return sorted(_reduce(rec[0], kept[:idx] + kept[idx + 1:], cost, tie,
+                          True)[0] for idx, rec in enumerate(kept))
 
 
 def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
@@ -260,7 +274,7 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
         if chain(i, j, tuple(map(tied.__getitem__, rank))):
             continue
         s = _orient_tuple(tuple(map(sub, basis[i][0], basis[j][0])), cost, tie)
-        s = _reduce(s, basis, cost, tie, False)
+        s, _ = _reduce(s, basis, cost, tie, False)
         if s is None:
             continue
         add(s)

@@ -1,6 +1,7 @@
 """Augmentation walks, Phase-I feasibility, and exactness against the oracle."""
 
 import itertools
+import operator
 import os
 import random
 import subprocess
@@ -10,7 +11,7 @@ import textwrap
 import pytest
 
 import latticeopt
-from latticeopt import groebner
+from latticeopt import groebner, oracle
 from latticeopt.augment import (PreparedMoves, artificial_system, augment,
                                 phase_one_feasible, prepare_moves)
 from latticeopt.graver import graver_basis
@@ -96,7 +97,7 @@ def test_graver_universal_over_twenty_costs():
         c = [rng.randint(0, 7) for _ in range(4)]
         prepared = prepare_moves(gamma, c)
         assert prepared.cost == IntVector(c)
-        assert all(pos for _, pos in prepared.moves)
+        assert all(mask for _, _, mask in prepared.moves)
         support.check_augmentation_exact(A, c, gamma, fibers=fibers)
 
 
@@ -118,6 +119,68 @@ def test_full_multiple_steps_on_large_rhs():
     assert res.solution == IntVector((n, 0, 0))
     assert res.value == n
     assert res.steps <= 2
+
+
+def _reference_walk(z, moves):
+    """The walk spelled out: the first prepared move whose lead fits under
+    z, at its largest multiple, until none fits. Returns the end and the
+    multiples taken."""
+    multiples = []
+    while True:
+        for vec, lead, _ in moves.moves:
+            if all(x <= zi for x, zi in zip(lead, z)):
+                k = min(zi // x for x, zi in zip(lead, z) if x)
+                z = tuple(zi - k * x for zi, x in zip(z, vec))
+                multiples.append(k)
+                break
+        else:
+            return z, multiples
+
+
+def test_walk_takes_the_first_fitting_move_at_its_largest_multiple():
+    # zero cost entries leave ties to the tie order, so the scan order and
+    # the multiples decide the path, which must match the reference step
+    # for step
+    rng = random.Random(1818)
+    for _ in range(8):
+        A = support.random_matrix(rng, 2, 4, 0, 2)
+        c = [rng.choice((0, rng.randint(1, 5))) for _ in range(4)]
+        c[rng.randrange(4)] = 0
+        fibers = support.boxed_fibers(A, 6)
+        for T in (groebner.test_set(A, c), graver_basis(A)):
+            moves = prepare_moves(T, c)
+            for b, pts in fibers.items():
+                for z in pts:
+                    res = augment(z, moves, A, b)
+                    end, multiples = _reference_walk(z, moves)
+                    assert res.solution.entries == end, (A.rows, c, z)
+                    assert res.steps == len(multiples), (A.rows, c, z)
+                    assert res.value == sum(map(operator.mul, c, end))
+
+
+def test_large_rhs_walks_match_the_oracle():
+    # every column of A has a positive entry, so no point of the fiber of
+    # b = A z0 leaves the box [0, max b]: the oracle's optimum is proven
+    rng = random.Random(606)
+    multiples = []
+    for m, n in ((1, 3), (1, 4), (2, 3), (2, 4)) * 5:
+        A = support.random_matrix(rng, m, n, 0, 4)
+        c = IntVector([rng.randint(0, 9) for _ in range(n)])
+        sets = (prepare_moves(groebner.test_set(A, c), c),
+                prepare_moves(graver_basis(A), c))
+        for _ in range(4):
+            z0 = IntVector([rng.randint(0, 10) for _ in range(n)])
+            b = A.mat_vec(z0)
+            best = oracle.solve_bruteforce(
+                oracle.IpProblem(A, b, c, max(b.entries)))
+            for moves in sets:
+                res = augment(z0, moves, A, b)
+                assert (res.solution, res.value) == (best.solution,
+                                                     best.value), (A.rows, c)
+                path = _reference_walk(z0.entries, moves)[1]
+                assert res.steps == len(path)
+                multiples += path
+    assert max(multiples) >= 2
 
 
 # right-hand sides of a two-row matrix that use both signs in both rows
@@ -252,6 +315,7 @@ def test_invariants_hold_under_optimize_flag():
                                         augment, phase_one_feasible,
                                         prepare_moves)
         from latticeopt.graver import GraverBasis
+        from latticeopt.groebner import _record
         from latticeopt.lattice import IntMatrix, IntVector, VectorSet
         A = IntMatrix(((1, 1),))
         calls = {
@@ -261,7 +325,7 @@ def test_invariants_hold_under_optimize_flag():
                 (1, 1), prepare_moves([IntVector((1, 0))], (1, 1)), A, (2,)),
             "augment, improving move without a positive entry":
                 lambda: augment((1, 1), PreparedMoves(
-                    IntVector((1, 1)), (((-1, 0), ()),)),
+                    IntVector((1, 1)), (_record((-1, 0)),)),
                     IntMatrix(((0, 1),)), (1,)),
             "artificial_system, b of another length":
                 lambda: artificial_system(A, [(1, 2)]),
