@@ -110,34 +110,35 @@ def _divisors(part, elems):
 def _reduce(vec, elems, cost, tie, full):
     """Normal form of an oriented vector against records, and its step count.
 
-    Each step picks the first record whose lead divides the lead or, when
-    `full` and none does, the trailing part, and subtracts (lead) or adds
-    (trail) its largest multiple m = min(part_i // lead_i) over the record
-    lead's support. Read as the binomial x^lead - x^trail, each unit of the
-    multiple replaces one monomial by a smaller one, so (lead, trail)
-    strictly descends in the well-founded order and the loop ends. Costs
-    are non-negative, so orientation keeps a non-negative vector: a point
-    z >= 0 is its own lead, m keeps it non-negative, and a walk from z is
-    its lead reduction. Returns (vector or None when it cancels to zero,
-    steps). A chosen record with an empty lead has no largest multiple:
-    ValueError names it.
+    Each step takes the first record whose lead divides the lead or, when
+    `full` and none does, the trail, and subtracts (lead) or adds (trail) its
+    largest multiple m = min(part_i // lead_i) over the record lead's support.
+    Read as the binomial x^lead - x^trail, each unit of m replaces one monomial
+    by a smaller one, so (lead, trail) strictly descends in the well-founded
+    order and the loop ends. Costs are non-negative, so orientation keeps a
+    non-negative vector: a point z >= 0 is its own lead, m keeps it
+    non-negative, and a walk from z is its lead reduction. Returns (vector,
+    or None once it cancels to zero, steps); a chosen record with an empty
+    lead has no largest multiple, and ValueError names it.
     """
     steps = 0
     while True:
-        part, sign = vec, -1
-        if min(vec, default=0) < 0:
+        part, op = vec, sub
+        if vec and min(vec) < 0:
             part = tuple(x if x > 0 else 0 for x in vec)
         k = next(_divisors(part, elems), None)
         if k is None and full:
-            part, sign = tuple(-x if x < 0 else 0 for x in vec), 1
+            part, op = tuple(-x if x < 0 else 0 for x in vec), add
             k = next(_divisors(part, elems), None)
         if k is None:
             return vec, steps
         g, lead, mask = elems[k]
         if not mask:
             raise ValueError("move %r has an empty lead" % (g,))
-        m = sign * min(map(floordiv, compress(part, lead), filter(None, lead)))
-        vec = tuple(map(add, vec, map(m.__mul__, g)))
+        m = min(map(floordiv, compress(part, lead), filter(None, lead)))
+        if m > 1:
+            g = tuple(map(m.__mul__, g))
+        vec = tuple(map(op, vec, g))
         steps += 1
         if min(vec) < 0:
             vec = _orient_tuple(vec, cost, tie)
@@ -170,9 +171,7 @@ def normal_form(v: IntVector, G: "VectorSet | Iterable[IntVector]",
     cost, tie = order.cost.entries, order.tie_order
     out, _ = _reduce(_orient_tuple(v.entries, cost, tie), elems, cost, tie,
                      full)
-    if out is None:
-        return IntVector((0,) * len(v))
-    return IntVector(out)
+    return IntVector((0,) * len(v) if out is None else out)
 
 
 def _interreduce(vecs, order):
