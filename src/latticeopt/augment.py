@@ -47,7 +47,7 @@ def prepare_moves(T, c: "IntVector | Iterable[int]") -> PreparedMoves:
     """The moves t of T that `orient` leaves as they are, in scan order.
 
     Those are the t with c.t > 0, or with c.t = 0 and a positive first
-    nonzero entry in tie order. Applying such a t to any point strictly
+    nonzero entry. Applying such a t to any point strictly
     decreases (c.z, tie-broken z); every other element can never be taken,
     so it is dropped up front. The scan order is fixed: best cost
     improvement first, then entry order. Walks that share a move set and a
@@ -86,8 +86,7 @@ def augment(z0: "IntVector | Iterable[int]", moves: PreparedMoves,
             or A.mat_vec(z0) != b):
         raise ValueError("invalid point: start must be in ints, >= 0, A z = b")
 
-    z, steps = _reduce(z0.entries, moves.moves, c.entries,
-                       tuple(range(len(c))), False)
+    z, steps = _reduce(z0.entries, moves.moves, c.entries, False)
     solution = IntVector((0,) * len(c) if z is None else z)
     if A.mat_vec(solution) != b or any(e < 0 for e in solution.entries):
         raise ValueError("walk left the fiber: a move is not in the kernel")

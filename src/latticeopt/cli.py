@@ -70,7 +70,13 @@ def bench_hs(n_list, seed, scaled, methods, oracle_bound=None):
 
     Decisions do not depend on the builder, so each size's are computed
     once, and every method's row builds on them and reports their time.
+    An unknown method raises ValueError before any work is done.
     """
+    known = (METHOD_KERNEL, METHOD_GRAVER, METHOD_ORACLE)
+    for method in methods:
+        if method not in known:
+            raise ValueError("unknown method %r: choose from %s"
+                             % (method, ", ".join(known)))
     records = []
     for n in n_list:
         inst = gen_hs(HsConfig(scenario_count=n, seed=seed, scaled=scaled))

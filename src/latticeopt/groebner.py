@@ -26,9 +26,9 @@ the same as without the criteria.
 One loop, `_reduce`, serves completion, inter-reduction, `normal_form` and
 every augmentation walk. It and the chain criterion ask one question, whose
 lead divides this exponent vector, and `_divisors` is the one scan that
-answers it. A queued pair's key is its lcm read in tie order, which
-the chain criterion reads back instead of recomputing it, and
-inter-reduction takes one pass (`_interreduce` says why).
+answers it. A queued pair's key is its lcm, which the chain criterion
+reads back instead of recomputing it, and inter-reduction takes one pass
+(`_interreduce` says why). Ties are read in variable order throughout.
 """
 
 from __future__ import annotations
@@ -72,15 +72,15 @@ class GroebnerBasis:
 
 # ----- tuple-level helpers (hot paths avoid IntVector wrappers) -----
 
-def _orient_tuple(t, cost, tie):
+def _orient_tuple(t, cost):
     cv = sum(map(mul, cost, t))
     if cv > 0:
         return t
     if cv < 0:
         return tuple(map(neg, t))
-    for i in tie:
-        if t[i]:
-            return t if t[i] > 0 else tuple(map(neg, t))
+    for x in t:
+        if x:
+            return t if x > 0 else tuple(map(neg, t))
     raise ValueError("cannot orient the zero vector")
 
 
@@ -107,7 +107,7 @@ def _divisors(part, elems):
             yield k
 
 
-def _reduce(vec, elems, cost, tie, full):
+def _reduce(vec, elems, cost, full):
     """Normal form of an oriented vector against records, and its step count.
 
     Each step takes the first record whose lead divides the lead or, when
@@ -141,7 +141,7 @@ def _reduce(vec, elems, cost, tie, full):
         vec = tuple(map(op, vec, g))
         steps += 1
         if min(vec) < 0:
-            vec = _orient_tuple(vec, cost, tie)
+            vec = _orient_tuple(vec, cost)
         elif not any(vec):
             return None, steps
 
@@ -152,7 +152,7 @@ def orient(v: IntVector, order: CostOrder) -> IntVector:
     """v or -v, whichever has its positive part on the leading side."""
     if v.is_zero():
         raise ValueError("cannot orient the zero vector")
-    t = _orient_tuple(v.entries, order.cost.entries, order.tie_order)
+    t = _orient_tuple(v.entries, order.cost.entries)
     return v if t == v.entries else IntVector(t)
 
 
@@ -168,9 +168,8 @@ def normal_form(v: IntVector, G: "VectorSet | Iterable[IntVector]",
         raise ValueError("v and G must have the order's %d entries" % order.dim)
     if v.is_zero():
         return v
-    cost, tie = order.cost.entries, order.tie_order
-    out, _ = _reduce(_orient_tuple(v.entries, cost, tie), elems, cost, tie,
-                     full)
+    cost = order.cost.entries
+    out, _ = _reduce(_orient_tuple(v.entries, cost), elems, cost, full)
     return IntVector((0,) * len(v) if out is None else out)
 
 
@@ -185,19 +184,14 @@ def _interreduce(vecs, order):
     survivor keeps its lead, and its tail ends reduced against the final
     leads.
     """
-    cost, tie = order.cost.entries, order.tie_order
-
-    def pos_key(rec):
-        pos = rec[1]
-        return (sum(c * x for c, x in zip(cost, pos)),
-                tuple(pos[i] for i in tie))
-
+    cost = order.cost.entries
     kept = []
-    for rec in sorted(map(_record, sorted(set(vecs))), key=pos_key):
+    for rec in sorted(map(_record, sorted(set(vecs))),
+                      key=lambda r: (sum(map(mul, cost, r[1])), r[1])):
         if next(_divisors(rec[1], kept), None) is None:
             kept.append(rec)
-    return sorted(_reduce(rec[0], kept[:idx] + kept[idx + 1:], cost, tie,
-                          True)[0] for idx, rec in enumerate(kept))
+    return sorted(_reduce(rec[0], kept[:idx] + kept[idx + 1:], cost, True)[0]
+                  for idx, rec in enumerate(kept))
 
 
 def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
@@ -206,7 +200,7 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
     """Complete a kernel-vector seed to the unique reduced basis for the order.
 
     Pairs are processed in ascending order of the componentwise max of the two
-    leads (normal selection), and each queued pair's key carries that lcm.
+    leads (normal selection), and a queued pair's key is that lcm.
     A pair with disjoint lead supports is never queued (product criterion),
     and a popped pair (i, j) is dropped when some k has a lead dividing its lcm
     and neither (i, k) nor (j, k) is still pending (chain criterion); the
@@ -222,8 +216,7 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
     if matrix is not None and matrix.ncols != order.dim:
         raise ValueError("cost has %d entries, the matrix %d columns"
                          % (order.dim, matrix.ncols))
-    cost, tie = order.cost.entries, order.tie_order
-    rank = sorted(range(len(tie)), key=tie.__getitem__)  # inverse of tie
+    cost = order.cost.entries
     basis = []
 
     def add(t):
@@ -239,19 +232,18 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
                              % (order.dim, len(v)))
         if v.is_zero():
             continue
-        t = _orient_tuple(v.entries, cost, tie)
+        t = _orient_tuple(v.entries, cost)
         if t not in seen:
             seen.add(t)
             add(t)
 
     def push(i, j):
-        """Queue the pair i < j with its lcm, read in tie order, unless its
-        leads are disjoint (product criterion). Pairs are pushed in (j, i)
-        order, so (j, i) breaks ties first in, first out."""
+        """Queue the pair i < j keyed by its lcm, (c.lcm, lcm, j, i), unless
+        its leads are disjoint (product criterion). Pairs are pushed in
+        (j, i) order, so (j, i) breaks ties first in, first out."""
         if basis[i][2] & basis[j][2]:
             lcm = tuple(map(max, basis[i][1], basis[j][1]))
-            heapq.heappush(heap, (sum(map(mul, cost, lcm)),
-                                  tuple(map(lcm.__getitem__, tie)), j, i))
+            heapq.heappush(heap, (sum(map(mul, cost, lcm)), lcm, j, i))
             pending.add((i, j))
 
     def chain(i, j, lcm):
@@ -268,12 +260,12 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
         for j in range(i):
             push(j, i)
     while heap:
-        _, tied, j, i = heapq.heappop(heap)
+        _, lcm, j, i = heapq.heappop(heap)
         pending.remove((i, j))
-        if chain(i, j, tuple(map(tied.__getitem__, rank))):
+        if chain(i, j, lcm):
             continue
-        s = _orient_tuple(tuple(map(sub, basis[i][0], basis[j][0])), cost, tie)
-        s, _ = _reduce(s, basis, cost, tie, False)
+        s = _orient_tuple(tuple(map(sub, basis[i][0], basis[j][0])), cost)
+        s, _ = _reduce(s, basis, cost, False)
         if s is None:
             continue
         add(s)

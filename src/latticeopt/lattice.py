@@ -7,7 +7,7 @@ there is deliberately no floating-point or rational mode.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class IntVector:
@@ -69,27 +69,23 @@ def as_vector(v: "IntVector | Sequence[int]") -> IntVector:
 class CostOrder:
     """Total order on non-negative vectors: compare c.x first, ties lexicographic.
 
-    The tie-break reads coordinates in the declared variable order by default;
-    an explicit permutation reorders it (used by elimination orders, which move
-    one coordinate to the front). Negative cost entries are rejected: with
-    c >= 0 the order is a well-founded monomial order, which the completion
-    procedures rely on for termination.
+    Ties are read in variable order; `tie_order` is kept, read-only, so
+    readers can see that order. Elimination orders need no other: vectors
+    that tie on the cost e_j share entry j. Negative cost entries are
+    rejected: with c >= 0 the order is a well-founded monomial order, which
+    the completion procedures rely on for termination.
     """
 
-    __slots__ = ("cost", "tie_order")
+    __slots__ = ("cost",)
 
-    def __init__(self, cost: "IntVector | Sequence[int]",
-                 tie_order: Optional[Sequence[int]] = None):
+    def __init__(self, cost: "IntVector | Sequence[int]"):
         self.cost = as_vector(cost)
         if any(e < 0 for e in self.cost.entries):
             raise ValueError("cost entries must be non-negative")
-        n = len(self.cost)
-        if tie_order is None:
-            self.tie_order = tuple(range(n))
-        else:
-            self.tie_order = tuple(tie_order)
-            if sorted(self.tie_order) != list(range(n)):
-                raise ValueError("tie_order must be a permutation of 0..n-1")
+
+    @property
+    def tie_order(self) -> tuple:
+        return tuple(range(len(self.cost)))
 
     @property
     def dim(self) -> int:
@@ -102,14 +98,8 @@ class CostOrder:
         """-1, 0, or +1 as u is below, equal to, or above v in the order."""
         if len(u) != self.dim or len(v) != self.dim:
             raise ValueError("dimension mismatch with cost vector")
-        cu, cv = self.cost.dot(u), self.cost.dot(v)
-        if cu != cv:
-            return 1 if cu > cv else -1
-        ue, ve = u.entries, v.entries
-        for i in self.tie_order:
-            if ue[i] != ve[i]:
-                return 1 if ue[i] > ve[i] else -1
-        return 0
+        ku, kv = (self.cost.dot(u), u.entries), (self.cost.dot(v), v.entries)
+        return (ku > kv) - (ku < kv)
 
     def __repr__(self) -> str:
         return f"CostOrder({list(self.cost.entries)!r})"

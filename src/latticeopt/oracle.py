@@ -32,9 +32,13 @@ def _resolve_cap() -> int:
     raw = os.environ.get(NODE_CAP_ENV)
     if raw is None:
         return DEFAULT_NODE_CAP
-    cap = int(raw)
-    if cap <= 0:
-        raise ValueError("%s must be a positive integer" % NODE_CAP_ENV)
+    try:
+        cap = int(raw)
+        if cap <= 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError("%s must be a positive integer, got %r"
+                         % (NODE_CAP_ENV, raw)) from None
     return cap
 
 

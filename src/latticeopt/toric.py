@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .groebner import buchberger
+from .groebner import buchberger, orient
 from .lattice import CostOrder, IntMatrix, IntVector, VectorSet, kernel_basis
 
 
@@ -100,25 +100,18 @@ def _flip_columns(matrix, cols):
                      for row in matrix.rows)
 
 
-def _sign_normalized(t):
-    for x in t:
-        if x > 0:
-            return t
-        if x < 0:
-            return tuple(-y for y in t)
-    return t
-
-
 def toric_generating_set(A: IntMatrix,
                          element_cap: Optional[int] = None) -> ToricGenerators:
     """Generating set of the full move ideal of {z >= 0 : Az = b} fibers.
 
     Steps: kernel basis; greedy push toward a common sign pattern; J = every
     coordinate still carrying a negative entry; flip all of J; for each j in
-    J run Buchberger with coordinate j most expensive and flip j back. Each
-    round saturates one coordinate, and the flips cancel exactly, so the
-    result lives in ker(A) again. The optional cap, at least 1 even when
-    no round runs, is passed to every round (see `buchberger`).
+    J run Buchberger under the cost e_j and flip j back. With ties read in
+    variable order, e_j is an elimination order for j, since vectors that
+    tie on it share entry j. Each round saturates one coordinate, and the
+    flips cancel exactly, so the result lives in ker(A) again. The optional
+    cap, at least 1 even when no round runs, is passed to every round (see
+    `buchberger`).
     """
     if element_cap is not None and element_cap < 1:
         raise ValueError("element cap must be at least 1, got %d" % element_cap)
@@ -135,14 +128,13 @@ def toric_generating_set(A: IntMatrix,
     generators = VectorSet(IntVector(v) for v in current)
 
     for j in J:
-        order = CostOrder(tuple(1 if i == j else 0 for i in range(n)),
-                          tie_order=[j] + [i for i in range(n) if i != j])
-        gb = buchberger(generators, order,
+        gb = buchberger(generators,
+                        CostOrder(tuple(1 if i == j else 0 for i in range(n))),
                         matrix=_flip_columns(A, pending),
                         element_cap=element_cap)
         pending.discard(j)
         generators = VectorSet(flip_coordinate(g, j) for g in gb)
 
-    final = VectorSet(IntVector(_sign_normalized(g.entries))
-                      for g in generators)
+    zero_cost = CostOrder((0,) * n)  # orients by the first nonzero entry
+    final = VectorSet(orient(g, zero_cost) for g in generators)
     return ToricGenerators(A, VectorSet(final.canonical()))

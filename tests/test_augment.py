@@ -318,27 +318,28 @@ def test_invariants_hold_under_optimize_flag():
         from latticeopt.groebner import _record
         from latticeopt.lattice import IntMatrix, IntVector, VectorSet
         A = IntMatrix(((1, 1),))
+        # each case names the check it trips by a fragment of its message
         calls = {
-            "GraverBasis": lambda: GraverBasis(
+            "negation-closed": lambda: GraverBasis(
                 A, VectorSet([IntVector((1, 0))])),
-            "augment": lambda: augment(
+            "walk left the fiber": lambda: augment(
                 (1, 1), prepare_moves([IntVector((1, 0))], (1, 1)), A, (2,)),
-            "augment, improving move without a positive entry":
-                lambda: augment((1, 1), PreparedMoves(
-                    IntVector((1, 1)), (_record((-1, 0)),)),
-                    IntMatrix(((0, 1),)), (1,)),
-            "artificial_system, b of another length":
+            "empty lead": lambda: augment((1, 1), PreparedMoves(
+                IntVector((1, 1)), (_record((-1, 0)),)),
+                IntMatrix(((0, 1),)), (1,)),
+            "does not have the matrix's":
                 lambda: artificial_system(A, [(1, 2)]),
-            "phase_one_feasible, b uses a sign with no artificial column":
-                lambda: phase_one_feasible(
-                    artificial_system(A, [(2,)]), (-2,)),
+            "no artificial column": lambda: phase_one_feasible(
+                artificial_system(A, [(2,)]), (-2,)),
         }
-        for name, call in calls.items():
+        for fragment, call in calls.items():
             try:
                 call()
-            except ValueError:
-                continue
-            raise SystemExit(name + " accepted an invalid input")
+            except ValueError as exc:
+                if fragment in str(exc):
+                    continue
+                raise SystemExit("%r raised %r" % (fragment, exc))
+            raise SystemExit("%r: an invalid input was accepted" % fragment)
     """)
     package = os.path.dirname(os.path.abspath(latticeopt.__file__))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(package))

@@ -186,6 +186,19 @@ def test_bench_emits_json_lines(capsys):
         assert rec["counters"]["walk_steps"] == 6
 
 
+def test_bench_rejects_an_unknown_method_before_any_work(monkeypatch,
+                                                         capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("bench started work before checking methods")
+
+    monkeypatch.setattr(cli, "gen_hs", no_work)
+    assert cli.run(["bench", "--n-list", "2", "--methods",
+                    "kernel,foo"]) == 2
+    err = capsys.readouterr().err
+    assert "'foo'" in err
+    assert all(m in err for m in ("kernel", "graver", "oracle"))
+
+
 def test_bad_input_exit_codes(tmp_path, capsys):
     assert cli.run(["toric", "--matrix", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()

@@ -208,9 +208,21 @@ def test_matrix_validation():
         m.mat_vec(IntVector([1, 1, 1]))
 
 
-def test_elimination_tie_order():
-    # coordinate 2 moved to the front: ties resolved on entry 2 first
-    order = CostOrder(IntVector([0, 0, 1]), tie_order=(2, 0, 1))
-    assert order.compare(IntVector([0, 5, 0]), IntVector([9, 0, 0])) == -1
-    with pytest.raises(ValueError):
-        CostOrder(IntVector([0, 0, 1]), tie_order=(2, 2, 1))
+def test_unit_cost_order_is_an_elimination_order():
+    # Toric saturation's round j orders by the cost e_j with ties in
+    # variable order, and relies on that being the elimination order that
+    # reads entry j first: vectors that tie on e_j share their j-th entry.
+    rng = random.Random(19)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        u, v = (IntVector([rng.randint(-2, 2) for _ in range(n)])
+                for _ in range(2))
+        for j in range(n):
+            order = CostOrder([1 if i == j else 0 for i in range(n)])
+
+            def key(w):
+                return (w[j], w.entries[:j] + w.entries[j + 1:])
+
+            expected = (key(u) > key(v)) - (key(u) < key(v))
+            assert order.compare(u, v) == expected
+            assert order.compare(u, u) == 0

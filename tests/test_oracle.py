@@ -78,7 +78,7 @@ def test_node_cap_raises(monkeypatch):
 
 def test_node_cap_env_must_be_positive(monkeypatch):
     p = IpProblem(IntMatrix([[1, 1]]), IntVector([2]), IntVector([1, 1]), 2)
-    for raw in ("0", "-5"):
+    for raw in ("0", "-5", "abc", "1.5"):
         monkeypatch.setenv(NODE_CAP_ENV, raw)
         with pytest.raises(ValueError, match=NODE_CAP_ENV):
             solve_bruteforce(p)

@@ -1,6 +1,7 @@
 """Source-level rules that no behavioural test can see."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +35,21 @@ def test_support_checks_raise_under_optimize_flag():
         check_test_set(A, CostOrder((1, 2)), [], box=2)
     with pytest.raises(AssertionError):
         check_augmentation_exact(A, (1, 2), [], box=2)
+
+
+def test_package_imports_only_the_standard_library():
+    # `dependencies = []` in pyproject.toml does not stop a third-party
+    # import; every import in the package must be relative or stdlib.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, name)
+                      for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
+    assert found == []
