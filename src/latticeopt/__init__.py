@@ -5,6 +5,11 @@ The pipeline: integer kernel bases (lattice), saturated generating sets
 augmentation solvers (augment), opportunity cost matrices for two-stage
 stochastic programs (opcost), instance generators (instances), and a small
 brute-force oracle (oracle) used for cross-checks throughout.
+
+`from .augment import augment` below rebinds the package attribute
+`latticeopt.augment` to the walk function, so `import latticeopt.augment`
+and `from latticeopt import augment` both give the function. The module
+is reached with `importlib.import_module("latticeopt.augment")`.
 """
 
 from .lattice import (CostOrder, IntMatrix, IntVector, VectorSet, as_vector,

@@ -36,7 +36,6 @@ class BenchRecord:
     scenario_count: int
     variable_count: int
     timings_us: dict
-    basis_sizes: dict
     checksum: str
     counters: dict
 
@@ -85,11 +84,6 @@ def bench_hs(n_list, seed, scaled, methods, oracle_bound=None):
         decisions_us = (time.perf_counter_ns() - t0) // 1000
         for method in methods:
             m = _opcost(method, inst, dec, var_bound=oracle_bound)
-            c = m.counters
-            sizes = {METHOD_KERNEL: {"toric": c.toric_elements,
-                                     "groebner": c.groebner_elements},
-                     METHOD_GRAVER: {"graver": c.graver_elements}}.get(
-                         method, {})
             timings = {"decisions_us": decisions_us}
             timings.update(m.timings_us)
             records.append(BenchRecord(
@@ -97,9 +91,8 @@ def bench_hs(n_list, seed, scaled, methods, oracle_bound=None):
                 scenario_count=n,
                 variable_count=inst.recourse.ncols,
                 timings_us=timings,
-                basis_sizes=sizes,
                 checksum=matrix_checksum(m),
-                counters=c.as_dict(),
+                counters=m.counters.as_dict(),
             ))
     return records
 

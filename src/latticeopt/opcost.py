@@ -18,12 +18,14 @@ is handed the cost only through them. A walk starts at the instance's hook
 point for its cell, which `augment` tests, or at a Phase-I point found over
 M's narrow artificial system: one artificial column per (row, sign) that a
 right-hand side the solver will see uses, gathered, and the extension's
-test set completed, when Phase-I is first needed. A matrix row depends
-only on its decision, so each distinct decision is solved once, and its
-T x computed once; counters make that reuse observable. Every build runs
-in one process. Each phase books its time where it runs and the row loop
-books only what no phase inside it booked, so a build's timings are
-disjoint and add up to its timed wall clock.
+test set completed, when Phase-I is first needed. A Phase-I point depends
+only on its right-hand side, so each distinct one is walked once, feasible
+or not. A matrix row depends only on its decision, so each distinct
+decision is solved once, and its T x computed once; counters make that
+reuse observable. Every build runs in one process. Each phase books its
+time where it runs and the row loop books only what no phase inside it
+booked, so a build's timings are disjoint and add up to its timed wall
+clock.
 """
 
 from __future__ import annotations
@@ -154,7 +156,8 @@ class BuildCounters:
     and phase_one_calls counts the cells handed that set. The per-cell
     tallies cover the rows of distinct decisions only, since repeated
     decisions copy their row; walk_steps sums the steps of the optimisation
-    and Phase-I walks.
+    walks and of each distinct right-hand side's Phase-I walk, counted
+    once however many cells share it.
     """
 
     __slots__ = ("toric_runs", "buchberger_runs", "graver_runs",
@@ -263,9 +266,11 @@ class _Solver:
     when `head` is None or the instance has no hook or it gives no point.
     Each object is built on its first use, wherever that falls; its build
     is timed and counted there, so the build's solver for W records exactly
-    the build's algebra. Each Phase-I walk is timed apart from the set it
-    walks over. Outside it, only `_DECISIONS_SOLVER` maps the method, to
-    the decisions' solver; `walk_us` names the timing a walk books to.
+    the build's algebra. A Phase-I point is such an object, one per distinct
+    right-hand side, None where b is infeasible: `_once` walks it once and
+    times it as `phase_one_walk_us`, like every other object. Outside it,
+    only `_DECISIONS_SOLVER` maps the method, to the decisions' solver;
+    `walk_us` names the timing a walk books to.
     """
 
     def __init__(self, instance: SipInstance, method: str, M: IntMatrix,
@@ -287,8 +292,7 @@ class _Solver:
 
     def _once(self, key, build, runs=None, elements=None):
         """The object under key, built on first use; key[0] is its timing."""
-        obj = self._built.get(key)
-        if obj is None:
+        if key not in self._built:
             t0 = time.perf_counter_ns()
             obj = self._built[key] = build()
             self.timings_us[key[0]] += (time.perf_counter_ns() - t0) // 1000
@@ -297,7 +301,7 @@ class _Solver:
                 setattr(c, runs, getattr(c, runs) + 1)
             if elements is not None:
                 setattr(c, elements, getattr(c, elements) + len(obj))
-        return obj
+        return self._built[key]
 
     def moves(self, cost: IntVector) -> PreparedMoves:
         """The walk's prepared moves for cost; the oracle's hold no moves."""
@@ -364,11 +368,9 @@ class _Solver:
                 ("phase_one_us",), lambda: artificial_system(M, self.rhss()),
                 "phase_one_bases")
             steps = []
-            t0 = time.perf_counter_ns()
-            start = phase_one_feasible(system, b, steps)
-            self.timings_us["phase_one_walk_us"] += (
-                time.perf_counter_ns() - t0) // 1000
-            c.walk_steps += steps[0]
+            start = self._once(("phase_one_walk_us", b.entries),
+                               lambda: phase_one_feasible(system, b, steps))
+            c.walk_steps += sum(steps)
             if start is None:
                 return None
         c.augment_calls += 1

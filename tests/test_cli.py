@@ -171,19 +171,24 @@ def test_opcost_header_names_every_scenario(tmp_path, capsys, decisions,
 
 def test_bench_emits_json_lines(capsys):
     assert cli.run(["bench", "--n-list", "2", "--seed", "7", "--scaled",
-                    "--methods", "kernel,graver"]) == 0
+                    "--methods", "kernel,graver,oracle"]) == 0
     lines = [json.loads(line)
              for line in capsys.readouterr().out.splitlines() if line]
-    assert len(lines) == 2
+    assert len(lines) == 3
     by_method = {rec["method"]: rec for rec in lines}
-    assert by_method["kernel"]["checksum"] == by_method["graver"]["checksum"]
+    assert len({rec["checksum"] for rec in lines}) == 1
     assert by_method["kernel"]["scenario_count"] == 2
     assert by_method["kernel"]["variable_count"] == 8
-    assert by_method["kernel"]["basis_sizes"]["toric"] > 0
-    assert by_method["graver"]["basis_sizes"]["graver"] > 0
+    assert by_method["kernel"]["counters"]["toric_elements"] > 0
+    assert by_method["kernel"]["counters"]["groebner_elements"] > 0
+    assert by_method["graver"]["counters"]["graver_elements"] > 0
     for rec in lines:
         assert all(t >= 0 for t in rec["timings_us"].values())
-        assert rec["counters"]["walk_steps"] == 6
+    for method in ("kernel", "graver"):
+        assert by_method[method]["counters"]["walk_steps"] == 6
+    oracle_counters = by_method["oracle"]["counters"]
+    assert oracle_counters["oracle_solves"] == 4
+    assert oracle_counters["walk_steps"] == 0
 
 
 def test_bench_rejects_an_unknown_method_before_any_work(monkeypatch,

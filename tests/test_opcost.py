@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from latticeopt import opcost
+from latticeopt import cli, opcost
 from latticeopt.instances import (HsConfig, SndConfig, gen_hs, gen_snd,
                                   hs_feasible, hs_recourse_bounds,
                                   instance_from_json, instance_to_json)
@@ -311,6 +311,31 @@ def test_snd_matrix_with_infeasible_cell():
     # one Phase-I test set of W's narrow extension serves all four cells
     assert mk.counters.phase_one_bases == 1
     assert mk.counters.phase_one_calls == 4
+
+
+def test_phase_one_walks_once_per_right_hand_side(monkeypatch):
+    # SND N=30 has no closed-form start: the decisions phase sees 11
+    # distinct stacked right-hand sides in 30 scenarios, and each build 77
+    # distinct ones in 210 cells, 50 of them infeasible
+    inst = gen_snd(SndConfig(30, seed=1, max_demand=2))
+    walk = opcost.phase_one_feasible
+    points = []
+
+    def counting(*args, **kwargs):
+        point = walk(*args, **kwargs)
+        points.append(point)
+        return point
+
+    monkeypatch.setattr(opcost, "phase_one_feasible", counting)
+    dec = single_scenario_decisions(inst)
+    assert len(points) == 11
+    for build in (opcost_kernel, opcost_graver):
+        points.clear()
+        m = build(inst, dec)
+        assert len(points) == 77
+        assert points.count(None) == 50
+        assert cli.matrix_checksum(m) == "51a8ddadf2cbad99"
+        assert m.timings_us["phase_one_walk_us"] > 0
 
 
 def test_seeded_snd_methods_agree_with_infeasible_cells():
