@@ -7,21 +7,28 @@ implicitly in vector arithmetic, which is sound for the saturated ideals
 this package feeds in (the toric module's saturation rounds exist exactly
 to make that so).
 
-Completion skips the S-pairs that two criteria prove useless (Buchberger's
-product and chain criteria; Gebauer-Moeller, J. Symb. Comput. 6, 1988).
-Hemmecke-Malkin (J. Symb. Comput. 44, 2009) show both carry over to this
-vector form. In it a pair (i, j) is settled once the two points
-lcm - v_i and lcm - v_j, where lcm is the componentwise max of the leads,
-are joined by a path of basis moves whose points all lie below lcm in the
-order:
+Completion skips the S-pairs that three rules prove useless (Buchberger's
+product and chain criteria, and the pruning half of the Gebauer-Moeller
+update; J. Symb. Comput. 6, 1988). Hemmecke-Malkin (J. Symb. Comput. 44,
+2009) show the criteria carry over to this vector form. In it a pair
+(i, j) is settled once the two points lcm - v_i and lcm - v_j, where lcm
+is the componentwise max of the leads, are joined by a path of basis moves
+whose points all lie below lcm in the order:
 - product: disjoint leads settle the pair outright, since from either
   point the other element's move applies and both paths meet at
   trail_i + trail_j;
 - chain: if the lead of a third element k divides the lcm and the pairs
   (i, k) and (j, k) are settled, their paths, shifted up by a non-negative
-  vector, stay below lcm and join both points through lcm - v_k.
-Skipping only drops work and the reduced basis is unique, so the result is
-the same as without the criteria.
+  vector, stay below lcm and join both points through lcm - v_k;
+- death: once a new element t has a lead dividing an earlier k's, k dies
+  at t and forms no pair with any later h. Lead(t) divides lcm(k, h), so
+  (k, h) is the chain through t: (k, t) is formed, and (t, h) is formed or
+  skipped by this same rule, ending at a formed pair. A dead k stays a
+  reducer, and its queued pairs stay queued.
+The chain criterion may count a pair as settled only if it was formed:
+pair (a, b), a < b, was formed exactly when a died at or after b, so it
+checks that before "no longer pending". Skipping only drops work and the
+reduced basis is unique, so the result is the same as without the rules.
 
 One loop, `_reduce`, serves completion, inter-reduction, `normal_form` and
 every augmentation walk. It and the chain criterion ask one question, whose
@@ -201,10 +208,13 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
 
     Pairs are processed in ascending order of the componentwise max of the two
     leads (normal selection), and a queued pair's key is that lcm.
-    A pair with disjoint lead supports is never queued (product criterion),
-    and a popped pair (i, j) is dropped when some k has a lead dividing its lcm
-    and neither (i, k) nor (j, k) is still pending (chain criterion); the
-    module docstring says why both are sound. Inter-reduction of the
+    Each new element, seed or remainder, pairs with every earlier element
+    still alive and kills those whose lead its own lead divides (death
+    rule). A pair with disjoint lead supports is never queued (product
+    criterion), and a popped pair (i, j) is dropped when some k has a lead
+    dividing its lcm and both (i, k) and (j, k) were formed and are no
+    longer pending (chain criterion); the module docstring says why all
+    three are sound. Inter-reduction of the
     completed basis takes one pass. A matrix or seed vector whose length
     differs from the order's raises ValueError, and so does a cap below 1.
     With a cap, a working basis that grows past it raises
@@ -218,12 +228,36 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
                          % (order.dim, matrix.ncols))
     cost = order.cost.entries
     basis = []
+    alive = float("inf")
+    died = []  # died[k]: first later element whose lead divides k's, or alive
+    heap = []
+    pending = set()  # pairs pushed and not yet popped
+
+    def push(i, j):
+        """Queue the pair i < j keyed by its lcm, (c.lcm, lcm, j, i), unless
+        its leads are disjoint (product criterion). Pairs are pushed in
+        (j, i) order, so (j, i) breaks ties first in, first out."""
+        if basis[i][2] & basis[j][2]:
+            lcm = tuple(map(max, basis[i][1], basis[j][1]))
+            heapq.heappush(heap, (sum(map(mul, cost, lcm)), lcm, j, i))
+            pending.add((i, j))
 
     def add(t):
+        """Append t, pair it with each earlier element still alive, and mark
+        dead each of those whose lead t's lead divides."""
+        n = len(basis)
         basis.append(_record(t))
-        if element_cap is not None and len(basis) > element_cap:
+        died.append(alive)
+        if element_cap is not None and n >= element_cap:
             raise GraverResourceError(
                 "completion exceeded %d elements" % element_cap)
+        _, lead, mask = basis[n]
+        for k in range(n):
+            if died[k] == alive:
+                push(k, n)
+                _, lead_k, mask_k = basis[k]
+                if not mask & ~mask_k and all(map(le, lead, lead_k)):
+                    died[k] = n
 
     seen = set()
     for v in seed:
@@ -237,28 +271,17 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
             seen.add(t)
             add(t)
 
-    def push(i, j):
-        """Queue the pair i < j keyed by its lcm, (c.lcm, lcm, j, i), unless
-        its leads are disjoint (product criterion). Pairs are pushed in
-        (j, i) order, so (j, i) breaks ties first in, first out."""
-        if basis[i][2] & basis[j][2]:
-            lcm = tuple(map(max, basis[i][1], basis[j][1]))
-            heapq.heappush(heap, (sum(map(mul, cost, lcm)), lcm, j, i))
-            pending.add((i, j))
-
     def chain(i, j, lcm):
-        """True when some k has a lead dividing the pair's lcm and neither
-        (i, k) nor (j, k) is pending (chain criterion)."""
+        """True when some k has a lead dividing the pair's lcm and both
+        (i, k) and (j, k) were formed and are no longer pending (chain
+        criterion). Pair (a, b), a < b, was formed when died[a] >= b."""
         return any(k != i and k != j
+                   and died[min(i, k)] >= max(i, k)
+                   and died[min(j, k)] >= max(j, k)
                    and (min(i, k), max(i, k)) not in pending
                    and (min(j, k), max(j, k)) not in pending
                    for k in _divisors(lcm, basis))
 
-    heap = []
-    pending = set()  # pairs pushed and not yet popped
-    for i in range(len(basis)):
-        for j in range(i):
-            push(j, i)
     while heap:
         _, lcm, j, i = heapq.heappop(heap)
         pending.remove((i, j))
@@ -269,8 +292,6 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
         if s is None:
             continue
         add(s)
-        for k in range(len(basis) - 1):
-            push(k, len(basis) - 1)
 
     reduced = _interreduce([rec[0] for rec in basis], order)
     return GroebnerBasis(matrix, order, VectorSet(IntVector(t) for t in reduced))

@@ -105,3 +105,58 @@ def wide_stairstep_matrix() -> IntMatrix:
     return IntMatrix(tuple(
         row + tuple(1 if k == r else 0 for k in range(7))
         for r, row in enumerate(rows)))
+
+
+def random_toric_completions(rng, count, shapes, element_cap=None,
+                             skipped=None):
+    """(matrix, shuffled toric generators, order) triples: `count` random
+    matrices of the given shapes, every second one with entries down to -2,
+    and 2-3 random costs each. With a cap, a matrix whose saturation outgrows
+    it is appended to `skipped` instead."""
+    from latticeopt.groebner import GraverResourceError
+    from latticeopt.lattice import CostOrder
+    from latticeopt.toric import toric_generating_set
+
+    for k in range(count):
+        nrows, ncols = rng.choice(shapes)
+        A = random_matrix(rng, nrows, ncols, -2 if k % 2 else 0, 4)
+        costs = [CostOrder(tuple(rng.randint(0, 5) for _ in range(ncols)))
+                 for _ in range(rng.choice([2, 3]))]
+        try:
+            gens = list(toric_generating_set(A, element_cap).generators)
+        except GraverResourceError:
+            skipped.append(A)
+            continue
+        for order in costs:
+            rng.shuffle(gens)
+            yield A, list(gens), order
+
+
+def reference_completion(seed, order):
+    """Criterion-free Buchberger completion, as a sorted list of tuples.
+
+    Every pair of the working basis is reduced with `groebner._reduce`:
+    no product, chain or death rule skips one. Then `groebner._interreduce`
+    gives the reduced basis, which `buchberger` must match for any seed
+    order.
+    """
+    from latticeopt import groebner
+
+    cost = order.cost.entries
+    basis = []
+    for v in seed:
+        t = tuple(v)
+        if any(t):
+            t = groebner._orient_tuple(t, cost)
+            if all(t != rec[0] for rec in basis):
+                basis.append(groebner._record(t))
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop()
+        s = groebner._orient_tuple(
+            tuple(a - b for a, b in zip(basis[i][0], basis[j][0])), cost)
+        s, _ = groebner._reduce(s, basis, cost, False)
+        if s is not None:
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(groebner._record(s))
+    return groebner._interreduce([rec[0] for rec in basis], order)

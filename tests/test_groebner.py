@@ -1,7 +1,9 @@
 """Completion, normal forms, and the test-set property checked by brute force."""
 
 import hashlib
+import heapq
 import random
+import types
 
 import pytest
 
@@ -273,3 +275,73 @@ def test_chain_criterion_skips_reductions(monkeypatch):
     assert len(calls) < 11
     assert support.as_tuple_set(gb) == {
         (0, 1, -2, 1), (1, -2, 1, 0), (1, -1, -1, 1)}
+
+
+def test_completion_matches_criterion_free_reference():
+    # The product, chain and death rules only skip pairs; a completion that
+    # reduces every pair must reach the same reduced basis, whatever the
+    # seed order. Unlike the frozen digest, this needs no recorded output.
+    rng = random.Random(2110)
+    runs = 0
+    for A, gens, order in support.random_toric_completions(
+            rng, 40, [(1, 4), (2, 5), (2, 6), (3, 6), (3, 7)]):
+        got = sorted(g.entries for g in buchberger(gens, order, matrix=A))
+        assert got == support.reference_completion(gens, order)
+        runs += 1
+    assert runs >= 80
+
+
+def _spy_pushes(monkeypatch):
+    """Record each pair (i, j), i < j, that buchberger queues."""
+    pushed = []
+
+    def push(heap, item):
+        pushed.append((item[3], item[2]))
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(groebner, "heapq", types.SimpleNamespace(
+        heappush=push, heappop=heapq.heappop))
+    return pushed
+
+
+def test_death_rule_halves_the_queued_pairs_on_the_wide_matrix(monkeypatch):
+    # Before the death rule, completing the 7x17 toric generators under the
+    # all-ones cost queued 9,028 pairs; it now queues 4,204. The basis is the
+    # one perfbench's completion_7x17 workload checks.
+    A = support.wide_stairstep_matrix()
+    gens = toric_generating_set(A).generators
+    pushed = _spy_pushes(monkeypatch)
+    gb = buchberger(gens, CostOrder((1,) * A.ncols), matrix=A)
+    assert len(pushed) <= 9028 // 2
+    text = ";".join(",".join(map(str, g.entries))
+                    for g in gb.elements.canonical())
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "63878ca8e3289456"
+
+
+def test_dead_element_forms_no_later_pairs(monkeypatch):
+    # Under cost (1, 2, 3) the seed's leads are x3^3, x3^2 and x3: element 0
+    # dies at 1 and element 1 at 2, so the overlapping pair (0, 2) is never
+    # queued, and no pair (k, h) with h past k's death ever is.
+    seed = _vs((1, 1, -3), (1, 0, -2), (0, 1, -1))
+    order = CostOrder((1, 2, 3))
+    pushed = _spy_pushes(monkeypatch)
+    working = []
+    real_reduce = groebner._reduce
+
+    def capture(vec, elems, cost, full):
+        if not full and not working:
+            working.append(elems)
+        return real_reduce(vec, elems, cost, full)
+
+    monkeypatch.setattr(groebner, "_reduce", capture)
+    gb = buchberger(seed, order, matrix=IntMatrix([[2, 1, 1]]))
+    basis = working[0]
+    died = [next((t for t in range(k + 1, len(basis))
+                  if all(a <= b for a, b in zip(basis[t][1], basis[k][1]))),
+                 len(basis)) for k in range(len(basis))]
+    assert died[:2] == [1, 2]
+    assert (0, 2) not in pushed
+    assert all(j <= died[i] for i, j in pushed)
+    got = sorted(g.entries for g in gb)
+    assert got == [(-1, 2, 0), (0, -1, 1)]
+    assert got == support.reference_completion(seed, order)

@@ -1,4 +1,5 @@
-"""Scale fixture: completion on a dense 7x17 system.
+"""Scale fixtures: completion on a dense 7x17 system, and a wide sweep
+against a completion that skips no pair.
 
 Wide dense matrices are where completion cost grows steeply with the
 variable count, so this pins that the vector-level pipeline still finishes
@@ -72,3 +73,22 @@ def test_completion_finishes_and_is_canonical():
             again = buchberger(shuffled, order, matrix=A)
             assert {g.entries for g in again} == \
                    {g.entries for g in reference}
+
+
+def test_completion_matches_criterion_free_reference_sweep():
+    # test_groebner's reference cross-check on 300 matrices up to 4x8. A few
+    # random lattices with large kernel entries make a saturation round
+    # outgrow 500 working elements (one ran past ten minutes uncapped);
+    # those matrices are skipped and counted.
+    rng = random.Random(1)
+    skipped = []
+    runs = 0
+    with time_guard(GUARD_SECONDS):
+        for A, gens, order in support.random_toric_completions(
+                rng, 300, [(2, 5), (2, 6), (3, 6), (3, 7), (4, 7), (4, 8)],
+                element_cap=500, skipped=skipped):
+            got = sorted(g.entries for g in buchberger(gens, order, matrix=A))
+            assert got == support.reference_completion(gens, order)
+            runs += 1
+    assert len(skipped) <= 10
+    assert runs >= 600
