@@ -20,10 +20,12 @@ columns).
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import mul
 from typing import Iterable, NamedTuple, Optional
 
 from .groebner import _record, _reduce, orient, test_set
-from .lattice import CostOrder, IntMatrix, IntVector, as_vector
+from .lattice import CostOrder, IntMatrix, IntVector, as_entries, as_vector
 
 
 class AugmentResult(NamedTuple):
@@ -73,24 +75,25 @@ def augment(z0: "IntVector | Iterable[int]", moves: PreparedMoves,
 
     The walk minimises `moves.cost` over `moves`, a `prepare_moves` result:
     it is the lead reduction of z0 against the moves (a z that cancels to
-    zero is the zero point). A start or end off {z >= 0 in ints : A z = b}
-    raises ValueError.
+    zero is the zero point). It runs on entry tuples from entry to exit and
+    wraps only the returned solution. Both the start and the end are
+    checked: either off {z >= 0 in ints : A z = b} raises ValueError.
     """
     if not isinstance(moves, PreparedMoves):
         raise TypeError("augment walks prepared moves: pass the move set "
                         "through prepare_moves(T, c)")
-    z0, b, c = as_vector(z0), as_vector(b), moves.cost
+    z0, b, c = as_entries(z0), as_entries(b), moves.cost.entries
     if len(z0) != A.ncols or len(c) != A.ncols:
         raise ValueError("dimension mismatch with matrix columns")
-    if (not all(isinstance(e, int) and e >= 0 for e in z0.entries)
-            or A.mat_vec(z0) != b):
+    if (not all(map(isinstance, z0, repeat(int)))
+            or min(z0, default=0) < 0 or A.mat_vec(z0).entries != b):
         raise ValueError("invalid point: start must be in ints, >= 0, A z = b")
 
-    z, steps = _reduce(z0.entries, moves.moves, c.entries, False)
-    solution = IntVector((0,) * len(c) if z is None else z)
-    if A.mat_vec(solution) != b or any(e < 0 for e in solution.entries):
+    z, steps = _reduce(z0, moves.moves, c, False)
+    z = (0,) * len(c) if z is None else z
+    if A.mat_vec(z).entries != b or min(z, default=0) < 0:
         raise ValueError("walk left the fiber: a move is not in the kernel")
-    return AugmentResult(solution, c.dot(solution), steps)
+    return AugmentResult(IntVector(z), sum(map(mul, c, z)), steps)
 
 
 class ArtificialSystem(NamedTuple):

@@ -1,12 +1,16 @@
 """Exact integer vectors, cost orders, and integer kernel lattice bases.
 
 Everything downstream (completion procedures, augmentation, the oracle)
-works on these types. All arithmetic is arbitrary-precision Python ints;
-there is deliberately no floating-point or rational mode.
+works on these types. Vector and matrix arithmetic maps `operator`'s add,
+sub and mul over entry tuples behind explicit length checks that raise
+ValueError. All of it is exact arbitrary-precision Python ints; there is
+deliberately no floating-point or rational mode.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Sequence
 
 
@@ -31,23 +35,25 @@ class IntVector:
     def __iter__(self) -> Iterator[int]:
         return iter(self.entries)
 
+    def _paired(self, other: "IntVector") -> tuple:
+        if len(self.entries) != len(other.entries):
+            raise ValueError("vectors of different lengths do not combine")
+        return self.entries, other.entries
+
     def __add__(self, other: "IntVector") -> "IntVector":
-        pairs = zip(self.entries, other.entries, strict=True)
-        return IntVector(a + b for a, b in pairs)
+        return IntVector(map(add, *self._paired(other)))
 
     def __sub__(self, other: "IntVector") -> "IntVector":
-        pairs = zip(self.entries, other.entries, strict=True)
-        return IntVector(a - b for a, b in pairs)
+        return IntVector(map(sub, *self._paired(other)))
 
     def __neg__(self) -> "IntVector":
-        return IntVector(-a for a in self.entries)
+        return IntVector(map(neg, self.entries))
 
     def scale(self, k: int) -> "IntVector":
-        return IntVector(k * a for a in self.entries)
+        return IntVector(map(mul, repeat(k), self.entries))
 
     def dot(self, other: "IntVector") -> int:
-        pairs = zip(self.entries, other.entries, strict=True)
-        return sum(a * b for a, b in pairs)
+        return sum(map(mul, *self._paired(other)))
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -64,6 +70,11 @@ class IntVector:
 
 def as_vector(v: "IntVector | Sequence[int]") -> IntVector:
     return v if isinstance(v, IntVector) else IntVector(v)
+
+
+def as_entries(v: "IntVector | Iterable[int]") -> tuple:
+    """v's entries as a tuple: an IntVector's own, a tuple itself."""
+    return v.entries if isinstance(v, IntVector) else tuple(v)
 
 
 class CostOrder:
@@ -133,15 +144,18 @@ class IntMatrix:
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)
 
-    def mat_vec(self, v: "IntVector | Sequence[int]") -> IntVector:
-        ve = v.entries if isinstance(v, IntVector) else tuple(v)
+    def _row_dots(self, v: "IntVector | Sequence[int]") -> list:
+        ve = as_entries(v)
         if len(ve) != self.ncols:
             raise ValueError("dimension mismatch: %d cols vs %d entries"
                              % (self.ncols, len(ve)))
-        return IntVector(sum(a * x for a, x in zip(row, ve)) for row in self.rows)
+        return [sum(map(mul, row, ve)) for row in self.rows]
 
-    def in_kernel(self, v: IntVector) -> bool:
-        return self.mat_vec(v).is_zero()
+    def mat_vec(self, v: "IntVector | Sequence[int]") -> IntVector:
+        return IntVector(self._row_dots(v))
+
+    def in_kernel(self, v: "IntVector | Sequence[int]") -> bool:
+        return not any(self._row_dots(v))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntMatrix) and self.rows == other.rows

@@ -41,7 +41,7 @@ from .augment import (PreparedMoves, artificial_system, augment,
                       phase_one_feasible, prepare_moves)
 from .graver import graver_basis
 from .groebner import buchberger
-from .lattice import CostOrder, IntMatrix, IntVector, as_vector
+from .lattice import CostOrder, IntMatrix, IntVector, as_entries, as_vector
 from .toric import toric_generating_set
 
 CELL_OK = "ok"
@@ -361,7 +361,7 @@ class _Solver:
             x, j = cell
             y = hook(x, self.instance.scenarios[j].rhs)
             if y is not None:
-                start = self.head + as_vector(y).entries
+                start = self.head + as_entries(y)
         if start is None:
             c.phase_one_calls += 1
             system = self._once(

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
@@ -50,14 +51,42 @@ def test_optimal_start_unchanged():
 
 
 def test_rejects_bad_starts():
+    # each start is refused with its message whether z0 and b come as
+    # IntVectors, tuples or lists
     A = IntMatrix([[1, 1, 1]])
     T = _moves((1, 2, 3), (-1, 1, 0))
-    with pytest.raises(ValueError):
-        augment((1, 1, 0), T, A, (3,))
-    with pytest.raises(ValueError):
-        augment((4, -1, 0), T, A, (3,))
-    with pytest.raises(ValueError):
-        augment((1, 2), T, A, (3,))
+    for z0, b, fragment in (((1, 1, 0), (3,), "invalid point"),
+                            ((4, -1, 0), (3,), "invalid point"),
+                            ((3, 0, 0), (3, 0), "invalid point"),
+                            ((1, 2), (3,), "dimension mismatch")):
+        for form in (IntVector, tuple, list):
+            with pytest.raises(ValueError, match=fragment):
+                augment(form(z0), T, A, form(b))
+    with pytest.raises(ValueError, match="walk left the fiber"):
+        augment((1, 1), prepare_moves([IntVector((1, 0))], (1, 1)),
+                IntMatrix([[1, 1]]), (2,))
+
+
+def test_input_forms_give_equal_results():
+    # z0 and b as IntVectors, tuples or lists walk the same path; the
+    # result always wraps its solution and carries an int value
+    rng = random.Random(2222)
+    A = support.random_matrix(rng, 2, 4, 0, 3)
+    c = [rng.randint(0, 5) for _ in range(4)]
+    moves = prepare_moves(groebner.test_set(A, c), c)
+    walked = 0
+    for b, pts in support.boxed_fibers(A, 4).items():
+        for z in pts:
+            results = {augment(zf(z), moves, A, bf(b))
+                       for zf in (IntVector, tuple, list)
+                       for bf in (IntVector, tuple, list)}
+            assert len(results) == 1
+            res, = results
+            assert type(res.solution) is IntVector
+            assert type(res.value) is int
+            assert res.value == sum(map(operator.mul, c, res.solution))
+            walked += res.steps
+    assert walked > 0
 
 
 def test_raw_move_set_rejected():
@@ -74,9 +103,11 @@ def test_start_entries_must_be_ints():
     A = IntMatrix([[1, 1, 1]])
     T = _moves((1, 2, 3), (-1, 1, 0))
     assert augment((3, 0, 0), T, A, (3,)).value == 3
-    for start in ((3.0, 0, 0), (3, 0.0, 0), (3, 0, 0.0)):
-        with pytest.raises(ValueError, match="invalid point"):
-            augment(start, T, A, (3,))
+    for start in ((3.0, 0, 0), (3, 0.0, 0), (3, 0, 0.0), (Fraction(3), 0, 0),
+                  (3, Fraction(0), 0)):
+        for form in (IntVector, tuple, list):
+            with pytest.raises(ValueError, match="invalid point"):
+                augment(form(start), T, A, (3,))
 
 
 def test_exact_over_test_sets_random():
@@ -311,6 +342,7 @@ def test_phase_one_rhs_length_checked():
 def test_invariants_hold_under_optimize_flag():
     # python -O strips assert statements; these checks must survive it.
     code = textwrap.dedent("""
+        from fractions import Fraction
         from latticeopt.augment import (PreparedMoves, artificial_system,
                                         augment, phase_one_feasible,
                                         prepare_moves)
@@ -319,20 +351,26 @@ def test_invariants_hold_under_optimize_flag():
         from latticeopt.lattice import IntMatrix, IntVector, VectorSet
         A = IntMatrix(((1, 1),))
         # each case names the check it trips by a fragment of its message
-        calls = {
-            "negation-closed": lambda: GraverBasis(
-                A, VectorSet([IntVector((1, 0))])),
-            "walk left the fiber": lambda: augment(
-                (1, 1), prepare_moves([IntVector((1, 0))], (1, 1)), A, (2,)),
-            "empty lead": lambda: augment((1, 1), PreparedMoves(
+        T = prepare_moves([IntVector((1, -1))], (1, 2))
+        calls = [
+            ("negation-closed", lambda: GraverBasis(
+                A, VectorSet([IntVector((1, 0))]))),
+            ("walk left the fiber", lambda: augment(
+                (1, 1), prepare_moves([IntVector((1, 0))], (1, 1)), A, (2,))),
+            ("empty lead", lambda: augment((1, 1), PreparedMoves(
                 IntVector((1, 1)), (_record((-1, 0)),)),
-                IntMatrix(((0, 1),)), (1,)),
-            "does not have the matrix's":
-                lambda: artificial_system(A, [(1, 2)]),
-            "no artificial column": lambda: phase_one_feasible(
-                artificial_system(A, [(2,)]), (-2,)),
-        }
-        for fragment, call in calls.items():
+                IntMatrix(((0, 1),)), (1,))),
+            ("invalid point", lambda: augment((Fraction(2), 0), T, A, (2,))),
+            ("invalid point", lambda: augment((2.0, 0), T, A, (2,))),
+            ("invalid point", lambda: augment((3, -1), T, A, (2,))),
+            ("invalid point", lambda: augment((1, 0), T, A, (2,))),
+            ("dimension mismatch", lambda: augment((2,), T, A, (2,))),
+            ("does not have the matrix's",
+                lambda: artificial_system(A, [(1, 2)])),
+            ("no artificial column", lambda: phase_one_feasible(
+                artificial_system(A, [(2,)]), (-2,))),
+        ]
+        for fragment, call in calls:
             try:
                 call()
             except ValueError as exc:

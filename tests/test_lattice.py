@@ -180,10 +180,44 @@ def test_vector_arithmetic():
     assert a.scale(10 ** 20).dot(b) == (10 ** 20) * a.dot(b)
 
 
+def _random_entry(rng):
+    return rng.choice((rng.randint(-9, 9), rng.randint(-2 ** 70, 2 ** 70)))
+
+
+def test_arithmetic_matches_the_per_entry_reference():
+    # the operator-mapped arithmetic against its entry-by-entry definition,
+    # over mixed signs and entries past 2**64; half the matrices have a last
+    # column that cancels the rest, so the all-ones vector is in their kernel
+    rng = random.Random(2022)
+    for case in range(200):
+        n, m = rng.randint(1, 7), rng.randint(1, 4)
+        a = [_random_entry(rng) for _ in range(n)]
+        b = [_random_entry(rng) for _ in range(n)]
+        k = _random_entry(rng)
+        rows = [[_random_entry(rng) for _ in range(n)] for _ in range(m)]
+        if case % 2:
+            rows = [r[:-1] + [-sum(r[:-1])] for r in rows]
+        va, vb, M = IntVector(a), IntVector(b), IntMatrix(rows)
+        assert (va + vb).entries == tuple(a[i] + b[i] for i in range(n))
+        assert (va - vb).entries == tuple(a[i] - b[i] for i in range(n))
+        assert (-va).entries == tuple(-a[i] for i in range(n))
+        assert va.scale(k).entries == tuple(k * a[i] for i in range(n))
+        assert va.dot(vb) == sum(a[i] * b[i] for i in range(n))
+        for v in (a, [1] * n):
+            product = tuple(sum(r[i] * v[i] for i in range(n)) for r in rows)
+            for form in (IntVector, tuple, list):
+                assert M.mat_vec(form(v)) == IntVector(product)
+                assert M.in_kernel(form(v)) == (not any(product))
+        assert M.in_kernel([1] * n) == bool(case % 2)
+
+
 def test_vectors_of_different_lengths_do_not_combine():
     a, b = IntVector((1, 2)), IntVector((5,))
+    m = IntMatrix([[1, 2], [3, 4]])
     for combine in (lambda: a + b, lambda: a - b, lambda: a.dot(b),
-                    lambda: b + a, lambda: b - a, lambda: b.dot(a)):
+                    lambda: b + a, lambda: b - a, lambda: b.dot(a),
+                    lambda: m.mat_vec(b), lambda: m.mat_vec((1, 2, 3)),
+                    lambda: m.in_kernel(b), lambda: m.in_kernel([0, 0, 0])):
         with pytest.raises(ValueError):
             combine()
     with pytest.raises(ValueError):
