@@ -64,7 +64,7 @@ def _opcost(method, inst, dec, q_only=False, var_bound=None):
     return build[method](inst, dec, q_only=q_only)
 
 
-def bench_hs(n_list, seed, scaled, methods, oracle_bound=None):
+def bench_hs(n_list, seed, scaled, methods):
     """Time the decision + matrix pipeline per method and scenario count.
 
     Decisions do not depend on the builder, so each size's are computed
@@ -83,7 +83,7 @@ def bench_hs(n_list, seed, scaled, methods, oracle_bound=None):
         dec = single_scenario_decisions(inst)
         decisions_us = (time.perf_counter_ns() - t0) // 1000
         for method in methods:
-            m = _opcost(method, inst, dec, var_bound=oracle_bound)
+            m = _opcost(method, inst, dec)
             timings = {"decisions_us": decisions_us}
             timings.update(m.timings_us)
             records.append(BenchRecord(
@@ -147,8 +147,7 @@ def _cmd_groebner(args) -> int:
 
 
 def _cmd_graver(args) -> int:
-    basis = graver_basis(_read_matrix(args.matrix),
-                         element_cap=args.max_elements)
+    basis = graver_basis(_read_matrix(args.matrix))
     doc = {"elements": [list(g.entries) for g in basis]}
     _emit(json.dumps(doc, indent=2), args.out)
     return 0
@@ -172,8 +171,7 @@ def _cmd_opcost(args) -> int:
 
 def _cmd_bench(args) -> int:
     records = bench_hs(_parse_int_list(args.n_list), args.seed, args.scaled,
-                       tuple(args.methods.split(",")),
-                       oracle_bound=args.var_bound)
+                       tuple(args.methods.split(",")))
     _emit("\n".join(r.to_json_line() for r in records), args.out)
     return 0
 
@@ -327,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graver", help="Graver basis of a matrix")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--max-elements", type=int, default=None)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_graver)
 
@@ -349,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--scaled", action="store_true")
     p.add_argument("--methods", default="kernel,graver")
-    p.add_argument("--var-bound", type=int, default=None)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_bench)
 

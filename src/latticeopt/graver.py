@@ -9,7 +9,7 @@ interleaved columns (x_1, y_1, ..., x_n, y_n) saturate faster. T = +/-Graver:
   normalised: no lead divides a lead or a tail, so no element is a conformal
   minorant of another (flips and negation keep conformality), while any
   element outside +/-Graver has a Graver conformal minorant, which is in T.
-An optional cap bounds each saturation round's working basis.
+Each saturation round's working basis is bounded by `groebner.ELEMENT_CAP`.
 
 For two-stage matrices with injective first stage, the N-scenario stack's
 basis is the one-scenario basis copied into each block.
@@ -18,7 +18,6 @@ basis is the one-scenario basis copied into each block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import toric
 from .groebner import GraverResourceError
@@ -48,17 +47,17 @@ class GraverBasis:
         return "GraverBasis(%d elements, %d cols)" % (len(self), self.matrix.ncols)
 
 
-def graver_basis(A: IntMatrix, element_cap: Optional[int] = None) -> GraverBasis:
+def graver_basis(A: IntMatrix) -> GraverBasis:
     """Saturate the Lawrence lifting; keep the x part of each generator.
 
-    A cap below 1 raises ValueError, a round past it GraverResourceError.
+    A round past `groebner.ELEMENT_CAP` raises GraverResourceError.
     """
     n = A.ncols
     rows = [tuple(x for a in row for x in (a, 0)) for row in A.rows]
     rows += [tuple(int(j // 2 == i) for j in range(2 * n)) for i in range(n)]
     lifting = IntMatrix(rows)
     # Through the module, so that a tracer or test spy wrapping it sees it.
-    gens = toric.toric_generating_set(lifting, element_cap)
+    gens = toric.toric_generating_set(lifting)
     halves = {g.entries[::2] for g in gens}
     closed = halves | {tuple(-x for x in u) for u in halves}
     return GraverBasis(A, VectorSet(IntVector(t) for t in sorted(closed)))

@@ -47,9 +47,11 @@ from typing import Iterable, Optional
 
 from .lattice import CostOrder, IntMatrix, IntVector, VectorSet
 
+ELEMENT_CAP = 2_000  # most elements a working basis may hold
+
 
 class GraverResourceError(RuntimeError):
-    """Raised when a completion's working basis exceeds its element cap."""
+    """Raised when a completion's working basis grows past ELEMENT_CAP."""
 
 
 class GroebnerBasis:
@@ -202,8 +204,7 @@ def _interreduce(vecs, order):
 
 
 def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
-               matrix: Optional[IntMatrix] = None,
-               element_cap: Optional[int] = None) -> GroebnerBasis:
+               matrix: Optional[IntMatrix] = None) -> GroebnerBasis:
     """Complete a kernel-vector seed to the unique reduced basis for the order.
 
     Pairs are processed in ascending order of the componentwise max of the two
@@ -216,13 +217,9 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
     longer pending (chain criterion); the module docstring says why all
     three are sound. Inter-reduction of the
     completed basis takes one pass. A matrix or seed vector whose length
-    differs from the order's raises ValueError, and so does a cap below 1.
-    With a cap, a working basis that grows past it raises
-    GraverResourceError.
+    differs from the order's raises ValueError. A working basis that grows
+    past ELEMENT_CAP, read at each insertion, raises GraverResourceError.
     """
-    if element_cap is not None and element_cap < 1:
-        raise ValueError("element cap must be at least 1, got %d"
-                         % element_cap)
     if matrix is not None and matrix.ncols != order.dim:
         raise ValueError("cost has %d entries, the matrix %d columns"
                          % (order.dim, matrix.ncols))
@@ -244,13 +241,14 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
 
     def add(t):
         """Append t, pair it with each earlier element still alive, and mark
-        dead each of those whose lead t's lead divides."""
+        dead each of those whose lead t's lead divides. Adding the element
+        past ELEMENT_CAP raises GraverResourceError."""
         n = len(basis)
         basis.append(_record(t))
         died.append(alive)
-        if element_cap is not None and n >= element_cap:
+        if n >= ELEMENT_CAP:
             raise GraverResourceError(
-                "completion exceeded %d elements" % element_cap)
+                "completion exceeded %d elements" % ELEMENT_CAP)
         _, lead, mask = basis[n]
         for k in range(n):
             if died[k] == alive:

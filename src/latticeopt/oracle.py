@@ -8,7 +8,6 @@ agreement between the two is evidence, not tautology.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -17,29 +16,13 @@ from .lattice import IntMatrix, IntVector, VectorSet
 OPTIMAL = "optimal"
 INFEASIBLE_IN_BOX = "infeasible_in_box"
 
-DEFAULT_NODE_CAP = 10 ** 8
-NODE_CAP_ENV = "OPCOST_NODE_CAP"
+NODE_CAP = 10 ** 8  # most box nodes one search may visit
 
 
 class OracleResourceError(RuntimeError):
-    """Raised when the search would visit more nodes than the configured cap,
-    or when opcost finds no point for a cell in a given box smaller than the
-    derived one."""
-
-
-def _resolve_cap() -> int:
-    """OPCOST_NODE_CAP when set, which must be positive; else the default."""
-    raw = os.environ.get(NODE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_NODE_CAP
-    try:
-        cap = int(raw)
-        if cap <= 0:
-            raise ValueError
-    except ValueError:
-        raise ValueError("%s must be a positive integer, got %r"
-                         % (NODE_CAP_ENV, raw)) from None
-    return cap
+    """Raised when a search would visit more than NODE_CAP nodes, or when
+    opcost finds no point for a cell in a given box smaller than the derived
+    one."""
 
 
 @dataclass(frozen=True)
@@ -118,7 +101,7 @@ def _value_range(j, rows, b, s, lo, hi, vlo, vhi):
     return vlo, vhi
 
 
-def _walk(rows, b, lows, highs, cap, leaf):
+def _walk(rows, b, lows, highs, leaf):
     """Depth-first over the box lows <= z <= highs; leaf(z) at each A z = b.
 
     z is one list, reused for every point: a leaf copies what it keeps.
@@ -143,10 +126,9 @@ def _walk(rows, b, lows, highs, cap, leaf):
         val = vlo
         while val <= vhi:
             nodes += 1
-            if nodes > cap:
+            if nodes > NODE_CAP:
                 raise OracleResourceError(
-                    "node cap %d exceeded; shrink the box or raise %s"
-                    % (cap, NODE_CAP_ENV))
+                    "node cap %d exceeded; shrink the box" % NODE_CAP)
             z[j] = val
             walk(j + 1)
             val += 1
@@ -180,7 +162,7 @@ def solve_bruteforce(problem: IpProblem) -> IpOutcome:
             best_sol = tuple(z)
 
     _walk([tuple(r) for r in problem.A.rows], tuple(problem.b.entries),
-          (0,) * len(highs), highs, _resolve_cap(), keep_best)
+          (0,) * len(highs), highs, keep_best)
     if best_sol is None:
         return IpOutcome(INFEASIBLE_IN_BOX, None, None)
     return IpOutcome(OPTIMAL, IntVector(best_sol), best_val)
@@ -193,8 +175,7 @@ def enumerate_graver_in_box(A: IntMatrix, bound: int) -> VectorSet:
     n = A.ncols
     sols: list = []
     _walk([tuple(r) for r in A.rows], (0,) * A.nrows, (-bound,) * n,
-          (bound,) * n, _resolve_cap(),
-          lambda z: sols.append(tuple(z)))
+          (bound,) * n, lambda z: sols.append(tuple(z)))
     sols = [v for v in sols if any(v)]
     sols.sort(key=lambda t: (sum(abs(x) for x in t), t))
     kept: list = []

@@ -9,8 +9,6 @@ undoing each flip as its round completes.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .groebner import buchberger, orient
 from .lattice import CostOrder, IntMatrix, IntVector, VectorSet, kernel_basis
 
@@ -100,8 +98,7 @@ def _flip_columns(matrix, cols):
                      for row in matrix.rows)
 
 
-def toric_generating_set(A: IntMatrix,
-                         element_cap: Optional[int] = None) -> ToricGenerators:
+def toric_generating_set(A: IntMatrix) -> ToricGenerators:
     """Generating set of the full move ideal of {z >= 0 : Az = b} fibers.
 
     Steps: kernel basis; greedy push toward a common sign pattern; J = every
@@ -109,12 +106,9 @@ def toric_generating_set(A: IntMatrix,
     J run Buchberger under the cost e_j and flip j back. With ties read in
     variable order, e_j is an elimination order for j, since vectors that
     tie on it share entry j. Each round saturates one coordinate, and the
-    flips cancel exactly, so the result lives in ker(A) again. The optional
-    cap, at least 1 even when no round runs, is passed to every round (see
-    `buchberger`).
+    flips cancel exactly, so the result lives in ker(A) again. A round whose
+    working basis outgrows `groebner.ELEMENT_CAP` raises GraverResourceError.
     """
-    if element_cap is not None and element_cap < 1:
-        raise ValueError("element cap must be at least 1, got %d" % element_cap)
     basis = [tuple(v) for v in kernel_basis(A)]
     if not basis:
         return ToricGenerators(A, VectorSet())
@@ -130,8 +124,7 @@ def toric_generating_set(A: IntMatrix,
     for j in J:
         gb = buchberger(generators,
                         CostOrder(tuple(1 if i == j else 0 for i in range(n))),
-                        matrix=_flip_columns(A, pending),
-                        element_cap=element_cap)
+                        matrix=_flip_columns(A, pending))
         pending.discard(j)
         generators = VectorSet(flip_coordinate(g, j) for g in gb)
 

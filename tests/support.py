@@ -111,9 +111,10 @@ def random_toric_completions(rng, count, shapes, element_cap=None,
                              skipped=None):
     """(matrix, shuffled toric generators, order) triples: `count` random
     matrices of the given shapes, every second one with entries down to -2,
-    and 2-3 random costs each. With a cap, a matrix whose saturation outgrows
-    it is appended to `skipped` instead."""
-    from latticeopt.groebner import GraverResourceError
+    and 2-3 random costs each. With a cap, which stands in for
+    `groebner.ELEMENT_CAP` during each saturation only, a matrix whose
+    saturation outgrows it is appended to `skipped` instead."""
+    from latticeopt import groebner
     from latticeopt.lattice import CostOrder
     from latticeopt.toric import toric_generating_set
 
@@ -122,11 +123,18 @@ def random_toric_completions(rng, count, shapes, element_cap=None,
         A = random_matrix(rng, nrows, ncols, -2 if k % 2 else 0, 4)
         costs = [CostOrder(tuple(rng.randint(0, 5) for _ in range(ncols)))
                  for _ in range(rng.choice([2, 3]))]
+        default_cap = groebner.ELEMENT_CAP
+        if element_cap is not None:
+            groebner.ELEMENT_CAP = element_cap
         try:
-            gens = list(toric_generating_set(A, element_cap).generators)
-        except GraverResourceError:
+            gens = list(toric_generating_set(A).generators)
+        except groebner.GraverResourceError:
+            if element_cap is None:
+                raise
             skipped.append(A)
             continue
+        finally:
+            groebner.ELEMENT_CAP = default_cap
         for order in costs:
             rng.shuffle(gens)
             yield A, list(gens), order

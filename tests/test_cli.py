@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from latticeopt import cli
+from latticeopt import cli, groebner
 from latticeopt.instances import (HsConfig, gen_hs, instance_from_json,
                                   instance_to_json)
 
@@ -59,22 +59,32 @@ def test_groebner_subcommand(tmp_path, capsys):
         (-1, 0, 1), (-1, 1, 0)]
 
 
-def test_graver_subcommand_and_cap(tmp_path, capsys):
+def test_graver_subcommand_and_cap(tmp_path, capsys, monkeypatch):
     path = write_matrix(tmp_path, [[1, 2]])
     assert cli.run(["graver", "--matrix", path]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert sorted(tuple(e) for e in doc["elements"]) == [(-2, 1), (2, -1)]
     big = write_matrix(tmp_path, [[3, -5, 7, -11, 2]], name="big.json")
-    assert cli.run(["graver", "--matrix", big, "--max-elements", "3"]) == 3
+    monkeypatch.setattr(groebner, "ELEMENT_CAP", 3)
+    assert cli.run(["graver", "--matrix", big]) == 3
 
 
-@pytest.mark.parametrize("rows,cap", [([[1, 2]], "-1"), ([[1, 2]], "0"),
-                                      ([[1, 0], [0, 1]], "-3")])
-def test_graver_nonpositive_cap_is_bad_input(tmp_path, capsys, rows, cap):
-    # once reported as a cap hit (exit 3), or ignored on a trivial kernel
-    path = write_matrix(tmp_path, rows)
-    assert cli.run(["graver", "--matrix", path, "--max-elements", cap]) == 2
-    assert capsys.readouterr().err.startswith("error: element cap")
+@pytest.mark.parametrize("command", ["opcost", "toric", "groebner"])
+def test_element_cap_hit_exits_3(tmp_path, capsys, monkeypatch, command):
+    inst = tmp_path / "inst.json"
+    assert cli.run(["gen-snd", "--n", "2", "--seed", "3",
+                    "--out", str(inst)]) == 0
+    matrix = write_matrix(tmp_path, [[3, 2, 1, 0], [0, 1, 2, 3]])
+    args = {"opcost": ["opcost", "--instance", str(inst)],
+            "toric": ["toric", "--matrix", matrix],
+            "groebner": ["groebner", "--matrix", matrix,
+                         "--cost", "1,1,1,1"]}[command]
+    monkeypatch.setattr(groebner, "ELEMENT_CAP", 2)
+    capsys.readouterr()
+    assert cli.run(args) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("limit hit: completion exceeded 2 elements")
 
 
 def test_opcost_kernel_oracle_identical_csv(tmp_path):

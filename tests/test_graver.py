@@ -131,9 +131,11 @@ def test_graver_basis_runs_no_completion_of_its_own(monkeypatch):
     assert calls == []
 
 
-def test_element_cap_raises():
+def test_element_cap_raises(monkeypatch):
+    from latticeopt import groebner
+    monkeypatch.setattr(groebner, "ELEMENT_CAP", 3)
     with pytest.raises(GraverResourceError):
-        graver_basis(IntMatrix([[3, -5, 7, -11, 2]]), element_cap=3)
+        graver_basis(IntMatrix([[3, -5, 7, -11, 2]]))
 
 
 def test_cap_error_is_one_class():

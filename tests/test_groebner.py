@@ -233,7 +233,7 @@ def test_divisors_match_brute_force():
         assert list(groebner._divisors(part, elems)) == expected
 
 
-def test_element_cap_bounds_the_working_basis():
+def test_element_cap_bounds_the_working_basis(monkeypatch):
     # Three generators complete to three elements, but two S-vectors join
     # the working basis before inter-reduction: the cap counts all five.
     A = IntMatrix([[1, 1, 1, 1]])
@@ -242,18 +242,13 @@ def test_element_cap_bounds_the_working_basis():
     uncapped = support.as_tuple_set(buchberger(gens, order, matrix=A))
     assert len(gens) == len(uncapped) == 3
     for k in (1, 3, 4):
+        monkeypatch.setattr(groebner, "ELEMENT_CAP", k)
         with pytest.raises(GraverResourceError, match="exceeded %d " % k):
-            buchberger(gens, order, matrix=A, element_cap=k)
+            buchberger(gens, order, matrix=A)
     for k in (5, 100):
+        monkeypatch.setattr(groebner, "ELEMENT_CAP", k)
         assert support.as_tuple_set(
-            buchberger(gens, order, matrix=A, element_cap=k)) == uncapped
-
-
-def test_nonpositive_element_cap_is_rejected():
-    gens = _vs((1, -1))
-    for k in (0, -1):
-        with pytest.raises(ValueError, match="element cap"):
-            buchberger(gens, CostOrder((1, 2)), element_cap=k)
+            buchberger(gens, order, matrix=A)) == uncapped
 
 
 def test_chain_criterion_skips_reductions(monkeypatch):

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from latticeopt import cli, opcost
+from latticeopt import cli, groebner, opcost
+from latticeopt.groebner import GraverResourceError
 from latticeopt.instances import (HsConfig, SndConfig, gen_hs, gen_snd,
                                   hs_feasible, hs_recourse_bounds,
                                   instance_from_json, instance_to_json)
@@ -517,6 +518,18 @@ def test_unscaled_hs_kernel_equals_graver_at_n100():
     mg = opcost_graver(inst, dec)
     assert mk.size == 100
     assert mk.values == mg.values and mk.status == mg.status
+
+
+def test_element_cap_bounds_every_pipeline_completion(monkeypatch):
+    # The decisions phase, both builders' bases and the Phase-I sets all
+    # complete through buchberger, which reads groebner.ELEMENT_CAP.
+    inst = gen_snd(SndConfig(scenario_count=2, seed=3))
+    dec = single_scenario_decisions(inst)
+    monkeypatch.setattr(groebner, "ELEMENT_CAP", 3)
+    for build in (single_scenario_decisions, lambda i: opcost_kernel(i, dec),
+                  lambda i: opcost_graver(i, dec)):
+        with pytest.raises(GraverResourceError, match="exceeded 3 elements"):
+            build(inst)
 
 
 def test_graver_counters():

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
+from latticeopt import oracle
 from latticeopt.lattice import IntMatrix, IntVector
 from latticeopt.oracle import (
     INFEASIBLE_IN_BOX,
-    NODE_CAP_ENV,
     OPTIMAL,
     IpOutcome,
     IpProblem,
@@ -71,19 +71,11 @@ def test_per_variable_bounds():
 def test_node_cap_raises(monkeypatch):
     p = IpProblem(IntMatrix([[1, 1, 1, 1]]), IntVector([8]),
                   IntVector([1, 1, 1, 1]), 8)
-    monkeypatch.setenv(NODE_CAP_ENV, "5")
-    with pytest.raises(OracleResourceError):
+    monkeypatch.setattr(oracle, "NODE_CAP", 5)
+    with pytest.raises(OracleResourceError, match="node cap 5 exceeded"):
         solve_bruteforce(p)
-
-
-def test_node_cap_env_must_be_positive(monkeypatch):
-    p = IpProblem(IntMatrix([[1, 1]]), IntVector([2]), IntVector([1, 1]), 2)
-    for raw in ("0", "-5", "abc", "1.5"):
-        monkeypatch.setenv(NODE_CAP_ENV, raw)
-        with pytest.raises(ValueError, match=NODE_CAP_ENV):
-            solve_bruteforce(p)
-        with pytest.raises(ValueError, match=NODE_CAP_ENV):
-            enumerate_graver_in_box(IntMatrix([[1, 1]]), 1)
+    with pytest.raises(OracleResourceError):
+        enumerate_graver_in_box(IntMatrix([[1, 1]]), 3)
 
 
 def test_solve_matches_raw_enumeration_random():

@@ -53,3 +53,22 @@ def test_package_imports_only_the_standard_library():
                       for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_no_module_reads_the_environment():
+    # Each limit is a module constant read where it is checked
+    # (groebner.ELEMENT_CAP, oracle.NODE_CAP); an environment read would be
+    # a setting that no caller passes and no signature shows.
+    reads = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, name)
+                      for name in names if name in reads]
+    assert found == []

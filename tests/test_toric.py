@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from latticeopt import groebner
 from latticeopt.groebner import GraverResourceError
 from latticeopt.lattice import CostOrder, IntMatrix, IntVector
 from latticeopt.toric import ToricGenerators, flip_coordinate, toric_generating_set
@@ -70,21 +71,14 @@ def test_twisted_cubic_fiber_needs_saturation():
         support.check_test_set(A, CostOrder(c), gb, box=6)
 
 
-def test_element_cap_reaches_the_saturation_rounds():
+def test_element_cap_reaches_the_saturation_rounds(monkeypatch):
     A = IntMatrix([[3, 2, 1, 0], [0, 1, 2, 3]])
     uncapped = support.as_tuple_set(toric_generating_set(A))
+    monkeypatch.setattr(groebner, "ELEMENT_CAP", 2)
     with pytest.raises(GraverResourceError):
-        toric_generating_set(A, element_cap=2)
-    assert support.as_tuple_set(
-        toric_generating_set(A, element_cap=100)) == uncapped
-
-
-@pytest.mark.parametrize("rows", [((1, 0), (0, 1)), ((1, 2, 3),)])
-@pytest.mark.parametrize("cap", [0, -3])
-def test_nonpositive_cap_rejected_on_entry(rows, cap):
-    # on a trivial kernel no saturation round runs to check the cap
-    with pytest.raises(ValueError, match="element cap"):
-        toric_generating_set(IntMatrix(rows), element_cap=cap)
+        toric_generating_set(A)
+    monkeypatch.setattr(groebner, "ELEMENT_CAP", 100)
+    assert support.as_tuple_set(toric_generating_set(A)) == uncapped
 
 
 def test_constructor_asserts_kernel_membership():
