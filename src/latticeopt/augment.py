@@ -2,12 +2,12 @@
 
 A walk is the normal form of its start: one `groebner._reduce` call, the
 loop that completion uses, over moves that are the completion's own
-records (vector, lead, lead mask). Each step takes the first move whose
-lead fits under z in a fixed scan order, at its largest multiple, until
-none fits. Over a valid test set the end is the optimum of the cost
-order's lexicographic refinement; over a negation-closed Graver basis the
-improving halves of the pairs play the same role. A walk takes its moves
-and the cost it minimises together, as one `PreparedMoves`.
+records (vector, lead, lead mask) in its lead index. Each step takes the
+first move whose lead fits under z in a fixed scan order, at its largest
+multiple, until none fits. Over a valid test set the end is the optimum of
+the cost order's lexicographic refinement; over a negation-closed Graver
+basis the improving halves of the pairs play the same role. A walk takes
+its moves and the cost it minimises together, as one `PreparedMoves`.
 
 Phase-I follows the extended-matrix method of Conti and Traverso
 ("Buchberger algorithm and integer programming", AAECC-9, LNCS 539, 1991)
@@ -24,7 +24,7 @@ from itertools import repeat
 from operator import mul
 from typing import Iterable, NamedTuple, Optional
 
-from .groebner import _record, _reduce, orient, test_set
+from .groebner import _LeadIndex, _record, _reduce, orient, test_set
 from .lattice import CostOrder, IntMatrix, IntVector, as_entries, as_vector
 
 
@@ -37,12 +37,14 @@ class AugmentResult(NamedTuple):
 class PreparedMoves(NamedTuple):
     """A move set's improving moves in scan order, for one cost vector.
 
-    `cost` is the vector a walk over the moves minimises, and each move is
-    a `groebner._record`: (vector, lead, support mask of the lead).
+    `cost` is the vector a walk over the moves minimises. `moves` is a
+    `groebner._LeadIndex` of `groebner._record`s, (vector, lead, support
+    mask of the lead): each step's divisor search reads its per-variable
+    bitsets instead of scanning every move.
     """
 
     cost: IntVector
-    moves: tuple
+    moves: list
 
 
 def prepare_moves(T, c: "IntVector | Iterable[int]") -> PreparedMoves:
@@ -52,8 +54,9 @@ def prepare_moves(T, c: "IntVector | Iterable[int]") -> PreparedMoves:
     nonzero entry. Applying such a t to any point strictly
     decreases (c.z, tie-broken z); every other element can never be taken,
     so it is dropped up front. The scan order is fixed: best cost
-    improvement first, then entry order. Walks that share a move set and a
-    cost can share the result.
+    improvement first, then entry order. The lead index is built here, once
+    per cost, and every walk over the result reuses it: walks that share a
+    move set and a cost can share the result.
     """
     order = CostOrder(c)
     keyed = []
@@ -65,8 +68,8 @@ def prepare_moves(T, c: "IntVector | Iterable[int]") -> PreparedMoves:
         if orient(t, order) is t:
             keyed.append((-cdot, t.entries))
     keyed.sort()
-    return PreparedMoves(order.cost,
-                         tuple(_record(entries) for _, entries in keyed))
+    return PreparedMoves(order.cost, _LeadIndex(
+        order.dim, (_record(entries) for _, entries in keyed)))
 
 
 def augment(z0: "IntVector | Iterable[int]", moves: PreparedMoves,

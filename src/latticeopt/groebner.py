@@ -26,23 +26,31 @@ whose points all lie below lcm in the order:
   skipped by this same rule, ending at a formed pair. A dead k stays a
   reducer, and its queued pairs stay queued.
 The chain criterion may count a pair as settled only if it was formed:
-pair (a, b), a < b, was formed exactly when a died at or after b, so it
-checks that before "no longer pending". Skipping only drops work and the
-reduced basis is unique, so the result is the same as without the rules.
+each element keeps the bitset of the partners whose pair with it was
+formed and is no longer queued (dropped by the product criterion, or
+popped), and a pair the death rule never formed is in neither. Skipping
+only drops work and the reduced basis is unique, so the result is the
+same as without the rules.
 
 One loop, `_reduce`, serves completion, inter-reduction, `normal_form` and
 every augmentation walk. It and the chain criterion ask one question, whose
-lead divides this exponent vector, and `_divisors` is the one scan that
-answers it. A queued pair's key is its lcm, which the chain criterion
-reads back instead of recomputing it, and inter-reduction takes one pass
+lead divides this exponent vector, and `_divisors` answers it from a lead
+index (`_LeadIndex`): per variable, the bitset of the records whose lead
+uses it. One OR over the vector's zero coordinates rules out every record
+whose lead does not fit its support, and the entrywise test runs on the
+rest, lowest index first, which is the scan order. The chain criterion
+narrows the same search to the settled partners of both elements. A
+queued pair's key is its lcm, which the chain criterion reads back
+instead of recomputing it, and inter-reduction takes one pass
 (`_interreduce` says why). Ties are read in variable order throughout.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import compress
-from operator import add, floordiv, le, mul, neg, sub
+from functools import reduce
+from itertools import compress, count
+from operator import add, floordiv, le, mul, neg, not_, or_, sub
 from typing import Iterable, Optional
 
 from .lattice import CostOrder, IntMatrix, IntVector, VectorSet
@@ -107,21 +115,50 @@ def _record(vec):
     return (vec, pos, _part_mask(pos))
 
 
-def _divisors(part, elems):
-    """Indices of the records in elems whose lead divides part, in order;
-    the support mask rules out most records before the entrywise test."""
-    outside = ~_part_mask(part)
-    for k, (_, lead, mask) in enumerate(elems):
-        if not mask & outside and all(map(le, lead, part)):
+class _LeadIndex(list):
+    """Records in scan order, indexed by lead support: bit k of uses[v] is
+    set when record k's lead has variable v in its support. `append` is the
+    only way in, and keeps the index in O(dim)."""
+
+    __slots__ = ("uses",)
+
+    def __init__(self, dim, records=()):
+        super().__init__()
+        self.uses = [0] * dim
+        for rec in records:
+            self.append(rec)
+
+    def append(self, rec):
+        bit, uses = 1 << len(self), self.uses
+        for v in compress(count(), rec[1]):
+            uses[v] |= bit
+        super().append(rec)
+
+
+def _divisors(part, leads, among=-1):
+    """Indices of the records in the index `leads` whose lead divides part,
+    taken from the bitset `among` (every record by default), lowest first:
+    the scan order, so the first is the one a linear scan would find. A
+    record whose lead uses a zero coordinate of part is ruled out by one OR
+    of bitsets; the entrywise test runs on the rest alone."""
+    cand = among & ~reduce(or_, compress(leads.uses, map(not_, part)), 0)
+    cand &= (1 << len(leads)) - 1
+    while cand:
+        low = cand & -cand
+        k = low.bit_length() - 1
+        if all(map(le, leads[k][1], part)):
             yield k
+        cand ^= low
 
 
-def _reduce(vec, elems, cost, full):
-    """Normal form of an oriented vector against records, and its step count.
+def _reduce(vec, leads, cost, full, among=-1):
+    """Normal form of an oriented vector against a lead index, and its
+    step count.
 
-    Each step takes the first record whose lead divides the lead or, when
-    `full` and none does, the trail, and subtracts (lead) or adds (trail) its
-    largest multiple m = min(part_i // lead_i) over the record lead's support.
+    Each step takes the first record in the bitset `among` (every record by
+    default) whose lead divides the lead or, when `full` and none does, the
+    trail, and subtracts (lead) or adds (trail) its largest multiple
+    m = min(part_i // lead_i) over the record lead's support.
     Read as the binomial x^lead - x^trail, each unit of m replaces one monomial
     by a smaller one, so (lead, trail) strictly descends in the well-founded
     order and the loop ends. Costs are non-negative, so orientation keeps a
@@ -135,13 +172,13 @@ def _reduce(vec, elems, cost, full):
         part, op = vec, sub
         if vec and min(vec) < 0:
             part = tuple(x if x > 0 else 0 for x in vec)
-        k = next(_divisors(part, elems), None)
+        k = next(_divisors(part, leads, among), None)
         if k is None and full:
             part, op = tuple(-x if x < 0 else 0 for x in vec), add
-            k = next(_divisors(part, elems), None)
+            k = next(_divisors(part, leads, among), None)
         if k is None:
             return vec, steps
-        g, lead, mask = elems[k]
+        g, lead, mask = leads[k]
         if not mask:
             raise ValueError("move %r has an empty lead" % (g,))
         m = min(map(floordiv, compress(part, lead), filter(None, lead)))
@@ -172,13 +209,14 @@ def normal_form(v: IntVector, G: "VectorSet | Iterable[IntVector]",
     Against a Groebner basis the full remainder is unique, whatever G's
     order. v and every element of G must have the order's length.
     """
-    elems = [_record(g.entries) for g in G]
-    if any(len(u) != order.dim for u in [v.entries] + [r[0] for r in elems]):
+    vecs = [v.entries] + [g.entries for g in G]
+    if any(len(u) != order.dim for u in vecs):
         raise ValueError("v and G must have the order's %d entries" % order.dim)
     if v.is_zero():
         return v
     cost = order.cost.entries
-    out, _ = _reduce(_orient_tuple(v.entries, cost), elems, cost, full)
+    leads = _LeadIndex(order.dim, map(_record, vecs[1:]))
+    out, _ = _reduce(_orient_tuple(v.entries, cost), leads, cost, full)
     return IntVector((0,) * len(v) if out is None else out)
 
 
@@ -191,15 +229,16 @@ def _interreduce(vecs, order):
     step cannot lower a lead: a common factor that cancelled would leave a
     proper divisor of a minimal lead in the initial ideal. So every
     survivor keeps its lead, and its tail ends reduced against the final
-    leads.
+    leads. The survivors share one lead index; each reduction leaves its
+    own survivor's bit out of the search.
     """
     cost = order.cost.entries
-    kept = []
+    kept = _LeadIndex(order.dim)
     for rec in sorted(map(_record, sorted(set(vecs))),
                       key=lambda r: (sum(map(mul, cost, r[1])), r[1])):
         if next(_divisors(rec[1], kept), None) is None:
             kept.append(rec)
-    return sorted(_reduce(rec[0], kept[:idx] + kept[idx + 1:], cost, True)[0]
+    return sorted(_reduce(rec[0], kept, cost, True, ~(1 << idx))[0]
                   for idx, rec in enumerate(kept))
 
 
@@ -213,10 +252,13 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
     still alive and kills those whose lead its own lead divides (death
     rule). A pair with disjoint lead supports is never queued (product
     criterion), and a popped pair (i, j) is dropped when some k has a lead
-    dividing its lcm and both (i, k) and (j, k) were formed and are no
-    longer pending (chain criterion); the module docstring says why all
-    three are sound. Inter-reduction of the
-    completed basis takes one pass. A matrix or seed vector whose length
+    dividing its lcm and both (i, k) and (j, k) are settled: formed, and
+    dropped by the product criterion or popped (chain criterion). The
+    settled partners are kept as one bitset per element, and the lead
+    index searches only their intersection. The module docstring says why
+    all three rules are sound. The working basis is one lead index, grown
+    by each insertion, and inter-reduction of the completed basis takes one
+    pass. A matrix or seed vector whose length
     differs from the order's raises ValueError. A working basis that grows
     past ELEMENT_CAP, read at each insertion, raises GraverResourceError.
     """
@@ -224,20 +266,25 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
         raise ValueError("cost has %d entries, the matrix %d columns"
                          % (order.dim, matrix.ncols))
     cost = order.cost.entries
-    basis = []
-    alive = float("inf")
-    died = []  # died[k]: first later element whose lead divides k's, or alive
+    basis = _LeadIndex(order.dim)
+    live = []  # live[k]: no later element's lead divides k's
+    settled = []  # settled[k]: the h whose pair with k is formed, not queued
     heap = []
-    pending = set()  # pairs pushed and not yet popped
+
+    def settle(i, j):
+        settled[i] |= 1 << j
+        settled[j] |= 1 << i
 
     def push(i, j):
         """Queue the pair i < j keyed by its lcm, (c.lcm, lcm, j, i), unless
-        its leads are disjoint (product criterion). Pairs are pushed in
-        (j, i) order, so (j, i) breaks ties first in, first out."""
+        its leads are disjoint (product criterion), which settles it. Pairs
+        are pushed in (j, i) order, so (j, i) breaks ties first in, first
+        out."""
         if basis[i][2] & basis[j][2]:
             lcm = tuple(map(max, basis[i][1], basis[j][1]))
             heapq.heappush(heap, (sum(map(mul, cost, lcm)), lcm, j, i))
-            pending.add((i, j))
+        else:
+            settle(i, j)
 
     def add(t):
         """Append t, pair it with each earlier element still alive, and mark
@@ -245,17 +292,18 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
         past ELEMENT_CAP raises GraverResourceError."""
         n = len(basis)
         basis.append(_record(t))
-        died.append(alive)
+        live.append(True)
+        settled.append(0)
         if n >= ELEMENT_CAP:
             raise GraverResourceError(
                 "completion exceeded %d elements" % ELEMENT_CAP)
         _, lead, mask = basis[n]
         for k in range(n):
-            if died[k] == alive:
+            if live[k]:
                 push(k, n)
                 _, lead_k, mask_k = basis[k]
                 if not mask & ~mask_k and all(map(le, lead, lead_k)):
-                    died[k] = n
+                    live[k] = False
 
     seen = set()
     for v in seed:
@@ -269,22 +317,12 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
             seen.add(t)
             add(t)
 
-    def chain(i, j, lcm):
-        """True when some k has a lead dividing the pair's lcm and both
-        (i, k) and (j, k) were formed and are no longer pending (chain
-        criterion). Pair (a, b), a < b, was formed when died[a] >= b."""
-        return any(k != i and k != j
-                   and died[min(i, k)] >= max(i, k)
-                   and died[min(j, k)] >= max(j, k)
-                   and (min(i, k), max(i, k)) not in pending
-                   and (min(j, k), max(j, k)) not in pending
-                   for k in _divisors(lcm, basis))
-
     while heap:
         _, lcm, j, i = heapq.heappop(heap)
-        pending.remove((i, j))
-        if chain(i, j, lcm):
-            continue
+        settle(i, j)
+        chain = _divisors(lcm, basis, settled[i] & settled[j])
+        if next(chain, None) is not None:
+            continue  # chain criterion: a settled k's lead divides lcm
         s = _orient_tuple(tuple(map(sub, basis[i][0], basis[j][0])), cost)
         s, _ = _reduce(s, basis, cost, False)
         if s is None:

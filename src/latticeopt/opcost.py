@@ -306,7 +306,7 @@ class _Solver:
     def moves(self, cost: IntVector) -> PreparedMoves:
         """The walk's prepared moves for cost; the oracle's hold no moves."""
         if self.method == METHOD_ORACLE:
-            return PreparedMoves(cost, ())
+            return prepare_moves((), cost)
         M = self.M
         if self.method == METHOD_GRAVER:
             timing = "graver_us"

@@ -6,6 +6,7 @@ every check here raises AssertionError explicitly.
 
 import itertools
 import random
+from operator import le, mul
 
 from latticeopt.lattice import IntMatrix, IntVector
 
@@ -140,31 +141,78 @@ def random_toric_completions(rng, count, shapes, element_cap=None,
             yield A, list(gens), order
 
 
+def _plain_orient(t, cost):
+    """t or -t: positive cost, or zero cost and a positive first entry."""
+    zero = (0, (0,) * len(t))
+    return t if (sum(map(mul, cost, t)), t) > zero else tuple(-x for x in t)
+
+
+def _support(part):
+    """The support of part as a bitmask."""
+    return sum(1 << i for i, x in enumerate(part) if x)
+
+
+def _plain_lead(t):
+    """(t, its positive part, that part's support)."""
+    lead = tuple(max(x, 0) for x in t)
+    return t, lead, _support(lead)
+
+
+def _plain_step(t, basis, part, sign):
+    """t plus sign times the largest multiple of the first element of basis
+    whose lead fits under part, or None when none fits."""
+    outside = ~_support(part)
+    for g, lead, mask in basis:
+        if not mask & outside and all(map(le, lead, part)):
+            m = min(p // y for y, p in zip(lead, part) if y)
+            return tuple(x + sign * m * y for x, y in zip(t, g))
+    return None
+
+
+def _plain_reduce(t, basis, cost, full):
+    """Normal form of the oriented t against basis, a list of `_plain_lead`
+    triples, by linear scans: each step reduces t's positive part or, when
+    full and that is reduced, its negative part. None once t cancels."""
+    while any(t):
+        step = _plain_step(t, basis, tuple(max(x, 0) for x in t), -1)
+        if step is None and full:
+            step = _plain_step(t, basis, tuple(max(-x, 0) for x in t), 1)
+        if step is None:
+            return t
+        t = _plain_orient(step, cost)
+    return None
+
+
 def reference_completion(seed, order):
     """Criterion-free Buchberger completion, as a sorted list of tuples.
 
-    Every pair of the working basis is reduced with `groebner._reduce`:
-    no product, chain or death rule skips one. Then `groebner._interreduce`
-    gives the reduced basis, which `buchberger` must match for any seed
-    order.
+    Every pair of the working basis is reduced, by a plain linear-scan
+    reducer that shares no code with `groebner`: no product, chain or death
+    rule skips one, and no lead index finds a divisor. The minimal leads
+    are then kept (a divisor has the smaller degree, so it comes first) and
+    each survivor's trailing part is reduced against the others, which gives
+    the reduced basis that `buchberger` must match for any seed order.
     """
-    from latticeopt import groebner
-
     cost = order.cost.entries
     basis = []
     for v in seed:
         t = tuple(v)
         if any(t):
-            t = groebner._orient_tuple(t, cost)
-            if all(t != rec[0] for rec in basis):
-                basis.append(groebner._record(t))
+            g = _plain_lead(_plain_orient(t, cost))
+            if g not in basis:
+                basis.append(g)
     pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
     while pairs:
         i, j = pairs.pop()
-        s = groebner._orient_tuple(
-            tuple(a - b for a, b in zip(basis[i][0], basis[j][0])), cost)
-        s, _ = groebner._reduce(s, basis, cost, False)
+        s = _plain_reduce(_plain_orient(
+            tuple(a - b for a, b in zip(basis[i][0], basis[j][0])), cost),
+            basis, cost, False)
         if s is not None:
             pairs.extend((k, len(basis)) for k in range(len(basis)))
-            basis.append(groebner._record(s))
-    return groebner._interreduce([rec[0] for rec in basis], order)
+            basis.append(_plain_lead(s))
+    kept = []
+    for g in sorted(basis, key=lambda g: (sum(g[1]), g)):
+        if not any(all(map(le, h[1], g[1])) for h in kept):
+            kept.append(g)
+    return sorted(_plain_reduce(g[0], [h for h in kept if h != g], cost, True)
+                  for g in kept)

@@ -347,7 +347,7 @@ def test_invariants_hold_under_optimize_flag():
                                         augment, phase_one_feasible,
                                         prepare_moves)
         from latticeopt.graver import GraverBasis
-        from latticeopt.groebner import _record
+        from latticeopt.groebner import _LeadIndex, _record
         from latticeopt.lattice import IntMatrix, IntVector, VectorSet
         A = IntMatrix(((1, 1),))
         # each case names the check it trips by a fragment of its message
@@ -358,7 +358,7 @@ def test_invariants_hold_under_optimize_flag():
             ("walk left the fiber", lambda: augment(
                 (1, 1), prepare_moves([IntVector((1, 0))], (1, 1)), A, (2,))),
             ("empty lead", lambda: augment((1, 1), PreparedMoves(
-                IntVector((1, 1)), (_record((-1, 0)),)),
+                IntVector((1, 1)), _LeadIndex(2, [_record((-1, 0))])),
                 IntMatrix(((0, 1),)), (1,))),
             ("invalid point", lambda: augment((Fraction(2), 0), T, A, (2,))),
             ("invalid point", lambda: augment((2.0, 0), T, A, (2,))),

@@ -222,15 +222,23 @@ def test_interreduction_reaches_its_fixed_point_in_one_pass(monkeypatch):
 
 
 def test_divisors_match_brute_force():
+    # The index is grown one record at a time and checked after each append,
+    # over every candidate set and with one record's bit left out.
     rng = random.Random(5)
     for _ in range(200):
         n = rng.randint(1, 6)
-        elems = [groebner._record(tuple(rng.randint(-2, 2) for _ in range(n)))
-                 for _ in range(rng.randint(0, 8))]
         part = tuple(rng.randint(0, 3) for _ in range(n))
-        expected = [k for k, (_, lead, _) in enumerate(elems)
-                    if all(a <= b for a, b in zip(lead, part))]
-        assert list(groebner._divisors(part, elems)) == expected
+        leads = groebner._LeadIndex(n)
+        assert list(groebner._divisors(part, leads)) == []
+        for size in range(1, rng.randint(1, 8) + 1):
+            leads.append(groebner._record(
+                tuple(rng.randint(-2, 2) for _ in range(n))))
+            expected = [k for k, (_, lead, _) in enumerate(leads)
+                        if all(a <= b for a, b in zip(lead, part))]
+            assert list(groebner._divisors(part, leads)) == expected
+            out = rng.randrange(size)
+            assert list(groebner._divisors(part, leads, ~(1 << out))) == [
+                k for k in expected if k != out]
 
 
 def test_element_cap_bounds_the_working_basis(monkeypatch):
@@ -302,12 +310,24 @@ def _spy_pushes(monkeypatch):
 def test_death_rule_halves_the_queued_pairs_on_the_wide_matrix(monkeypatch):
     # Before the death rule, completing the 7x17 toric generators under the
     # all-ones cost queued 9,028 pairs; it now queues 4,204. The basis is the
-    # one perfbench's completion_7x17 workload checks.
+    # one perfbench's completion_7x17 workload checks. The work is pinned
+    # exactly: the lead index and the settled-pair chain criterion change
+    # how divisors are found, not which pairs are reduced.
     A = support.wide_stairstep_matrix()
     gens = toric_generating_set(A).generators
     pushed = _spy_pushes(monkeypatch)
+    calls = {False: 0, True: 0}
+    real_reduce = groebner._reduce
+
+    def counting(vec, leads, cost, full, *among):
+        calls[full] += 1
+        return real_reduce(vec, leads, cost, full, *among)
+
+    monkeypatch.setattr(groebner, "_reduce", counting)
     gb = buchberger(gens, CostOrder((1,) * A.ncols), matrix=A)
-    assert len(pushed) <= 9028 // 2
+    assert len(pushed) == 4204 <= 9028 // 2
+    assert calls == {False: 1163, True: 88}  # S-pairs, inter-reduction
+    assert len(gb) == 88
     text = ";".join(",".join(map(str, g.entries))
                     for g in gb.elements.canonical())
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "63878ca8e3289456"
@@ -323,10 +343,10 @@ def test_dead_element_forms_no_later_pairs(monkeypatch):
     working = []
     real_reduce = groebner._reduce
 
-    def capture(vec, elems, cost, full):
+    def capture(vec, leads, cost, full, *among):
         if not full and not working:
-            working.append(elems)
-        return real_reduce(vec, elems, cost, full)
+            working.append(leads)
+        return real_reduce(vec, leads, cost, full, *among)
 
     monkeypatch.setattr(groebner, "_reduce", capture)
     gb = buchberger(seed, order, matrix=IntMatrix([[2, 1, 1]]))
@@ -340,3 +360,64 @@ def test_dead_element_forms_no_later_pairs(monkeypatch):
     got = sorted(g.entries for g in gb)
     assert got == [(-1, 2, 0), (0, -1, 1)]
     assert got == support.reference_completion(seed, order)
+
+
+def _spy_reduced_pairs(monkeypatch):
+    """Record each popped pair (i, j) in order, and the working basis; a
+    popped pair is reduced when an S-pair reduction follows its pop."""
+    popped, reduced, working = [], [], []
+
+    def pop(heap):
+        item = heapq.heappop(heap)
+        popped.append((item[3], item[2]))
+        return item
+
+    real_reduce = groebner._reduce
+
+    def capture(vec, leads, cost, full, *among):
+        if not full:
+            working[:] = [leads]
+            reduced.append(popped[-1])
+        return real_reduce(vec, leads, cost, full, *among)
+
+    monkeypatch.setattr(groebner, "heapq", types.SimpleNamespace(
+        heappush=heapq.heappush, heappop=pop))
+    monkeypatch.setattr(groebner, "_reduce", capture)
+    return popped, reduced, working
+
+
+def test_chain_counts_product_dropped_pairs_but_not_unformed_ones(monkeypatch):
+    # Chain criterion: popped (i, j) is dropped when a k with a lead dividing
+    # lcm(i, j) has both (i, k) and (j, k) settled, i.e. formed and no longer
+    # queued.
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a[1], b))
+
+    # Element 2's lead (0, 0, 2, 0) is disjoint from element 0's, so (0, 2)
+    # is dropped by the product criterion when formed, and it counts as
+    # settled: with (1, 2) popped first, the chain through 2 drops (0, 1).
+    A = IntMatrix([[0, 2, 1, 2], [2, 4, 1, 0]])
+    seed = _vs((2, -1, 0, 1), (1, -1, 2, 0), (1, 0, -2, 1))
+    order = CostOrder((3, 3, 5, 4))
+    popped, reduced, working = _spy_reduced_pairs(monkeypatch)
+    gb = buchberger(seed, order, matrix=A)
+    basis = working[0]
+    assert not basis[0][2] & basis[2][2]
+    assert divides(basis[2], map(max, basis[0][1], basis[1][1]))
+    assert popped == [(1, 2), (0, 1)] and reduced == [(1, 2)]
+    assert sorted(g.entries for g in gb) == support.reference_completion(
+        seed, order)
+
+    # Under (1, 2, 3) element 0 dies at 1 and 1 at 2, so (0, 2) is never
+    # formed though its leads overlap. It is not settled: (0, 1) has the
+    # divisor 2 and (1, 2) is popped, yet (0, 1) must be reduced.
+    seed = _vs((1, 1, -3), (1, 0, -2), (0, 1, -1))
+    order = CostOrder((1, 2, 3))
+    popped, reduced, working = _spy_reduced_pairs(monkeypatch)
+    gb = buchberger(seed, order, matrix=IntMatrix([[2, 1, 1]]))
+    basis = working[0]
+    assert basis[0][2] & basis[2][2]
+    assert divides(basis[2], map(max, basis[0][1], basis[1][1]))
+    assert popped == reduced == [(1, 2), (0, 1)]
+    assert sorted(g.entries for g in gb) == support.reference_completion(
+        seed, order)
