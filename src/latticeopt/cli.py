@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -32,6 +33,7 @@ from .toric import toric_generating_set
 class BenchRecord:
     """One benchmark row: a full matrix build pipeline at one size."""
 
+    family: str
     method: str
     scenario_count: int
     variable_count: int
@@ -64,12 +66,23 @@ def _opcost(method, inst, dec, q_only=False, var_bound=None):
     return build[method](inst, dec, q_only=q_only)
 
 
-def bench_hs(n_list, seed, scaled, methods):
+# Each family's instance for (scenario count, seed). SND is the triangle
+# network with demands up to 2, read back from its JSON as the CLI reads it.
+BENCH_FAMILIES = {
+    "hs-scaled": lambda n, seed: gen_hs(HsConfig(n, seed, scaled=True)),
+    "hs-unscaled": lambda n, seed: gen_hs(HsConfig(n, seed)),
+    "snd": lambda n, seed: instance_from_json(instance_to_json(
+        gen_snd(SndConfig(n, seed, max_demand=2)))),
+}
+
+
+def bench(family, n_list, seed, methods):
     """Time the decision + matrix pipeline per method and scenario count.
 
     Decisions do not depend on the builder, so each size's are computed
     once, and every method's row builds on them and reports their time.
-    An unknown method raises ValueError before any work is done.
+    An unknown method raises ValueError, and an unknown family KeyError,
+    before any work is done.
     """
     known = (METHOD_KERNEL, METHOD_GRAVER, METHOD_ORACLE)
     for method in methods:
@@ -78,7 +91,7 @@ def bench_hs(n_list, seed, scaled, methods):
                              % (method, ", ".join(known)))
     records = []
     for n in n_list:
-        inst = gen_hs(HsConfig(scenario_count=n, seed=seed, scaled=scaled))
+        inst = BENCH_FAMILIES[family](n, seed)
         t0 = time.perf_counter_ns()
         dec = single_scenario_decisions(inst)
         decisions_us = (time.perf_counter_ns() - t0) // 1000
@@ -87,6 +100,7 @@ def bench_hs(n_list, seed, scaled, methods):
             timings = {"decisions_us": decisions_us}
             timings.update(m.timings_us)
             records.append(BenchRecord(
+                family=family,
                 method=method,
                 scenario_count=n,
                 variable_count=inst.recourse.ncols,
@@ -170,9 +184,15 @@ def _cmd_opcost(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    records = bench_hs(_parse_int_list(args.n_list), args.seed, args.scaled,
-                       tuple(args.methods.split(",")))
+    records = [rec for family in args.family or ("hs-unscaled",)
+               for rec in bench(family, _parse_int_list(args.n_list),
+                                args.seed, tuple(args.methods.split(",")))]
     _emit("\n".join(r.to_json_line() for r in records), args.out)
+    if args.label is not None:
+        doc = {"seed": args.seed, "cpu_count": os.cpu_count(),
+               "python": "%d.%d.%d" % sys.version_info[:3],
+               "rows": [dataclasses.asdict(r) for r in records]}
+        _emit(json.dumps(doc, indent=1), "BENCH_%s.json" % args.label)
     return 0
 
 
@@ -344,9 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="pipeline timings as JSON lines")
     p.add_argument("--n-list", default="10,50,100")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--scaled", action="store_true")
+    p.add_argument("--family", action="append", choices=BENCH_FAMILIES,
+                   help="repeat for more families (default hs-unscaled)")
     p.add_argument("--methods", default="kernel,graver")
     p.add_argument("--out", default="-")
+    p.add_argument("--label", default=None,
+                   help="also write the rows, the Python version and the "
+                   "CPU count to BENCH_<label>.json")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("verify", help="cross-method and invariant checks")

@@ -193,8 +193,8 @@ def test_criterion_08_scaling_trends(monkeypatch):
     t0 = time.time()
     kernel, algebra = {}, {}
     for _ in range(3):
-        for rec in cli.bench_hs((50, 100), seed=1, scaled=True,
-                                methods=("kernel",)):
+        for rec in cli.bench("hs-scaled", (50, 100), seed=1,
+                             methods=("kernel",)):
             n, t = rec.scenario_count, rec.timings_us
             kernel[n] = min(kernel.get(n, math.inf), sum(t.values()))
             algebra[n] = min(algebra.get(n, math.inf), t["decisions_us"]
@@ -213,7 +213,7 @@ def test_criterion_08_scaling_trends(monkeypatch):
     built = {}
     for n in (10, 100):
         constructions[0] = 0
-        (rec,) = cli.bench_hs((n,), seed=1, scaled=True, methods=("graver",))
+        (rec,) = cli.bench("hs-scaled", (n,), seed=1, methods=("graver",))
         graver[n] = sum(rec.timings_us.values())
         built[n] = constructions[0]
     delta_us = graver[100] - graver[10]

@@ -1,10 +1,15 @@
 import json
+import os
+import sys
+from pathlib import Path
 
 import pytest
 
 from latticeopt import cli, groebner
 from latticeopt.instances import (HsConfig, gen_hs, instance_from_json,
                                   instance_to_json)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_matrix(tmp_path, rows, name="m.json"):
@@ -180,8 +185,8 @@ def test_opcost_header_names_every_scenario(tmp_path, capsys, decisions,
 
 
 def test_bench_emits_json_lines(capsys):
-    assert cli.run(["bench", "--n-list", "2", "--seed", "7", "--scaled",
-                    "--methods", "kernel,graver,oracle"]) == 0
+    assert cli.run(["bench", "--n-list", "2", "--seed", "7", "--family",
+                    "hs-scaled", "--methods", "kernel,graver,oracle"]) == 0
     lines = [json.loads(line)
              for line in capsys.readouterr().out.splitlines() if line]
     assert len(lines) == 3
@@ -199,6 +204,58 @@ def test_bench_emits_json_lines(capsys):
     oracle_counters = by_method["oracle"]["counters"]
     assert oracle_counters["oracle_solves"] == 4
     assert oracle_counters["walk_steps"] == 0
+
+
+def test_bench_label_writes_every_family_to_one_file(tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(["bench", "--family", "hs-scaled", "--family", "snd",
+                    "--n-list", "2", "--methods", "kernel",
+                    "--label", "t"]) == 0
+    lines = [json.loads(line)
+             for line in capsys.readouterr().out.splitlines()]
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert doc["seed"] == 1
+    assert doc["python"] == "%d.%d.%d" % sys.version_info[:3]
+    assert doc["cpu_count"] == os.cpu_count()
+    assert doc["rows"] == lines
+    hs, snd = lines
+    assert (hs["family"], hs["variable_count"]) == ("hs-scaled", 8)
+    assert (snd["family"], snd["variable_count"]) == ("snd", 6)
+
+
+def test_bench_rejects_an_unknown_family(capsys):
+    assert cli.run(["bench", "--family", "hs"]) == 2
+    with pytest.raises(KeyError):
+        cli.bench("hs", (2,), 1, ("kernel",))
+
+
+# Standing matrix checksums of each family's instance at seed 1; kernel,
+# graver and oracle must all give them.
+STANDING_CHECKSUMS = {
+    ("hs-scaled", 20): "36ebfb8b8f2274ca",
+    ("hs-scaled", 100): "9ed53dcf426c1924",
+    ("hs-unscaled", 10): "b6dfec7b7d0a8fc1",
+    ("snd", 30): "51a8ddadf2cbad99",
+}
+
+
+def test_committed_bench_files_record_the_standing_matrices():
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths, "no committed BENCH_*.json"
+    for path in paths:
+        doc = json.loads(path.read_text())
+        assert doc["python"] and doc["cpu_count"] >= 1
+        sums = {}
+        for row in doc["rows"]:
+            key = (row["family"], row["scenario_count"])
+            sums.setdefault(key, set()).add(row["checksum"])
+        assert all(len(found) == 1 for found in sums.values()), \
+            (path.name, sums)
+        if doc["seed"] == 1:
+            for key, (checksum,) in sums.items():
+                assert STANDING_CHECKSUMS.get(key, checksum) == checksum, \
+                    (path.name, key, checksum)
 
 
 def test_bench_rejects_an_unknown_method_before_any_work(monkeypatch,
