@@ -1,15 +1,28 @@
-"""Graver bases by Lawrence lifting, and the block lift for stacked scenarios.
+"""Graver bases by project-and-lift, and the block lift for stacked scenarios.
 
-A's Graver basis (its conformally minimal nonzero kernel vectors) is read off
-the toric generating set T of the Lawrence lifting [[A, 0], [I, I]], whose
-interleaved columns (x_1, y_1, ..., x_n, y_n) saturate faster. T = +/-Graver:
-- each (u, -u), u Graver, is indispensable (Sturmfels, "Groebner Bases and
-  Convex Polytopes", AMS 1996, Thm 7.1), so it is in T up to sign;
-- T is the last round's reduced basis, one coordinate flipped back, signs
-  normalised: no lead divides a lead or a tail, so no element is a conformal
-  minorant of another (flips and negation keep conformality), while any
-  element outside +/-Graver has a Graver conformal minorant, which is in T.
-Each saturation round's working basis is bounded by `groebner.ELEMENT_CAP`.
+A's Graver basis (its conformally minimal nonzero kernel vectors) is built
+on the kernel lattice L itself (Hemmecke, "On the positive sum property and
+the computation of Graver test sets", Math. Program. 96, 2003). L projects
+injectively onto the r = rank L pivot columns of a basis, so a vector is
+known by those coordinates and lifts uniquely. Vectors are kept full length
+with those columns first, and permuted back at the end.
+
+A set G closed under negation has the positive-sum property on coordinates
+< k when every v in L is a sum of elements g of G conformal to v (g ⊑ v)
+there; its ⊑-minimal elements on < k are then the Graver basis of L
+projected onto < k. One completion, `_complete(G, lo, hi)`, takes G with
+the property on < lo to G with it on < hi. +/- a basis has it on < 0 (every
+v is a non-negative integer sum of it), so (0, r) is the base step, and
+(k, k + 1) lifts one coordinate at a time. Each sum f + g of two elements
+is reduced by conformal minorants on < hi, and a nonzero remainder joins
+G. Only pairs that agree in sign on < lo and differ in sign somewhere in
+[lo, hi) are summed: in v = sum a_i g_i with each g_i ⊑ v on < lo, any two
+g_i agree in sign there, and replacing two of opposite sign in [lo, hi) by
+the reduction of their sum strictly lowers sum a_i |g_i|_[lo, hi)
+(Hemmecke's argument). The conformal tests read `groebner`'s lead index
+over the doubled coordinates (v+, v-): g ⊑ v exactly when (g+, g-) <=
+(v+, v-) entrywise. Each completion's working set is bounded by
+`groebner.ELEMENT_CAP` pairs +/-g.
 
 For two-stage matrices with injective first stage, the N-scenario stack's
 basis is the one-scenario basis copied into each block.
@@ -18,9 +31,12 @@ basis is the one-scenario basis copied into each block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress, count, islice
+from operator import add, neg, or_, sub
 
-from . import toric
-from .groebner import GraverResourceError
+from . import groebner
+from .groebner import GraverResourceError, _divisors, _LeadIndex
 from .lattice import IntMatrix, IntVector, VectorSet, kernel_basis
 
 
@@ -47,20 +63,76 @@ class GraverBasis:
         return "GraverBasis(%d elements, %d cols)" % (len(self), self.matrix.ncols)
 
 
-def graver_basis(A: IntMatrix) -> GraverBasis:
-    """Saturate the Lawrence lifting; keep the x part of each generator.
+def _lift_order(rows, ncols):
+    """Every column, the pivot columns of a row echelon form of the
+    independent rows first: their lattice projects injectively onto those.
+    Fraction-free (Bareiss) elimination divides exactly by the last pivot."""
+    rows, cols, prev = [list(r) for r in rows], [], 1
+    for j in range(ncols):
+        k = next((i for i, row in enumerate(rows) if row[j]), None)
+        if k is not None:
+            pivot = rows.pop(k)
+            rows = [[(pivot[j] * x - row[j] * y) // prev
+                     for x, y in zip(row, pivot)] for row in rows]
+            cols.append(j)
+            prev = pivot[j]
+    return cols + [j for j in range(ncols) if j not in cols]
 
-    A round past `groebner.ELEMENT_CAP` raises GraverResourceError.
+
+def _complete(G, lo, hi):
+    """G (a list g0, -g0, g1, -g1, ...) with the positive-sum property on
+    coordinates < lo, completed to it on < hi, and cut to its ⊑-minimal
+    elements there. Each representative pairs with every earlier element of
+    either sign, so each sum is formed once up to negation."""
+    def record(g):
+        return g, (tuple(x if x > 0 else 0 for x in g[:hi])
+                   + tuple(-x if x < 0 else 0 for x in g[:hi]))
+
+    def opposed(lead, a, b):
+        """Elements whose sign opposes the lead's somewhere in [a, b)."""
+        uses, sel = index.uses, lead[hi + a:hi + b] + lead[a:b]
+        return reduce(or_, compress(uses[a:b] + uses[hi + a:hi + b], sel), 0)
+
+    index = _LeadIndex(2 * hi, map(record, G))
+    # Representatives sit at even places; the list grows as it is read.
+    for rep, (f, lead) in zip(count(0, 2), islice(index, 0, None, 2)):
+        pairs = (opposed(lead, lo, hi) & ~opposed(lead, 0, lo)
+                 & ((1 << rep) - 1))
+        while pairs:
+            j = (pairs & -pairs).bit_length() - 1
+            pairs ^= 1 << j
+            s, part = record(tuple(map(add, f, index[j][0])))
+            while (k := next(_divisors(part, index), None)) is not None:
+                s, part = record(tuple(map(sub, s, index[k][0])))
+            if any(part):
+                if len(index) >= 2 * groebner.ELEMENT_CAP:
+                    raise GraverResourceError("Graver completion exceeded "
+                                              "%d pairs" % groebner.ELEMENT_CAP)
+                index.append((s, part))
+                index.append(record(tuple(map(neg, s))))
+    return [g for i, (g, lead) in enumerate(index)
+            if next(_divisors(lead, index, ~(1 << i)), None) is None]
+
+
+def graver_basis(A: IntMatrix) -> GraverBasis:
+    """Complete +/- a kernel basis by project-and-lift (Hemmecke, Math.
+    Program. 96, 2003; the module docstring gives the pair filter and why
+    it is enough): the base step on the pivot columns, then one more
+    column at a time.
+
+    A working set past `groebner.ELEMENT_CAP` pairs raises
+    GraverResourceError.
     """
-    n = A.ncols
-    rows = [tuple(x for a in row for x in (a, 0)) for row in A.rows]
-    rows += [tuple(int(j // 2 == i) for j in range(2 * n)) for i in range(n)]
-    lifting = IntMatrix(rows)
-    # Through the module, so that a tracer or test spy wrapping it sees it.
-    gens = toric.toric_generating_set(lifting)
-    halves = {g.entries[::2] for g in gens}
-    closed = halves | {tuple(-x for x in u) for u in halves}
-    return GraverBasis(A, VectorSet(IntVector(t) for t in sorted(closed)))
+    # Through the module global, so that a tracer wrapping it sees it.
+    basis = [g.entries for g in kernel_basis(A)]
+    cols, r = _lift_order(basis, A.ncols), len(basis)
+    G = [tuple(map(v.__getitem__, cols))
+         for g in basis for v in (g, tuple(map(neg, g)))]
+    for lo, hi in [(0, r)] + [(k, k + 1) for k in range(r, A.ncols)]:
+        G = _complete(G, lo, hi)
+    back = sorted(range(A.ncols), key=cols.__getitem__)
+    return GraverBasis(A, VectorSet(IntVector(t) for t in sorted(
+        tuple(map(g.__getitem__, back)) for g in G)))
 
 
 def contains_groebner(G, gamma: GraverBasis) -> bool:

@@ -1,6 +1,8 @@
 """Graver completion against the box oracle, and the scenario-block lift."""
 
 import hashlib
+import itertools
+import math
 import random
 
 import pytest
@@ -15,7 +17,8 @@ from latticeopt.graver import (
     lift_sip_graver,
 )
 from latticeopt.groebner import GroebnerBasis
-from latticeopt.lattice import CostOrder, IntMatrix, IntVector, VectorSet
+from latticeopt.lattice import (CostOrder, IntMatrix, IntVector, VectorSet,
+                                kernel_basis)
 from latticeopt.opcost import _stacked_system
 
 import support
@@ -83,8 +86,9 @@ def test_pairwise_minimality_and_closure():
 
 
 # sha256 over the seeded matrices and model matrices below, recorded with the
-# pairwise (Pottier) completion this module used before it completed the
-# Lawrence lifting instead. Graver bases are unique, so it must not move.
+# pairwise (Pottier) completion this module once used; the Lawrence lifting
+# and then project-and-lift replaced it with the digest unchanged. Graver
+# bases are unique, so it must not move.
 FROZEN_GRAVER_DIGEST = (
     "59b65ad358d0b7aadd9849bf438a052c25c55f45a77637c26f173cffcb01f63f")
 
@@ -115,17 +119,20 @@ def test_seeded_graver_bases_match_frozen_digest():
 
 
 def test_graver_basis_runs_no_completion_of_its_own(monkeypatch):
-    # The toric set of a Lawrence lifting is already its Graver basis, so
-    # nothing beyond the saturation rounds (toric's own calls) may complete.
-    from latticeopt import groebner
+    # Project-and-lift completes on the kernel lattice itself: no toric
+    # saturation and no Buchberger run.
+    from latticeopt import groebner, toric
     calls = []
-    real = groebner.buchberger
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(groebner, "buchberger", counted)
+    for module, name in ((groebner, "buchberger"),
+                         (toric, "toric_generating_set")):
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     W = gen_hs(HsConfig(scenario_count=1, seed=0, scaled=True)).recourse
     assert len(graver_basis(W)) > 0
     assert calls == []
@@ -136,6 +143,51 @@ def test_element_cap_raises(monkeypatch):
     monkeypatch.setattr(groebner, "ELEMENT_CAP", 3)
     with pytest.raises(GraverResourceError):
         graver_basis(IntMatrix([[3, -5, 7, -11, 2]]))
+
+
+# The most +/- pairs HS W's completion holds at once: its 22 final pairs.
+HS_W_PEAK_PAIRS = 22
+
+
+def test_element_cap_counts_pairs_at_the_peak(monkeypatch):
+    from latticeopt import groebner
+    W = gen_hs(HsConfig(scenario_count=1, seed=0, scaled=True)).recourse
+    monkeypatch.setattr(groebner, "ELEMENT_CAP", HS_W_PEAK_PAIRS)
+    assert len(graver_basis(W)) == 2 * HS_W_PEAK_PAIRS
+    monkeypatch.setattr(groebner, "ELEMENT_CAP", HS_W_PEAK_PAIRS - 1)
+    with pytest.raises(GraverResourceError):
+        graver_basis(W)
+
+
+def _det(rows):
+    """Leibniz determinant of a small square matrix."""
+    total = 0
+    for p in itertools.permutations(range(len(rows))):
+        sign = (-1) ** sum(p[i] > p[j] for i, j in
+                           itertools.combinations(range(len(p)), 2))
+        total += sign * math.prod(rows[i][p[i]] for i in range(len(p)))
+    return total
+
+
+@pytest.mark.parametrize("rows, bound", [
+    ([[3, -5, 7, -11, 2]], 5),
+    ([[2, 3, 5]], 5),
+    ([[4, 6, 9]], 9),
+    ([[2, 3, 5, 7]], 7),
+    ([[2, -2, 1, 2, 1], [4, 2, -1, 4, 4]], 6),
+])
+def test_base_step_on_lattices_without_a_unimodular_projection(rows, bound):
+    # No r columns carry a unimodular projection of the kernel lattice, so
+    # the base step's completion on the pivot columns does real work.
+    A = IntMatrix(rows)
+    kernel = [g.entries for g in kernel_basis(A)]
+    assert all(abs(_det([[v[c] for c in cols] for v in kernel])) != 1
+               for cols in itertools.combinations(range(A.ncols),
+                                                  len(kernel)))
+    basis = graver_basis(A)
+    boxed = {g.entries for g in basis if max(map(abs, g.entries)) <= bound}
+    assert boxed == support.as_tuple_set(
+        oracle.enumerate_graver_in_box(A, bound))
 
 
 def test_cap_error_is_one_class():

@@ -388,7 +388,7 @@ def test_four_node_snd_kernel_pipeline_at_n10():
 
 def test_four_node_snd_graver_pipeline_at_n10():
     # graver decisions come from the kernel solver: the stacked 16x24
-    # Graver basis (1,662 elements, about 20 s) is never completed
+    # Graver basis (1,662 elements) is never completed
     inst = four_node_snd(10)
     kernel = opcost_kernel(inst, single_scenario_decisions(inst))
     graver = opcost_graver(

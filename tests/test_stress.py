@@ -1,5 +1,6 @@
-"""Scale fixtures: completion on a dense 7x17 system, and a wide sweep
-against a completion that skips no pair.
+"""Scale fixtures: completion on a dense 7x17 system, a wide sweep
+against a completion that skips no pair, and the 16x24 Graver basis of a
+stacked network design system.
 
 Wide dense matrices are where completion cost grows steeply with the
 variable count, so this pins that the vector-level pipeline still finishes
@@ -7,6 +8,7 @@ at 17 columns and stays canonical. Off by default because the runtime is
 hardware-sensitive; set LATTICEOPT_STRESS=1 to include it.
 """
 
+import hashlib
 import os
 import random
 import signal
@@ -14,8 +16,11 @@ from contextlib import contextmanager
 
 import pytest
 
+from latticeopt import SndConfig, gen_snd
+from latticeopt.graver import graver_basis
 from latticeopt.groebner import buchberger, normal_form
 from latticeopt.lattice import CostOrder, IntMatrix, kernel_basis
+from latticeopt.opcost import _stacked_system
 from latticeopt.toric import toric_generating_set
 
 import support
@@ -92,3 +97,25 @@ def test_completion_matches_criterion_free_reference_sweep():
             runs += 1
     assert len(skipped) <= 10
     assert runs >= 600
+
+
+# sha256 of repr(sorted element tuples) of the 4-node SND stacked system's
+# Graver basis, recorded from the Lawrence-lifting construction (15.1 s on
+# a 2-core host) before project-and-lift replaced it.
+FOUR_NODE_STACKED_GRAVER_DIGEST = (
+    "b75aaadbc4a4ac292f53df6d5dc78c6350bd0a5f95701545be29cc4b6c735abf")
+
+
+def test_four_node_stacked_graver_basis():
+    inst = gen_snd(SndConfig(
+        scenario_count=1, seed=1, vertices=4,
+        arcs=((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)),
+        fixed_costs=(3, 4, 5, 3, 6, 6), capacities=(2,) * 6, max_demand=2))
+    M = _stacked_system(inst)[0]
+    assert (M.nrows, M.ncols) == (16, 24)
+    with time_guard(GUARD_SECONDS):
+        basis = graver_basis(M)
+    elements = sorted(g.entries for g in basis)
+    assert len(elements) == 1662
+    assert hashlib.sha256(repr(elements).encode()).hexdigest() == \
+        FOUR_NODE_STACKED_GRAVER_DIGEST
