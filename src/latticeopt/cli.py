@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -31,13 +32,19 @@ from .toric import toric_generating_set
 
 @dataclasses.dataclass(frozen=True)
 class BenchRecord:
-    """One benchmark row: a full matrix build pipeline at one size."""
+    """One benchmark row: a full matrix build pipeline at one size.
+
+    `timings_us` holds each timing's median over the row's runs, and
+    `total_us_min`/`total_us_max` the lowest and highest run totals.
+    """
 
     family: str
     method: str
     scenario_count: int
     variable_count: int
     timings_us: dict
+    total_us_min: int
+    total_us_max: int
     checksum: str
     counters: dict
 
@@ -76,13 +83,18 @@ BENCH_FAMILIES = {
 }
 
 
+BENCH_RUNS = 5  # runs of each size's decisions and builds
+
+
 def bench(family, n_list, seed, methods):
     """Time the decision + matrix pipeline per method and scenario count.
 
-    Decisions do not depend on the builder, so each size's are computed
-    once, and every method's row builds on them and reports their time.
-    An unknown method raises ValueError, and an unknown family KeyError,
-    before any work is done.
+    Decisions do not depend on the builder, so each run computes a size's
+    once, and every method's build in that run uses them and reports their
+    time. Each size takes BENCH_RUNS runs; a row reports the median of each
+    timing, the lowest and highest totals, and the last run's checksum and
+    counters. An unknown method raises ValueError, and an unknown family
+    KeyError, before any work is done.
     """
     known = (METHOD_KERNEL, METHOD_GRAVER, METHOD_ORACLE)
     for method in methods:
@@ -92,19 +104,28 @@ def bench(family, n_list, seed, methods):
     records = []
     for n in n_list:
         inst = BENCH_FAMILIES[family](n, seed)
-        t0 = time.perf_counter_ns()
-        dec = single_scenario_decisions(inst)
-        decisions_us = (time.perf_counter_ns() - t0) // 1000
+        runs = {method: [] for method in methods}
+        for _ in range(BENCH_RUNS):
+            t0 = time.perf_counter_ns()
+            dec = single_scenario_decisions(inst)
+            decisions_us = (time.perf_counter_ns() - t0) // 1000
+            for method in methods:
+                m = _opcost(method, inst, dec)
+                runs[method].append(
+                    ({"decisions_us": decisions_us, **m.timings_us}, m))
         for method in methods:
-            m = _opcost(method, inst, dec)
-            timings = {"decisions_us": decisions_us}
-            timings.update(m.timings_us)
+            timings = [t for t, _ in runs[method]]
+            totals = [sum(t.values()) for t in timings]
+            m = runs[method][-1][1]
             records.append(BenchRecord(
                 family=family,
                 method=method,
                 scenario_count=n,
                 variable_count=inst.recourse.ncols,
-                timings_us=timings,
+                timings_us={key: statistics.median(t[key] for t in timings)
+                            for key in timings[0]},
+                total_us_min=min(totals),
+                total_us_max=max(totals),
                 checksum=matrix_checksum(m),
                 counters=m.counters.as_dict(),
             ))

@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -199,11 +200,40 @@ def test_bench_emits_json_lines(capsys):
     assert by_method["graver"]["counters"]["graver_elements"] > 0
     for rec in lines:
         assert all(t >= 0 for t in rec["timings_us"].values())
+        assert 0 <= rec["total_us_min"] <= rec["total_us_max"]
     for method in ("kernel", "graver"):
         assert by_method[method]["counters"]["walk_steps"] == 6
     oracle_counters = by_method["oracle"]["counters"]
     assert oracle_counters["oracle_solves"] == 4
     assert oracle_counters["walk_steps"] == 0
+
+
+def test_bench_rows_report_medians_and_total_range(monkeypatch):
+    # each row runs the decisions and the build BENCH_RUNS times; here a
+    # build's timings are fixed per run, so the median and range are known
+    builds = []
+    real = cli._opcost
+
+    def fixed(method, inst, dec, *args):
+        m = real(method, inst, dec, *args)
+        builds.append(method)
+        m.timings_us.update(dict.fromkeys(m.timings_us, 0),
+                            augment_us=10 * len(builds))
+        return m
+
+    decisions = iter(range(0, 10 ** 9, 1000))
+    monkeypatch.setattr(cli, "_opcost", fixed)
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(
+        perf_counter_ns=lambda: next(decisions)))
+    (rec,) = cli.bench("hs-scaled", (2,), 7, ("kernel",))
+    assert builds == ["kernel"] * cli.BENCH_RUNS == ["kernel"] * 5
+    # decisions read 1 us per run; augment_us 10, 20, ..., 50
+    assert rec.timings_us["decisions_us"] == 1
+    assert rec.timings_us["augment_us"] == 30
+    assert (rec.total_us_min, rec.total_us_max) == (11, 51)
+    assert rec.checksum == cli.matrix_checksum(real(
+        "kernel", cli.BENCH_FAMILIES["hs-scaled"](2, 7),
+        cli.single_scenario_decisions(cli.BENCH_FAMILIES["hs-scaled"](2, 7))))
 
 
 def test_bench_label_writes_every_family_to_one_file(tmp_path, monkeypatch,
