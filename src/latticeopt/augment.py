@@ -13,9 +13,11 @@ Phase-I follows the extended-matrix method of Conti and Traverso
 ("Buchberger algorithm and integer programming", AAECC-9, LNCS 539, 1991)
 over a narrow extension: one artificial column per (row, sign) that the
 right-hand sides to be served use, rather than [A | I | -I]. The
-`ArtificialSystem` holds the extension and its prepared test set, which
-serves every such b, each walk starting at (0, |b| on the matching
-columns).
+`ArtificialSystem` holds the extension and its test set, completed under
+an elimination order for the artificial columns refined by a cost c on
+A's columns. It serves every such b: each walk starts at (0, |b| on the
+matching columns) and ends at A's refined optimum for c, so one walk finds
+a feasible point and optimises it for c.
 """
 
 from __future__ import annotations
@@ -104,8 +106,8 @@ class ArtificialSystem(NamedTuple):
 
     Each column of S is s e_i for one (row i, sign s) in `columns`, in
     column order: every positive sign in row order, then every negative one.
-    The moves are prepared for the cost that charges S: `moves.cost` is 0 on
-    A's columns and 1 on S's.
+    The moves are prepared for the cost K·(S's columns) + c, c on A's
+    columns: `moves.cost` is c on A's columns and K on S's.
     """
 
     matrix: IntMatrix
@@ -121,14 +123,22 @@ class ArtificialSystem(NamedTuple):
         return IntVector((0,) * (self.matrix.ncols - len(art)) + art)
 
 
-def artificial_system(A: IntMatrix, rhss) -> ArtificialSystem:
+def artificial_system(A: IntMatrix, rhss, c=None) -> ArtificialSystem:
     """A plus one artificial column per (row, sign) some b in rhss uses.
 
     Rows whose b is always 0 get no column. The extension's test set is
-    completed here, once: it drives Phase-I for every right-hand side with
-    those signs. When the right-hand sides use both signs in every row the
-    extension is [A | I | -I]. A b whose length is not A's row count raises
-    ValueError.
+    completed here, once, under the cost K·(artificial columns) + c, where
+    c (zero when None) is a cost on A's columns and K starts at 1000. When
+    some element of the reduced basis has a negative artificial total, K
+    doubles and the completion runs again. Once none has, the cost orients
+    every element as the elimination order does (artificial total, then c,
+    then variable order), so the basis is that order's reduced basis too:
+    two nested initial ideals of one ideal are equal (Sturmfels, "Gröbner
+    Bases and Convex Polytopes", Ch. 1-2). Its walk from (0, |b|) ends at
+    A's refined optimum for c when b is feasible, and at a positive
+    artificial total when it is not. When the right-hand sides use both
+    signs in every row the extension is [A | I | -I]. A b whose length is
+    not A's row count raises ValueError.
     """
     m = A.nrows
     pos, neg = [False] * m, [False] * m
@@ -146,21 +156,27 @@ def artificial_system(A: IntMatrix, rhss) -> ArtificialSystem:
                + tuple((i, -1) for i in range(m) if neg[i]))
     ext = IntMatrix([tuple(row) + tuple(s if k == i else 0 for k, s in columns)
                      for i, row in enumerate(A.rows)])
-    cost = IntVector((0,) * A.ncols + (1,) * len(columns))
-    return ArtificialSystem(ext, columns,
-                            prepare_moves(test_set(ext, cost), cost))
+    c = (0,) * A.ncols if c is None else as_entries(c)
+    K = 1000
+    while True:
+        cost = IntVector(c + (K,) * len(columns))
+        basis = test_set(ext, cost)
+        if all(sum(g.entries[A.ncols:]) >= 0 for g in basis):
+            return ArtificialSystem(ext, columns, prepare_moves(basis, cost))
+        K *= 2
 
 
 def phase_one_feasible(system: ArtificialSystem,
                        b: "IntVector | Iterable[int]",
                        steps: Optional[list] = None) -> Optional[IntVector]:
-    """A feasible point of {z >= 0 : Az = b}, or None when there is none.
+    """A's refined optimum for the system's c on {z >= 0 : Az = b}, or None
+    when that set is empty.
 
     A is the matrix `system` extends, an `artificial_system` whose
-    right-hand sides use every sign b uses. The walk minimises the
-    artificial total over the system's test set; b is feasible exactly when
-    it reaches 0. When `steps` is a list, the walk's step count is appended
-    to it.
+    right-hand sides use every sign b uses. The walk from (0, |b|) over the
+    system's test set minimises the artificial total first; b is feasible
+    exactly when it reaches 0. When `steps` is a list, the walk's step count
+    is appended to it.
     """
     b = as_vector(b)
     ext = system.matrix
@@ -169,6 +185,7 @@ def phase_one_feasible(system: ArtificialSystem,
     res = augment(system.start(b), system.moves, ext, b)
     if steps is not None:
         steps.append(res.steps)
-    if res.value != 0:
+    n = ext.ncols - len(system.columns)
+    if any(res.solution.entries[n:]):
         return None
-    return IntVector(res.solution.entries[:ext.ncols - len(system.columns)])
+    return IntVector(res.solution.entries[:n])

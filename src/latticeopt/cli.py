@@ -118,17 +118,12 @@ def bench(family, n_list, seed, methods):
             totals = [sum(t.values()) for t in timings]
             m = runs[method][-1][1]
             records.append(BenchRecord(
-                family=family,
-                method=method,
-                scenario_count=n,
+                family=family, method=method, scenario_count=n,
                 variable_count=inst.recourse.ncols,
                 timings_us={key: statistics.median(t[key] for t in timings)
                             for key in timings[0]},
-                total_us_min=min(totals),
-                total_us_max=max(totals),
-                checksum=matrix_checksum(m),
-                counters=m.counters.as_dict(),
-            ))
+                total_us_min=min(totals), total_us_max=max(totals),
+                checksum=matrix_checksum(m), counters=m.counters.as_dict()))
     return records
 
 

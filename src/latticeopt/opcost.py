@@ -11,16 +11,21 @@ through a per-method solver, one for the stacked matrix and one for W:
 augmentation with full-multiple steps over a Groebner basis (kernel
 method), over the Graver basis (graver method), or brute force in a box
 (oracle method), which asks no hook. A solver computes its matrix's algebra
-once and, for Groebner bases, once per distinct cost, so a graver pipeline
-completes one Graver basis, W's. It prepares each walk's improving moves
-once per cost; the prepared moves carry the cost they minimise, so a solve
-is handed the cost only through them. A walk starts at the instance's hook
-point for its cell, which `augment` tests, or at a Phase-I point found over
-M's narrow artificial system: one artificial column per (row, sign) that a
-right-hand side the solver will see uses, gathered, and the extension's
-test set completed, when Phase-I is first needed. A Phase-I point depends
-only on its right-hand side, so each distinct one is walked once, feasible
-or not. A matrix row depends only on its decision, so each distinct
+at most once and, for Groebner bases, at most once per distinct cost, so a
+graver pipeline completes one Graver basis, W's. It prepares each walk's
+improving moves once per cost, when a walk first needs them. A walk starts
+at the instance's hook point for its cell, which `augment` tests, or at a
+Phase-I point found over M's narrow artificial system: one artificial
+column per (row, sign) that a right-hand side the solver will see uses,
+gathered, and the extension's test set completed, when Phase-I is first
+needed. The kernel path completes it under K·(artificial columns) + c, c
+the cost of that first solve, so the Phase-I walk ends at M's refined
+optimum for c: cells of that cost take the Phase-I point as their optimum,
+and M gets no basis of its own for c. Any other cost walks from the
+Phase-I point over its own Groebner basis, and the graver path, whose
+extension has cost 0 on M's columns, over the Graver basis. A Phase-I
+point depends only on its right-hand side, so each distinct one is walked
+once, feasible or not. A matrix row depends only on its decision, so each distinct
 decision is solved once, and its T x computed once; counters make that
 reuse observable. Every build runs in one process. Each phase books its
 time where it runs and the row loop books only what no phase inside it
@@ -37,8 +42,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import oracle
-from .augment import (PreparedMoves, artificial_system, augment,
-                      phase_one_feasible, prepare_moves)
+from .augment import (AugmentResult, PreparedMoves, artificial_system,
+                      augment, phase_one_feasible, prepare_moves)
 from .graver import graver_basis
 from .groebner import buchberger
 from .lattice import CostOrder, IntMatrix, IntVector, as_entries, as_vector
@@ -153,11 +158,15 @@ class BuildCounters:
     phase_one_bases is 1 when the build completed the test set of W's
     Phase-I extension (one artificial column per (row, sign) the cells'
     right-hand sides use), 0 when closed-form starts made it unnecessary,
-    and phase_one_calls counts the cells handed that set. The per-cell
-    tallies cover the rows of distinct decisions only, since repeated
-    decisions copy their row; walk_steps sums the steps of the optimisation
-    walks and of each distinct right-hand side's Phase-I walk, counted
-    once however many cells share it.
+    and phase_one_calls counts the cells handed that set. On the kernel
+    path that set is completed under the first Phase-I cell's cost, and
+    its walk is that cost's optimum: a build whose cells share one cost
+    and all take Phase-I has no toric or Buchberger run on W and no
+    augment_calls. The per-cell tallies cover the rows of distinct
+    decisions only, since repeated decisions copy their row; walk_steps
+    sums the steps of the optimisation walks and of each distinct
+    right-hand side's Phase-I walk, counted once however many cells share
+    it.
     """
 
     __slots__ = ("toric_runs", "buchberger_runs", "graver_runs",
@@ -257,13 +266,16 @@ class _Solver:
     """One method's solves of min cost.z : M z = b, z >= 0 for one matrix M.
 
     A solver serves one matrix: its toric generators, its Graver basis and
-    its Phase-I artificial system are built once, Groebner bases and the
-    walks' prepared improving moves once per cost. `rhss` is a callable
-    giving every right-hand side the solver will see; the Phase-I extension
-    has one artificial column per (row, sign) they use, and is built, with
-    its test set, only when a solve first needs Phase-I. A walk starts at
-    `head` followed by the hook's point for the cell, or at a Phase-I point
-    when `head` is None or the instance has no hook or it gives no point.
+    its Phase-I artificial system are built at most once, Groebner bases
+    and the walks' prepared improving moves at most once per cost, each
+    when a walk first needs it. `rhss` is a callable giving every
+    right-hand side the solver will see; the Phase-I extension has one
+    artificial column per (row, sign) they use, and is built, with its test
+    set, only when a solve first needs Phase-I: on the kernel path under
+    that solve's cost, which then needs no Groebner basis of M. A walk
+    starts at `head` followed by the hook's point for the cell, or at a
+    Phase-I point when `head` is None or the instance has no hook or it
+    gives no point.
     Each object is built on its first use, wherever that falls; its build
     is timed and counted there, so the build's solver for W records exactly
     the build's algebra. A Phase-I point is such an object, one per distinct
@@ -289,6 +301,7 @@ class _Solver:
                            "phase_one_us": 0, "phase_one_walk_us": 0,
                            "augment_us": 0, "oracle_us": 0}
         self._built = {}
+        self._moves = {}  # each cost's prepared moves, by its entries
 
     def _once(self, key, build, runs=None, elements=None):
         """The object under key, built on first use; key[0] is its timing."""
@@ -304,9 +317,7 @@ class _Solver:
         return self._built[key]
 
     def moves(self, cost: IntVector) -> PreparedMoves:
-        """The walk's prepared moves for cost; the oracle's hold no moves."""
-        if self.method == METHOD_ORACLE:
-            return prepare_moves((), cost)
+        """The walk's prepared moves for cost, kernel and graver methods."""
         M = self.M
         if self.method == METHOD_GRAVER:
             timing = "graver_us"
@@ -320,21 +331,25 @@ class _Solver:
                 (timing, cost.entries),
                 lambda: buchberger(gens.generators, CostOrder(cost), matrix=M),
                 "buchberger_runs", "groebner_elements")
-        return self._once((timing, "moves", cost.entries),
-                          lambda: prepare_moves(basis, cost))
+        moves = self._moves[cost.entries] = self._once(
+            (timing, "moves", cost.entries), lambda: prepare_moves(basis, cost))
+        return moves
 
-    def solve(self, b: IntVector, cell: tuple, moves: PreparedMoves):
+    def solve(self, b: IntVector, cell: tuple, cost: IntVector):
         """The refined optimum of min cost.z : M z = b, z >= 0, or None.
 
-        `moves` is `self.moves(cost)`, and the cost is `moves.cost`. The
-        result carries the optimum as `.solution` and its cost as `.value`.
-        `cell` is the (x, j) that b serves. Kernel and graver walk over
-        `moves` from the hook's point for the cell after `head`, or from a
-        Phase-I point; `augment` tests the start. The oracle searches
-        var_bound's box, or the box derived from the first-stage bounds and
-        b, and asks no hook. A miss in the derived box, or in a var_bound box
-        that holds it, is an infeasible cell; a miss in a smaller box proves
-        nothing, so it raises OracleResourceError.
+        The result carries the optimum as `.solution` and its cost as
+        `.value`. `cell` is the (x, j) that b serves. Kernel and graver walk
+        over `self.moves(cost)` from the hook's point for the cell after
+        `head`, or from a Phase-I point; `augment` tests the start. The
+        first solve that needs Phase-I completes the extension: under its
+        own cost on the kernel path, so that the Phase-I walk lands on the
+        optimum and cells of that cost take the Phase-I point as it is;
+        under cost 0 on the graver path. The oracle searches var_bound's
+        box, or the box derived from the first-stage bounds and b, and asks
+        no hook. A miss in the derived box, or in a var_bound box that holds
+        it, is an infeasible cell; a miss in a smaller box proves nothing,
+        so it raises OracleResourceError.
         """
         M, c = self.M, self.counters
         if self.method == METHOD_ORACLE:
@@ -346,7 +361,7 @@ class _Solver:
                 raise ValueError("oracle mode needs first-stage bounds or "
                                  "an explicit bound")
             c.oracle_solves += 1
-            problem = oracle.IpProblem(M, b, moves.cost, bound)
+            problem = oracle.IpProblem(M, b, cost, bound)
             res = oracle.solve_bruteforce(problem)
             if res.status == oracle.OPTIMAL:
                 return res
@@ -364,17 +379,20 @@ class _Solver:
                 start = self.head + as_entries(y)
         if start is None:
             c.phase_one_calls += 1
-            system = self._once(
-                ("phase_one_us",), lambda: artificial_system(M, self.rhss()),
-                "phase_one_bases")
+            system = self._once(("phase_one_us",), lambda: artificial_system(
+                M, self.rhss(), None if self.method == METHOD_GRAVER
+                else cost), "phase_one_bases")
             steps = []
             start = self._once(("phase_one_walk_us", b.entries),
                                lambda: phase_one_feasible(system, b, steps))
             c.walk_steps += sum(steps)
             if start is None:
                 return None
+            if system.moves.cost.entries[:M.ncols] == cost.entries:
+                return AugmentResult(start, cost.dot(start), 0)
         c.augment_calls += 1
-        res = augment(start, moves, M, b)
+        res = augment(start, self._moves.get(cost.entries)
+                      or self.moves(cost), M, b)
         c.walk_steps += res.steps
         return res
 
@@ -393,9 +411,10 @@ def single_scenario_decisions(instance: SipInstance,
     refinement optimum; x_j is its first-stage part. The kernel and graver
     methods both solve with the kernel solver and give the same decisions;
     the oracle searches a box. Every scenario shares one stacked matrix and
-    one solver, so its toric generators are computed once, a Groebner basis
-    once per distinct cost, and the Phase-I test set once when a scenario
-    has no closed-form start.
+    one solver, so the Phase-I test set is completed once when a scenario
+    has no closed-form start, under the first such scenario's cost, and
+    the toric generators once and a Groebner basis once per distinct cost
+    that set does not serve.
     """
     M, head = _stacked_system(instance)
     x0 = IntVector((0,) * instance.first_stage_dim)
@@ -408,7 +427,7 @@ def single_scenario_decisions(instance: SipInstance,
     for j, sc in enumerate(instance.scenarios):
         cost = IntVector(instance.gamma.entries + sc.cost.entries)
         b = IntVector(head + sc.rhs.entries)
-        res = solver.solve(b, (x0, j), solver.moves(cost))
+        res = solver.solve(b, (x0, j), cost)
         if res is None:
             raise ValueError("scenario %d: stacked system infeasible" % j)
         out.append(IntVector(res.solution.entries[:instance.first_stage_dim]))
@@ -422,15 +441,14 @@ def _build(instance, decisions, method, q_only, var_bound=None):
     tx = {x: instance.technology.mat_vec(x) for x in dict.fromkeys(decisions)}
     solver = _Solver(instance, method, W, lambda: (
         sc.rhs - t for t in tx.values() for sc in scenarios), var_bound)
-    row_moves = tuple(solver.moves(sc.cost) for sc in scenarios)
     timings = solver.timings_us
     rows = {}
     booked = sum(timings.values())
     t0 = time.perf_counter_ns()
     for x, t in tx.items():
         row = rows[x] = []
-        for j, (sc, moves) in enumerate(zip(scenarios, row_moves)):
-            res = solver.solve(sc.rhs - t, (x, j), moves)
+        for j, sc in enumerate(scenarios):
+            res = solver.solve(sc.rhs - t, (x, j), sc.cost)
             row.append(None if res is None else res.value)
     # the loop's time less what the phases inside it booked themselves
     timings[solver.walk_us] += ((time.perf_counter_ns() - t0) // 1000

@@ -51,30 +51,38 @@ def _common_orthant_push(vectors):
 
     A column is mixed when the set has both a positive and a negative entry
     in it. Per-column counts of positive and negative entries let each trial
-    move be scored in O(n); they change only when a move is accepted. Each
-    accepted move is unimodular, so the lattice spanned is unchanged. The
-    count is bounded below, so the loop terminates.
+    move be scored on v_k's support alone, the only columns it changes; they
+    change only when a move is accepted. Each accepted move is unimodular,
+    so the lattice spanned is unchanged. The count is bounded below, so the
+    loop terminates.
     """
     vecs = [tuple(v) for v in vectors]
     cols = range(len(vecs[0]) if vecs else 0)
     pos = [sum(v[j] > 0 for v in vecs) for j in cols]
     neg = [sum(v[j] < 0 for v in vecs) for j in cols]
 
-    def mixed_after(old, new):
-        return sum(1 for j in cols
-                   if pos[j] - (old[j] > 0) + (new[j] > 0)
-                   and neg[j] - (old[j] < 0) + (new[j] < 0))
-
     def first_improving_move(best):
+        mixed = [bool(pos[j] and neg[j]) for j in cols]
+        steps = [((v, tuple(-b for b in v)), [j for j in cols if v[j]])
+                 for v in vecs]
+
+        def count_after(old, step, support):
+            count = best
+            for j in support:
+                a, b = old[j], old[j] + step[j]
+                count += bool(pos[j] - (a > 0) + (b > 0)
+                              and neg[j] - (a < 0) + (b < 0)) - mixed[j]
+            return count
+
         for i, vi in enumerate(vecs):
-            for k, vk in enumerate(vecs):
+            for k, (signed, support) in enumerate(steps):
                 if i == k:
                     continue
-                for sign in (1, -1):
-                    cand = tuple(a + sign * b for a, b in zip(vi, vk))
-                    if any(cand):
-                        count = mixed_after(vi, cand)
-                        if count < best:
+                for step in signed:
+                    count = count_after(vi, step, support)
+                    if count < best:
+                        cand = tuple(a + b for a, b in zip(vi, step))
+                        if any(cand):
                             return i, cand, count
         return None
 

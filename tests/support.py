@@ -4,10 +4,12 @@ pytest rewrites no assert in this module and `python -O` strips them, so
 every check here raises AssertionError explicitly.
 """
 
+import dataclasses
 import itertools
 import random
 from operator import le, mul
 
+from latticeopt.instances import SndConfig, gen_snd
 from latticeopt.lattice import IntMatrix, IntVector
 
 
@@ -106,6 +108,24 @@ def wide_stairstep_matrix() -> IntMatrix:
     return IntMatrix(tuple(
         row + tuple(1 if k == r else 0 for k in range(7))
         for r, row in enumerate(rows)))
+
+
+def four_node_snd(scenario_count):
+    """SND on a 4-node network: W is 10x12, the stacked system 16x24."""
+    return gen_snd(SndConfig(
+        scenario_count=scenario_count, seed=1, vertices=4,
+        arcs=((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)),
+        fixed_costs=(3, 4, 5, 3, 6, 6), capacities=(2,) * 6, max_demand=2))
+
+
+def per_scenario_cost_four_node_snd(scenario_count):
+    """4-node SND whose scenarios draw their six flow costs, in scenario
+    order, from random.Random(5).randint(1, 9); slack columns cost 0."""
+    base, rng = four_node_snd(scenario_count), random.Random(5)
+    return dataclasses.replace(base, scenarios=tuple(
+        dataclasses.replace(sc, cost=IntVector(
+            tuple(rng.randint(1, 9) for _ in range(6)) + (0,) * 6))
+        for sc in base.scenarios))
 
 
 def random_toric_completions(rng, count, shapes, element_cap=None,

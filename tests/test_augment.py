@@ -226,7 +226,7 @@ def test_artificial_system_shape():
     A = IntMatrix([[1, -1], [2, 1]])
     ext, columns, moves = artificial_system(A, BOTH_SIGNS)
     assert ext.rows == ((1, -1, 1, 0, -1, 0), (2, 1, 0, 1, 0, -1))
-    assert moves.cost == IntVector((0, 0, 1, 1, 1, 1))
+    assert moves.cost == IntVector((0, 0) + (1000,) * 4)
     assert columns == ((0, 1), (1, 1), (0, -1), (1, -1))
     assert moves == prepare_moves(groebner.test_set(ext, moves.cost),
                                   moves.cost)
@@ -236,12 +236,12 @@ def test_artificial_system_one_column_per_used_sign():
     A = IntMatrix([[1, -1], [2, 1]])
     ext, columns, moves = artificial_system(A, [(1, 0), (2, 3)])
     assert ext.rows == ((1, -1, 1, 0), (2, 1, 0, 1))
-    assert moves.cost == IntVector((0, 0, 1, 1))
+    assert moves.cost == IntVector((0, 0, 1000, 1000))
     assert columns == ((0, 1), (1, 1))
     # row 0 is always zero: it gets no column; row 1 only the negative one
     ext, columns, moves = artificial_system(A, [(0, -1), (0, 0)])
     assert ext.rows == ((1, -1, 0), (2, 1, -1))
-    assert moves.cost == IntVector((0, 0, 1)) and columns == ((1, -1),)
+    assert moves.cost == IntVector((0, 0, 1000)) and columns == ((1, -1),)
     ext, columns, moves = artificial_system(A, [(0, 0)])
     assert ext == A and moves.cost == IntVector((0, 0)) and columns == ()
 

@@ -7,16 +7,21 @@ from fractions import Fraction
 import pytest
 
 from latticeopt import cli, groebner, opcost
+from latticeopt.augment import artificial_system
 from latticeopt.groebner import GraverResourceError
 from latticeopt.instances import (HsConfig, SndConfig, gen_hs, gen_snd,
                                   hs_feasible, hs_recourse_bounds,
                                   instance_from_json, instance_to_json)
-from latticeopt.lattice import IntMatrix, IntVector
+from latticeopt.groebner import buchberger
+from latticeopt.lattice import CostOrder, IntMatrix, IntVector
 from latticeopt.opcost import (CELL_INFEASIBLE, CELL_OK, DecisionList,
                                METHOD_GRAVER, METHOD_KERNEL, METHOD_ORACLE,
                                OppCostMatrix, Scenario, SipInstance,
                                opcost_graver, opcost_kernel, opcost_oracle,
                                rhs, single_scenario_decisions)
+from latticeopt.toric import toric_generating_set
+
+from support import four_node_snd, per_scenario_cost_four_node_snd
 
 # Scaled instance used throughout: seed 7 draws demand vectors
 # (8, 5, 8, 12) and (3, 4, 10, 3).
@@ -149,12 +154,14 @@ def test_single_scenario_decisions_build_each_stacked_test_set_once(
     for name in calls:
         calls[name] = 0
     assert tuple(map(tuple, single_scenario_decisions(two_costs))) == expected
-    # toric generators once, one Groebner basis per cost, one Phase-I set
-    assert calls == {"toric_generating_set": 1, "buchberger": 2,
+    # one Phase-I set, completed under the first scenario's cost, serves
+    # the three scenarios of that cost; the other cost gets M's toric
+    # generators and its own Groebner basis
+    assert calls == {"toric_generating_set": 1, "buchberger": 1,
                      "graver_basis": 0, "test_set": 1}
     assert tuple(map(tuple, single_scenario_decisions(
         two_costs, method=METHOD_GRAVER))) == expected
-    assert calls == {"toric_generating_set": 2, "buchberger": 4,
+    assert calls == {"toric_generating_set": 2, "buchberger": 2,
                      "graver_basis": 0, "test_set": 2}
 
 
@@ -357,14 +364,6 @@ def test_seeded_snd_methods_agree_with_infeasible_cells():
     assert (infeasible, cells) == (22, 54)
 
 
-def four_node_snd(scenario_count):
-    """SND on a 4-node network: W is 10x12, the stacked system 16x24."""
-    return gen_snd(SndConfig(
-        scenario_count=scenario_count, seed=1, vertices=4,
-        arcs=((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)),
-        fixed_costs=(3, 4, 5, 3, 6, 6), capacities=(2,) * 6, max_demand=2))
-
-
 def test_four_node_snd_methods_agree():
     inst = four_node_snd(3)
     dec = single_scenario_decisions(inst)
@@ -425,6 +424,70 @@ def test_four_node_snd_walks_take_steps(monkeypatch):
     assert all(n > 0 for n in steps), steps
 
 
+@pytest.mark.parametrize("make", [
+    lambda: gen_snd(SndConfig(3, seed=1, max_demand=2)),
+    lambda: four_node_snd(3)], ids=["triangle", "four-node"])
+def test_phase_one_set_holds_the_reduced_basis_for_its_cost(make):
+    # completed under K*art + c and checked, the extension's basis is the
+    # elimination order's: its elements with no artificial part are M's
+    # reduced basis for c, for the stacked system and for W alike
+    inst = make()
+    stacked, head = opcost._stacked_system(inst)
+    tx = [inst.technology.mat_vec(x) for x in single_scenario_decisions(inst)]
+    for M, cost, rhss in (
+            (stacked, IntVector(inst.gamma.entries
+                                + inst.scenarios[0].cost.entries),
+             [head + sc.rhs.entries for sc in inst.scenarios]),
+            (inst.recourse, inst.scenarios[0].cost,
+             [sc.rhs - t for t in tx for sc in inst.scenarios])):
+        system = artificial_system(M, rhss, cost)
+        n = M.ncols
+        elements = [rec[0] for rec in system.moves.moves]
+        assert all(sum(g[n:]) >= 0 for g in elements)
+        assert sorted(g[:n] for g in elements if not any(g[n:])) == sorted(
+            g.entries for g in buchberger(toric_generating_set(M).generators,
+                                          CostOrder(cost), matrix=M))
+
+
+def test_phase_one_set_doubles_k_until_the_check_passes(monkeypatch):
+    # flow costs of 5000 outweigh an artificial unit at K = 1000: K doubles
+    # until no element of the extension's basis has a negative artificial
+    # total, and the matrix still equals the oracle's
+    augment_module = importlib.import_module("latticeopt.augment")
+    test_set, ks = augment_module.test_set, []
+
+    def spy(A, cost):
+        ks.append(cost.entries[-1])
+        return test_set(A, cost)
+
+    monkeypatch.setattr(augment_module, "test_set", spy)
+    inst = gen_snd(SndConfig(3, seed=1, flow_costs=((5000,) * 3,),
+                             max_demand=2))
+    dec = single_scenario_decisions(inst)
+    assert ks == [1000, 2000, 4000, 8000]
+    assert dec.decisions == single_scenario_decisions(
+        inst, method=METHOD_ORACLE).decisions
+    ks.clear()
+    mk = opcost_kernel(inst, dec)
+    assert ks == [1000, 2000, 4000, 8000]
+    assert mk == opcost_oracle(inst, dec)
+    assert mk.values == ((10007, 5007, 7), (None, 5003, 3), (None, None, 0))
+    # graver's Phase-I set has cost 0 on W's columns: K = 1000 passes
+    ks.clear()
+    assert opcost_graver(inst, dec) == mk and ks == [1000]
+
+
+def test_per_scenario_cost_four_node_methods_agree():
+    # only scenario 0's cost is served by the Phase-I set; every other cost
+    # walks from the Phase-I point over its own Groebner basis
+    inst = per_scenario_cost_four_node_snd(3)
+    assert len({sc.cost for sc in inst.scenarios}) == 3
+    dec = single_scenario_decisions(inst)
+    mk = opcost_kernel(inst, dec)
+    assert mk == opcost_graver(inst, dec) == opcost_oracle(inst, dec)
+    assert mk.counters.buchberger_runs == 2
+
+
 def test_q_only_drops_first_stage_cost():
     inst = gen_hs(HS_CFG)
     dec = single_scenario_decisions(inst)
@@ -453,8 +516,13 @@ def test_kernel_counters_one_basis_per_distinct_cost():
                          rhss=((2,), (3,), (4,)))
     dec = DecisionList((IntVector((0,)), IntVector((1,)), IntVector((2,))))
     m = opcost_kernel(inst, dec)
+    # the Phase-I set, completed under the first cost, serves that cost's
+    # cells; only cost (2,) needs W's toric set and a Groebner basis
+    assert m.counters.phase_one_bases == 1
     assert m.counters.toric_runs == 1
-    assert m.counters.buchberger_runs == 2
+    assert m.counters.buchberger_runs == 1
+    assert m.counters.augment_calls == 3
+    assert m == opcost_oracle(inst, dec)
 
 
 TIMING_KEYS = {"toric_us", "groebner_us", "graver_us", "phase_one_us",
@@ -480,11 +548,11 @@ def test_build_counters_frozen_for_every_method():
             graver_runs=1, graver_elements=44, augment_calls=4,
             walk_steps=6)),
         (opcost_oracle(hs, hs_dec, var_bound=24), _counters(oracle_solves=4)),
-        # one infeasible cell: four Phase-I calls, three walks
+        # one infeasible cell: four Phase-I calls; the Phase-I set is
+        # completed under the one scenario cost, so its walks end at the
+        # optimum, no cell walks again and W gets no basis of its own
         (opcost_kernel(snd, snd_dec), _counters(
-            toric_runs=1, toric_elements=1, buchberger_runs=1,
-            groebner_elements=1, augment_calls=3, phase_one_calls=4,
-            phase_one_bases=1, walk_steps=7)),
+            phase_one_calls=4, phase_one_bases=1, walk_steps=7)),
         (opcost_graver(snd, snd_dec), _counters(
             graver_runs=1, graver_elements=2, augment_calls=3,
             phase_one_calls=4, phase_one_bases=1, walk_steps=7)),

@@ -1,6 +1,7 @@
 """Scale fixtures: completion on a dense 7x17 system, a wide sweep
-against a completion that skips no pair, and the 16x24 Graver basis of a
-stacked network design system.
+against a completion that skips no pair, the 16x24 Graver basis of a
+stacked network design system, and the matrices of the larger network
+design families.
 
 Wide dense matrices are where completion cost grows steeply with the
 variable count, so this pins that the vector-level pipeline still finishes
@@ -17,10 +18,12 @@ from contextlib import contextmanager
 import pytest
 
 from latticeopt import SndConfig, gen_snd
+from latticeopt.cli import matrix_checksum
 from latticeopt.graver import graver_basis
 from latticeopt.groebner import buchberger, normal_form
 from latticeopt.lattice import CostOrder, IntMatrix, kernel_basis
-from latticeopt.opcost import _stacked_system
+from latticeopt.opcost import (_stacked_system, opcost_graver, opcost_kernel,
+                               single_scenario_decisions)
 from latticeopt.toric import toric_generating_set
 
 import support
@@ -107,11 +110,7 @@ FOUR_NODE_STACKED_GRAVER_DIGEST = (
 
 
 def test_four_node_stacked_graver_basis():
-    inst = gen_snd(SndConfig(
-        scenario_count=1, seed=1, vertices=4,
-        arcs=((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)),
-        fixed_costs=(3, 4, 5, 3, 6, 6), capacities=(2,) * 6, max_demand=2))
-    M = _stacked_system(inst)[0]
+    M = _stacked_system(support.four_node_snd(1))[0]
     assert (M.nrows, M.ncols) == (16, 24)
     with time_guard(GUARD_SECONDS):
         basis = graver_basis(M)
@@ -119,3 +118,34 @@ def test_four_node_stacked_graver_basis():
     assert len(elements) == 1662
     assert hashlib.sha256(repr(elements).encode()).hexdigest() == \
         FOUR_NODE_STACKED_GRAVER_DIGEST
+
+
+# Network design families past the triangle, seed 1, max demand 2: each
+# matrix's checksum (cli.matrix_checksum), recorded before the Phase-I set
+# served the walk.
+SND_FAMILIES = {
+    "four-node-n30": (lambda: support.four_node_snd(30), "9296bdabbb5e30f0"),
+    "two-commodity-n10": (lambda: gen_snd(SndConfig(
+        10, 1, commodities=2, capacities=(4, 4, 4), max_demand=2)),
+        "fadfc7bedbf91bdf"),
+    "five-node-n10": (lambda: gen_snd(SndConfig(
+        10, 1, vertices=5,
+        arcs=((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3)),
+        fixed_costs=(3, 4, 5, 3, 6, 6, 4), capacities=(2,) * 7,
+        max_demand=2)), "84b3764daaa15202"),
+    "per-scenario-cost-four-node-n30": (
+        lambda: support.per_scenario_cost_four_node_snd(30),
+        "386a1fcc65f477ad"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SND_FAMILIES))
+def test_snd_family_matrix(family):
+    make, checksum = SND_FAMILIES[family]
+    inst = make()
+    with time_guard(GUARD_SECONDS):
+        dec = single_scenario_decisions(inst)
+        kernel = opcost_kernel(inst, dec)
+        graver = opcost_graver(inst, dec)
+    assert matrix_checksum(kernel) == checksum
+    assert kernel == graver

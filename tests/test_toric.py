@@ -6,8 +6,9 @@ import pytest
 
 from latticeopt import groebner
 from latticeopt.groebner import GraverResourceError
-from latticeopt.lattice import CostOrder, IntMatrix, IntVector
-from latticeopt.toric import ToricGenerators, flip_coordinate, toric_generating_set
+from latticeopt.lattice import CostOrder, IntMatrix, IntVector, kernel_basis
+from latticeopt.toric import (ToricGenerators, _common_orthant_push,
+                              flip_coordinate, toric_generating_set)
 
 import support
 
@@ -112,3 +113,56 @@ def test_saturation_certificate_random_instances():
             res = augment(start.solution, prepare_moves(gb, c), A, b)
             assert res.value == best.value
             assert res.solution == best.solution
+
+
+def _reference_orthant_push(vectors):
+    """The push as it scored every trial move on every column."""
+    vecs = [tuple(v) for v in vectors]
+    cols = range(len(vecs[0]) if vecs else 0)
+    pos = [sum(v[j] > 0 for v in vecs) for j in cols]
+    neg = [sum(v[j] < 0 for v in vecs) for j in cols]
+
+    def mixed_after(old, new):
+        return sum(1 for j in cols
+                   if pos[j] - (old[j] > 0) + (new[j] > 0)
+                   and neg[j] - (old[j] < 0) + (new[j] < 0))
+
+    def first_improving_move(best):
+        for i, vi in enumerate(vecs):
+            for k, vk in enumerate(vecs):
+                if i == k:
+                    continue
+                for sign in (1, -1):
+                    cand = tuple(a + sign * b for a, b in zip(vi, vk))
+                    if any(cand):
+                        count = mixed_after(vi, cand)
+                        if count < best:
+                            return i, cand, count
+        return None
+
+    best = sum(1 for j in cols if pos[j] and neg[j])
+    while best > 0:
+        move = first_improving_move(best)
+        if move is None:
+            break
+        i, cand, best = move
+        for j in cols:
+            pos[j] += (cand[j] > 0) - (vecs[i][j] > 0)
+            neg[j] += (cand[j] < 0) - (vecs[i][j] < 0)
+        vecs[i] = cand
+    return vecs
+
+
+def test_orthant_push_matches_the_every_column_scoring():
+    # scoring a move on v_k's support alone changes no accepted move
+    rng = random.Random(31)
+    for _ in range(150):
+        A = support.random_matrix(rng, rng.randint(1, 4), rng.randint(3, 9),
+                                  -2, 4)
+        basis = [v.entries for v in kernel_basis(A)]
+        assert _common_orthant_push(basis) == _reference_orthant_push(basis)
+    # hand-made sets, duplicates and opposite pairs included
+    for vectors in ([], [(1, -1)], [(1, -1), (-1, 1)], [(1, -1), (1, -1)],
+                    [(2, -1, 0), (0, 1, -1), (-1, 0, 1)]):
+        assert _common_orthant_push(vectors) == \
+            _reference_orthant_push(vectors)
