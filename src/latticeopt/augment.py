@@ -13,11 +13,10 @@ Phase-I follows the extended-matrix method of Conti and Traverso
 ("Buchberger algorithm and integer programming", AAECC-9, LNCS 539, 1991)
 over a narrow extension: one artificial column per (row, sign) that the
 right-hand sides to be served use, rather than [A | I | -I]. The
-`ArtificialSystem` holds the extension and its test set, completed under
-an elimination order for the artificial columns refined by a cost c on
-A's columns. It serves every such b: each walk starts at (0, |b| on the
-matching columns) and ends at A's refined optimum for c, so one walk finds
-a feasible point and optimises it for c.
+`ArtificialSystem` holds the extension and its test set for an
+elimination order refined by a cost c on A's columns. It serves every such
+b: each walk starts at (0, |b| on the matching columns) and ends at A's
+refined optimum for c, or at a positive artificial total.
 """
 
 from __future__ import annotations
@@ -106,8 +105,7 @@ class ArtificialSystem(NamedTuple):
 
     Each column of S is s e_i for one (row i, sign s) in `columns`, in
     column order: every positive sign in row order, then every negative one.
-    The moves are prepared for the cost K·(S's columns) + c, c on A's
-    columns: `moves.cost` is c on A's columns and K on S's.
+    The moves are prepared for `moves.cost`: c on A's columns, K on S's.
     """
 
     matrix: IntMatrix
@@ -127,18 +125,15 @@ def artificial_system(A: IntMatrix, rhss, c=None) -> ArtificialSystem:
     """A plus one artificial column per (row, sign) some b in rhss uses.
 
     Rows whose b is always 0 get no column. The extension's test set is
-    completed here, once, under the cost K·(artificial columns) + c, where
-    c (zero when None) is a cost on A's columns and K starts at 1000. When
-    some element of the reduced basis has a negative artificial total, K
-    doubles and the completion runs again. Once none has, the cost orients
-    every element as the elimination order does (artificial total, then c,
-    then variable order), so the basis is that order's reduced basis too:
-    two nested initial ideals of one ideal are equal (Sturmfels, "Gröbner
-    Bases and Convex Polytopes", Ch. 1-2). Its walk from (0, |b|) ends at
-    A's refined optimum for c when b is feasible, and at a positive
-    artificial total when it is not. When the right-hand sides use both
-    signs in every row the extension is [A | I | -I]. A b whose length is
-    not A's row count raises ValueError.
+    completed here, once, under K*(artificial columns) + c, c a cost on A's
+    columns (0 when None); K starts at 1000 and doubles while an element
+    has a negative artificial total. Then the cost orients every element as
+    the elimination order (artificial total, then c, then variable order)
+    does, so the basis is also that order's reduced basis: two nested
+    initial ideals of one ideal are equal (Sturmfels, "Groebner Bases and
+    Convex Polytopes", Ch. 1-2). When the right-hand sides use both signs
+    in every row the extension is [A | I | -I]. A b whose length is not
+    A's row count raises ValueError.
     """
     m = A.nrows
     pos, neg = [False] * m, [False] * m

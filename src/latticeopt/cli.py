@@ -32,11 +32,7 @@ from .toric import toric_generating_set
 
 @dataclasses.dataclass(frozen=True)
 class BenchRecord:
-    """One benchmark row: a full matrix build pipeline at one size.
-
-    `timings_us` holds each timing's median over the row's runs, and
-    `total_us_min`/`total_us_max` the lowest and highest run totals.
-    """
+    """One benchmark row: a full matrix build pipeline at one size."""
 
     family: str
     method: str
@@ -89,10 +85,9 @@ BENCH_RUNS = 5  # runs of each size's decisions and builds
 def bench(family, n_list, seed, methods):
     """Time the decision + matrix pipeline per method and scenario count.
 
-    Decisions do not depend on the builder, so each run computes a size's
-    once, and every method's build in that run uses them and reports their
-    time. Each size takes BENCH_RUNS runs; a row reports the median of each
-    timing, the lowest and highest totals, and the last run's checksum and
+    Each size takes BENCH_RUNS runs of its decisions, which every method's
+    build in the run shares. A row reports each timing's median, the
+    lowest and highest run totals, and the last run's checksum and
     counters. An unknown method raises ValueError, and an unknown family
     KeyError, before any work is done.
     """

@@ -11,23 +11,19 @@ through a per-method solver, one for the stacked matrix and one for W:
 augmentation with full-multiple steps over a Groebner basis (kernel
 method), over the Graver basis (graver method), or brute force in a box
 (oracle method), which asks no hook. A solver computes its matrix's algebra
-at most once and, for Groebner bases, at most once per distinct cost, so a
-graver pipeline completes one Graver basis, W's. It prepares each walk's
-improving moves once per cost, when a walk first needs them. A walk starts
-at the instance's hook point for its cell, which `augment` tests, or at a
-Phase-I point found over M's narrow artificial system: one artificial
-column per (row, sign) that a right-hand side the solver will see uses,
-gathered, and the extension's test set completed, when Phase-I is first
-needed. The kernel path completes it under K·(artificial columns) + c, c
-the cost of that first solve, so the Phase-I walk ends at M's refined
-optimum for c: cells of that cost take the Phase-I point as their optimum,
-and M gets no basis of its own for c. Any other cost walks from the
-Phase-I point over its own Groebner basis, and the graver path, whose
-extension has cost 0 on M's columns, over the Graver basis. A Phase-I
-point depends only on its right-hand side, so each distinct one is walked
-once, feasible or not. A matrix row depends only on its decision, so each distinct
-decision is solved once, and its T x computed once; counters make that
-reuse observable. Every build runs in one process. Each phase books its
+at most once and, for Groebner bases, once per distinct cost, so a graver
+pipeline completes one Graver basis, W's; it prepares a walk's moves once
+per cost. A walk starts at the instance's hook point for its cell, which
+`augment` tests, or at a Phase-I point found over M's narrow artificial
+system: one artificial column per (row, sign) that a right-hand side the
+solver will see uses, gathered, and the extension's test set completed,
+when Phase-I is first needed. On the kernel path that set is completed
+under the cost of the first solve that needs it, so its walk ends at that
+cost's optimum and M needs no basis for it. A Phase-I point depends only
+on its right-hand side, so each distinct one is walked once, feasible or
+not. A matrix row depends only on its decision, so each distinct decision
+is solved once, and its T x computed once; counters make that reuse
+observable. Every build runs in one process. Each phase books its
 time where it runs and the row loop books only what no phase inside it
 booked, so a build's timings are disjoint and add up to its timed wall
 clock.
@@ -158,15 +154,12 @@ class BuildCounters:
     phase_one_bases is 1 when the build completed the test set of W's
     Phase-I extension (one artificial column per (row, sign) the cells'
     right-hand sides use), 0 when closed-form starts made it unnecessary,
-    and phase_one_calls counts the cells handed that set. On the kernel
-    path that set is completed under the first Phase-I cell's cost, and
-    its walk is that cost's optimum: a build whose cells share one cost
-    and all take Phase-I has no toric or Buchberger run on W and no
-    augment_calls. The per-cell tallies cover the rows of distinct
-    decisions only, since repeated decisions copy their row; walk_steps
-    sums the steps of the optimisation walks and of each distinct
-    right-hand side's Phase-I walk, counted once however many cells share
-    it.
+    and phase_one_calls counts the cells handed that set; cells of the cost
+    it was completed under (kernel) make no augment_calls. The per-cell
+    tallies cover the rows of distinct decisions only, since repeated
+    decisions copy their row; walk_steps sums the steps of the optimisation
+    walks and of each distinct right-hand side's Phase-I walk, counted
+    once however many cells share it.
     """
 
     __slots__ = ("toric_runs", "buchberger_runs", "graver_runs",
@@ -267,15 +260,13 @@ class _Solver:
 
     A solver serves one matrix: its toric generators, its Graver basis and
     its Phase-I artificial system are built at most once, Groebner bases
-    and the walks' prepared improving moves at most once per cost, each
-    when a walk first needs it. `rhss` is a callable giving every
-    right-hand side the solver will see; the Phase-I extension has one
-    artificial column per (row, sign) they use, and is built, with its test
-    set, only when a solve first needs Phase-I: on the kernel path under
-    that solve's cost, which then needs no Groebner basis of M. A walk
-    starts at `head` followed by the hook's point for the cell, or at a
-    Phase-I point when `head` is None or the instance has no hook or it
-    gives no point.
+    and the walks' prepared improving moves once per cost, on first use.
+    `rhss` is a callable giving every right-hand side the solver will see;
+    the Phase-I extension has one artificial column per (row, sign) they
+    use, and is built, with its test set, only when a solve first needs
+    Phase-I. A walk starts at `head` followed by the hook's point for the
+    cell, or at a Phase-I point when `head` is None or the instance has no
+    hook or it gives no point.
     Each object is built on its first use, wherever that falls; its build
     is timed and counted there, so the build's solver for W records exactly
     the build's algebra. A Phase-I point is such an object, one per distinct
@@ -342,14 +333,13 @@ class _Solver:
         `.value`. `cell` is the (x, j) that b serves. Kernel and graver walk
         over `self.moves(cost)` from the hook's point for the cell after
         `head`, or from a Phase-I point; `augment` tests the start. The
-        first solve that needs Phase-I completes the extension: under its
-        own cost on the kernel path, so that the Phase-I walk lands on the
-        optimum and cells of that cost take the Phase-I point as it is;
-        under cost 0 on the graver path. The oracle searches var_bound's
-        box, or the box derived from the first-stage bounds and b, and asks
-        no hook. A miss in the derived box, or in a var_bound box that holds
-        it, is an infeasible cell; a miss in a smaller box proves nothing,
-        so it raises OracleResourceError.
+        Phase-I set has the first Phase-I solve's cost on the kernel path
+        and 0 on the graver path; a Phase-I point of that cost is the
+        optimum. The oracle searches var_bound's box, or the box derived
+        from the first-stage bounds and b, and asks no hook. A miss in the
+        derived box, or in a var_bound box that holds it, is an infeasible
+        cell; a miss in a smaller box proves nothing, so it raises
+        OracleResourceError.
         """
         M, c = self.M, self.counters
         if self.method == METHOD_ORACLE:
@@ -411,10 +401,9 @@ def single_scenario_decisions(instance: SipInstance,
     refinement optimum; x_j is its first-stage part. The kernel and graver
     methods both solve with the kernel solver and give the same decisions;
     the oracle searches a box. Every scenario shares one stacked matrix and
-    one solver, so the Phase-I test set is completed once when a scenario
-    has no closed-form start, under the first such scenario's cost, and
-    the toric generators once and a Groebner basis once per distinct cost
-    that set does not serve.
+    one solver: the Phase-I test set is completed once, under the first
+    scenario without a closed-form start's cost, and the toric generators
+    once and a Groebner basis once per other distinct cost.
     """
     M, head = _stacked_system(instance)
     x0 = IntVector((0,) * instance.first_stage_dim)
