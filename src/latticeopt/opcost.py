@@ -292,7 +292,7 @@ class _Solver:
                            "phase_one_us": 0, "phase_one_walk_us": 0,
                            "augment_us": 0, "oracle_us": 0}
         self._built = {}
-        self._moves = {}  # each cost's prepared moves, by its entries
+        self._moves = {}  # prepared moves by cost entries: one lookup a walk
 
     def _once(self, key, build, runs=None, elements=None):
         """The object under key, built on first use; key[0] is its timing."""
