@@ -8,11 +8,10 @@ import pytest
 
 from latticeopt import cli, groebner, opcost
 from latticeopt.augment import artificial_system
-from latticeopt.groebner import GraverResourceError
+from latticeopt.groebner import GraverResourceError, buchberger
 from latticeopt.instances import (HsConfig, SndConfig, gen_hs, gen_snd,
                                   hs_feasible, hs_recourse_bounds,
                                   instance_from_json, instance_to_json)
-from latticeopt.groebner import buchberger
 from latticeopt.lattice import CostOrder, IntMatrix, IntVector
 from latticeopt.opcost import (CELL_INFEASIBLE, CELL_OK, DecisionList,
                                METHOD_GRAVER, METHOD_KERNEL, METHOD_ORACLE,
