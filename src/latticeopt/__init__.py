@@ -17,8 +17,9 @@ from .lattice import (CostOrder, IntMatrix, IntVector, VectorSet, as_vector,
 from .oracle import (INFEASIBLE_IN_BOX, OPTIMAL, IpOutcome, IpProblem,
                      OracleResourceError, enumerate_graver_in_box,
                      solve_bruteforce)
-from .groebner import GroebnerBasis, buchberger, normal_form, orient, test_set
-from .toric import ToricGenerators, flip_coordinate, toric_generating_set
+from .groebner import GroebnerBasis, buchberger, normal_form, orient
+from .toric import (ToricGenerators, flip_coordinate, test_set,
+                    toric_generating_set)
 from .graver import (GraverBasis, GraverResourceError, SipBlockStructure,
                      contains_groebner, graver_basis, lift_sip_graver)
 from .augment import (ArtificialSystem, AugmentResult, PreparedMoves,

@@ -25,7 +25,8 @@ from itertools import repeat
 from operator import mul
 from typing import Iterable, NamedTuple, Optional
 
-from .groebner import _LeadIndex, _record, _reduce, orient, test_set
+from . import groebner, toric
+from .groebner import _LeadIndex, _record, _reduce, orient
 from .lattice import CostOrder, IntMatrix, IntVector, as_entries, as_vector
 
 
@@ -125,15 +126,19 @@ def artificial_system(A: IntMatrix, rhss, c=None) -> ArtificialSystem:
     """A plus one artificial column per (row, sign) some b in rhss uses.
 
     Rows whose b is always 0 get no column. The extension's test set is
-    completed here, once, under K*(artificial columns) + c, c a cost on A's
+    completed here under K*(artificial columns) + c, c a cost on A's
     columns (0 when None); K starts at 1000 and doubles while an element
-    has a negative artificial total. Then the cost orients every element as
-    the elimination order (artificial total, then c, then variable order)
-    does, so the basis is also that order's reduced basis: two nested
-    initial ideals of one ideal are equal (Sturmfels, "Groebner Bases and
-    Convex Polytopes", Ch. 1-2). When the right-hand sides use both signs
-    in every row the extension is [A | I | -I]. A b whose length is not
-    A's row count raises ValueError.
+    has a negative artificial total. The extension is saturated once: its
+    toric set seeds the first completion, and each doubling re-completes
+    from the basis that failed, which generates the same ideal. Both go
+    through the attributes of the `toric` and `groebner` modules, so a
+    wrapper set there sees them. Once the check passes, the cost orients
+    every element as the elimination order (artificial total, then c, then
+    variable order) does, so the basis is also that order's reduced basis:
+    two nested initial ideals of one ideal are equal (Sturmfels, "Groebner
+    Bases and Convex Polytopes", Ch. 1-2). When the right-hand sides use
+    both signs in every row the extension is [A | I | -I]. A b whose length
+    is not A's row count raises ValueError.
     """
     m = A.nrows
     pos, neg = [False] * m, [False] * m
@@ -152,10 +157,10 @@ def artificial_system(A: IntMatrix, rhss, c=None) -> ArtificialSystem:
     ext = IntMatrix([tuple(row) + tuple(s if k == i else 0 for k, s in columns)
                      for i, row in enumerate(A.rows)])
     c = (0,) * A.ncols if c is None else as_entries(c)
-    K = 1000
+    K, basis = 1000, toric.toric_generating_set(ext).generators
     while True:
         cost = IntVector(c + (K,) * len(columns))
-        basis = test_set(ext, cost)
+        basis = groebner.buchberger(basis, CostOrder(cost), matrix=ext)
         if all(sum(g.entries[A.ncols:]) >= 0 for g in basis):
             return ArtificialSystem(ext, columns, prepare_moves(basis, cost))
         K *= 2

@@ -18,8 +18,9 @@ import sys
 import time
 
 from .augment import augment  # noqa: F401 -- perfbench traces it here
-from .graver import GraverResourceError, graver_basis
-from .groebner import buchberger, test_set
+from .graver import (GraverResourceError, SipBlockStructure,
+                     contains_groebner, graver_basis, lift_sip_graver)
+from .groebner import buchberger
 from .instances import (HsConfig, SndConfig, _dec_as, _dec_mat, _dec_vec,
                         gen_hs, gen_snd, instance_from_json, instance_to_json)
 from .lattice import CostOrder, IntMatrix, IntVector
@@ -27,7 +28,7 @@ from .opcost import (DecisionList, METHOD_GRAVER, METHOD_KERNEL,
                      METHOD_ORACLE, opcost_graver, opcost_kernel,
                      opcost_oracle, single_scenario_decisions)
 from .oracle import OracleResourceError, enumerate_graver_in_box
-from .toric import toric_generating_set
+from .toric import test_set, toric_generating_set
 
 
 @dataclasses.dataclass(frozen=True)
@@ -208,8 +209,6 @@ def _cmd_bench(args) -> int:
 
 
 def _verify_checks():
-    from .graver import SipBlockStructure, contains_groebner, lift_sip_graver
-
     def hs_cross_method():
         inst = gen_hs(HsConfig(scenario_count=2, seed=7, scaled=True))
         dec = single_scenario_decisions(inst)

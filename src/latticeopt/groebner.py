@@ -331,10 +331,3 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
 
     reduced = _interreduce([rec[0] for rec in basis], order)
     return GroebnerBasis(matrix, order, VectorSet(IntVector(t) for t in reduced))
-
-
-def test_set(A: IntMatrix, c: "IntVector | Iterable[int]") -> GroebnerBasis:
-    """Reduced basis whose oriented elements form a test set for IP(c, .)."""
-    order = CostOrder(c if isinstance(c, IntVector) else IntVector(c))
-    from .toric import toric_generating_set  # import cycle: deferred
-    return buchberger(toric_generating_set(A).generators, order, matrix=A)

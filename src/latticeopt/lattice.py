@@ -9,7 +9,6 @@ deliberately no floating-point or rational mode.
 
 from __future__ import annotations
 
-from itertools import repeat
 from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -49,9 +48,6 @@ class IntVector:
     def __neg__(self) -> "IntVector":
         return IntVector(map(neg, self.entries))
 
-    def scale(self, k: int) -> "IntVector":
-        return IntVector(map(mul, repeat(k), self.entries))
-
     def dot(self, other: "IntVector") -> int:
         return sum(map(mul, *self._paired(other)))
 
@@ -80,8 +76,9 @@ def as_entries(v: "IntVector | Iterable[int]") -> tuple:
 class CostOrder:
     """Total order on non-negative vectors: compare c.x first, ties lexicographic.
 
-    Ties are read in variable order; `tie_order` is kept, read-only, so
-    readers can see that order. Elimination orders need no other: vectors
+    Ties are read in variable order; `groebner.orient` applies the order
+    to a difference u - v, and `tie_order` is kept, read-only, so readers
+    can see the tie order. Elimination orders need no other: vectors
     that tie on the cost e_j share entry j. Negative cost entries are
     rejected: with c >= 0 the order is a well-founded monomial order, which
     the completion procedures rely on for termination.
@@ -104,13 +101,6 @@ class CostOrder:
 
     def dot(self, v: IntVector) -> int:
         return self.cost.dot(v)
-
-    def compare(self, u: IntVector, v: IntVector) -> int:
-        """-1, 0, or +1 as u is below, equal to, or above v in the order."""
-        if len(u) != self.dim or len(v) != self.dim:
-            raise ValueError("dimension mismatch with cost vector")
-        ku, kv = (self.cost.dot(u), u.entries), (self.cost.dot(v), v.entries)
-        return (ku > kv) - (ku < kv)
 
     def __repr__(self) -> str:
         return f"CostOrder({list(self.cost.entries)!r})"

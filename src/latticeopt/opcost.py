@@ -13,11 +13,15 @@ method), over the Graver basis (graver method), or brute force in a box
 (oracle method), which asks no hook. A solver computes its matrix's algebra
 at most once and, for Groebner bases, once per distinct cost, so a graver
 pipeline completes one Graver basis, W's; it prepares a walk's moves once
-per cost. A walk starts at the instance's hook point for its cell, which
-`augment` tests, or at a Phase-I point found over M's narrow artificial
-system: one artificial column per (row, sign) that a right-hand side the
-solver will see uses, gathered, and the extension's test set completed,
-when Phase-I is first needed. On the kernel path that set is completed
+per cost. M's toric set seeds only M's first Groebner basis: any reduced
+basis generates M's lattice ideal (Sturmfels, "Groebner Bases and Convex
+Polytopes", Ch. 1-2), so each later cost's completion starts from the
+previous cost's basis, the simple form of the Groebner walk. A walk
+starts at the instance's hook point for its cell, which `augment` tests,
+or at a Phase-I point found over M's narrow artificial system: one
+artificial column per (row, sign) that a right-hand side the solver will
+see uses, gathered, and the extension's test set completed, when Phase-I
+is first needed. On the kernel path that set is completed
 under the cost of the first solve that needs it, so its walk ends at that
 cost's optimum and M needs no basis for it. A Phase-I point depends only
 on its right-hand side, so each distinct one is walked once, feasible or
@@ -261,6 +265,9 @@ class _Solver:
     A solver serves one matrix: its toric generators, its Graver basis and
     its Phase-I artificial system are built at most once, Groebner bases
     and the walks' prepared improving moves once per cost, on first use.
+    The toric generators seed the first Groebner basis only; each later
+    one is completed from the last, which the solver keeps as a reference
+    to the basis `_built` holds.
     `rhss` is a callable giving every right-hand side the solver will see;
     the Phase-I extension has one artificial column per (row, sign) they
     use, and is built, with its test set, only when a solve first needs
@@ -293,6 +300,7 @@ class _Solver:
                            "augment_us": 0, "oracle_us": 0}
         self._built = {}
         self._moves = {}  # prepared moves by cost entries: one lookup a walk
+        self._last_basis = None  # M's latest Groebner basis, held in _built
 
     def _once(self, key, build, runs=None, elements=None):
         """The object under key, built on first use; key[0] is its timing."""
@@ -316,11 +324,14 @@ class _Solver:
                                "graver_runs", "graver_elements")
         else:
             timing = "groebner_us"
-            gens = self._once(("toric_us",), lambda: toric_generating_set(M),
-                              "toric_runs", "toric_elements")
-            basis = self._once(
+            seed = self._last_basis
+            if seed is None:
+                seed = self._once(("toric_us",),
+                                  lambda: toric_generating_set(M),
+                                  "toric_runs", "toric_elements").generators
+            basis = self._last_basis = self._once(
                 (timing, cost.entries),
-                lambda: buchberger(gens.generators, CostOrder(cost), matrix=M),
+                lambda: buchberger(seed, CostOrder(cost), matrix=M),
                 "buchberger_runs", "groebner_elements")
         moves = self._moves[cost.entries] = self._once(
             (timing, "moves", cost.entries), lambda: prepare_moves(basis, cost))
@@ -402,8 +413,9 @@ def single_scenario_decisions(instance: SipInstance,
     methods both solve with the kernel solver and give the same decisions;
     the oracle searches a box. Every scenario shares one stacked matrix and
     one solver: the Phase-I test set is completed once, under the first
-    scenario without a closed-form start's cost, and the toric generators
-    once and a Groebner basis once per other distinct cost.
+    scenario without a closed-form start's cost, and a Groebner basis once
+    per other distinct cost, the first from the toric generators and each
+    later one from the basis before it.
     """
     M, head = _stacked_system(instance)
     x0 = IntVector((0,) * instance.first_stage_dim)

@@ -4,12 +4,15 @@ A kernel lattice basis generates the right lattice but usually not the full
 ideal of fiber moves. This module closes the gap: nudge the basis toward a
 common sign pattern, flip the offending coordinates, then saturate one
 coordinate at a time with a Buchberger round under an elimination order,
-undoing each flip as its round completes.
+undoing each flip as its round completes. A test set for a cost is that
+set completed under the cost.
 """
 
 from __future__ import annotations
 
-from .groebner import buchberger, orient
+from typing import Iterable
+
+from .groebner import GroebnerBasis, buchberger, orient
 from .lattice import CostOrder, IntMatrix, IntVector, VectorSet, kernel_basis
 
 
@@ -139,3 +142,9 @@ def toric_generating_set(A: IntMatrix) -> ToricGenerators:
     zero_cost = CostOrder((0,) * n)  # orients by the first nonzero entry
     final = VectorSet(orient(g, zero_cost) for g in generators)
     return ToricGenerators(A, VectorSet(final.canonical()))
+
+
+def test_set(A: IntMatrix, c: "IntVector | Iterable[int]") -> GroebnerBasis:
+    """Reduced basis whose oriented elements form a test set for IP(c, .)."""
+    return buchberger(toric_generating_set(A).generators, CostOrder(c),
+                      matrix=A)

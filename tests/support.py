@@ -118,13 +118,13 @@ def four_node_snd(scenario_count):
         fixed_costs=(3, 4, 5, 3, 6, 6), capacities=(2,) * 6, max_demand=2))
 
 
-def per_scenario_cost_four_node_snd(scenario_count):
+def per_scenario_cost_four_node_snd(scenario_count, costs=(1, 9)):
     """4-node SND whose scenarios draw their six flow costs, in scenario
-    order, from random.Random(5).randint(1, 9); slack columns cost 0."""
+    order, from random.Random(5).randint(*costs); slack columns cost 0."""
     base, rng = four_node_snd(scenario_count), random.Random(5)
     return dataclasses.replace(base, scenarios=tuple(
         dataclasses.replace(sc, cost=IntVector(
-            tuple(rng.randint(1, 9) for _ in range(6)) + (0,) * 6))
+            tuple(rng.randint(*costs) for _ in range(6)) + (0,) * 6))
         for sc in base.scenarios))
 
 

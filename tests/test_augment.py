@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import latticeopt
-from latticeopt import groebner, oracle
+from latticeopt import oracle, toric
 from latticeopt.augment import (PreparedMoves, artificial_system, augment,
                                 phase_one_feasible, prepare_moves)
 from latticeopt.graver import graver_basis
@@ -73,7 +73,7 @@ def test_input_forms_give_equal_results():
     rng = random.Random(2222)
     A = support.random_matrix(rng, 2, 4, 0, 3)
     c = [rng.randint(0, 5) for _ in range(4)]
-    moves = prepare_moves(groebner.test_set(A, c), c)
+    moves = prepare_moves(toric.test_set(A, c), c)
     walked = 0
     for b, pts in support.boxed_fibers(A, 4).items():
         for z in pts:
@@ -115,7 +115,7 @@ def test_exact_over_test_sets_random():
     for _ in range(6):
         A = support.random_matrix(rng, 2, 4, 0, 3)
         c = [rng.randint(0, 5) for _ in range(4)]
-        gb = groebner.test_set(A, IntVector(c))
+        gb = toric.test_set(A, IntVector(c))
         support.check_augmentation_exact(A, c, gb, box=6)
 
 
@@ -178,7 +178,7 @@ def test_walk_takes_the_first_fitting_move_at_its_largest_multiple():
         c = [rng.choice((0, rng.randint(1, 5))) for _ in range(4)]
         c[rng.randrange(4)] = 0
         fibers = support.boxed_fibers(A, 6)
-        for T in (groebner.test_set(A, c), graver_basis(A)):
+        for T in (toric.test_set(A, c), graver_basis(A)):
             moves = prepare_moves(T, c)
             for b, pts in fibers.items():
                 for z in pts:
@@ -197,7 +197,7 @@ def test_large_rhs_walks_match_the_oracle():
     for m, n in ((1, 3), (1, 4), (2, 3), (2, 4)) * 5:
         A = support.random_matrix(rng, m, n, 0, 4)
         c = IntVector([rng.randint(0, 9) for _ in range(n)])
-        sets = (prepare_moves(groebner.test_set(A, c), c),
+        sets = (prepare_moves(toric.test_set(A, c), c),
                 prepare_moves(graver_basis(A), c))
         for _ in range(4):
             z0 = IntVector([rng.randint(0, 10) for _ in range(n)])
@@ -228,7 +228,7 @@ def test_artificial_system_shape():
     assert ext.rows == ((1, -1, 1, 0, -1, 0), (2, 1, 0, 1, 0, -1))
     assert moves.cost == IntVector((0, 0) + (1000,) * 4)
     assert columns == ((0, 1), (1, 1), (0, -1), (1, -1))
-    assert moves == prepare_moves(groebner.test_set(ext, moves.cost),
+    assert moves == prepare_moves(toric.test_set(ext, moves.cost),
                                   moves.cost)
 
 

@@ -198,10 +198,10 @@ def test_cap_error_is_one_class():
 
 
 def test_contains_groebner_and_mismatch():
-    from latticeopt import groebner
+    from latticeopt import toric
     A = IntMatrix([[1, 1, 1]])
     gamma = graver_basis(A)
-    gb = groebner.test_set(A, IntVector((1, 2, 3)))
+    gb = toric.test_set(A, IntVector((1, 2, 3)))
     assert contains_groebner(gb, gamma)
 
     empty = GroebnerBasis(A, CostOrder((1, 2, 3)), VectorSet())

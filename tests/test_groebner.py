@@ -7,7 +7,7 @@ import types
 
 import pytest
 
-from latticeopt import groebner
+from latticeopt import groebner, toric
 from latticeopt.groebner import (GraverResourceError, GroebnerBasis,
                                  buchberger, normal_form, orient)
 from latticeopt.lattice import CostOrder, IntMatrix, IntVector, VectorSet
@@ -100,7 +100,7 @@ def test_buchberger_is_reduced_and_oriented():
     for _ in range(15):
         A = support.random_matrix(rng, 2, 4, 0, 3)
         c = [rng.randint(0, 5) for _ in range(4)]
-        gb = groebner.test_set(A, IntVector(c))
+        gb = toric.test_set(A, IntVector(c))
         elems = list(gb)
         for g in elems:
             assert A.in_kernel(g)
@@ -129,7 +129,7 @@ def test_reduced_basis_unique_under_seed_shuffles():
     ]
     for A, c in fixtures:
         order = CostOrder(c)
-        reference = groebner.test_set(A, IntVector(c))
+        reference = toric.test_set(A, IntVector(c))
         gens = list(toric_generating_set(A))
         baseline = support.as_tuple_set(buchberger(support.shuffled_vectorset(rng, gens), order, matrix=A))
         for _ in range(10):
@@ -139,17 +139,17 @@ def test_reduced_basis_unique_under_seed_shuffles():
 
 
 def test_test_set_examples():
-    gb = groebner.test_set(IntMatrix([[1, 1, 1]]), IntVector((1, 2, 3)))
+    gb = toric.test_set(IntMatrix([[1, 1, 1]]), IntVector((1, 2, 3)))
     assert support.as_tuple_set(gb) == {(-1, 1, 0), (-1, 0, 1)}
-    assert len(groebner.test_set(IntMatrix.identity(2), IntVector((1, 1)))) == 0
-    gb = groebner.test_set(IntMatrix([[1, 2]]), IntVector((1, 1)))
+    assert len(toric.test_set(IntMatrix.identity(2), IntVector((1, 1)))) == 0
+    gb = toric.test_set(IntMatrix([[1, 2]]), IntVector((1, 1)))
     assert support.as_tuple_set(gb) == {(2, -1)}
 
 
 def test_test_set_property_single_row_by_enumeration():
     A = IntMatrix([[1, 2]])
     order = CostOrder((1, 1))
-    gb = groebner.test_set(A, IntVector((1, 1)))
+    gb = toric.test_set(A, IntVector((1, 1)))
     support.check_test_set(A, order, gb, box=10)
 
 
@@ -160,7 +160,7 @@ def test_test_set_property_random_exhaustive():
         A = support.random_matrix(rng, nrows, ncols, 0, 3)
         c = [rng.randint(0, 5) for _ in range(ncols)]
         order = CostOrder(c)
-        gb = groebner.test_set(A, IntVector(c))
+        gb = toric.test_set(A, IntVector(c))
         support.check_test_set(A, order, gb, box=6)
 
 
@@ -284,14 +284,23 @@ def test_completion_matches_criterion_free_reference():
     # The product, chain and death rules only skip pairs; a completion that
     # reduces every pair must reach the same reduced basis, whatever the
     # seed order. Unlike the frozen digest, this needs no recorded output.
+    # Each matrix's later costs are also completed from the previous cost's
+    # basis, as a solver seeds them, and must reach the same basis.
     rng = random.Random(2110)
-    runs = 0
+    runs = chained = 0
+    previous = (None, None)
     for A, gens, order in support.random_toric_completions(
             rng, 40, [(1, 4), (2, 5), (2, 6), (3, 6), (3, 7)]):
-        got = sorted(g.entries for g in buchberger(gens, order, matrix=A))
-        assert got == support.reference_completion(gens, order)
+        reference = support.reference_completion(gens, order)
+        basis = buchberger(gens, order, matrix=A)
+        assert sorted(g.entries for g in basis) == reference
+        if previous[0] is A:
+            again = buchberger(previous[1], order, matrix=A)
+            assert sorted(g.entries for g in again) == reference
+            chained += 1
+        previous = (A, basis)
         runs += 1
-    assert runs >= 80
+    assert runs >= 80 and chained >= 40
 
 
 def _spy_pushes(monkeypatch):

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from latticeopt.groebner import orient
 from latticeopt.lattice import (
     CostOrder,
     IntMatrix,
@@ -72,25 +73,34 @@ def _rank(matrix):
     return len(pivots)
 
 
-# ----- compare -----
+# ----- the cost order, as groebner.orient applies it -----
+
+def _compare(order, u, v):
+    """-1, 0, or +1 as u is below, equal to, or above v in the order: u is
+    above v when `orient` leaves u - v as it is."""
+    if u == v:
+        return 0
+    d = u - v
+    return 1 if orient(d, order) is d else -1
+
 
 def test_compare_cost_dominates():
     order = CostOrder(IntVector([1, 2, 3]))
-    assert order.compare(IntVector([1, 0, 0]), IntVector([0, 1, 0])) == -1
+    assert _compare(order, IntVector([1, 0, 0]), IntVector([0, 1, 0])) == -1
 
 
 def test_compare_lex_tiebreak():
     order = CostOrder(IntVector([1, 1, 1]))
     # dot products tie at 2; difference (1,-2,1) has positive leftmost entry
-    assert order.compare(IntVector([1, 0, 1]), IntVector([0, 2, 0])) == 1
+    assert _compare(order, IntVector([1, 0, 1]), IntVector([0, 2, 0])) == 1
 
 
 def test_compare_equal_and_errors():
     order = CostOrder(IntVector([2, 5]))
     u = IntVector([3, 4])
-    assert order.compare(u, u) == 0
+    assert _compare(order, u, u) == 0
     with pytest.raises(ValueError):
-        order.compare(u, IntVector([1, 2, 3]))
+        orient(u - u, order)
 
 
 def test_negative_cost_rejected():
@@ -104,11 +114,11 @@ def test_compare_total_order_random():
         n = rng.randint(1, 5)
         order = CostOrder(IntVector(rng.randint(0, 6) for _ in range(n)))
         u, v, w = (IntVector(rng.randint(0, 9) for _ in range(n)) for _ in range(3))
-        cuv, cvu = order.compare(u, v), order.compare(v, u)
+        cuv, cvu = _compare(order, u, v), _compare(order, v, u)
         assert cuv == -cvu
         assert (cuv == 0) == (u == v)
-        if order.compare(u, v) <= 0 and order.compare(v, w) <= 0:
-            assert order.compare(u, w) <= 0
+        if _compare(order, u, v) <= 0 and _compare(order, v, w) <= 0:
+            assert _compare(order, u, w) <= 0
 
 
 def test_compare_translation_invariance():
@@ -119,7 +129,7 @@ def test_compare_translation_invariance():
         u = IntVector(rng.randint(0, 9) for _ in range(n))
         v = IntVector(rng.randint(0, 9) for _ in range(n))
         w = IntVector(rng.randint(0, 9) for _ in range(n))
-        assert order.compare(u, v) == order.compare(u + w, v + w)
+        assert _compare(order, u, v) == _compare(order, u + w, v + w)
 
 
 # ----- kernel_basis -----
@@ -177,7 +187,6 @@ def test_vector_arithmetic():
     assert a - b == IntVector([-3, -7, 9])
     assert -a == IntVector([-1, 2, -3])
     assert a.dot(b) == 1 * 4 - 2 * 5 - 3 * 6
-    assert a.scale(10 ** 20).dot(b) == (10 ** 20) * a.dot(b)
 
 
 def _random_entry(rng):
@@ -193,7 +202,6 @@ def test_arithmetic_matches_the_per_entry_reference():
         n, m = rng.randint(1, 7), rng.randint(1, 4)
         a = [_random_entry(rng) for _ in range(n)]
         b = [_random_entry(rng) for _ in range(n)]
-        k = _random_entry(rng)
         rows = [[_random_entry(rng) for _ in range(n)] for _ in range(m)]
         if case % 2:
             rows = [r[:-1] + [-sum(r[:-1])] for r in rows]
@@ -201,7 +209,6 @@ def test_arithmetic_matches_the_per_entry_reference():
         assert (va + vb).entries == tuple(a[i] + b[i] for i in range(n))
         assert (va - vb).entries == tuple(a[i] - b[i] for i in range(n))
         assert (-va).entries == tuple(-a[i] for i in range(n))
-        assert va.scale(k).entries == tuple(k * a[i] for i in range(n))
         assert va.dot(vb) == sum(a[i] * b[i] for i in range(n))
         for v in (a, [1] * n):
             product = tuple(sum(r[i] * v[i] for i in range(n)) for r in rows)
@@ -258,5 +265,5 @@ def test_unit_cost_order_is_an_elimination_order():
                 return (w[j], w.entries[:j] + w.entries[j + 1:])
 
             expected = (key(u) > key(v)) - (key(u) < key(v))
-            assert order.compare(u, v) == expected
-            assert order.compare(u, u) == 0
+            assert _compare(order, u, v) == expected
+            assert _compare(order, u, u) == 0

@@ -1,12 +1,11 @@
 import dataclasses
-import importlib
 import json
 import time
 from fractions import Fraction
 
 import pytest
 
-from latticeopt import cli, groebner, opcost
+from latticeopt import cli, groebner, opcost, toric
 from latticeopt.augment import artificial_system
 from latticeopt.groebner import GraverResourceError, buchberger
 from latticeopt.instances import (HsConfig, SndConfig, gen_hs, gen_snd,
@@ -111,15 +110,17 @@ def test_single_scenario_decisions_match_oracle_values():
 def test_single_scenario_decisions_build_each_stacked_test_set_once(
         monkeypatch):
     calls = {}
-    # the package's `augment` attribute is the function, not the module
-    augment_module = importlib.import_module("latticeopt.augment")
-    for module, name in ((opcost, "toric_generating_set"),
-                         (opcost, "buchberger"), (opcost, "graver_basis"),
-                         (augment_module, "test_set")):
-        calls[name] = 0
+    # opcost completes M's own algebra through its names; artificial_system
+    # saturates the Phase-I extension through the toric module's attribute
+    for key, module, name in (
+            ("toric_generating_set", opcost, "toric_generating_set"),
+            ("buchberger", opcost, "buchberger"),
+            ("graver_basis", opcost, "graver_basis"),
+            ("extension_saturations", toric, "toric_generating_set")):
+        calls[key] = 0
 
-        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
-            calls[_name] += 1
+        def counted(*args, _key=key, _fn=getattr(module, name), **kwargs):
+            calls[_key] += 1
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -128,13 +129,13 @@ def test_single_scenario_decisions_build_each_stacked_test_set_once(
     assert len({s.cost.entries for s in hs.scenarios}) == 1
     assert tuple(map(tuple, single_scenario_decisions(hs))) == HS_DECISIONS
     assert calls == {"toric_generating_set": 1, "buchberger": 1,
-                     "graver_basis": 0, "test_set": 0}
+                     "graver_basis": 0, "extension_saturations": 0}
     # graver decisions run the kernel solver again: no Graver basis, and
     # closed-form starts make no Phase-I completion
     assert tuple(map(tuple, single_scenario_decisions(
         hs, method=METHOD_GRAVER))) == HS_DECISIONS
     assert calls == {"toric_generating_set": 2, "buchberger": 2,
-                     "graver_basis": 0, "test_set": 0}
+                     "graver_basis": 0, "extension_saturations": 0}
 
     def scenario(cost, h):
         return Scenario(Fraction(1, 4), IntVector(cost), IntVector(h))
@@ -155,13 +156,14 @@ def test_single_scenario_decisions_build_each_stacked_test_set_once(
     assert tuple(map(tuple, single_scenario_decisions(two_costs))) == expected
     # one Phase-I set, completed under the first scenario's cost, serves
     # the three scenarios of that cost; the other cost gets M's toric
-    # generators and its own Groebner basis
+    # generators and its own Groebner basis; each solver saturates its
+    # extension once
     assert calls == {"toric_generating_set": 1, "buchberger": 1,
-                     "graver_basis": 0, "test_set": 1}
+                     "graver_basis": 0, "extension_saturations": 1}
     assert tuple(map(tuple, single_scenario_decisions(
         two_costs, method=METHOD_GRAVER))) == expected
     assert calls == {"toric_generating_set": 2, "buchberger": 2,
-                     "graver_basis": 0, "test_set": 2}
+                     "graver_basis": 0, "extension_saturations": 2}
 
 
 def test_single_scenario_decisions_reject_unknown_method():
@@ -448,32 +450,83 @@ def test_phase_one_set_holds_the_reduced_basis_for_its_cost(make):
                                           CostOrder(cost), matrix=M))
 
 
+def _chain_spy(monkeypatch, saturate_home, complete_home):
+    """Spy on `toric_generating_set` in saturate_home and `buchberger` in
+    complete_home. The returned function checks one solver's chain, then
+    returns its bases in call order and forgets them: one saturation, whose
+    generators seed the first completion, each later completion seeded
+    with the basis before it, and every basis the one completed from the
+    toric set."""
+    saturate = saturate_home.toric_generating_set
+    complete = complete_home.buchberger
+    sets, runs = [], []  # saturations; (seed, basis) per completion
+
+    def saturate_spy(A):
+        sets.append(saturate(A))
+        return sets[-1]
+
+    def complete_spy(seed, order, matrix=None):
+        runs.append((seed, complete(seed, order, matrix=matrix)))
+        return runs[-1][1]
+
+    def take():
+        assert len(sets) == 1
+        bases = [basis for _, basis in runs]
+        for (seed, _), expected in zip(runs, [sets[0].generators] + bases):
+            assert seed is expected
+        for basis in bases:
+            assert basis.elements.canonical() == complete(
+                sets[0].generators, basis.order,
+                matrix=basis.matrix).elements.canonical()
+        sets.clear()
+        runs.clear()
+        return bases
+
+    monkeypatch.setattr(saturate_home, "toric_generating_set", saturate_spy)
+    monkeypatch.setattr(complete_home, "buchberger", complete_spy)
+    return take
+
+
 def test_phase_one_set_doubles_k_until_the_check_passes(monkeypatch):
     # flow costs of 5000 outweigh an artificial unit at K = 1000: K doubles
     # until no element of the extension's basis has a negative artificial
-    # total, and the matrix still equals the oracle's
-    augment_module = importlib.import_module("latticeopt.augment")
-    test_set, ks = augment_module.test_set, []
+    # total, and the matrix still equals the oracle's. Each solver
+    # saturates its extension once, through the toric module: the toric
+    # set seeds the first completion, and each doubling re-completes from
+    # the basis that failed
+    take = _chain_spy(monkeypatch, toric, groebner)
 
-    def spy(A, cost):
-        ks.append(cost.entries[-1])
-        return test_set(A, cost)
+    def ks():
+        return [basis.order.cost.entries[-1] for basis in take()]
 
-    monkeypatch.setattr(augment_module, "test_set", spy)
     inst = gen_snd(SndConfig(3, seed=1, flow_costs=((5000,) * 3,),
                              max_demand=2))
     dec = single_scenario_decisions(inst)
-    assert ks == [1000, 2000, 4000, 8000]
+    assert ks() == [1000, 2000, 4000, 8000]
     assert dec.decisions == single_scenario_decisions(
         inst, method=METHOD_ORACLE).decisions
-    ks.clear()
     mk = opcost_kernel(inst, dec)
-    assert ks == [1000, 2000, 4000, 8000]
+    assert ks() == [1000, 2000, 4000, 8000]
     assert mk == opcost_oracle(inst, dec)
     assert mk.values == ((10007, 5007, 7), (None, 5003, 3), (None, None, 0))
     # graver's Phase-I set has cost 0 on W's columns: K = 1000 passes
-    ks.clear()
-    assert opcost_graver(inst, dec) == mk and ks == [1000]
+    assert opcost_graver(inst, dec) == mk and ks() == [1000]
+
+
+def test_each_later_completion_is_seeded_with_the_previous_basis(
+        monkeypatch):
+    # three distinct scenario costs: the first is served by the Phase-I set
+    # and the other two by M's own bases, for the stacked system and for W
+    # alike. M is saturated once, its first basis is completed from the
+    # toric set, and the second from the first basis
+    take = _chain_spy(monkeypatch, opcost, opcost)
+    inst = per_scenario_cost_four_node_snd(3)
+    assert len({sc.cost for sc in inst.scenarios}) == 3
+    dec = single_scenario_decisions(inst)
+    assert len(take()) == 2
+    mk = opcost_kernel(inst, dec)
+    assert len(take()) == 2
+    assert mk == opcost_oracle(inst, dec)
 
 
 def test_per_scenario_cost_four_node_methods_agree():

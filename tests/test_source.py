@@ -72,3 +72,16 @@ def test_no_module_reads_the_environment():
             found += ["%s:%d %s" % (path.name, node.lineno, name)
                       for name in names if name in reads]
     assert found == []
+
+
+def test_no_imports_inside_function_bodies():
+    # An import at call time hides a dependency from the module header and
+    # usually stands for an import cycle; every import is a module import.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += ["%s:%d" % (path.name, node.lineno)
+                          for node in ast.walk(func)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []

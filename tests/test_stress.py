@@ -122,7 +122,8 @@ def test_four_node_stacked_graver_basis():
 
 # Network design families past the triangle, seed 1, max demand 2: each
 # matrix's checksum (cli.matrix_checksum), recorded before the Phase-I set
-# served the walk.
+# served the walk. The per-scenario-cost families complete one Groebner
+# basis per distinct cost, each seeded with the previous one.
 SND_FAMILIES = {
     "four-node-n30": (lambda: support.four_node_snd(30), "9296bdabbb5e30f0"),
     "two-commodity-n10": (lambda: gen_snd(SndConfig(
@@ -136,6 +137,9 @@ SND_FAMILIES = {
     "per-scenario-cost-four-node-n30": (
         lambda: support.per_scenario_cost_four_node_snd(30),
         "386a1fcc65f477ad"),
+    "per-scenario-cost-4-6-four-node-n30": (
+        lambda: support.per_scenario_cost_four_node_snd(30, costs=(4, 6)),
+        "7a09aa506d051332"),
 }
 
 
