@@ -5,11 +5,6 @@ The pipeline: integer kernel bases (lattice), saturated generating sets
 augmentation solvers (augment), opportunity cost matrices for two-stage
 stochastic programs (opcost), instance generators (instances), and a small
 brute-force oracle (oracle) used for cross-checks throughout.
-
-`from .augment import augment` below rebinds the package attribute
-`latticeopt.augment` to the walk function, so `import latticeopt.augment`
-and `from latticeopt import augment` both give the function. The module
-is reached with `importlib.import_module("latticeopt.augment")`.
 """
 
 from .lattice import (CostOrder, IntMatrix, IntVector, VectorSet, as_vector,
@@ -23,16 +18,14 @@ from .toric import (ToricGenerators, flip_coordinate, test_set,
 from .graver import (GraverBasis, GraverResourceError, SipBlockStructure,
                      contains_groebner, graver_basis, lift_sip_graver)
 from .augment import (ArtificialSystem, AugmentResult, PreparedMoves,
-                      artificial_system, augment, phase_one_feasible,
-                      prepare_moves)
+                      artificial_system, phase_one_feasible, prepare_moves)
 from .opcost import (CELL_INFEASIBLE, CELL_OK, BuildCounters, DecisionList,
                      METHOD_GRAVER, METHOD_KERNEL, METHOD_ORACLE,
                      OppCostMatrix, Scenario, SipInstance, opcost_graver,
                      opcost_kernel, opcost_oracle, rhs,
                      single_scenario_decisions)
 from .instances import (HsConfig, SndConfig, gen_hs, gen_snd, hs_feasible,
-                        hs_recourse_bounds, instance_from_json,
-                        instance_to_json)
+                        instance_from_json, instance_to_json)
 
 __version__ = "0.1.0"
 
@@ -44,12 +37,11 @@ __all__ = [
     "METHOD_KERNEL", "METHOD_ORACLE", "OPTIMAL", "OppCostMatrix",
     "OracleResourceError", "PreparedMoves", "Scenario", "SipBlockStructure",
     "SipInstance", "SndConfig", "ToricGenerators", "VectorSet",
-    "artificial_system", "as_vector", "augment", "buchberger",
-    "contains_groebner", "enumerate_graver_in_box", "flip_coordinate",
-    "gen_hs", "gen_snd", "graver_basis", "hs_feasible", "hs_recourse_bounds",
-    "instance_from_json", "instance_to_json", "kernel_basis",
-    "lift_sip_graver", "normal_form", "opcost_graver", "opcost_kernel",
-    "opcost_oracle", "orient", "phase_one_feasible", "prepare_moves", "rhs",
-    "single_scenario_decisions", "solve_bruteforce", "test_set",
-    "toric_generating_set",
+    "artificial_system", "as_vector", "buchberger", "contains_groebner",
+    "enumerate_graver_in_box", "flip_coordinate", "gen_hs", "gen_snd",
+    "graver_basis", "hs_feasible", "instance_from_json", "instance_to_json",
+    "kernel_basis", "lift_sip_graver", "normal_form", "opcost_graver",
+    "opcost_kernel", "opcost_oracle", "orient", "phase_one_feasible",
+    "prepare_moves", "rhs", "single_scenario_decisions", "solve_bruteforce",
+    "test_set", "toric_generating_set",
 ]

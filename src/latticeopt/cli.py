@@ -2,8 +2,8 @@
 
 Matrix files are JSON objects {"rows": [[...]]}; instance files follow the
 interchange format in the instances module. Exit codes: 0 success,
-1 verification mismatch, 2 bad input, 3 a limit hit: an element or node
-cap, or an oracle box too small to decide a cell.
+1 verification mismatch, 2 bad input, 3 a limit hit: an element cap or
+the oracle's node cap.
 """
 
 from __future__ import annotations
@@ -58,16 +58,14 @@ def matrix_checksum(matrix) -> str:
     return hashlib.sha256(",".join(cells).encode()).hexdigest()[:16]
 
 
-def _opcost(method, inst, dec, q_only=False, var_bound=None):
+def _opcost(method, inst, dec, q_only=False):
     """The matrix that `method`'s builder makes.
 
     The builders are read from this module's globals on each call, so a
     tracer that wraps them here sees every build.
     """
-    if method == METHOD_ORACLE:
-        return opcost_oracle(inst, dec, q_only=q_only, var_bound=var_bound)
-    build = {METHOD_KERNEL: opcost_kernel, METHOD_GRAVER: opcost_graver}
-    return build[method](inst, dec, q_only=q_only)
+    return {METHOD_KERNEL: opcost_kernel, METHOD_GRAVER: opcost_graver,
+            METHOD_ORACLE: opcost_oracle}[method](inst, dec, q_only=q_only)
 
 
 # Each family's instance for (scenario count, seed). SND is the triangle
@@ -188,7 +186,7 @@ def _cmd_opcost(args) -> int:
         with open(args.decisions) as fh:
             rows = _dec_as(json.load(fh), list)
         dec = DecisionList(tuple(map(_dec_vec, rows)))
-    m = _opcost(args.method, inst, dec, args.q_only, args.var_bound)
+    m = _opcost(args.method, inst, dec, args.q_only)
     _emit(m.to_csv(), args.out)
     if args.meta is not None:
         _emit(m.to_json(), args.meta)
@@ -214,7 +212,7 @@ def _verify_checks():
         dec = single_scenario_decisions(inst)
         mk = opcost_kernel(inst, dec)
         mg = opcost_graver(inst, dec)
-        mo = opcost_oracle(inst, dec, var_bound=24)
+        mo = opcost_oracle(inst, dec)
         return mk == mg == mo
 
     def snd_cross_method():
@@ -365,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decisions", default="single-scenario",
                    help="'single-scenario' or a JSON file of vectors")
     p.add_argument("--q-only", action="store_true")
-    p.add_argument("--var-bound", type=int, default=None,
-                   help="oracle box bound override")
     p.add_argument("--out", default="-", help="CSV destination")
     p.add_argument("--meta", default=None, help="metadata JSON destination")
     p.set_defaults(func=_cmd_opcost)

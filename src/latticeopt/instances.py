@@ -96,20 +96,6 @@ def gen_hs(config: HsConfig) -> SipInstance:
     )
 
 
-def hs_recourse_bounds(config: HsConfig) -> tuple:
-    """Componentwise box containing every optimal recourse point.
-
-    Valid whenever the decision respects the generator's first_stage_bounds.
-    Production is pinned by the two capacity rows, third-party buying never
-    exceeds the raw demand ceiling, and a surplus slack can only be positive
-    at an optimum when the paired buy column is zero, which caps it by
-    production plus decision minus the demand floor.
-    """
-    (l1, h1), (l2, h2), (l3, h3), (l4, h4) = config.resolved_box()
-    y1, y2 = h3 // 2, h4 // 2
-    return (y1, y2, h1, h2, y1 + h1 - l1, y2 + h2 - l2, h3, h4)
-
-
 @dataclass(frozen=True)
 class SndConfig:
     """Network design over a digraph; defaults give a directed triangle."""

@@ -273,7 +273,8 @@ class _Solver:
     use, and is built, with its test set, only when a solve first needs
     Phase-I. A walk starts at `head` followed by the hook's point for the
     cell, or at a Phase-I point when `head` is None or the instance has no
-    hook or it gives no point.
+    hook or it gives no point. The oracle builds nothing, and `solve`
+    derives each of its boxes from the instance and b.
     Each object is built on its first use, wherever that falls; its build
     is timed and counted there, so the build's solver for W records exactly
     the build's algebra. A Phase-I point is such an object, one per distinct
@@ -284,14 +285,13 @@ class _Solver:
     """
 
     def __init__(self, instance: SipInstance, method: str, M: IntMatrix,
-                 rhss: Callable, var_bound=None, head: Optional[tuple] = ()):
+                 rhss: Callable, head: Optional[tuple] = ()):
         if method not in (METHOD_KERNEL, METHOD_GRAVER, METHOD_ORACLE):
             raise ValueError("unknown method %r" % method)
         self.instance = instance
         self.method = method
         self.M = M
         self.rhss = rhss
-        self.var_bound = var_bound
         self.head = head
         self.walk_us = "oracle_us" if method == METHOD_ORACLE else "augment_us"
         self.counters = BuildCounters()
@@ -346,32 +346,20 @@ class _Solver:
         `head`, or from a Phase-I point; `augment` tests the start. The
         Phase-I set has the first Phase-I solve's cost on the kernel path
         and 0 on the graver path; a Phase-I point of that cost is the
-        optimum. The oracle searches var_bound's box, or the box derived
-        from the first-stage bounds and b, and asks no hook. A miss in the
-        derived box, or in a var_bound box that holds it, is an infeasible
-        cell; a miss in a smaller box proves nothing, so it raises
-        OracleResourceError.
+        optimum. The oracle asks no hook and searches the box
+        0 <= z <= max(1, max(first-stage bounds) + max|b|); a miss there is
+        an infeasible cell, and an instance without first-stage bounds
+        raises ValueError.
         """
         M, c = self.M, self.counters
         if self.method == METHOD_ORACLE:
             fs = self.instance.first_stage_bounds
-            derived = None if fs is None else max(
-                1, max(fs, default=0) + max(map(abs, b.entries)))
-            bound = derived if self.var_bound is None else self.var_bound
-            if bound is None:
-                raise ValueError("oracle mode needs first-stage bounds or "
-                                 "an explicit bound")
+            if fs is None:
+                raise ValueError("oracle mode needs first-stage bounds")
             c.oracle_solves += 1
-            problem = oracle.IpProblem(M, b, cost, bound)
-            res = oracle.solve_bruteforce(problem)
-            if res.status == oracle.OPTIMAL:
-                return res
-            if derived is not None and min(problem.bounds()) >= derived:
-                return None
-            raise oracle.OracleResourceError(
-                "cell (x=%s, scenario %d): no point in the box 0 <= z <= %r; "
-                "only a box holding the derived one proves a cell infeasible"
-                % (cell[0].entries, cell[1], bound))
+            res = oracle.solve_bruteforce(oracle.IpProblem(M, b, cost, max(
+                1, max(fs, default=0) + max(map(abs, b.entries)))))
+            return res if res.status == oracle.OPTIMAL else None
         start, hook = None, self.instance.feasible_recourse
         if hook is not None and self.head is not None:
             x, j = cell
@@ -435,13 +423,13 @@ def single_scenario_decisions(instance: SipInstance,
     return DecisionList(tuple(out))
 
 
-def _build(instance, decisions, method, q_only, var_bound=None):
+def _build(instance, decisions, method, q_only):
     decisions.check(instance)
     W, scenarios = instance.recourse, instance.scenarios
     # a row depends only on its decision: solve each distinct one once
     tx = {x: instance.technology.mat_vec(x) for x in dict.fromkeys(decisions)}
     solver = _Solver(instance, method, W, lambda: (
-        sc.rhs - t for t in tx.values() for sc in scenarios), var_bound)
+        sc.rhs - t for t in tx.values() for sc in scenarios))
     timings = solver.timings_us
     rows = {}
     booked = sum(timings.values())
@@ -482,7 +470,8 @@ def opcost_graver(instance: SipInstance, decisions: DecisionList,
 
 
 def opcost_oracle(instance: SipInstance, decisions: DecisionList,
-                  q_only: bool = False, var_bound=None) -> OppCostMatrix:
-    """Brute-force ground truth; var_bound overrides the derived box, and a
-    miss in a var_bound box smaller than it raises OracleResourceError."""
-    return _build(instance, decisions, METHOD_ORACLE, q_only, var_bound)
+                  q_only: bool = False) -> OppCostMatrix:
+    """Brute-force ground truth in each cell's derived box, where a miss is
+    an infeasible cell; an instance without first-stage bounds raises
+    ValueError."""
+    return _build(instance, decisions, METHOD_ORACLE, q_only)

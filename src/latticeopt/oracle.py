@@ -20,9 +20,7 @@ NODE_CAP = 10 ** 8  # most box nodes one search may visit
 
 
 class OracleResourceError(RuntimeError):
-    """Raised when a search would visit more than NODE_CAP nodes, or when
-    opcost finds no point for a cell in a given box smaller than the derived
-    one."""
+    """Raised when a search would visit more than NODE_CAP nodes."""
 
 
 @dataclass(frozen=True)

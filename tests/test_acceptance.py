@@ -30,7 +30,6 @@ from latticeopt.toric import toric_generating_set
 
 from support import boxed_fibers, check_test_set, random_matrix
 
-ORACLE_BOX = 24           # contains a per-cell optimum for the scaled family
 CROSS_METHOD_BUDGET_S = 60
 TEST_SET_BUDGET_S = 120
 TREND_BUDGET_S = 600
@@ -56,7 +55,7 @@ def hs_suite():
             out[(seed, n)] = (
                 opcost_kernel(inst, dec),
                 opcost_graver(inst, dec),
-                opcost_oracle(inst, dec, var_bound=ORACLE_BOX),
+                opcost_oracle(inst, dec),
             )
     return out
 

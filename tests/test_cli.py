@@ -9,6 +9,7 @@ import pytest
 from latticeopt import cli, groebner
 from latticeopt.instances import (HsConfig, gen_hs, instance_from_json,
                                   instance_to_json)
+from latticeopt.opcost import opcost_oracle, single_scenario_decisions
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -109,7 +110,7 @@ def test_opcost_kernel_oracle_identical_csv(tmp_path):
                          json.dumps(json.loads(meta.read_text())["counters"]))
     assert runs["2"] == runs["1"]
     assert cli.run(["opcost", "--instance", str(inst), "--method", "oracle",
-                    "--var-bound", "24", "--out", str(o_csv)]) == 0
+                    "--out", str(o_csv)]) == 0
     assert runs["1"][0] == o_csv.read_bytes()
     doc = json.loads(meta.read_text())
     assert doc["method"] == "kernel"
@@ -119,40 +120,39 @@ def test_opcost_kernel_oracle_identical_csv(tmp_path):
     assert doc["counters"]["phase_one_bases"] == 1
 
 
-def test_oracle_miss_in_the_given_box_is_not_infeasible(tmp_path, capsys):
-    # Every cell is feasible (kernel prints 356/426/462/208), but no point
-    # lies in the box z <= 0. Empty cells would claim infeasibility.
+def test_oracle_takes_no_box_from_its_caller(tmp_path, capsys):
+    # A box smaller than the derived one can hold a point of a cell but not
+    # its optimum (at 6 here: 493 and 481 where the kernel gives 426 and
+    # 462), so the oracle searches only the box it derives.
     inst = tmp_path / "inst.json"
     assert cli.run(["gen-hs", "--n", "2", "--seed", "7", "--scaled",
                     "--out", str(inst)]) == 0
     capsys.readouterr()
     assert cli.run(["opcost", "--instance", str(inst), "--method", "oracle",
-                    "--var-bound", "0"]) == 3
+                    "--var-bound", "6"]) == 2
     out, err = capsys.readouterr()
-    assert "0,," not in out
-    assert err.startswith("limit hit: cell (x=(7, 0), scenario 0)")
-    assert "0 <= z <= 0" in err and "node cap" not in err
+    assert out == ""
+    assert "--var-bound" in err
+    hs = instance_from_json(inst.read_text())
+    with pytest.raises(TypeError):
+        opcost_oracle(hs, single_scenario_decisions(hs), var_bound=6)
 
 
 def test_oracle_box_holding_the_derived_box_prints_infeasible_cells(
         tmp_path, capsys):
-    # The derived box here is 0 <= z <= 3. A miss in it, or in a given box
-    # that holds it, is an empty cell; a miss in a smaller box exits 3.
+    # The derived box here is 0 <= z <= 3, and a miss in it is an empty
+    # cell.
     inst = tmp_path / "inst.json"
     assert cli.run(["gen-snd", "--n", "3", "--seed", "3", "--max-demand", "2",
                     "--out", str(inst)]) == 0
     capsys.readouterr()
     outputs = []
-    oracle = ["--method", "oracle"]
-    for args in (oracle, oracle + ["--var-bound", "3"],
-                 oracle + ["--var-bound", "5"], ["--method", "kernel"]):
-        assert cli.run(["opcost", "--instance", str(inst)] + args) == 0
+    for method in ("oracle", "kernel"):
+        assert cli.run(["opcost", "--instance", str(inst),
+                        "--method", method]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == "decision,s0,s1,s2\n0,9,,\n1,,12,10\n2,,,7\n"
-    assert outputs.count(outputs[0]) == 4
-    assert cli.run(["opcost", "--instance", str(inst), "--method", "oracle",
-                    "--var-bound", "2"]) == 3
-    assert "only a box holding the derived one" in capsys.readouterr().err
+    assert outputs.count(outputs[0]) == 2
 
 
 def test_opcost_decisions_file_and_q_only(tmp_path, capsys):

@@ -4,11 +4,9 @@ import pytest
 
 from latticeopt.instances import (HS_BOX, HS_BOX_SCALED, HsConfig, SndConfig,
                                   gen_hs, gen_snd, hs_feasible,
-                                  hs_recourse_bounds, instance_from_json,
-                                  instance_to_json)
+                                  instance_from_json, instance_to_json)
 from latticeopt.lattice import IntMatrix, IntVector
-from latticeopt.opcost import (Scenario, SipInstance, opcost_oracle,
-                               single_scenario_decisions)
+from latticeopt.opcost import Scenario, SipInstance
 from latticeopt.toric import toric_generating_set
 from fractions import Fraction
 
@@ -94,23 +92,6 @@ def test_hs_recourse_matrix_has_toric_generators():
     assert len(gens.generators) > 0
     for g in gens.generators:
         assert inst.recourse.in_kernel(g)
-
-
-def test_hs_recourse_bounds_formula():
-    scaled = hs_recourse_bounds(HsConfig(scenario_count=1, seed=0, scaled=True))
-    assert scaled == (6, 6, 12, 12, 15, 15, 12, 12)
-    full = hs_recourse_bounds(HsConfig(scenario_count=1, seed=0))
-    assert full == (6000, 6000, 12000, 12000, 17700, 17700, 12000, 12000)
-    custom = HsConfig(scenario_count=2, seed=11,
-                      box=((1, 5), (1, 5), (1, 6), (1, 6)))
-    assert hs_recourse_bounds(custom) == (3, 3, 5, 5, 7, 7, 6, 6)
-    # the box must still contain the per-cell optima: compare against a
-    # generous uniform cap on a fresh instance
-    inst = gen_hs(custom)
-    dec = single_scenario_decisions(inst)
-    tight = opcost_oracle(inst, dec, var_bound=hs_recourse_bounds(custom))
-    loose = opcost_oracle(inst, dec, var_bound=11)
-    assert tight == loose
 
 
 def test_snd_triangle_structure():

@@ -9,8 +9,8 @@ from latticeopt import cli, groebner, opcost, toric
 from latticeopt.augment import artificial_system
 from latticeopt.groebner import GraverResourceError, buchberger
 from latticeopt.instances import (HsConfig, SndConfig, gen_hs, gen_snd,
-                                  hs_feasible, hs_recourse_bounds,
-                                  instance_from_json, instance_to_json)
+                                  hs_feasible, instance_from_json,
+                                  instance_to_json)
 from latticeopt.lattice import CostOrder, IntMatrix, IntVector
 from latticeopt.opcost import (CELL_INFEASIBLE, CELL_OK, DecisionList,
                                METHOD_GRAVER, METHOD_KERNEL, METHOD_ORACLE,
@@ -206,7 +206,7 @@ def test_oracle_asks_no_hook():
 
     dec = DecisionList(tuple(IntVector(x) for x in HS_DECISIONS))
     hooked = dataclasses.replace(gen_hs(HS_CFG), feasible_recourse=counting)
-    assert opcost_oracle(hooked, dec, var_bound=24).values == HS_VALUES
+    assert opcost_oracle(hooked, dec).values == HS_VALUES
     # a small box keeps the stacked brute-force search quick
     small = gen_hs(HsConfig(scenario_count=2, seed=5,
                             box=((1, 3), (1, 3), (1, 2), (1, 2))))
@@ -222,8 +222,7 @@ def test_oracle_ignores_an_invalid_hook():
     bad = dataclasses.replace(
         inst, feasible_recourse=lambda x, h: IntVector((0,) * 8))
     unhooked = dataclasses.replace(inst, feasible_recourse=None)
-    assert (opcost_oracle(bad, dec, var_bound=24)
-            == opcost_oracle(unhooked, dec, var_bound=24))
+    assert opcost_oracle(bad, dec) == opcost_oracle(unhooked, dec)
 
 
 def test_hook_start_gets_one_fiber_test(monkeypatch):
@@ -271,6 +270,8 @@ def test_single_scenario_oracle_needs_bounds():
     )
     with pytest.raises(ValueError):
         single_scenario_decisions(inst, method=METHOD_ORACLE)
+    with pytest.raises(ValueError, match="first-stage bounds"):
+        opcost_oracle(inst, DecisionList((IntVector((0,)),)))
 
 
 def test_hs_matrix_all_methods_agree():
@@ -278,25 +279,13 @@ def test_hs_matrix_all_methods_agree():
     dec = single_scenario_decisions(inst)
     mk = opcost_kernel(inst, dec)
     mg = opcost_graver(inst, dec)
-    mo = opcost_oracle(inst, dec, var_bound=24)
+    mo = opcost_oracle(inst, dec)
     assert mk.values == HS_VALUES
     assert mk == mg == mo
     assert all(s == CELL_OK for row in mk.status for s in row)
     assert mk.method == METHOD_KERNEL
     assert mg.method == METHOD_GRAVER
     assert mo.method == METHOD_ORACLE
-
-
-def test_hs_per_variable_oracle_box_agrees_with_uniform():
-    cfg = HS_CFG
-    box = hs_recourse_bounds(cfg)
-    assert box == (6, 6, 12, 12, 15, 15, 12, 12)
-    inst = gen_hs(cfg)
-    dec = single_scenario_decisions(inst)
-    per_var = opcost_oracle(inst, dec, var_bound=box)
-    uniform = opcost_oracle(inst, dec, var_bound=24)
-    assert per_var == uniform
-    assert per_var.values == HS_VALUES
 
 
 def test_hs_diagonal_is_column_minimum():
@@ -349,16 +338,13 @@ def test_phase_one_walks_once_per_right_hand_side(monkeypatch):
 
 def test_seeded_snd_methods_agree_with_infeasible_cells():
     # kernel, graver and the oracle agree cell by cell, and the seeds give
-    # infeasible cells, which the oracle must leave empty both in the
-    # derived box and in a given box that holds it (every derived box here
-    # is at most 3)
+    # infeasible cells, which the oracle must leave empty
     infeasible = cells = 0
     for seed in range(1, 7):
         inst = gen_snd(SndConfig(scenario_count=3, seed=seed, max_demand=2))
         dec = single_scenario_decisions(inst)
         mk = opcost_kernel(inst, dec)
         assert mk == opcost_graver(inst, dec) == opcost_oracle(inst, dec)
-        assert mk == opcost_oracle(inst, dec, var_bound=4)
         statuses = [s for row in mk.status for s in row]
         infeasible += statuses.count(CELL_INFEASIBLE)
         cells += len(statuses)
@@ -599,7 +585,7 @@ def test_build_counters_frozen_for_every_method():
         (opcost_graver(hs, hs_dec), _counters(
             graver_runs=1, graver_elements=44, augment_calls=4,
             walk_steps=6)),
-        (opcost_oracle(hs, hs_dec, var_bound=24), _counters(oracle_solves=4)),
+        (opcost_oracle(hs, hs_dec), _counters(oracle_solves=4)),
         # one infeasible cell: four Phase-I calls; the Phase-I set is
         # completed under the one scenario cost, so its walks end at the
         # optimum, no cell walks again and W gets no basis of its own
@@ -624,7 +610,7 @@ def test_repeated_decisions_share_one_row():
     assert m.status[2] == m.status[3] == m.status[0]
     # two distinct decisions in two scenarios: four walks, not eight
     assert m.counters.augment_calls == 4
-    oracle_m = opcost_oracle(inst, dec, var_bound=24)
+    oracle_m = opcost_oracle(inst, dec)
     assert oracle_m == m and oracle_m.counters.oracle_solves == 4
 
 
