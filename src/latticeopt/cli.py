@@ -25,7 +25,7 @@ from .instances import (HsConfig, SndConfig, _dec_as, _dec_mat, _dec_vec,
                         gen_hs, gen_snd, instance_from_json, instance_to_json)
 from .lattice import CostOrder, IntMatrix, IntVector
 from .opcost import (DecisionList, METHOD_GRAVER, METHOD_KERNEL,
-                     METHOD_ORACLE, opcost_graver, opcost_kernel,
+                     METHOD_ORACLE, METHODS, opcost_graver, opcost_kernel,
                      opcost_oracle, single_scenario_decisions)
 from .oracle import OracleResourceError, enumerate_graver_in_box
 from .toric import test_set, toric_generating_set
@@ -90,11 +90,10 @@ def bench(family, n_list, seed, methods):
     counters. An unknown method raises ValueError, and an unknown family
     KeyError, before any work is done.
     """
-    known = (METHOD_KERNEL, METHOD_GRAVER, METHOD_ORACLE)
     for method in methods:
-        if method not in known:
+        if method not in METHODS:
             raise ValueError("unknown method %r: choose from %s"
-                             % (method, ", ".join(known)))
+                             % (method, ", ".join(METHODS)))
     records = []
     for n in n_list:
         inst = BENCH_FAMILIES[family](n, seed)
@@ -194,6 +193,8 @@ def _cmd_opcost(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.label is not None and os.path.basename(args.label) != args.label:
+        raise ValueError("label %r holds a path separator" % args.label)
     records = [rec for family in args.family or ("hs-unscaled",)
                for rec in bench(family, _parse_int_list(args.n_list),
                                 args.seed, tuple(args.methods.split(",")))]
@@ -242,7 +243,7 @@ def _verify_checks():
 
     def groebner_reduced_example():
         basis = buchberger([IntVector((-1, 1, 0)), IntVector((0, -1, 1))],
-                           CostOrder((1, 2, 3)))
+                           CostOrder((1, 2, 3)), IntMatrix(((1, 1, 1),)))
         return {g.entries for g in basis} == {(-1, 1, 0), (-1, 0, 1)}
 
     def groebner_inside_graver():
@@ -358,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("opcost", help="opportunity cost matrix from instance")
     p.add_argument("--instance", required=True)
-    p.add_argument("--method", choices=(METHOD_KERNEL, METHOD_GRAVER,
-                                        METHOD_ORACLE), default=METHOD_KERNEL)
+    p.add_argument("--method", choices=METHODS, default=METHOD_KERNEL)
     p.add_argument("--decisions", default="single-scenario",
                    help="'single-scenario' or a JSON file of vectors")
     p.add_argument("--q-only", action="store_true")

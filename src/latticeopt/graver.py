@@ -26,6 +26,10 @@ over the doubled coordinates (v+, v-): g ⊑ v exactly when (g+, g-) <=
 
 For two-stage matrices with injective first stage, the N-scenario stack's
 basis is the one-scenario basis copied into each block.
+
+`GraverBasis` is a `lattice.KernelVectorSet`, which checks each element
+against the matrix's kernel and keeps the elements in canonical (sorted)
+order; it adds only that the set is nonzero and closed under negation.
 """
 
 from __future__ import annotations
@@ -37,30 +41,17 @@ from operator import add, neg, or_, sub
 
 from . import groebner
 from .groebner import GraverResourceError, _divisors, _LeadIndex
-from .lattice import IntMatrix, IntVector, VectorSet, kernel_basis
+from .lattice import IntMatrix, IntVector, KernelVectorSet, kernel_basis
 
 
-class GraverBasis:
+class GraverBasis(KernelVectorSet):
     """Conformally minimal kernel vectors, closed under negation."""
 
-    __slots__ = ("matrix", "elements")
+    __slots__ = ()
+    _refusal = "not a negation-closed set of nonzero kernel vectors: %r"
 
-    def __init__(self, matrix: IntMatrix, elements: VectorSet):
-        self.matrix = matrix
-        self.elements = elements
-        for g in elements:
-            if g.is_zero() or not matrix.in_kernel(g) or -g not in elements:
-                raise ValueError("not a negation-closed set of nonzero "
-                                 "kernel vectors: %r" % (g,))
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __repr__(self) -> str:
-        return "GraverBasis(%d elements, %d cols)" % (len(self), self.matrix.ncols)
+    def _admits(self, g: IntVector) -> bool:
+        return not g.is_zero() and -g in self.elements
 
 
 def _lift_order(rows, ncols):
@@ -131,13 +122,12 @@ def graver_basis(A: IntMatrix) -> GraverBasis:
     for lo, hi in [(0, r)] + [(k, k + 1) for k in range(r, A.ncols)]:
         G = _complete(G, lo, hi)
     back = sorted(range(A.ncols), key=cols.__getitem__)
-    return GraverBasis(A, VectorSet(IntVector(t) for t in sorted(
-        tuple(map(g.__getitem__, back)) for g in G)))
+    return GraverBasis(A, (tuple(map(g.__getitem__, back)) for g in G))
 
 
 def contains_groebner(G, gamma: GraverBasis) -> bool:
     """True iff every basis element of G lies in gamma up to sign."""
-    if G.matrix is not None and G.matrix != gamma.matrix:
+    if G.matrix != gamma.matrix:
         raise ValueError("bases belong to different matrices")
     return all(g in gamma.elements or -g in gamma.elements for g in G)
 
@@ -201,5 +191,4 @@ def lift_sip_graver(gamma1: GraverBasis,
         for i in range(N):
             lifted.append((0,) * na + (0,) * (i * nw) + v
                           + (0,) * ((N - 1 - i) * nw))
-    elements = VectorSet(IntVector(t) for t in sorted(set(lifted)))
-    return GraverBasis(structure.stacked(), elements)
+    return GraverBasis(structure.stacked(), lifted)

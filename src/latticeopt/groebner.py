@@ -43,6 +43,9 @@ narrows the same search to the settled partners of both elements. A
 queued pair's key is its lcm, which the chain criterion reads back
 instead of recomputing it, and inter-reduction takes one pass
 (`_interreduce` says why). Ties are read in variable order throughout.
+`GroebnerBasis` is a `lattice.KernelVectorSet`, which checks each element
+against the matrix's kernel and keeps the elements in canonical (sorted)
+order; it adds only the cost order.
 """
 
 from __future__ import annotations
@@ -51,9 +54,9 @@ import heapq
 from functools import reduce
 from itertools import compress, count
 from operator import add, floordiv, le, mul, neg, not_, or_, sub
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .lattice import CostOrder, IntMatrix, IntVector, VectorSet
+from .lattice import CostOrder, IntMatrix, IntVector, KernelVectorSet
 
 ELEMENT_CAP = 2_000  # most elements a working basis may hold
 
@@ -62,26 +65,14 @@ class GraverResourceError(RuntimeError):
     """Raised when a completion's working basis grows past ELEMENT_CAP."""
 
 
-class GroebnerBasis:
+class GroebnerBasis(KernelVectorSet):
     """Reduced basis for one matrix/order pair; elements are oriented vectors."""
 
-    __slots__ = ("matrix", "order", "elements")
+    __slots__ = ("order",)
 
-    def __init__(self, matrix: Optional[IntMatrix], order: CostOrder,
-                 elements: VectorSet):
-        self.matrix = matrix
+    def __init__(self, matrix: IntMatrix, order: CostOrder, elements):
         self.order = order
-        self.elements = elements
-        if matrix is not None:
-            for g in elements:
-                if not matrix.in_kernel(g):
-                    raise ValueError("element not in the kernel: %r" % (g,))
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
+        super().__init__(matrix, elements)
 
     def __repr__(self) -> str:
         return "GroebnerBasis(%d elements, order=%r)" % (len(self), self.order)
@@ -202,7 +193,7 @@ def orient(v: IntVector, order: CostOrder) -> IntVector:
     return v if t == v.entries else IntVector(t)
 
 
-def normal_form(v: IntVector, G: "VectorSet | Iterable[IntVector]",
+def normal_form(v: IntVector, G: Iterable[IntVector],
                 order: CostOrder, full: bool = True) -> IntVector:
     """Reduce v against G; with full=True the trailing part is reduced too.
 
@@ -238,12 +229,12 @@ def _interreduce(vecs, order):
                       key=lambda r: (sum(map(mul, cost, r[1])), r[1])):
         if next(_divisors(rec[1], kept), None) is None:
             kept.append(rec)
-    return sorted(_reduce(rec[0], kept, cost, True, ~(1 << idx))[0]
-                  for idx, rec in enumerate(kept))
+    return [_reduce(rec[0], kept, cost, True, ~(1 << idx))[0]
+            for idx, rec in enumerate(kept)]
 
 
-def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
-               matrix: Optional[IntMatrix] = None) -> GroebnerBasis:
+def buchberger(seed: Iterable[IntVector], order: CostOrder,
+               matrix: IntMatrix) -> GroebnerBasis:
     """Complete a kernel-vector seed to the unique reduced basis for the order.
 
     Pairs are processed in ascending order of the componentwise max of the two
@@ -258,11 +249,13 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
     index searches only their intersection. The module docstring says why
     all three rules are sound. The working basis is one lead index, grown
     by each insertion, and inter-reduction of the completed basis takes one
-    pass. A matrix or seed vector whose length
-    differs from the order's raises ValueError. A working basis that grows
-    past ELEMENT_CAP, read at each insertion, raises GraverResourceError.
+    pass. The matrix is required: the GroebnerBasis returned checks each
+    element against its kernel and keeps them in canonical order. A matrix
+    or seed vector whose length differs from the order's raises ValueError.
+    A working basis that grows past ELEMENT_CAP, read at each insertion,
+    raises GraverResourceError.
     """
-    if matrix is not None and matrix.ncols != order.dim:
+    if matrix.ncols != order.dim:
         raise ValueError("cost has %d entries, the matrix %d columns"
                          % (order.dim, matrix.ncols))
     cost = order.cost.entries
@@ -329,5 +322,5 @@ def buchberger(seed: "VectorSet | Iterable[IntVector]", order: CostOrder,
             continue
         add(s)
 
-    reduced = _interreduce([rec[0] for rec in basis], order)
-    return GroebnerBasis(matrix, order, VectorSet(IntVector(t) for t in reduced))
+    return GroebnerBasis(matrix, order,
+                         _interreduce([rec[0] for rec in basis], order))

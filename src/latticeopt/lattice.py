@@ -1,10 +1,13 @@
 """Exact integer vectors, cost orders, and integer kernel lattice bases.
 
 Everything downstream (completion procedures, augmentation, the oracle)
-works on these types. Vector and matrix arithmetic maps `operator`'s add,
-sub and mul over entry tuples behind explicit length checks that raise
-ValueError. All of it is exact arbitrary-precision Python ints; there is
-deliberately no floating-point or rational mode.
+works on these types. `KernelVectorSet` is the one container of a
+matrix's kernel vectors: it runs the kernel check and keeps the canonical
+(sorted) order for the toric, Groebner and Graver results. Vector and
+matrix arithmetic maps `operator`'s add, sub and mul over entry tuples
+behind explicit length checks that raise ValueError. All of it is exact
+arbitrary-precision Python ints; there is deliberately no floating-point
+or rational mode.
 """
 
 from __future__ import annotations
@@ -194,6 +197,41 @@ class VectorSet:
 
     def __repr__(self) -> str:
         return f"VectorSet({[list(v.entries) for v in self.canonical()]!r})"
+
+
+class KernelVectorSet:
+    """A matrix and kernel vectors of it, deduplicated in canonical order.
+
+    The one owner of a basis's matrix, its elements (a VectorSet in sorted
+    order, so iteration is canonical) and the check on each element: it
+    must lie in the matrix's kernel and pass the subclass's `_admits`, or
+    ValueError quotes `_refusal`. The toric, Groebner and Graver results
+    subclass it; their builders hand it plain vectors or entry tuples.
+    """
+
+    __slots__ = ("matrix", "elements")
+    _refusal = "element not in the kernel: %r"
+
+    def __init__(self, matrix: IntMatrix, vectors: Iterable):
+        self.matrix = matrix
+        self.elements = VectorSet(
+            map(IntVector, sorted(set(map(as_entries, vectors)))))
+        for g in self.elements:
+            if not (matrix.in_kernel(g) and self._admits(g)):
+                raise ValueError(self._refusal % (g,))
+
+    def _admits(self, g: IntVector) -> bool:
+        return True
+
+    def __iter__(self) -> Iterator[IntVector]:
+        return iter(self.elements)
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __repr__(self) -> str:
+        return "%s(%d elements, %d cols)" % (
+            type(self).__name__, len(self), self.matrix.ncols)
 
 
 def _xgcd(a: int, b: int):

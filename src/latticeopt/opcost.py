@@ -55,6 +55,7 @@ CELL_INFEASIBLE = "infeasible"
 METHOD_KERNEL = "kernel"
 METHOD_GRAVER = "graver"
 METHOD_ORACLE = "oracle"
+METHODS = (METHOD_KERNEL, METHOD_GRAVER, METHOD_ORACLE)
 
 
 @dataclass(frozen=True)
@@ -286,7 +287,7 @@ class _Solver:
 
     def __init__(self, instance: SipInstance, method: str, M: IntMatrix,
                  rhss: Callable, head: Optional[tuple] = ()):
-        if method not in (METHOD_KERNEL, METHOD_GRAVER, METHOD_ORACLE):
+        if method not in METHODS:
             raise ValueError("unknown method %r" % method)
         self.instance = instance
         self.method = method
@@ -432,7 +433,6 @@ def _build(instance, decisions, method, q_only):
         sc.rhs - t for t in tx.values() for sc in scenarios))
     timings = solver.timings_us
     rows = {}
-    booked = sum(timings.values())
     t0 = time.perf_counter_ns()
     for x, t in tx.items():
         row = rows[x] = []
@@ -441,7 +441,7 @@ def _build(instance, decisions, method, q_only):
             row.append(None if res is None else res.value)
     # the loop's time less what the phases inside it booked themselves
     timings[solver.walk_us] += ((time.perf_counter_ns() - t0) // 1000
-                                - (sum(timings.values()) - booked))
+                                - sum(timings.values()))
 
     values = []
     for x in decisions:

@@ -126,7 +126,7 @@ def _walk(rows, b, lows, highs, leaf):
             nodes += 1
             if nodes > NODE_CAP:
                 raise OracleResourceError(
-                    "node cap %d exceeded; shrink the box" % NODE_CAP)
+                    "node cap %d exceeded: the box is too large" % NODE_CAP)
             z[j] = val
             walk(j + 1)
             val += 1

@@ -5,7 +5,9 @@ ideal of fiber moves. This module closes the gap: nudge the basis toward a
 common sign pattern, flip the offending coordinates, then saturate one
 coordinate at a time with a Buchberger round under an elimination order,
 undoing each flip as its round completes. A test set for a cost is that
-set completed under the cost.
+set completed under the cost. `ToricGenerators` is a
+`lattice.KernelVectorSet`, which checks each generator against the
+matrix's kernel and keeps them in canonical (sorted) order.
 """
 
 from __future__ import annotations
@@ -13,30 +15,17 @@ from __future__ import annotations
 from typing import Iterable
 
 from .groebner import GroebnerBasis, buchberger, orient
-from .lattice import CostOrder, IntMatrix, IntVector, VectorSet, kernel_basis
+from .lattice import (CostOrder, IntMatrix, IntVector, KernelVectorSet,
+                      kernel_basis)
 
 
-class ToricGenerators:
+class ToricGenerators(KernelVectorSet):
     """Kernel vectors whose moves connect every fiber of the matrix."""
 
-    __slots__ = ("matrix", "generators")
+    __slots__ = ()
+    _refusal = "generator not in the kernel: %r"
 
-    def __init__(self, matrix: IntMatrix, generators: VectorSet):
-        self.matrix = matrix
-        self.generators = generators
-        for g in generators:
-            if not matrix.in_kernel(g):
-                raise ValueError("generator not in the kernel: %r" % (g,))
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __len__(self) -> int:
-        return len(self.generators)
-
-    def __repr__(self) -> str:
-        return "ToricGenerators(%d generators, %d cols)" % (
-            len(self), self.matrix.ncols)
+    generators = KernelVectorSet.elements  # the elements slot, by its old name
 
 
 def flip_coordinate(v: IntVector, j: int) -> IntVector:
@@ -120,28 +109,24 @@ def toric_generating_set(A: IntMatrix) -> ToricGenerators:
     flips cancel exactly, so the result lives in ker(A) again. A round whose
     working basis outgrows `groebner.ELEMENT_CAP` raises GraverResourceError.
     """
-    basis = [tuple(v) for v in kernel_basis(A)]
-    if not basis:
-        return ToricGenerators(A, VectorSet())
-    basis = _common_orthant_push(basis)
+    basis = _common_orthant_push([tuple(v) for v in kernel_basis(A)])
 
     n = A.ncols
     J = sorted(j for j in range(n) if any(v[j] < 0 for v in basis))
     pending = set(J)
     current = [tuple(-x if j in pending else x for j, x in enumerate(v))
                for v in basis]
-    generators = VectorSet(IntVector(v) for v in current)
+    generators = [IntVector(v) for v in current]
 
     for j in J:
         gb = buchberger(generators,
                         CostOrder(tuple(1 if i == j else 0 for i in range(n))),
                         matrix=_flip_columns(A, pending))
         pending.discard(j)
-        generators = VectorSet(flip_coordinate(g, j) for g in gb)
+        generators = [flip_coordinate(g, j) for g in gb]
 
     zero_cost = CostOrder((0,) * n)  # orients by the first nonzero entry
-    final = VectorSet(orient(g, zero_cost) for g in generators)
-    return ToricGenerators(A, VectorSet(final.canonical()))
+    return ToricGenerators(A, (orient(g, zero_cost) for g in generators))
 
 
 def test_set(A: IntMatrix, c: "IntVector | Iterable[int]") -> GroebnerBasis:

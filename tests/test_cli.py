@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from latticeopt import cli, groebner
+from latticeopt import cli, groebner, oracle
 from latticeopt.instances import (HsConfig, gen_hs, instance_from_json,
                                   instance_to_json)
 from latticeopt.opcost import opcost_oracle, single_scenario_decisions
@@ -302,6 +302,37 @@ def test_bench_rejects_an_unknown_method_before_any_work(monkeypatch,
     err = capsys.readouterr().err
     assert "'foo'" in err
     assert all(m in err for m in ("kernel", "graver", "oracle"))
+
+
+def test_bench_rejects_a_label_with_a_path_separator_before_any_work(
+        tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("bench started work before checking the label")
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "BENCH_sub").mkdir()
+    monkeypatch.setattr(cli, "gen_hs", no_work)
+    assert cli.run(["bench", "--n-list", "2", "--methods", "kernel",
+                    "--label", "sub/x"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "'sub/x'" in err and "path separator" in err
+    assert list((tmp_path / "BENCH_sub").iterdir()) == []
+
+
+def test_oracle_node_cap_hit_exits_3(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "inst.json"
+    assert cli.run(["gen-hs", "--n", "2", "--seed", "7", "--scaled",
+                    "--out", str(inst)]) == 0
+    csv = tmp_path / "o.csv"
+    monkeypatch.setattr(oracle, "NODE_CAP", 5)
+    capsys.readouterr()
+    assert cli.run(["opcost", "--instance", str(inst), "--method", "oracle",
+                    "--out", str(csv)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert not csv.exists()
+    assert err.startswith("limit hit: node cap 5 exceeded")
 
 
 def test_bad_input_exit_codes(tmp_path, capsys):

@@ -207,8 +207,9 @@ def test_contains_groebner_and_mismatch():
     empty = GroebnerBasis(A, CostOrder((1, 2, 3)), VectorSet())
     assert contains_groebner(empty, gamma)
 
-    rogue = GroebnerBasis(None, CostOrder((1, 2, 3)),
-                          VectorSet([IntVector((1, 1, 0))]))
+    # a kernel vector outside the Graver basis: (1, -1, 0) lies below it
+    rogue = GroebnerBasis(A, CostOrder((1, 2, 3)),
+                          VectorSet([IntVector((2, -2, 0))]))
     assert not contains_groebner(rogue, gamma)
 
     other = graver_basis(IntMatrix([[1, 2, 0]]))

@@ -84,15 +84,25 @@ def test_buchberger_disjoint_leads_interreduce():
     # rewrites the trailing part of (0,-1,1), whose negative side equals the
     # lead of (-1,1,0).
     order = CostOrder((1, 2, 3))
-    gb = buchberger(_vs((-1, 1, 0), (0, -1, 1)), order)
+    gb = buchberger(_vs((-1, 1, 0), (0, -1, 1)), order,
+                    matrix=IntMatrix([[1, 1, 1]]))
     assert support.as_tuple_set(gb) == {(-1, 1, 0), (-1, 0, 1)}
 
 
 def test_buchberger_single_and_empty_seed():
     order = CostOrder((1, 1))
-    gb = buchberger(_vs((-1, 1)), order)
+    A = IntMatrix([[1, 1]])
+    gb = buchberger(_vs((-1, 1)), order, matrix=A)
     assert support.as_tuple_set(gb) == {(1, -1)}
-    assert len(buchberger(VectorSet(), order)) == 0
+    assert len(buchberger(VectorSet(), order, matrix=A)) == 0
+
+
+def test_buchberger_requires_a_matrix():
+    # every basis the package returns is checked against its matrix
+    with pytest.raises(TypeError):
+        buchberger(_vs((-1, 1)), CostOrder((1, 1)))
+    with pytest.raises(ValueError, match="element not in the kernel"):
+        buchberger(_vs((-1, 1)), CostOrder((1, 1)), matrix=IntMatrix([[1, 2]]))
 
 
 def test_buchberger_is_reduced_and_oriented():

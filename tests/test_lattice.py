@@ -9,11 +9,15 @@ import random
 
 import pytest
 
+from latticeopt import HsConfig, gen_hs, toric
+from latticeopt.graver import (SipBlockStructure, graver_basis,
+                               lift_sip_graver)
 from latticeopt.groebner import orient
 from latticeopt.lattice import (
     CostOrder,
     IntMatrix,
     IntVector,
+    KernelVectorSet,
     VectorSet,
     kernel_basis,
 )
@@ -237,6 +241,36 @@ def test_vector_set_dedup_and_canonical():
     assert [list(v) for v in s.canonical()] == [[0, 1], [1, 0]]
     assert IntVector([0, 1]) in s
     assert IntVector([2, 2]) not in s
+
+
+def test_kernel_vector_set_dedups_sorts_and_checks():
+    A = IntMatrix([[1, 1, 1]])
+    s = KernelVectorSet(A, [(0, 1, -1), IntVector((1, -1, 0)), (0, 1, -1)])
+    assert [g.entries for g in s] == [(0, 1, -1), (1, -1, 0)]
+    assert len(s) == 2 and s.matrix == A
+    assert repr(s) == "KernelVectorSet(2 elements, 3 cols)"
+    with pytest.raises(ValueError, match="element not in the kernel"):
+        KernelVectorSet(A, [(1, -1, 0), (1, 1, 0)])
+
+
+def test_every_basis_iterates_in_canonical_order():
+    W = gen_hs(HsConfig(scenario_count=1, seed=0)).recourse
+    one = SipBlockStructure(IntMatrix.identity(2), IntMatrix([[1, 0]]),
+                            IntMatrix([[1, 1, 1]]), 1)
+    three = SipBlockStructure(one.first_stage, one.technology,
+                              one.recourse, 3)
+    results = {
+        "toric": toric.toric_generating_set(W),
+        "groebner": toric.test_set(W, IntVector((16, 19, 47, 54, 0, 0, 0, 0))),
+        "graver": graver_basis(W),
+        "lifted": lift_sip_graver(graver_basis(one.stacked()), three),
+    }
+    for name, basis in results.items():
+        entries = [g.entries for g in basis]
+        assert isinstance(basis, KernelVectorSet), name
+        assert len(entries) > 1, name
+        assert all(a < b for a, b in zip(entries, entries[1:])), name
+        assert entries == [g.entries for g in basis.elements.canonical()]
 
 
 def test_matrix_validation():
