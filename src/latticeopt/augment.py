@@ -7,7 +7,8 @@ first move whose lead fits under z in a fixed scan order, at its largest
 multiple, until none fits. Over a valid test set the end is the optimum of
 the cost order's lexicographic refinement; over a negation-closed Graver
 basis the improving halves of the pairs play the same role. A walk takes
-its moves and the cost it minimises together, as one `PreparedMoves`.
+its moves, the cost it minimises and the matrix whose kernel the moves were
+checked in together, as one `PreparedMoves`, and checks only its start.
 
 Phase-I follows the extended-matrix method of Conti and Traverso
 ("Buchberger algorithm and integer programming", AAECC-9, LNCS 539, 1991)
@@ -27,7 +28,8 @@ from typing import Iterable, NamedTuple, Optional
 
 from . import groebner, toric
 from .groebner import _LeadIndex, _record, _reduce, orient
-from .lattice import CostOrder, IntMatrix, IntVector, as_entries, as_vector
+from .lattice import (CostOrder, IntMatrix, IntVector, KernelVectorSet,
+                      as_entries, as_vector)
 
 
 class AugmentResult(NamedTuple):
@@ -42,15 +44,20 @@ class PreparedMoves(NamedTuple):
     `cost` is the vector a walk over the moves minimises. `moves` is a
     `groebner._LeadIndex` of `groebner._record`s, (vector, lead, support
     mask of the lead): each step's divisor search reads its per-variable
-    bitsets instead of scanning every move.
+    bitsets instead of scanning every move. `matrix` is the matrix whose
+    kernel the moves were checked against when their set was built; a walk
+    tests its start against it.
     """
 
     cost: IntVector
     moves: list
+    matrix: IntMatrix
 
 
-def prepare_moves(T, c: "IntVector | Iterable[int]") -> PreparedMoves:
-    """The moves t of T that `orient` leaves as they are, in scan order.
+def prepare_moves(basis: KernelVectorSet,
+                  c: "IntVector | Iterable[int]") -> PreparedMoves:
+    """The moves t of a checked basis that `orient` leaves as they are, in
+    scan order, with the basis's matrix.
 
     Those are the t with c.t > 0, or with c.t = 0 and a positive first
     nonzero entry. Applying such a t to any point strictly
@@ -58,12 +65,17 @@ def prepare_moves(T, c: "IntVector | Iterable[int]") -> PreparedMoves:
     so it is dropped up front. The scan order is fixed: best cost
     improvement first, then entry order. The lead index is built here, once
     per cost, and every walk over the result reuses it: walks that share a
-    move set and a cost can share the result.
+    move set and a cost can share the result. The basis must be a
+    `KernelVectorSet`, whose elements were checked against its matrix when
+    it was built, so every move lies in that kernel; any other iterable
+    raises TypeError.
     """
+    if not isinstance(basis, KernelVectorSet):
+        raise TypeError("prepare_moves takes a KernelVectorSet, whose "
+                        "elements are checked against its matrix")
     order = CostOrder(c)
     keyed = []
-    for t in T:
-        t = as_vector(t)
+    for t in basis:
         if t.is_zero():
             continue
         cdot = order.dot(t)  # raises on a length mismatch
@@ -71,33 +83,35 @@ def prepare_moves(T, c: "IntVector | Iterable[int]") -> PreparedMoves:
             keyed.append((-cdot, t.entries))
     keyed.sort()
     return PreparedMoves(order.cost, _LeadIndex(
-        order.dim, (_record(entries) for _, entries in keyed)))
+        order.dim, (_record(entries) for _, entries in keyed)), basis.matrix)
 
 
 def augment(z0: "IntVector | Iterable[int]", moves: PreparedMoves,
-            A: IntMatrix, b: "IntVector | Iterable[int]") -> AugmentResult:
+            b: "IntVector | Iterable[int]") -> AugmentResult:
     """Walk downhill from a feasible point; returns the fixed point reached.
 
     The walk minimises `moves.cost` over `moves`, a `prepare_moves` result:
     it is the lead reduction of z0 against the moves (a z that cancels to
     zero is the zero point). It runs on entry tuples from entry to exit and
-    wraps only the returned solution. Both the start and the end are
-    checked: either off {z >= 0 in ints : A z = b} raises ValueError.
+    wraps only the returned solution. The start is checked: one off
+    {z >= 0 in ints : A z = b}, A = `moves.matrix`, raises ValueError. The
+    end needs no check: a step applies a move only where its lead fits
+    under z, so z stays >= 0, and every move is a kernel vector of A, so
+    A z = b holds throughout.
     """
     if not isinstance(moves, PreparedMoves):
         raise TypeError("augment walks prepared moves: pass the move set "
                         "through prepare_moves(T, c)")
     z0, b, c = as_entries(z0), as_entries(b), moves.cost.entries
-    if len(z0) != A.ncols or len(c) != A.ncols:
+    if len(z0) != len(c):
         raise ValueError("dimension mismatch with matrix columns")
     if (not all(map(isinstance, z0, repeat(int)))
-            or min(z0, default=0) < 0 or A.mat_vec(z0).entries != b):
+            or min(z0, default=0) < 0
+            or moves.matrix.mat_vec(z0).entries != b):
         raise ValueError("invalid point: start must be in ints, >= 0, A z = b")
 
     z, steps = _reduce(z0, moves.moves, c, False)
     z = (0,) * len(c) if z is None else z
-    if A.mat_vec(z).entries != b or min(z, default=0) < 0:
-        raise ValueError("walk left the fiber: a move is not in the kernel")
     return AugmentResult(IntVector(z), sum(map(mul, c, z)), steps)
 
 
@@ -182,7 +196,7 @@ def phase_one_feasible(system: ArtificialSystem,
     ext = system.matrix
     if len(b) != ext.nrows:
         raise ValueError("right-hand side length must match row count")
-    res = augment(system.start(b), system.moves, ext, b)
+    res = augment(system.start(b), system.moves, b)
     if steps is not None:
         steps.append(res.steps)
     n = ext.ncols - len(system.columns)

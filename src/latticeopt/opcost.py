@@ -26,11 +26,12 @@ under the cost of the first solve that needs it, so its walk ends at that
 cost's optimum and M needs no basis for it. A Phase-I point depends only
 on its right-hand side, so each distinct one is walked once, feasible or
 not. A matrix row depends only on its decision, so each distinct decision
-is solved once, and its T x computed once; counters make that reuse
-observable. Every build runs in one process. Each phase books its
-time where it runs and the row loop books only what no phase inside it
-booked, so a build's timings are disjoint and add up to its timed wall
-clock.
+is solved once, and its T x computed once; a cell's value depends only on
+its (cost, b), so a build solves each distinct pair once and keeps only its
+value. Counters make that reuse observable. Every build runs in one
+process. Each phase books its time where it runs and the row loop books
+only what no phase inside it booked, so a build's timings are disjoint and
+add up to its timed wall clock.
 """
 
 from __future__ import annotations
@@ -161,8 +162,10 @@ class BuildCounters:
     right-hand sides use), 0 when closed-form starts made it unnecessary,
     and phase_one_calls counts the cells handed that set; cells of the cost
     it was completed under (kernel) make no augment_calls. The per-cell
-    tallies cover the rows of distinct decisions only, since repeated
-    decisions copy their row; walk_steps sums the steps of the optimisation
+    tallies cover the distinct (cost, b) cells of the rows of distinct
+    decisions only: repeated decisions copy their row, and memo_hits counts
+    the cells of those rows that repeat an earlier cell's (cost, b) and
+    take its value unsolved. walk_steps sums the steps of the optimisation
     walks and of each distinct right-hand side's Phase-I walk, counted
     once however many cells share it.
     """
@@ -170,7 +173,7 @@ class BuildCounters:
     __slots__ = ("toric_runs", "buchberger_runs", "graver_runs",
                  "augment_calls", "oracle_solves", "phase_one_calls",
                  "phase_one_bases", "toric_elements", "groebner_elements",
-                 "graver_elements", "walk_steps")
+                 "graver_elements", "walk_steps", "memo_hits")
 
     def __init__(self):
         for name in self.__slots__:
@@ -382,7 +385,7 @@ class _Solver:
                 return AugmentResult(start, cost.dot(start), 0)
         c.augment_calls += 1
         res = augment(start, self._moves.get(cost.entries)
-                      or self.moves(cost), M, b)
+                      or self.moves(cost), b)
         c.walk_steps += res.steps
         return res
 
@@ -432,13 +435,20 @@ def _build(instance, decisions, method, q_only):
     solver = _Solver(instance, method, W, lambda: (
         sc.rhs - t for t in tx.values() for sc in scenarios))
     timings = solver.timings_us
-    rows = {}
+    # a cell's value depends only on its (cost, b): solve each one once
+    rows, memo = {}, {}
     t0 = time.perf_counter_ns()
     for x, t in tx.items():
         row = rows[x] = []
         for j, sc in enumerate(scenarios):
-            res = solver.solve(sc.rhs - t, (x, j), sc.cost)
-            row.append(None if res is None else res.value)
+            b = sc.rhs - t
+            key = (sc.cost.entries, b.entries)
+            if key in memo:
+                solver.counters.memo_hits += 1
+            else:
+                res = solver.solve(b, (x, j), sc.cost)
+                memo[key] = None if res is None else res.value
+            row.append(memo[key])
     # the loop's time less what the phases inside it booked themselves
     timings[solver.walk_us] += ((time.perf_counter_ns() - t0) // 1000
                                 - sum(timings.values()))

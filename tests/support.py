@@ -72,18 +72,21 @@ def check_test_set(A: IntMatrix, order, elements, box: int = 6, fibers=None):
 
 
 def check_augmentation_exact(A, c, moves, box=6, fibers=None):
-    """Augmenting from every boxed feasible point must reach the fiber optimum."""
+    """Augmenting from every boxed feasible point must reach the fiber optimum.
+
+    `moves` may be any iterable of kernel vectors of A: it is checked into
+    a `KernelVectorSet` on A before it is prepared."""
     from latticeopt.augment import augment, prepare_moves
-    from latticeopt.lattice import CostOrder
+    from latticeopt.lattice import CostOrder, KernelVectorSet
 
     order = CostOrder(c)
-    prepared = prepare_moves(moves, c)
+    prepared = prepare_moves(KernelVectorSet(A, moves), c)
     if fibers is None:
         fibers = boxed_fibers(A, box)
     for b, pts in fibers.items():
         best = min(pts, key=lambda z: order_key(order, z))
         for z in pts:
-            res = augment(z, prepared, A, b)
+            res = augment(z, prepared, b)
             if tuple(res.solution) != best:
                 raise AssertionError((b, z, best, res))
             if res.value != sum(ci * xi for ci, xi in zip(c, best)):

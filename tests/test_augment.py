@@ -16,19 +16,20 @@ from latticeopt import oracle, toric
 from latticeopt.augment import (PreparedMoves, artificial_system, augment,
                                 phase_one_feasible, prepare_moves)
 from latticeopt.graver import graver_basis
-from latticeopt.lattice import IntMatrix, IntVector, VectorSet
+from latticeopt.lattice import (IntMatrix, IntVector, KernelVectorSet,
+                                VectorSet)
 
 import support
 
 
-def _moves(c, *tuples):
-    return prepare_moves(VectorSet(IntVector(t) for t in tuples), c)
+def _moves(A, c, *tuples):
+    return prepare_moves(KernelVectorSet(A, tuples), c)
 
 
 def test_worked_walk_on_sum_matrix():
     A = IntMatrix([[1, 1, 1]])
-    res = augment((0, 0, 3), _moves((1, 2, 3), (-1, 1, 0), (0, -1, 1)), A,
-                  (3,))
+    res = augment((0, 0, 3),
+                  _moves(A, (1, 2, 3), (-1, 1, 0), (0, -1, 1)), (3,))
     assert res.solution == IntVector((3, 0, 0))
     assert res.value == 3
     # each step takes a move as far as it goes: (0,3,0), then (3,0,0)
@@ -37,15 +38,15 @@ def test_worked_walk_on_sum_matrix():
 
 def test_empty_move_set_is_fixed_point():
     A = IntMatrix([[1, 1, 1]])
-    res = augment((0, 0, 3), _moves((1, 2, 3)), A, (3,))
+    res = augment((0, 0, 3), _moves(A, (1, 2, 3)), (3,))
     assert res.solution == IntVector((0, 0, 3))
     assert res.steps == 0
 
 
 def test_optimal_start_unchanged():
     A = IntMatrix([[1, 1, 1]])
-    res = augment((3, 0, 0), _moves((1, 2, 3), (-1, 1, 0), (0, -1, 1)), A,
-                  (3,))
+    res = augment((3, 0, 0),
+                  _moves(A, (1, 2, 3), (-1, 1, 0), (0, -1, 1)), (3,))
     assert res.solution == IntVector((3, 0, 0))
     assert res.steps == 0
 
@@ -54,17 +55,17 @@ def test_rejects_bad_starts():
     # each start is refused with its message whether z0 and b come as
     # IntVectors, tuples or lists
     A = IntMatrix([[1, 1, 1]])
-    T = _moves((1, 2, 3), (-1, 1, 0))
+    T = _moves(A, (1, 2, 3), (-1, 1, 0))
     for z0, b, fragment in (((1, 1, 0), (3,), "invalid point"),
                             ((4, -1, 0), (3,), "invalid point"),
                             ((3, 0, 0), (3, 0), "invalid point"),
                             ((1, 2), (3,), "dimension mismatch")):
         for form in (IntVector, tuple, list):
             with pytest.raises(ValueError, match=fragment):
-                augment(form(z0), T, A, form(b))
-    with pytest.raises(ValueError, match="walk left the fiber"):
-        augment((1, 1), prepare_moves([IntVector((1, 0))], (1, 1)),
-                IntMatrix([[1, 1]]), (2,))
+                augment(form(z0), T, form(b))
+    # a move outside the kernel is refused before any walk can take it
+    with pytest.raises(ValueError, match="not in the kernel"):
+        prepare_moves(KernelVectorSet(IntMatrix([[1, 1]]), [(1, 0)]), (1, 1))
 
 
 def test_input_forms_give_equal_results():
@@ -77,7 +78,7 @@ def test_input_forms_give_equal_results():
     walked = 0
     for b, pts in support.boxed_fibers(A, 4).items():
         for z in pts:
-            results = {augment(zf(z), moves, A, bf(b))
+            results = {augment(zf(z), moves, bf(b))
                        for zf in (IntVector, tuple, list)
                        for bf in (IntVector, tuple, list)}
             assert len(results) == 1
@@ -90,24 +91,42 @@ def test_input_forms_give_equal_results():
 
 
 def test_raw_move_set_rejected():
-    # the walk's cost travels with its moves: a bare set has none
+    # the walk's cost and matrix travel with its moves: a bare set has none
     A = IntMatrix([[1, 1, 1]])
     T = VectorSet([IntVector((-1, 1, 0))])
     with pytest.raises(TypeError, match="prepare_moves"):
-        augment((3, 0, 0), T, A, (3,))
-    assert augment((3, 0, 0), prepare_moves(T, (1, 2, 3)), A, (3,)).value == 3
+        augment((3, 0, 0), T, (3,))
+    moves = prepare_moves(KernelVectorSet(A, T), (1, 2, 3))
+    assert moves.matrix is A
+    assert augment((3, 0, 0), moves, (3,)).value == 3
+
+
+def test_prepare_moves_takes_only_a_checked_set():
+    # only a KernelVectorSet proves its moves lie in its matrix's kernel,
+    # which is what lets a walk skip checking its end point
+    T = [IntVector((-1, 1, 0))]
+    for raw in (T, VectorSet(T), tuple(T), iter(T)):
+        with pytest.raises(TypeError, match="KernelVectorSet"):
+            prepare_moves(raw, (1, 2, 3))
+    # a cost that does not fit the matrix is refused at preparation, or,
+    # with no move to price, at the walk's start check
+    A = IntMatrix([[1, 1, 1]])
+    with pytest.raises(ValueError, match="different lengths"):
+        prepare_moves(KernelVectorSet(A, T), (1, 2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        augment((1, 1), prepare_moves(KernelVectorSet(A, []), (1, 2)), (2,))
 
 
 def test_start_entries_must_be_ints():
     # floats equal to a feasible start would run the walk in floating point
     A = IntMatrix([[1, 1, 1]])
-    T = _moves((1, 2, 3), (-1, 1, 0))
-    assert augment((3, 0, 0), T, A, (3,)).value == 3
+    T = _moves(A, (1, 2, 3), (-1, 1, 0))
+    assert augment((3, 0, 0), T, (3,)).value == 3
     for start in ((3.0, 0, 0), (3, 0.0, 0), (3, 0, 0.0), (Fraction(3), 0, 0),
                   (3, Fraction(0), 0)):
         for form in (IntVector, tuple, list):
             with pytest.raises(ValueError, match="invalid point"):
-                augment(form(start), T, A, (3,))
+                augment(form(start), T, (3,))
 
 
 def test_exact_over_test_sets_random():
@@ -136,7 +155,7 @@ def test_zero_cost_moves_respect_tie_order():
     # cost ignores both coordinates, so the walk is pure lexicographic descent
     A = IntMatrix([[1, 1]])
     gamma = graver_basis(A)
-    res = augment((4, 0), prepare_moves(gamma, (0, 0)), A, (4,))
+    res = augment((4, 0), prepare_moves(gamma, (0, 0)), (4,))
     assert res.solution == IntVector((0, 4))
     assert res.steps == 1
 
@@ -145,8 +164,7 @@ def test_full_multiple_steps_on_large_rhs():
     # unit steps would take a million; each step applies a whole multiple
     A = IntMatrix([[1, 1, 1]])
     n = 10 ** 6
-    res = augment((0, 0, n), prepare_moves(graver_basis(A), (1, 2, 3)), A,
-                  (n,))
+    res = augment((0, 0, n), prepare_moves(graver_basis(A), (1, 2, 3)), (n,))
     assert res.solution == IntVector((n, 0, 0))
     assert res.value == n
     assert res.steps <= 2
@@ -182,7 +200,7 @@ def test_walk_takes_the_first_fitting_move_at_its_largest_multiple():
             moves = prepare_moves(T, c)
             for b, pts in fibers.items():
                 for z in pts:
-                    res = augment(z, moves, A, b)
+                    res = augment(z, moves, b)
                     end, multiples = _reference_walk(z, moves)
                     assert res.solution.entries == end, (A.rows, c, z)
                     assert res.steps == len(multiples), (A.rows, c, z)
@@ -205,13 +223,37 @@ def test_large_rhs_walks_match_the_oracle():
             best = oracle.solve_bruteforce(
                 oracle.IpProblem(A, b, c, max(b.entries)))
             for moves in sets:
-                res = augment(z0, moves, A, b)
+                res = augment(z0, moves, b)
                 assert (res.solution, res.value) == (best.solution,
                                                      best.value), (A.rows, c)
                 path = _reference_walk(z0.entries, moves)[1]
                 assert res.steps == len(path)
                 multiples += path
     assert max(multiples) >= 2
+
+
+def test_every_walk_ends_in_its_fiber():
+    # augment checks only its start; the end stays >= 0 because a step
+    # applies a move only where its lead fits, and keeps A z = b because
+    # every move was checked into its matrix's kernel. Checked here from
+    # outside, over Groebner, Graver and unfiltered toric moves.
+    rng = random.Random(3131)
+    walked = 0
+    for m, n in ((1, 3), (2, 4), (2, 5)) * 3:
+        A = support.random_matrix(rng, m, n, 0, 3)
+        c = [rng.randint(0, 6) for _ in range(n)]
+        fibers = support.boxed_fibers(A, 5)
+        for basis in (toric.test_set(A, c), graver_basis(A),
+                      toric.toric_generating_set(A)):
+            moves = prepare_moves(basis, c)
+            assert moves.matrix is A
+            for b, pts in fibers.items():
+                for z in pts:
+                    end = augment(z, moves, b).solution
+                    assert min(end.entries) >= 0, (A.rows, c, z, end)
+                    assert A.mat_vec(end) == IntVector(b), (A.rows, c, z)
+                    walked += 1
+    assert walked > 1000
 
 
 # right-hand sides of a two-row matrix that use both signs in both rows
@@ -348,23 +390,28 @@ def test_invariants_hold_under_optimize_flag():
                                         prepare_moves)
         from latticeopt.graver import GraverBasis
         from latticeopt.groebner import _LeadIndex, _record
-        from latticeopt.lattice import IntMatrix, IntVector, VectorSet
+        from latticeopt.lattice import (IntMatrix, IntVector,
+                                        KernelVectorSet, VectorSet)
         A = IntMatrix(((1, 1),))
         # each case names the check it trips by a fragment of its message
-        T = prepare_moves([IntVector((1, -1))], (1, 2))
+        T = prepare_moves(KernelVectorSet(A, [IntVector((1, -1))]), (1, 2))
         calls = [
             ("negation-closed", lambda: GraverBasis(
                 A, VectorSet([IntVector((1, 0))]))),
-            ("walk left the fiber", lambda: augment(
-                (1, 1), prepare_moves([IntVector((1, 0))], (1, 1)), A, (2,))),
+            ("not in the kernel", lambda: prepare_moves(
+                KernelVectorSet(A, [IntVector((1, 0))]), (1, 1))),
             ("empty lead", lambda: augment((1, 1), PreparedMoves(
-                IntVector((1, 1)), _LeadIndex(2, [_record((-1, 0))])),
-                IntMatrix(((0, 1),)), (1,))),
-            ("invalid point", lambda: augment((Fraction(2), 0), T, A, (2,))),
-            ("invalid point", lambda: augment((2.0, 0), T, A, (2,))),
-            ("invalid point", lambda: augment((3, -1), T, A, (2,))),
-            ("invalid point", lambda: augment((1, 0), T, A, (2,))),
-            ("dimension mismatch", lambda: augment((2,), T, A, (2,))),
+                IntVector((1, 1)), _LeadIndex(2, [_record((-1, 0))]),
+                IntMatrix(((0, 1),))), (1,))),
+            ("invalid point", lambda: augment((Fraction(2), 0), T, (2,))),
+            ("invalid point", lambda: augment((2.0, 0), T, (2,))),
+            ("invalid point", lambda: augment((3, -1), T, (2,))),
+            ("invalid point", lambda: augment((1, 0), T, (2,))),
+            ("dimension mismatch", lambda: augment((2,), T, (2,))),
+            ("different lengths", lambda: prepare_moves(
+                KernelVectorSet(A, [IntVector((1, -1))]), (1, 2, 3))),
+            ("dimension mismatch", lambda: augment((1, 1, 1), prepare_moves(
+                KernelVectorSet(A, []), (1, 2, 3)), (2,))),
             ("does not have the matrix's",
                 lambda: artificial_system(A, [(1, 2)])),
             ("no artificial column", lambda: phase_one_feasible(

@@ -268,9 +268,24 @@ def test_bench_rejects_an_unknown_family(capsys):
 STANDING_CHECKSUMS = {
     ("hs-scaled", 20): "36ebfb8b8f2274ca",
     ("hs-scaled", 100): "9ed53dcf426c1924",
+    ("hs-scaled", 300): "2d2ad3af1a13305e",
     ("hs-unscaled", 10): "b6dfec7b7d0a8fc1",
     ("snd", 30): "51a8ddadf2cbad99",
 }
+
+
+def test_scaled_hs_at_n300_kernel_equals_graver_with_repeated_cells():
+    # at N=300 many cells repeat an earlier row's (cost, b): each is
+    # solved once, and the matrix still reads its standing checksum
+    inst = cli.BENCH_FAMILIES["hs-scaled"](300, 1)
+    dec = single_scenario_decisions(inst)
+    mk, mg = cli._opcost("kernel", inst, dec), cli._opcost("graver", inst, dec)
+    assert mk.values == mg.values
+    assert cli.matrix_checksum(mk) == STANDING_CHECKSUMS[("hs-scaled", 300)]
+    assert mk.counters.memo_hits > 0
+    assert mk.counters.memo_hits == mg.counters.memo_hits
+    assert (mk.counters.augment_calls + mk.counters.memo_hits
+            == len(set(dec)) * inst.num_scenarios)
 
 
 def test_committed_bench_files_record_the_standing_matrices():

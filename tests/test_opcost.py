@@ -227,7 +227,9 @@ def test_oracle_ignores_an_invalid_hook():
 
 def test_hook_start_gets_one_fiber_test(monkeypatch):
     # one more decision adds one row: its T x, then per cell only augment's
-    # start and end checks; the algebra and hook behave the same for both
+    # start check (its moves were checked against W when their basis was
+    # built, so the walk's end needs none); the algebra and hook behave the
+    # same for both, and the new row repeats no earlier (cost, b)
     inst = gen_hs(HS_CFG)
     counted = []
     mat_vec = IntMatrix.mat_vec
@@ -242,8 +244,9 @@ def test_hook_start_gets_one_fiber_test(monkeypatch):
         counted.clear()
         m = opcost_kernel(inst, DecisionList(tuple(map(IntVector, xs))))
         assert m.counters.phase_one_calls == 0
+        assert m.counters.memo_hits == 0
         made.append(len(counted))
-    assert made[1] - made[0] == 1 + 2 * inst.num_scenarios
+    assert made[1] - made[0] == 1 + inst.num_scenarios
 
 
 def test_single_scenario_decisions_oracle_mode_small():
@@ -612,6 +615,26 @@ def test_repeated_decisions_share_one_row():
     assert m.counters.augment_calls == 4
     oracle_m = opcost_oracle(inst, dec)
     assert oracle_m == m and oracle_m.counters.oracle_solves == 4
+
+
+def test_each_distinct_cell_is_solved_once():
+    # a cell's value depends only on its (cost, b): every method solves
+    # each distinct pair once and reads the rest from the build's memo
+    inst = gen_hs(HsConfig(scenario_count=8, seed=3,
+                           box=((1, 3), (1, 3), (1, 2), (1, 2))))
+    dec = single_scenario_decisions(inst)
+    keys = [(sc.cost.entries, rhs(inst, x, j).entries)
+            for x in dict.fromkeys(dec) for j, sc in enumerate(inst.scenarios)]
+    distinct = len(set(keys))
+    assert len(set(dec)) < len(dec) and distinct < len(keys)
+    built = [build(inst, dec)
+             for build in (opcost_kernel, opcost_graver, opcost_oracle)]
+    for m in built:
+        assert m.counters.memo_hits == len(keys) - distinct, m.method
+        assert m == built[-1], m.method
+    kernel, graver, oracle_m = (m.counters for m in built)
+    assert kernel.augment_calls == graver.augment_calls == distinct
+    assert oracle_m.oracle_solves == distinct
 
 
 def test_unscaled_hs_kernel_equals_graver_at_n100():

@@ -109,7 +109,7 @@ def test_saturation_certificate_random_instances():
             assert start.status == OPTIMAL
             best = solve_bruteforce(IpProblem(A, b, c, bound))
             gb = buchberger(gens.generators, CostOrder(c), matrix=A)
-            res = augment(start.solution, prepare_moves(gb, c), A, b)
+            res = augment(start.solution, prepare_moves(gb, c), b)
             assert res.value == best.value
             assert res.solution == best.solution
 
