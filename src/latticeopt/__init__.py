@@ -13,8 +13,7 @@ from .oracle import (INFEASIBLE_IN_BOX, OPTIMAL, IpOutcome, IpProblem,
                      OracleResourceError, enumerate_graver_in_box,
                      solve_bruteforce)
 from .groebner import GroebnerBasis, buchberger, normal_form, orient
-from .toric import (ToricGenerators, flip_coordinate, test_set,
-                    toric_generating_set)
+from .toric import ToricGenerators, test_set, toric_generating_set
 from .graver import (GraverBasis, GraverResourceError, SipBlockStructure,
                      contains_groebner, graver_basis, lift_sip_graver)
 from .augment import (ArtificialSystem, AugmentResult, PreparedMoves,
@@ -38,7 +37,7 @@ __all__ = [
     "OracleResourceError", "PreparedMoves", "Scenario", "SipBlockStructure",
     "SipInstance", "SndConfig", "ToricGenerators", "VectorSet",
     "artificial_system", "as_vector", "buchberger", "contains_groebner",
-    "enumerate_graver_in_box", "flip_coordinate", "gen_hs", "gen_snd",
+    "enumerate_graver_in_box", "gen_hs", "gen_snd",
     "graver_basis", "hs_feasible", "instance_from_json", "instance_to_json",
     "kernel_basis", "lift_sip_graver", "normal_form", "opcost_graver",
     "opcost_kernel", "opcost_oracle", "orient", "phase_one_feasible",

@@ -14,10 +14,11 @@ Phase-I follows the extended-matrix method of Conti and Traverso
 ("Buchberger algorithm and integer programming", AAECC-9, LNCS 539, 1991)
 over a narrow extension: one artificial column per (row, sign) that the
 right-hand sides to be served use, rather than [A | I | -I]. The
-`ArtificialSystem` holds the extension and its test set for an
-elimination order refined by a cost c on A's columns. It serves every such
-b: each walk starts at (0, |b| on the matching columns) and ends at A's
-refined optimum for c, or at a positive artificial total.
+`ArtificialSystem` holds those columns and the extension's test set for an
+elimination order refined by a cost c on A's columns, prepared as moves
+that carry the extension as their matrix, its only copy. It serves every
+such b: each walk starts at (0, |b| on the matching columns) and ends at
+A's refined optimum for c, or at a positive artificial total.
 """
 
 from __future__ import annotations
@@ -120,20 +121,12 @@ class ArtificialSystem(NamedTuple):
 
     Each column of S is s e_i for one (row i, sign s) in `columns`, in
     column order: every positive sign in row order, then every negative one.
-    The moves are prepared for `moves.cost`: c on A's columns, K on S's.
+    The moves are prepared for `moves.cost`, c on A's columns and K on S's,
+    and `moves.matrix` is the extension they were checked against.
     """
 
-    matrix: IntMatrix
     columns: tuple
     moves: PreparedMoves
-
-    def start(self, b: IntVector) -> IntVector:
-        """(0, |b| on the matching columns): the Phase-I walk's start for b."""
-        art = tuple(max(s * b.entries[i], 0) for i, s in self.columns)
-        if sum(art) != sum(abs(x) for x in b.entries):
-            raise ValueError("right-hand side %r has a sign the extension "
-                             "has no artificial column for" % (b.entries,))
-        return IntVector((0,) * (self.matrix.ncols - len(art)) + art)
 
 
 def artificial_system(A: IntMatrix, rhss, c=None) -> ArtificialSystem:
@@ -176,7 +169,7 @@ def artificial_system(A: IntMatrix, rhss, c=None) -> ArtificialSystem:
         cost = IntVector(c + (K,) * len(columns))
         basis = groebner.buchberger(basis, CostOrder(cost), matrix=ext)
         if all(sum(g.entries[A.ncols:]) >= 0 for g in basis):
-            return ArtificialSystem(ext, columns, prepare_moves(basis, cost))
+            return ArtificialSystem(columns, prepare_moves(basis, cost))
         K *= 2
 
 
@@ -187,19 +180,24 @@ def phase_one_feasible(system: ArtificialSystem,
     when that set is empty.
 
     A is the matrix `system` extends, an `artificial_system` whose
-    right-hand sides use every sign b uses. The walk from (0, |b|) over the
-    system's test set minimises the artificial total first; b is feasible
-    exactly when it reaches 0. When `steps` is a list, the walk's step count
-    is appended to it.
+    right-hand sides use every sign b uses; one that uses another sign
+    raises ValueError. The walk starts at (0, |b| on the matching
+    artificial columns) over the system's test set and minimises the
+    artificial total first; b is feasible exactly when it reaches 0. When
+    `steps` is a list, the walk's step count is appended to it.
     """
     b = as_vector(b)
-    ext = system.matrix
+    ext = system.moves.matrix
     if len(b) != ext.nrows:
         raise ValueError("right-hand side length must match row count")
-    res = augment(system.start(b), system.moves, b)
+    art = tuple(max(s * b.entries[i], 0) for i, s in system.columns)
+    if sum(art) != sum(map(abs, b.entries)):
+        raise ValueError("right-hand side %r has a sign the extension "
+                         "has no artificial column for" % (b.entries,))
+    n = ext.ncols - len(art)
+    res = augment((0,) * n + art, system.moves, b)
     if steps is not None:
         steps.append(res.steps)
-    n = ext.ncols - len(system.columns)
     if any(res.solution.entries[n:]):
         return None
     return IntVector(res.solution.entries[:n])

@@ -126,10 +126,11 @@ def graver_basis(A: IntMatrix) -> GraverBasis:
 
 
 def contains_groebner(G, gamma: GraverBasis) -> bool:
-    """True iff every basis element of G lies in gamma up to sign."""
+    """True iff every basis element of G lies in gamma up to sign: a
+    GraverBasis is closed under negation, so g itself is looked up."""
     if G.matrix != gamma.matrix:
         raise ValueError("bases belong to different matrices")
-    return all(g in gamma.elements or -g in gamma.elements for g in G)
+    return all(g in gamma.elements for g in G)
 
 
 @dataclass(frozen=True)

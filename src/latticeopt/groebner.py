@@ -186,16 +186,15 @@ def _reduce(vec, leads, cost, full, among=-1):
 # ----- public operations -----
 
 def orient(v: IntVector, order: CostOrder) -> IntVector:
-    """v or -v, whichever has its positive part on the leading side."""
-    if v.is_zero():
-        raise ValueError("cannot orient the zero vector")
+    """v or -v, whichever has its positive part on the leading side; the
+    zero vector raises ValueError."""
     t = _orient_tuple(v.entries, order.cost.entries)
     return v if t == v.entries else IntVector(t)
 
 
 def normal_form(v: IntVector, G: Iterable[IntVector],
-                order: CostOrder, full: bool = True) -> IntVector:
-    """Reduce v against G; with full=True the trailing part is reduced too.
+                order: CostOrder) -> IntVector:
+    """Reduce v against G, its leading and its trailing part.
 
     Against a Groebner basis the full remainder is unique, whatever G's
     order. v and every element of G must have the order's length.
@@ -207,7 +206,7 @@ def normal_form(v: IntVector, G: Iterable[IntVector],
         return v
     cost = order.cost.entries
     leads = _LeadIndex(order.dim, map(_record, vecs[1:]))
-    out, _ = _reduce(_orient_tuple(v.entries, cost), leads, cost, full)
+    out, _ = _reduce(_orient_tuple(v.entries, cost), leads, cost, True)
     return IntVector((0,) * len(v) if out is None else out)
 
 

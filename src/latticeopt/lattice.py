@@ -24,10 +24,6 @@ class IntVector:
     def __init__(self, entries: Iterable[int]):
         self.entries = tuple(entries)
 
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -133,9 +129,6 @@ class IntMatrix:
     @property
     def ncols(self) -> int:
         return len(self.rows[0])
-
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
 
     def _row_dots(self, v: "IntVector | Sequence[int]") -> list:
         ve = as_entries(v)
@@ -286,7 +279,7 @@ def kernel_basis(matrix: IntMatrix) -> VectorSet:
     (the transform is unimodular, so the basis is not finite-index short).
     """
     m, n = matrix.nrows, matrix.ncols
-    work = [list(matrix.column(j)) for j in range(n)]
+    work = [list(col) for col in zip(*matrix.rows)]
     trans = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     lead = 0
     for r in range(m):

@@ -26,12 +26,13 @@ under the cost of the first solve that needs it, so its walk ends at that
 cost's optimum and M needs no basis for it. A Phase-I point depends only
 on its right-hand side, so each distinct one is walked once, feasible or
 not. A matrix row depends only on its decision, so each distinct decision
-is solved once, and its T x computed once; a cell's value depends only on
-its (cost, b), so a build solves each distinct pair once and keeps only its
-value. Counters make that reuse observable. Every build runs in one
-process. Each phase books its time where it runs and the row loop books
-only what no phase inside it booked, so a build's timings are disjoint and
-add up to its timed wall clock.
+is solved once, and its T x and gamma.x computed once, as its row is
+written; a cell's value depends only on its (cost, b), so a build solves
+each distinct pair once and keeps only its value. Counters make that
+reuse observable. Every build runs in one process. Each phase books its
+time where it runs and the row loop books only what no phase inside it
+booked, so a build's timings are disjoint and add up to its timed wall
+clock.
 """
 
 from __future__ import annotations
@@ -282,10 +283,15 @@ class _Solver:
     Each object is built on its first use, wherever that falls; its build
     is timed and counted there, so the build's solver for W records exactly
     the build's algebra. A Phase-I point is such an object, one per distinct
-    right-hand side, None where b is infeasible: `_once` walks it once and
-    times it as `phase_one_walk_us`, like every other object. Outside it,
-    only `_DECISIONS_SOLVER` maps the method, to the decisions' solver;
-    `walk_us` names the timing a walk books to.
+    right-hand side, None where b is infeasible, and `_once` times its walk
+    as `phase_one_walk_us`. Inside a build the (cost, b) memo answers a
+    repeated cell first, so there the object is the walk's stopwatch and
+    saves a walk only where scenarios of different costs share a b; it
+    saves more in the decisions phase, which has no memo (11 walks for 30
+    scenarios on SND N=30). Outside the solver only two places read the
+    method: `single_scenario_decisions` hands graver decisions to the
+    kernel solver, and `_build` books the row loop's time to `oracle_us`
+    or `augment_us`.
     """
 
     def __init__(self, instance: SipInstance, method: str, M: IntMatrix,
@@ -297,7 +303,6 @@ class _Solver:
         self.M = M
         self.rhss = rhss
         self.head = head
-        self.walk_us = "oracle_us" if method == METHOD_ORACLE else "augment_us"
         self.counters = BuildCounters()
         self.timings_us = {"toric_us": 0, "groebner_us": 0, "graver_us": 0,
                            "phase_one_us": 0, "phase_one_walk_us": 0,
@@ -390,12 +395,6 @@ class _Solver:
         return res
 
 
-# an unknown method reaches _Solver, which rejects it
-_DECISIONS_SOLVER = {METHOD_KERNEL: METHOD_KERNEL,
-                     METHOD_GRAVER: METHOD_KERNEL,
-                     METHOD_ORACLE: METHOD_ORACLE}
-
-
 def single_scenario_decisions(instance: SipInstance,
                               method: str = METHOD_KERNEL) -> DecisionList:
     """One optimal first-stage decision per scenario, deterministic ties.
@@ -411,8 +410,11 @@ def single_scenario_decisions(instance: SipInstance,
     """
     M, head = _stacked_system(instance)
     x0 = IntVector((0,) * instance.first_stage_dim)
-    # the hook's point starts a walk at x = 0, which must meet A x = b
-    solver = _Solver(instance, _DECISIONS_SOLVER.get(method, method), M,
+    # graver decisions come from the kernel solver, and an unknown method
+    # reaches _Solver, which rejects it; the hook's point starts a walk at
+    # x = 0, which must meet A x = b
+    solver = _Solver(instance,
+                     METHOD_KERNEL if method == METHOD_GRAVER else method, M,
                      lambda: (head + sc.rhs.entries
                               for sc in instance.scenarios),
                      head=None if any(head) else x0.entries)
@@ -439,6 +441,7 @@ def _build(instance, decisions, method, q_only):
     rows, memo = {}, {}
     t0 = time.perf_counter_ns()
     for x, t in tx.items():
+        gx = 0 if q_only else instance.gamma.dot(x)
         row = rows[x] = []
         for j, sc in enumerate(scenarios):
             b = sc.rhs - t
@@ -448,17 +451,14 @@ def _build(instance, decisions, method, q_only):
             else:
                 res = solver.solve(b, (x, j), sc.cost)
                 memo[key] = None if res is None else res.value
-            row.append(memo[key])
+            q = memo[key]
+            row.append(None if q is None else gx + q)
     # the loop's time less what the phases inside it booked themselves
-    timings[solver.walk_us] += ((time.perf_counter_ns() - t0) // 1000
-                                - sum(timings.values()))
-
-    values = []
-    for x in decisions:
-        gx = 0 if q_only else instance.gamma.dot(x)
-        values.append([None if q is None else gx + q for q in rows[x]])
-    return OppCostMatrix(values, decisions, method, q_only, solver.counters,
-                         solver.timings_us, instance.num_scenarios)
+    timings["oracle_us" if method == METHOD_ORACLE else "augment_us"] += (
+        (time.perf_counter_ns() - t0) // 1000 - sum(timings.values()))
+    return OppCostMatrix([rows[x] for x in decisions], decisions, method,
+                         q_only, solver.counters, timings,
+                         instance.num_scenarios)
 
 
 def opcost_kernel(instance: SipInstance, decisions: DecisionList,

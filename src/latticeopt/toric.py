@@ -28,14 +28,11 @@ class ToricGenerators(KernelVectorSet):
     generators = KernelVectorSet.elements  # the elements slot, by its old name
 
 
-def flip_coordinate(v: IntVector, j: int) -> IntVector:
-    """Negate coordinate j (a self-inverse linear map)."""
-    if not 0 <= j < v.dim:
-        raise IndexError("coordinate %d out of range for dimension %d"
-                         % (j, v.dim))
-    entries = list(v.entries)
-    entries[j] = -entries[j]
-    return IntVector(entries)
+def _flip(rows, cols):
+    """Each row with its entries in the columns cols negated, as an
+    IntVector: a self-inverse additive map, for vectors and matrix rows."""
+    return [IntVector(-x if j in cols else x for j, x in enumerate(row))
+            for row in rows]
 
 
 def _common_orthant_push(vectors):
@@ -91,39 +88,33 @@ def _common_orthant_push(vectors):
     return vecs
 
 
-def _flip_columns(matrix, cols):
-    if not cols:
-        return matrix
-    return IntMatrix(tuple(-x if j in cols else x for j, x in enumerate(row))
-                     for row in matrix.rows)
-
-
 def toric_generating_set(A: IntMatrix) -> ToricGenerators:
     """Generating set of the full move ideal of {z >= 0 : Az = b} fibers.
 
     Steps: kernel basis; greedy push toward a common sign pattern; J = every
     coordinate still carrying a negative entry; flip all of J; for each j in
-    J run Buchberger under the cost e_j and flip j back. With ties read in
-    variable order, e_j is an elimination order for j, since vectors that
-    tie on it share entry j. Each round saturates one coordinate, and the
-    flips cancel exactly, so the result lives in ker(A) again. A round whose
-    working basis outgrows `groebner.ELEMENT_CAP` raises GraverResourceError.
+    J run Buchberger under the cost e_j and flip j back. `_flip` does every
+    flip: of the basis, of the rows of each round's matrix (A with the
+    columns still pending negated) and of each round's generators. With
+    ties read in variable order, e_j is an elimination order for j, since
+    vectors that tie on it share entry j. Each round saturates one
+    coordinate, and the flips cancel exactly, so the result lives in ker(A)
+    again. A round whose working basis outgrows `groebner.ELEMENT_CAP`
+    raises GraverResourceError.
     """
     basis = _common_orthant_push([tuple(v) for v in kernel_basis(A)])
 
     n = A.ncols
     J = sorted(j for j in range(n) if any(v[j] < 0 for v in basis))
     pending = set(J)
-    current = [tuple(-x if j in pending else x for j, x in enumerate(v))
-               for v in basis]
-    generators = [IntVector(v) for v in current]
+    generators = _flip(basis, pending)
 
     for j in J:
         gb = buchberger(generators,
                         CostOrder(tuple(1 if i == j else 0 for i in range(n))),
-                        matrix=_flip_columns(A, pending))
+                        matrix=IntMatrix(_flip(A.rows, pending)))
         pending.discard(j)
-        generators = [flip_coordinate(g, j) for g in gb]
+        generators = _flip(gb, {j})
 
     zero_cost = CostOrder((0,) * n)  # orients by the first nonzero entry
     return ToricGenerators(A, (orient(g, zero_cost) for g in generators))

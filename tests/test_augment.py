@@ -266,7 +266,8 @@ def _phase_one(A, b):
 
 def test_artificial_system_shape():
     A = IntMatrix([[1, -1], [2, 1]])
-    ext, columns, moves = artificial_system(A, BOTH_SIGNS)
+    columns, moves = artificial_system(A, BOTH_SIGNS)
+    ext = moves.matrix
     assert ext.rows == ((1, -1, 1, 0, -1, 0), (2, 1, 0, 1, 0, -1))
     assert moves.cost == IntVector((0, 0) + (1000,) * 4)
     assert columns == ((0, 1), (1, 1), (0, -1), (1, -1))
@@ -276,16 +277,17 @@ def test_artificial_system_shape():
 
 def test_artificial_system_one_column_per_used_sign():
     A = IntMatrix([[1, -1], [2, 1]])
-    ext, columns, moves = artificial_system(A, [(1, 0), (2, 3)])
-    assert ext.rows == ((1, -1, 1, 0), (2, 1, 0, 1))
+    columns, moves = artificial_system(A, [(1, 0), (2, 3)])
+    assert moves.matrix.rows == ((1, -1, 1, 0), (2, 1, 0, 1))
     assert moves.cost == IntVector((0, 0, 1000, 1000))
     assert columns == ((0, 1), (1, 1))
     # row 0 is always zero: it gets no column; row 1 only the negative one
-    ext, columns, moves = artificial_system(A, [(0, -1), (0, 0)])
-    assert ext.rows == ((1, -1, 0), (2, 1, -1))
+    columns, moves = artificial_system(A, [(0, -1), (0, 0)])
+    assert moves.matrix.rows == ((1, -1, 0), (2, 1, -1))
     assert moves.cost == IntVector((0, 0, 1000)) and columns == ((1, -1),)
-    ext, columns, moves = artificial_system(A, [(0, 0)])
-    assert ext == A and moves.cost == IntVector((0, 0)) and columns == ()
+    columns, moves = artificial_system(A, [(0, 0)])
+    assert moves.matrix == A and moves.cost == IntVector((0, 0))
+    assert columns == ()
 
 
 def test_artificial_system_rejects_rhs_of_wrong_length():

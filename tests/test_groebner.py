@@ -26,7 +26,7 @@ def test_orient_examples():
     assert orient(IntVector((1, -1)), CostOrder((3, 1))) == IntVector((1, -1))
     v = IntVector((2, -1, -1))
     assert orient(orient(v, order), order) == orient(v, order)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot orient the zero vector"):
         orient(IntVector((0, 0, 0)), order)
 
 
@@ -60,7 +60,6 @@ def test_normal_form_reduces_trailing_part_only_when_full():
     G = _vs((2, 0, -1))
     v = IntVector((-2, 1, 1))
     assert normal_form(v, G, order) == IntVector((0, 1, 0))
-    assert normal_form(v, G, order, full=False) == v
 
 
 def test_normal_form_reorients_midway():

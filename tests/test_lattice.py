@@ -277,7 +277,6 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
     m = IntMatrix([[1, 2], [3, 4]])
-    assert m.column(1) == (2, 4)
     assert m.mat_vec(IntVector([1, 1])) == IntVector([3, 7])
     with pytest.raises(ValueError):
         m.mat_vec(IntVector([1, 1, 1]))

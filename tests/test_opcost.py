@@ -335,6 +335,9 @@ def test_phase_one_walks_once_per_right_hand_side(monkeypatch):
         m = build(inst, dec)
         assert len(points) == 77
         assert points.count(None) == 50
+        # the (cost, b) memo answers repeats before Phase-I is asked, so
+        # every cell handed the Phase-I set is a walk
+        assert m.counters.phase_one_calls == 77
         assert cli.matrix_checksum(m) == "51a8ddadf2cbad99"
         assert m.timings_us["phase_one_walk_us"] > 0
 

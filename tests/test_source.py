@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import latticeopt
 from latticeopt.lattice import CostOrder, IntMatrix
 from support import boxed_fibers, check_augmentation_exact, check_test_set
 
@@ -85,3 +86,14 @@ def test_no_imports_inside_function_bodies():
                           for node in ast.walk(func)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+def test_export_list_names_exactly_what_the_package_imports():
+    # every name __init__ imports is exported, and only those, so a name
+    # that leaves the package leaves the list with it
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert len(latticeopt.__all__) == len(set(latticeopt.__all__))
+    assert set(latticeopt.__all__) == imported

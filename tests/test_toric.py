@@ -7,28 +7,38 @@ import pytest
 from latticeopt import groebner, toric
 from latticeopt.groebner import GraverResourceError
 from latticeopt.lattice import CostOrder, IntMatrix, IntVector, kernel_basis
-from latticeopt.toric import (ToricGenerators, _common_orthant_push,
-                              flip_coordinate, toric_generating_set)
+from latticeopt.toric import (ToricGenerators, _common_orthant_push, _flip,
+                              toric_generating_set)
 
 import support
 
 
-def test_flip_coordinate_examples():
-    assert flip_coordinate(IntVector((1, -2, 3)), 1) == IntVector((1, 2, 3))
-    assert flip_coordinate(IntVector((0, 0)), 0) == IntVector((0, 0))
-    v = IntVector((4, -5, 6))
-    assert flip_coordinate(flip_coordinate(v, 2), 2) == v
-    with pytest.raises(IndexError):
-        flip_coordinate(v, 3)
+def test_flip_negates_exactly_the_listed_columns_and_is_self_inverse():
+    assert _flip([(1, -2, 3)], {1}) == [IntVector((1, 2, 3))]
+    assert _flip([(0, 0)], {0}) == [IntVector((0, 0))]
+    assert _flip([(4, -5, 6), (1, 2, 3)], set()) == [IntVector((4, -5, 6)),
+                                                     IntVector((1, 2, 3))]
+    rng = random.Random(7)
+    for _ in range(20):
+        rows = [tuple(rng.randint(-6, 6) for _ in range(4)) for _ in range(3)]
+        cols = {j for j in range(4) if rng.random() < 0.5}
+        flipped = _flip(rows, cols)
+        for row, out in zip(rows, flipped):
+            # only signs move, and exactly in the listed nonzero columns
+            assert list(map(abs, out)) == list(map(abs, row))
+            assert {j for j in range(4) if out[j] != row[j]} == {
+                j for j in cols if row[j]}
+        assert [v.entries for v in _flip(flipped, cols)] == rows
 
 
-def test_flip_coordinate_is_linear():
+def test_flip_is_additive():
     rng = random.Random(8)
     for _ in range(20):
         u = IntVector([rng.randint(-6, 6) for _ in range(4)])
         v = IntVector([rng.randint(-6, 6) for _ in range(4)])
-        j = rng.randrange(4)
-        assert flip_coordinate(u + v, j) == flip_coordinate(u, j) + flip_coordinate(v, j)
+        cols = {j for j in range(4) if rng.random() < 0.5}
+        fu, fv, fs = _flip([u, v, u + v], cols)
+        assert fs == fu + fv
 
 
 def test_sum_matrix_generators():
