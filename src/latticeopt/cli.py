@@ -21,8 +21,9 @@ from .augment import augment  # noqa: F401 -- perfbench traces it here
 from .graver import (GraverResourceError, SipBlockStructure,
                      contains_groebner, graver_basis, lift_sip_graver)
 from .groebner import buchberger
-from .instances import (HsConfig, SndConfig, _dec_as, _dec_mat, _dec_vec,
-                        gen_hs, gen_snd, instance_from_json, instance_to_json)
+from .instances import (SND_FAMILIES, HsConfig, SndConfig, _dec_as, _dec_mat,
+                        _dec_vec, gen_hs, gen_snd, gen_snd_family,
+                        instance_from_json, instance_to_json)
 from .lattice import CostOrder, IntMatrix, IntVector
 from .opcost import (DecisionList, METHOD_GRAVER, METHOD_KERNEL,
                      METHOD_ORACLE, METHODS, opcost_graver, opcost_kernel,
@@ -68,13 +69,21 @@ def _opcost(method, inst, dec, q_only=False):
             METHOD_ORACLE: opcost_oracle}[method](inst, dec, q_only=q_only)
 
 
+def _as_read(inst):
+    """The instance read back from its JSON, as `opcost` reads it."""
+    return instance_from_json(instance_to_json(inst))
+
+
 # Each family's instance for (scenario count, seed). SND is the triangle
-# network with demands up to 2, read back from its JSON as the CLI reads it.
+# network with demands up to 2 and the snd-* families are
+# `instances.SND_FAMILIES`, each read back from its JSON.
 BENCH_FAMILIES = {
     "hs-scaled": lambda n, seed: gen_hs(HsConfig(n, seed, scaled=True)),
     "hs-unscaled": lambda n, seed: gen_hs(HsConfig(n, seed)),
-    "snd": lambda n, seed: instance_from_json(instance_to_json(
-        gen_snd(SndConfig(n, seed, max_demand=2)))),
+    "snd": lambda n, seed: _as_read(gen_snd(SndConfig(n, seed,
+                                                      max_demand=2))),
+    **{name: (lambda n, seed, name=name: _as_read(
+        gen_snd_family(name, n, seed))) for name in SND_FAMILIES},
 }
 
 

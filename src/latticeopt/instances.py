@@ -3,11 +3,13 @@
 gen_hs builds a family of two-stage aircraft-allocation style instances
 with a fixed 4x8 recourse matrix; gen_snd builds stochastic network design
 instances on a small digraph, with first-stage binaries encoded as bounded
-integers. Both are deterministic per seed.
+integers, and gen_snd_family the named network design families past the
+default triangle. All are deterministic per seed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import re
@@ -211,6 +213,46 @@ def gen_snd(config: SndConfig) -> SipInstance:
         first_stage_constraints=first_stage,
         first_stage_bounds=(1,) * nx,
     )
+
+
+_FOUR_NODE = dict(vertices=4,
+                  arcs=((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)),
+                  fixed_costs=(3, 4, 5, 3, 6, 6), capacities=(2,) * 6)
+
+# The network design families past the triangle: the SndConfig fields of
+# each network (every family draws demands up to 2) and, for two of them,
+# the range of the per-scenario flow costs.
+SND_FAMILIES = {
+    "snd-4node": (_FOUR_NODE, None),
+    "snd-2commodity": (dict(commodities=2, capacities=(4, 4, 4)), None),
+    "snd-5node": (dict(vertices=5, arcs=((0, 1), (1, 2), (2, 3), (3, 4),
+                                         (4, 0), (0, 2), (1, 3)),
+                       fixed_costs=(3, 4, 5, 3, 6, 6, 4),
+                       capacities=(2,) * 7), None),
+    "snd-4node-costs-1-9": (_FOUR_NODE, (1, 9)),
+    "snd-4node-costs-4-6": (_FOUR_NODE, (4, 6)),
+}
+
+
+def gen_snd_family(name: str, scenario_count: int,
+                   seed: int = 1) -> SipInstance:
+    """The instance of the SND_FAMILIES entry `name`.
+
+    A family with a cost range gives each scenario, in scenario order, its
+    own flow costs drawn from random.Random(5).randint(*range), the same
+    draws at every seed; slack columns cost 0. An unknown name raises
+    KeyError.
+    """
+    network, costs = SND_FAMILIES[name]
+    inst = gen_snd(SndConfig(scenario_count, seed, max_demand=2, **network))
+    if costs is None:
+        return inst
+    rng, flows = random.Random(5), inst.recourse.ncols - len(network["arcs"])
+    return dataclasses.replace(inst, scenarios=tuple(
+        dataclasses.replace(sc, cost=IntVector(
+            tuple(rng.randint(*costs) for _ in range(flows))
+            + (0,) * len(network["arcs"])))
+        for sc in inst.scenarios))
 
 
 def _enc(x: int):

@@ -4,12 +4,11 @@ pytest rewrites no assert in this module and `python -O` strips them, so
 every check here raises AssertionError explicitly.
 """
 
-import dataclasses
 import itertools
 import random
 from operator import le, mul
 
-from latticeopt.instances import SndConfig, gen_snd
+from latticeopt.instances import gen_snd_family
 from latticeopt.lattice import IntMatrix, IntVector
 
 
@@ -115,20 +114,15 @@ def wide_stairstep_matrix() -> IntMatrix:
 
 def four_node_snd(scenario_count):
     """SND on a 4-node network: W is 10x12, the stacked system 16x24."""
-    return gen_snd(SndConfig(
-        scenario_count=scenario_count, seed=1, vertices=4,
-        arcs=((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)),
-        fixed_costs=(3, 4, 5, 3, 6, 6), capacities=(2,) * 6, max_demand=2))
+    return gen_snd_family("snd-4node", scenario_count)
 
 
 def per_scenario_cost_four_node_snd(scenario_count, costs=(1, 9)):
     """4-node SND whose scenarios draw their six flow costs, in scenario
-    order, from random.Random(5).randint(*costs); slack columns cost 0."""
-    base, rng = four_node_snd(scenario_count), random.Random(5)
-    return dataclasses.replace(base, scenarios=tuple(
-        dataclasses.replace(sc, cost=IntVector(
-            tuple(rng.randint(*costs) for _ in range(6)) + (0,) * 6))
-        for sc in base.scenarios))
+    order, from random.Random(5).randint(*costs); slack columns cost 0.
+    `costs` is (1, 9) or (4, 6), the two ranges `instances.SND_FAMILIES`
+    defines."""
+    return gen_snd_family("snd-4node-costs-%d-%d" % costs, scenario_count)
 
 
 def random_toric_completions(rng, count, shapes, element_cap=None,

@@ -271,6 +271,11 @@ STANDING_CHECKSUMS = {
     ("hs-scaled", 300): "2d2ad3af1a13305e",
     ("hs-unscaled", 10): "b6dfec7b7d0a8fc1",
     ("snd", 30): "51a8ddadf2cbad99",
+    ("snd-4node", 30): "9296bdabbb5e30f0",
+    ("snd-2commodity", 10): "fadfc7bedbf91bdf",
+    ("snd-5node", 10): "84b3764daaa15202",
+    ("snd-4node-costs-1-9", 30): "386a1fcc65f477ad",
+    ("snd-4node-costs-4-6", 30): "7a09aa506d051332",
 }
 
 

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from latticeopt import SndConfig, gen_snd
+from latticeopt import instances
 from latticeopt.cli import matrix_checksum
 from latticeopt.graver import graver_basis
 from latticeopt.groebner import buchberger, normal_form
@@ -27,6 +27,7 @@ from latticeopt.opcost import (_stacked_system, opcost_graver, opcost_kernel,
 from latticeopt.toric import toric_generating_set
 
 import support
+from test_cli import STANDING_CHECKSUMS
 
 pytestmark = [
     pytest.mark.skipif(os.environ.get("LATTICEOPT_STRESS") != "1",
@@ -120,33 +121,20 @@ def test_four_node_stacked_graver_basis():
         FOUR_NODE_STACKED_GRAVER_DIGEST
 
 
-# Network design families past the triangle, seed 1, max demand 2: each
-# matrix's checksum (cli.matrix_checksum), recorded before the Phase-I set
-# served the walk. The per-scenario-cost families complete one Groebner
-# basis per distinct cost, each seeded with the previous one.
-SND_FAMILIES = {
-    "four-node-n30": (lambda: support.four_node_snd(30), "9296bdabbb5e30f0"),
-    "two-commodity-n10": (lambda: gen_snd(SndConfig(
-        10, 1, commodities=2, capacities=(4, 4, 4), max_demand=2)),
-        "fadfc7bedbf91bdf"),
-    "five-node-n10": (lambda: gen_snd(SndConfig(
-        10, 1, vertices=5,
-        arcs=((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3)),
-        fixed_costs=(3, 4, 5, 3, 6, 6, 4), capacities=(2,) * 7,
-        max_demand=2)), "84b3764daaa15202"),
-    "per-scenario-cost-four-node-n30": (
-        lambda: support.per_scenario_cost_four_node_snd(30),
-        "386a1fcc65f477ad"),
-    "per-scenario-cost-4-6-four-node-n30": (
-        lambda: support.per_scenario_cost_four_node_snd(30, costs=(4, 6)),
-        "7a09aa506d051332"),
-}
+# Network design families past the triangle (`instances.SND_FAMILIES`),
+# seed 1, at the scenario count of each one's standing checksum
+# (cli.matrix_checksum), recorded before the Phase-I set served the walk.
+# The per-scenario-cost families complete one Groebner basis per distinct
+# cost, each seeded with the previous one.
+SND_FAMILIES = {family: (n, checksum)
+                for (family, n), checksum in STANDING_CHECKSUMS.items()
+                if family in instances.SND_FAMILIES}
 
 
 @pytest.mark.parametrize("family", sorted(SND_FAMILIES))
 def test_snd_family_matrix(family):
-    make, checksum = SND_FAMILIES[family]
-    inst = make()
+    n, checksum = SND_FAMILIES[family]
+    inst = instances.gen_snd_family(family, n)
     with time_guard(GUARD_SECONDS):
         dec = single_scenario_decisions(inst)
         kernel = opcost_kernel(inst, dec)
