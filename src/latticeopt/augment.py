@@ -129,6 +129,41 @@ class ArtificialSystem(NamedTuple):
     moves: PreparedMoves
 
 
+def _columns(A: IntMatrix, rhss) -> tuple:
+    """The (row, sign) of every nonzero entry of some b in rhss, positive
+    signs in row order first, then negative ones. A b whose length is not
+    A's row count raises ValueError."""
+    m = A.nrows
+    pos, neg = [False] * m, [False] * m
+    for b in rhss:
+        b = as_vector(b)
+        if len(b) != m:
+            raise ValueError("right-hand side %r does not have the matrix's "
+                             "%d rows" % (b.entries, m))
+        for i, x in enumerate(b.entries):
+            if x > 0:
+                pos[i] = True
+            elif x < 0:
+                neg[i] = True
+    return (tuple((i, 1) for i in range(m) if pos[i])
+            + tuple((i, -1) for i in range(m) if neg[i]))
+
+
+def _extension(A: IntMatrix, columns) -> IntMatrix:
+    """[A | S]: S's column for (row i, sign s) is s e_i."""
+    return IntMatrix([tuple(row) + tuple(s if k == i else 0
+                                         for k, s in columns)
+                      for i, row in enumerate(A.rows)])
+
+
+def serves(system: ArtificialSystem, A: IntMatrix, rhss) -> bool:
+    """Whether `system` can find Phase-I points for A and every b in rhss:
+    it extends A, and has an artificial column for every (row, sign) those
+    right-hand sides use."""
+    return (system.moves.matrix == _extension(A, system.columns)
+            and set(_columns(A, rhss)) <= set(system.columns))
+
+
 def artificial_system(A: IntMatrix, rhss, c=None) -> ArtificialSystem:
     """A plus one artificial column per (row, sign) some b in rhss uses.
 
@@ -147,22 +182,8 @@ def artificial_system(A: IntMatrix, rhss, c=None) -> ArtificialSystem:
     both signs in every row the extension is [A | I | -I]. A b whose length
     is not A's row count raises ValueError.
     """
-    m = A.nrows
-    pos, neg = [False] * m, [False] * m
-    for b in rhss:
-        b = as_vector(b)
-        if len(b) != m:
-            raise ValueError("right-hand side %r does not have the matrix's "
-                             "%d rows" % (b.entries, m))
-        for i, x in enumerate(b.entries):
-            if x > 0:
-                pos[i] = True
-            elif x < 0:
-                neg[i] = True
-    columns = (tuple((i, 1) for i in range(m) if pos[i])
-               + tuple((i, -1) for i in range(m) if neg[i]))
-    ext = IntMatrix([tuple(row) + tuple(s if k == i else 0 for k, s in columns)
-                     for i, row in enumerate(A.rows)])
+    columns = _columns(A, rhss)
+    ext = _extension(A, columns)
     c = (0,) * A.ncols if c is None else as_entries(c)
     K, basis = 1000, toric.toric_generating_set(ext).generators
     while True:

@@ -2,35 +2,45 @@
 
 A cell (i, j) evaluates first-stage decision x_i under scenario j: the
 recourse problem min{c_j . y : W y = h_j - T x_i, y >= 0}. T and W belong
-to the instance; only costs and right-hand sides vary by scenario. The
-decisions phase solves every scenario's one-scenario program over one
-stacked matrix [[A, 0], [T, W]]; each decision is that program's unique
-refined optimum, so kernel and graver both take it from the kernel solver
-and only the oracle searches a box. Both kinds of integer program go
-through a per-method solver, one for the stacked matrix and one for W:
-augmentation with full-multiple steps over a Groebner basis (kernel
-method), over the Graver basis (graver method), or brute force in a box
-(oracle method), which asks no hook. A solver computes its matrix's algebra
-at most once and, for Groebner bases, once per distinct cost, so a graver
-pipeline completes one Graver basis, W's; it prepares a walk's moves once
-per cost. M's toric set seeds only M's first Groebner basis: any reduced
-basis generates M's lattice ideal (Sturmfels, "Groebner Bases and Convex
-Polytopes", Ch. 1-2), so each later cost's completion starts from the
-previous cost's basis, the simple form of the Groebner walk. A walk
-starts at the instance's hook point for its cell, which `augment` tests,
-or at a Phase-I point found over M's narrow artificial system: one
-artificial column per (row, sign) that a right-hand side the solver will
-see uses, gathered, and the extension's test set completed, when Phase-I
-is first needed. On the kernel path that set is completed
-under the cost of the first solve that needs it, so its walk ends at that
-cost's optimum and M needs no basis for it. A Phase-I point depends only
-on its right-hand side, so each distinct one is walked once, feasible or
-not. A matrix row depends only on its decision, so each distinct decision
-is solved once, and its T x and gamma.x computed once, as its row is
-written; a cell's value depends only on its (cost, b), so a build solves
-each distinct pair once and keeps only its value. Counters make that
-reuse observable. Every build runs in one process. Each phase books its
-time where it runs and the row loop books only what no phase inside it
+to the instance; only costs and right-hand sides vary by scenario.
+Both kinds of integer program go through a per-method solver, one for the
+stacked matrix M = [[A, 0], [T, W]] and one for W: augmentation with
+full-multiple steps over a Groebner basis (kernel method), over the Graver
+basis (graver method), or brute force in a box (oracle method), which asks
+no hook. A solver computes its matrix's algebra at most once and, for
+Groebner bases, once per distinct cost, so a graver pipeline completes one
+Graver basis, W's; it prepares a walk's moves once per cost. M's toric set
+seeds only M's first Groebner basis: any reduced basis generates M's
+lattice ideal (Sturmfels, "Groebner Bases and Convex Polytopes", Ch. 1-2),
+so each later cost's completion starts from the previous cost's basis, the
+simple form of the Groebner walk. A walk starts at the instance's hook
+point for its cell, which `augment` tests, or at a Phase-I point found over
+the matrix's narrow artificial system: one artificial column per (row,
+sign) that a right-hand side the solver will see uses, gathered, and the
+extension's test set completed, when Phase-I is first needed. On the kernel
+path that set is completed under the cost of the first solve that needs
+it, so its walk ends at that cost's optimum and needs no basis of the
+matrix for it. A Phase-I point depends only on its right-hand side, so
+each distinct one is walked once, feasible or not.
+
+The decisions phase solves every scenario's one-scenario program over M;
+each decision is that program's unique refined optimum, so kernel and
+graver both take it from the kernel solver and only the oracle searches a
+box. A walk over M's Groebner basis for (gamma, c_j) ends at that optimum
+from any feasible start, so the kernel decisions start from one
+first-stage point x-hat, the lexicographically largest of the first-stage
+box on A x = b, with y_j from W's Phase-I set over the right-hand sides
+h_j - T x-hat; only a scenario without recourse at x-hat, or an instance
+without first-stage bounds, completes M's own Phase-I set. W's set rides
+on the decision list, and a kernel build that finds it covers its cells'
+signs uses it instead of completing its own.
+
+A matrix row depends only on its decision, so each distinct decision is
+solved once, and its T x and gamma.x computed once, as its row is written;
+a cell's value depends only on its (cost, b), so a build solves each
+distinct pair once and keeps only its value. Counters make that reuse
+observable. Every build runs in one process. Each phase books its time
+where it runs and the rest of the build books only what no phase inside it
 booked, so a build's timings are disjoint and add up to its timed wall
 clock.
 """
@@ -39,13 +49,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
 from . import oracle
-from .augment import (AugmentResult, PreparedMoves, artificial_system,
-                      augment, phase_one_feasible, prepare_moves)
+from .augment import (ArtificialSystem, AugmentResult, PreparedMoves,
+                      artificial_system, augment, phase_one_feasible,
+                      prepare_moves, serves)
 from .graver import graver_basis
 from .groebner import buchberger
 from .lattice import CostOrder, IntMatrix, IntVector, as_entries, as_vector
@@ -129,7 +140,20 @@ class SipInstance:
 
 @dataclass(frozen=True)
 class DecisionList:
+    """First-stage decisions, one matrix row each.
+
+    `single_scenario_decisions` also leaves the W Phase-I set its
+    decisions used in `phase_one_set`, for a kernel build to take over,
+    and its solvers' timings and counters in `phase_report`, keyed "M"
+    (the stacked matrix) and "W". A list made by hand has neither. Neither
+    takes part in equality or repr.
+    """
+
     decisions: tuple
+    phase_one_set: Optional[ArtificialSystem] = field(
+        default=None, compare=False, repr=False)
+    phase_report: Optional[dict] = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for x in self.decisions:
@@ -137,7 +161,7 @@ class DecisionList:
                 raise ValueError("decisions must be non-negative")
 
     def check(self, instance: SipInstance):
-        for x in self.decisions:
+        for x in dict.fromkeys(self.decisions):
             if len(x) != instance.first_stage_dim:
                 raise ValueError("decision dimension mismatch")
             if instance.first_stage_constraints is not None:
@@ -160,8 +184,11 @@ class BuildCounters:
     sizes summed over distinct costs). Phase-I work is tracked separately:
     phase_one_bases is 1 when the build completed the test set of W's
     Phase-I extension (one artificial column per (row, sign) the cells'
-    right-hand sides use), 0 when closed-form starts made it unnecessary,
-    and phase_one_calls counts the cells handed that set; cells of the cost
+    right-hand sides use), 0 when closed-form starts made it unnecessary or
+    the build took over the set its decision list carries (a kernel build
+    of `single_scenario_decisions`' list, when that set covers its cells'
+    signs; the set's time is then in the list's `phase_report`), and
+    phase_one_calls counts the cells handed that set; cells of the cost
     it was completed under (kernel) make no augment_calls. The per-cell
     tallies cover the distinct (cost, b) cells of the rows of distinct
     decisions only: repeated decisions copy their row, and memo_hits counts
@@ -237,6 +264,7 @@ class OppCostMatrix:
             "values": [list(row) for row in self.values],
             "status": [list(row) for row in self.status],
             "decisions": [list(x.entries) for x in self.decisions],
+            "decisions_phase": self.decisions.phase_report,
             "timings_us": self.timings_us,
             "counters": self.counters.as_dict(),
         }, indent=2)
@@ -264,6 +292,34 @@ def _stacked_system(instance: SipInstance):
     return IntMatrix(rows), head
 
 
+def _first_stage_start(instance: SipInstance) -> Optional[IntVector]:
+    """x-hat: the lexicographically largest point of the first-stage box
+    on A x = b, the box's upper corner when there is no A; None without
+    first-stage bounds or when the box holds no such point."""
+    bounds = instance.first_stage_bounds
+    if bounds is None:
+        return None
+    if instance.first_stage_constraints is None:
+        return IntVector(bounds)
+    A, b = instance.first_stage_constraints
+    return oracle.lex_max_point(A, as_vector(b), bounds)
+
+
+def _hook_points(instance: SipInstance, head: tuple = ()):
+    """cell -> head followed by the hook's recourse point for the cell, or
+    None where the hook gives none; None when the instance has no hook."""
+    hook = instance.feasible_recourse
+    if hook is None:
+        return None
+
+    def point(cell):
+        x, j = cell
+        y = hook(x, instance.scenarios[j].rhs)
+        return None if y is None else head + as_entries(y)
+
+    return point
+
+
 class _Solver:
     """One method's solves of min cost.z : M z = b, z >= 0 for one matrix M.
 
@@ -275,11 +331,13 @@ class _Solver:
     to the basis `_built` holds.
     `rhss` is a callable giving every right-hand side the solver will see;
     the Phase-I extension has one artificial column per (row, sign) they
-    use, and is built, with its test set, only when a solve first needs
-    Phase-I. A walk starts at `head` followed by the hook's point for the
-    cell, or at a Phase-I point when `head` is None or the instance has no
-    hook or it gives no point. The oracle builds nothing, and `solve`
-    derives each of its boxes from the instance and b.
+    use, and is built, with its test set, only when a start first needs
+    Phase-I, unless a Phase-I set was put in `_built` beforehand.
+    `start` gives a walk's first point: `points(cell)`, a point the caller
+    supplies (the hook's in a build), or else a Phase-I point. Both phases
+    call it: a build through `solve`, and the decisions phase through
+    `solve` on the stacked matrix and directly on W. The oracle builds
+    nothing, and `solve` derives each of its boxes from the instance and b.
     Each object is built on its first use, wherever that falls; its build
     is timed and counted there, so the build's solver for W records exactly
     the build's algebra. A Phase-I point is such an object, one per distinct
@@ -291,18 +349,18 @@ class _Solver:
     scenarios on SND N=30). Outside the solver only two places read the
     method: `single_scenario_decisions` hands graver decisions to the
     kernel solver, and `_build` books the row loop's time to `oracle_us`
-    or `augment_us`.
+    or `augment_us` and lets only a kernel build take over a Phase-I set.
     """
 
     def __init__(self, instance: SipInstance, method: str, M: IntMatrix,
-                 rhss: Callable, head: Optional[tuple] = ()):
+                 rhss: Callable, points: Optional[Callable] = None):
         if method not in METHODS:
             raise ValueError("unknown method %r" % method)
         self.instance = instance
         self.method = method
         self.M = M
         self.rhss = rhss
-        self.head = head
+        self.points = points
         self.counters = BuildCounters()
         self.timings_us = {"toric_us": 0, "groebner_us": 0, "graver_us": 0,
                            "phase_one_us": 0, "phase_one_walk_us": 0,
@@ -346,19 +404,40 @@ class _Solver:
             (timing, "moves", cost.entries), lambda: prepare_moves(basis, cost))
         return moves
 
+    def start(self, b: IntVector, cell: tuple, cost: IntVector):
+        """(z, optimal): where the walk for `cell` (the (x, j) that b
+        serves) under cost starts, kernel and graver methods.
+
+        z is `points(cell)` when that gives a point, which the walk tests;
+        otherwise the Phase-I point for b, None where b is infeasible. The
+        Phase-I set has the first Phase-I start's cost on the kernel path
+        and 0 on the graver path, and `optimal` is True when z is None or a
+        Phase-I point of that cost, which is cost's optimum.
+        """
+        z = None if self.points is None else self.points(cell)
+        if z is not None:
+            return z, False
+        M, c = self.M, self.counters
+        c.phase_one_calls += 1
+        system = self._once(("phase_one_us",), lambda: artificial_system(
+            M, self.rhss(), None if self.method == METHOD_GRAVER else cost),
+            "phase_one_bases")
+        steps = []
+        z = self._once(("phase_one_walk_us", b.entries),
+                       lambda: phase_one_feasible(system, b, steps))
+        c.walk_steps += sum(steps)
+        return z, z is None or (system.moves.cost.entries[:M.ncols]
+                                == cost.entries)
+
     def solve(self, b: IntVector, cell: tuple, cost: IntVector):
         """The refined optimum of min cost.z : M z = b, z >= 0, or None.
 
         The result carries the optimum as `.solution` and its cost as
-        `.value`. `cell` is the (x, j) that b serves. Kernel and graver walk
-        over `self.moves(cost)` from the hook's point for the cell after
-        `head`, or from a Phase-I point; `augment` tests the start. The
-        Phase-I set has the first Phase-I solve's cost on the kernel path
-        and 0 on the graver path; a Phase-I point of that cost is the
-        optimum. The oracle asks no hook and searches the box
-        0 <= z <= max(1, max(first-stage bounds) + max|b|); a miss there is
-        an infeasible cell, and an instance without first-stage bounds
-        raises ValueError.
+        `.value`. Kernel and graver walk over `self.moves(cost)` from
+        `start(b, cell, cost)`; `augment` tests the start. The oracle asks
+        no hook and searches the box 0 <= z <= max(1, max(first-stage
+        bounds) + max|b|); a miss there is an infeasible cell, and an
+        instance without first-stage bounds raises ValueError.
         """
         M, c = self.M, self.counters
         if self.method == METHOD_ORACLE:
@@ -369,55 +448,71 @@ class _Solver:
             res = oracle.solve_bruteforce(oracle.IpProblem(M, b, cost, max(
                 1, max(fs, default=0) + max(map(abs, b.entries)))))
             return res if res.status == oracle.OPTIMAL else None
-        start, hook = None, self.instance.feasible_recourse
-        if hook is not None and self.head is not None:
-            x, j = cell
-            y = hook(x, self.instance.scenarios[j].rhs)
-            if y is not None:
-                start = self.head + as_entries(y)
-        if start is None:
-            c.phase_one_calls += 1
-            system = self._once(("phase_one_us",), lambda: artificial_system(
-                M, self.rhss(), None if self.method == METHOD_GRAVER
-                else cost), "phase_one_bases")
-            steps = []
-            start = self._once(("phase_one_walk_us", b.entries),
-                               lambda: phase_one_feasible(system, b, steps))
-            c.walk_steps += sum(steps)
-            if start is None:
-                return None
-            if system.moves.cost.entries[:M.ncols] == cost.entries:
-                return AugmentResult(start, cost.dot(start), 0)
+        z, optimal = self.start(b, cell, cost)
+        if z is None:
+            return None
+        if optimal:
+            return AugmentResult(z, cost.dot(z), 0)
         c.augment_calls += 1
-        res = augment(start, self._moves.get(cost.entries)
-                      or self.moves(cost), b)
+        res = augment(z, self._moves.get(cost.entries) or self.moves(cost), b)
         c.walk_steps += res.steps
         return res
+
+    def report(self) -> dict:
+        return {"timings_us": dict(self.timings_us),
+                "counters": self.counters.as_dict()}
 
 
 def single_scenario_decisions(instance: SipInstance,
                               method: str = METHOD_KERNEL) -> DecisionList:
     """One optimal first-stage decision per scenario, deterministic ties.
 
-    Each scenario's stacked IP min gamma.x + c_j.y is solved to the unique
-    refinement optimum; x_j is its first-stage part. The kernel and graver
-    methods both solve with the kernel solver and give the same decisions;
-    the oracle searches a box. Every scenario shares one stacked matrix and
-    one solver: the Phase-I test set is completed once, under the first
-    scenario without a closed-form start's cost, and a Groebner basis once
-    per other distinct cost, the first from the toric generators and each
-    later one from the basis before it.
+    Each scenario's stacked IP min gamma.x + c_j.y over M = [[A, 0], [T,
+    W]] is solved to the unique refinement optimum; x_j is its first-stage
+    part. The kernel and graver methods both solve with the kernel solver
+    and give the same decisions; the oracle searches a box. Kernel walks
+    start, in this order of preference:
+    - at x = 0 and the hook's point, where the instance has a hook and
+      A x = b holds at 0;
+    - at (x-hat, y_j): x-hat is the lexicographically largest point of the
+      first-stage box on A x = b, and y_j is the Phase-I point of W y =
+      h_j - T x-hat over W's narrow Phase-I set, completed once under the
+      first scenario's recourse cost c_0;
+    - at a Phase-I point of M, where there are no first-stage bounds or
+      scenario j's recourse is infeasible at x-hat: M's Phase-I set is
+      completed once, under the first such scenario's cost.
+    Every walk runs over M's Groebner basis for (gamma, c_j), completed
+    once per distinct cost, the first from M's toric generators and each
+    later one from the basis before it. The list carries W's Phase-I set,
+    if it was built, as `phase_one_set`, and both solvers' timings and
+    counters as `phase_report`.
     """
     M, head = _stacked_system(instance)
     x0 = IntVector((0,) * instance.first_stage_dim)
     # graver decisions come from the kernel solver, and an unknown method
     # reaches _Solver, which rejects it; the hook's point starts a walk at
     # x = 0, which must meet A x = b
-    solver = _Solver(instance,
-                     METHOD_KERNEL if method == METHOD_GRAVER else method, M,
+    method = METHOD_KERNEL if method == METHOD_GRAVER else method
+    hook = None if any(head) else _hook_points(instance, x0.entries)
+    x_hat = None if method == METHOD_ORACLE else _first_stage_start(instance)
+    w = None
+    if x_hat is not None:
+        t_hat = instance.technology.mat_vec(x_hat)
+        w = _Solver(instance, method, instance.recourse,
+                    lambda: (sc.rhs - t_hat for sc in instance.scenarios))
+
+    def points(cell):
+        z = None if hook is None else hook(cell)
+        if z is None and w is not None:
+            j = cell[1]
+            y, _ = w.start(instance.scenarios[j].rhs - t_hat, (x_hat, j),
+                           instance.scenarios[0].cost)
+            z = None if y is None else x_hat.entries + y.entries
+        return z
+
+    solver = _Solver(instance, method, M,
                      lambda: (head + sc.rhs.entries
-                              for sc in instance.scenarios),
-                     head=None if any(head) else x0.entries)
+                              for sc in instance.scenarios), points)
     out = []
     for j, sc in enumerate(instance.scenarios):
         cost = IntVector(instance.gamma.entries + sc.cost.entries)
@@ -426,20 +521,38 @@ def single_scenario_decisions(instance: SipInstance,
         if res is None:
             raise ValueError("scenario %d: stacked system infeasible" % j)
         out.append(IntVector(res.solution.entries[:instance.first_stage_dim]))
-    return DecisionList(tuple(out))
+    if w is None:
+        return DecisionList(tuple(out), None, {"M": solver.report()})
+    return DecisionList(tuple(out), w._built.get(("phase_one_us",)),
+                        {"M": solver.report(), "W": w.report()})
 
 
 def _build(instance, decisions, method, q_only):
+    t0 = time.perf_counter_ns()
     decisions.check(instance)
     W, scenarios = instance.recourse, instance.scenarios
     # a row depends only on its decision: solve each distinct one once
     tx = {x: instance.technology.mat_vec(x) for x in dict.fromkeys(decisions)}
-    solver = _Solver(instance, method, W, lambda: (
-        sc.rhs - t for t in tx.values() for sc in scenarios))
+    # row i of a cell's b = h_j - T x lies between the least h_ji less the
+    # largest (T x)_i and the largest h_ji less the least (T x)_i: those
+    # two vectors use the (row, sign)s that all the cells use
+    hs = list(zip(*(sc.rhs.entries for sc in scenarios)))
+    ts = list(zip(*(t.entries for t in tx.values())))
+    extremes = (tuple(max(h) - min(t) for h, t in zip(hs, ts)),
+                tuple(min(h) - max(t) for h, t in zip(hs, ts)))
+    solver = _Solver(instance, method, W, lambda: extremes,
+                     _hook_points(instance))
     timings = solver.timings_us
+    # a kernel build takes over the decisions' W Phase-I set where it
+    # serves every cell, and only reads it; the check is Phase-I time
+    system = decisions.phase_one_set
+    if method == METHOD_KERNEL and system is not None:
+        t1 = time.perf_counter_ns()
+        if serves(system, W, extremes):
+            solver._built[("phase_one_us",)] = system
+        timings["phase_one_us"] += (time.perf_counter_ns() - t1) // 1000
     # a cell's value depends only on its (cost, b): solve each one once
     rows, memo = {}, {}
-    t0 = time.perf_counter_ns()
     for x, t in tx.items():
         gx = 0 if q_only else instance.gamma.dot(x)
         row = rows[x] = []
@@ -453,7 +566,7 @@ def _build(instance, decisions, method, q_only):
                 memo[key] = None if res is None else res.value
             q = memo[key]
             row.append(None if q is None else gx + q)
-    # the loop's time less what the phases inside it booked themselves
+    # the build's time less what the phases booked themselves
     timings["oracle_us" if method == METHOD_ORACLE else "augment_us"] += (
         (time.perf_counter_ns() - t0) // 1000 - sum(timings.values()))
     return OppCostMatrix([rows[x] for x in decisions], decisions, method,

@@ -139,6 +139,41 @@ def _walk(rows, b, lows, highs, leaf):
     walk(0)
 
 
+def lex_max_point(A: IntMatrix, b: IntVector,
+                  highs: Sequence[int]) -> Optional[IntVector]:
+    """The lexicographically largest z with A z = b and 0 <= z <= highs,
+    or None when the box holds no such z.
+
+    Depth first over the box, each variable's highest value first, pruned
+    by the row intervals of the box search: the first point reached is the
+    largest. Visiting more than NODE_CAP nodes raises OracleResourceError.
+    """
+    rows, b, highs = [tuple(r) for r in A.rows], tuple(b.entries), tuple(highs)
+    lo, hi = _suffix_intervals(rows, (0,) * len(highs), highs)
+    z, s, nodes = [0] * len(highs), [0] * len(rows), 0
+
+    def walk(j: int) -> bool:
+        nonlocal nodes
+        if j == len(z):
+            return True
+        vlo, vhi = _value_range(j, rows, b, s, lo, hi, 0, highs[j])
+        for val in range(vhi, vlo - 1, -1):
+            nodes += 1
+            if nodes > NODE_CAP:
+                raise OracleResourceError(
+                    "node cap %d exceeded: the box is too large" % NODE_CAP)
+            z[j] = val
+            for r, row in enumerate(rows):
+                s[r] += row[j] * val
+            if walk(j + 1):
+                return True
+            for r, row in enumerate(rows):
+                s[r] -= row[j] * val
+        return False
+
+    return IntVector(z) if walk(0) else None
+
+
 def solve_bruteforce(problem: IpProblem) -> IpOutcome:
     """Exhaustive search for the >_c-smallest cost minimizer in the box.
 

@@ -275,6 +275,8 @@ def _opcost_in_fresh_process(instance, method, hash_seed, out_dir):
     with open(meta_path) as fh:
         meta = json.load(fh)
     meta["timings_us"] = {k: 0 for k in meta["timings_us"]}
+    for solver in meta["decisions_phase"].values():
+        solver["timings_us"] = {k: 0 for k in solver["timings_us"]}
     return csv_bytes, json.dumps(meta, sort_keys=True)
 
 

@@ -120,6 +120,35 @@ def test_opcost_kernel_oracle_identical_csv(tmp_path):
     assert doc["counters"]["phase_one_bases"] == 1
 
 
+
+def test_meta_reports_the_decisions_phase(tmp_path):
+    # SND: the decisions complete W's Phase-I set at x-hat, the kernel
+    # build takes it over, and --meta books it to the decisions phase
+    inst = tmp_path / "snd.json"
+    assert cli.run(["gen-snd", "--n", "6", "--seed", "1", "--max-demand",
+                    "2", "--out", str(inst)]) == 0
+    meta = tmp_path / "meta.json"
+    assert cli.run(["opcost", "--instance", str(inst), "--out",
+                    str(tmp_path / "m.csv"), "--meta", str(meta)]) == 0
+    doc = json.loads(meta.read_text())
+    phase = doc["decisions_phase"]
+    assert sorted(phase) == ["M", "W"]
+    assert phase["W"]["counters"]["phase_one_bases"] == 1
+    assert phase["W"]["timings_us"]["phase_one_us"] > 0
+    assert phase["M"]["counters"]["phase_one_bases"] == 0
+    assert doc["counters"]["phase_one_bases"] == 0
+    # a decisions file carries no Phase-I set: the build completes its own
+    rows = tmp_path / "dec.json"
+    rows.write_text(json.dumps(doc["decisions"]))
+    assert cli.run(["opcost", "--instance", str(inst), "--decisions",
+                    str(rows), "--out", str(tmp_path / "f.csv"), "--meta",
+                    str(meta)]) == 0
+    doc = json.loads(meta.read_text())
+    assert doc["decisions_phase"] is None
+    assert doc["counters"]["phase_one_bases"] == 1
+    assert (tmp_path / "f.csv").read_bytes() == \
+        (tmp_path / "m.csv").read_bytes()
+
 def test_oracle_takes_no_box_from_its_caller(tmp_path, capsys):
     # A box smaller than the derived one can hold a point of a cell but not
     # its optimum (at 6 here: 493 and 481 where the kernel gives 426 and

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -154,16 +155,112 @@ def test_single_scenario_decisions_build_each_stacked_test_set_once(
     for name in calls:
         calls[name] = 0
     assert tuple(map(tuple, single_scenario_decisions(two_costs))) == expected
-    # one Phase-I set, completed under the first scenario's cost, serves
-    # the three scenarios of that cost; the other cost gets M's toric
-    # generators and its own Groebner basis; each solver saturates its
-    # extension once
+    # T x-hat = 8 at the box's upper corner x-hat = (4, 4) exceeds every
+    # h_j, so W's Phase-I set (one saturation) finds no recourse there and
+    # every scenario takes the stacked path: one stacked Phase-I set,
+    # completed under the first scenario's cost, serves the three
+    # scenarios of that cost; the other cost gets M's toric generators and
+    # its own Groebner basis; each extension is saturated once
     assert calls == {"toric_generating_set": 1, "buchberger": 1,
-                     "graver_basis": 0, "extension_saturations": 1}
+                     "graver_basis": 0, "extension_saturations": 2}
     assert tuple(map(tuple, single_scenario_decisions(
         two_costs, method=METHOD_GRAVER))) == expected
     assert calls == {"toric_generating_set": 2, "buchberger": 2,
-                     "graver_basis": 0, "extension_saturations": 2}
+                     "graver_basis": 0, "extension_saturations": 4}
+
+
+def _counts(dec, solver):
+    return dec.phase_report[solver]["counters"]
+
+
+def test_decisions_fall_back_to_the_stacked_path_where_x_hat_is_infeasible():
+    # T x-hat = 8 at the box's upper corner x-hat = (4, 4): scenarios 1 and
+    # 2 (h = 10, 12) find recourse there and walk from (x-hat, y_j) over
+    # M's bases; scenarios 0 and 3 (h = 5, 4) take the stacked Phase-I path
+    def scenario(cost, h):
+        return Scenario(Fraction(1, 4), IntVector(cost), IntVector(h))
+
+    inst = SipInstance(
+        gamma=IntVector((1, 2)),
+        technology=IntMatrix(((1, 1),)),
+        recourse=IntMatrix(((1, 2),)),
+        scenarios=(scenario((2, 3), (5,)), scenario((1, 3), (10,)),
+                   scenario((2, 3), (12,)), scenario((2, 3), (4,))),
+        first_stage_bounds=(4, 4),
+    )
+    dec = single_scenario_decisions(inst)
+    assert dec.decisions == single_scenario_decisions(
+        inst, method=METHOD_ORACLE).decisions
+    assert _counts(dec, "W")["phase_one_calls"] == 4
+    assert _counts(dec, "W")["phase_one_bases"] == 1
+    assert _counts(dec, "M")["phase_one_calls"] == 2
+    assert _counts(dec, "M")["phase_one_bases"] == 1
+    # every scenario infeasible at x-hat: all four take the stacked path
+    low = dataclasses.replace(inst, scenarios=tuple(
+        dataclasses.replace(sc, rhs=IntVector((h,)))
+        for sc, h in zip(inst.scenarios, (5, 6, 7, 4))))
+    dec = single_scenario_decisions(low)
+    assert dec.decisions == single_scenario_decisions(
+        low, method=METHOD_ORACLE).decisions
+    assert _counts(dec, "M")["phase_one_calls"] == 4
+
+
+def test_kernel_build_takes_over_the_decisions_phase_one_set():
+    inst = gen_snd(SndConfig(6, seed=1, max_demand=2))
+    dec = single_scenario_decisions(inst)
+    assert dec.phase_one_set is not None
+    assert _counts(dec, "W")["phase_one_bases"] == 1
+    by_hand = DecisionList(tuple(dec))
+    assert by_hand == dec and by_hand.phase_one_set is None
+    adopted, own = opcost_kernel(inst, dec), opcost_kernel(inst, by_hand)
+    assert adopted.counters.phase_one_bases == 0
+    assert own.counters.phase_one_bases == 1
+    assert adopted.values == own.values == opcost_oracle(inst, dec).values
+    # the build only reads the list: a second build does the same work
+    again = opcost_kernel(inst, dec)
+    assert again.counters.as_dict() == adopted.counters.as_dict()
+    assert again.values == adopted.values
+    # the graver build keeps its own Phase-I set, of cost 0
+    assert opcost_graver(inst, dec).counters.phase_one_bases == 1
+
+
+def test_kernel_build_completes_its_own_set_where_the_list_s_does_not_serve():
+    # read back from JSON, scaled HS has no hook: x-hat = (12, 12) leaves
+    # rows 0 and 1 of h_j - T x-hat at most 0, while the decisions' cells
+    # use both signs there
+    hs = instance_from_json(instance_to_json(gen_hs(HS_CFG)))
+    dec = single_scenario_decisions(hs)
+    assert dec.phase_one_set is not None
+    built = opcost_kernel(hs, dec)
+    assert built.counters.phase_one_bases == 1
+    assert built.values == HS_VALUES
+    # a set that extends another instance's W does not serve either
+    snd = gen_snd(SndConfig(3, seed=1, max_demand=2))
+    snd_dec = single_scenario_decisions(snd)
+    foreign = dataclasses.replace(snd_dec, phase_one_set=(
+        single_scenario_decisions(four_node_snd(3)).phase_one_set))
+    m = opcost_kernel(snd, foreign)
+    assert m.counters.phase_one_bases == 1
+    assert m.values == opcost_kernel(snd, snd_dec).values
+
+
+def test_triangle_with_per_scenario_flow_costs_walks_over_m_bases():
+    # per-scenario flow costs on the triangle: the decisions walk from
+    # x-hat (every arc open) over the stacked system's Groebner bases and
+    # take steps, and the decisions and the kernel matrix equal the oracle's
+    base, rng = gen_snd(SndConfig(4, seed=1, max_demand=2)), random.Random(5)
+    inst = dataclasses.replace(base, scenarios=tuple(
+        dataclasses.replace(sc, cost=IntVector(
+            tuple(rng.randint(1, 9) for _ in range(3)) + (0,) * 3))
+        for sc in base.scenarios))
+    assert len({sc.cost for sc in inst.scenarios}) == 4
+    dec = single_scenario_decisions(inst)
+    assert _counts(dec, "M")["phase_one_calls"] == 0
+    assert _counts(dec, "M")["augment_calls"] == 4
+    assert _counts(dec, "M")["walk_steps"] > 0
+    assert dec.decisions == single_scenario_decisions(
+        inst, method=METHOD_ORACLE).decisions
+    assert opcost_kernel(inst, dec) == opcost_oracle(inst, dec)
 
 
 def test_single_scenario_decisions_reject_unknown_method():
@@ -364,7 +461,8 @@ def test_four_node_snd_methods_agree():
         inst, method=METHOD_ORACLE).decisions
     mk = opcost_kernel(inst, dec)
     assert mk == opcost_graver(inst, dec) == opcost_oracle(inst, dec)
-    assert mk.counters.phase_one_bases == 1
+    # the kernel build took over the decisions' W Phase-I set
+    assert mk.counters.phase_one_bases == 0
 
 
 def test_four_node_snd_kernel_pipeline_at_n10():
@@ -374,7 +472,7 @@ def test_four_node_snd_kernel_pipeline_at_n10():
     dec = single_scenario_decisions(inst)
     mk = opcost_kernel(inst, dec)
     assert mk.size == 10
-    assert mk.counters.phase_one_bases == 1
+    assert mk.counters.phase_one_bases == 0
     assert mk == opcost_oracle(inst, dec)
 
 
@@ -485,7 +583,8 @@ def test_phase_one_set_doubles_k_until_the_check_passes(monkeypatch):
     # total, and the matrix still equals the oracle's. Each solver
     # saturates its extension once, through the toric module: the toric
     # set seeds the first completion, and each doubling re-completes from
-    # the basis that failed
+    # the basis that failed. The decisions complete W's set at x-hat, and
+    # a kernel build handed a list without it completes its own
     take = _chain_spy(monkeypatch, toric, groebner)
 
     def ks():
@@ -497,8 +596,10 @@ def test_phase_one_set_doubles_k_until_the_check_passes(monkeypatch):
     assert ks() == [1000, 2000, 4000, 8000]
     assert dec.decisions == single_scenario_decisions(
         inst, method=METHOD_ORACLE).decisions
-    mk = opcost_kernel(inst, dec)
+    mk = opcost_kernel(inst, DecisionList(dec.decisions))
     assert ks() == [1000, 2000, 4000, 8000]
+    adopted = opcost_kernel(inst, dec)
+    assert adopted == mk and adopted.counters.phase_one_bases == 0
     assert mk == opcost_oracle(inst, dec)
     assert mk.values == ((10007, 5007, 7), (None, 5003, 3), (None, None, 0))
     # graver's Phase-I set has cost 0 on W's columns: K = 1000 passes
@@ -507,15 +608,16 @@ def test_phase_one_set_doubles_k_until_the_check_passes(monkeypatch):
 
 def test_each_later_completion_is_seeded_with_the_previous_basis(
         monkeypatch):
-    # three distinct scenario costs: the first is served by the Phase-I set
-    # and the other two by M's own bases, for the stacked system and for W
-    # alike. M is saturated once, its first basis is completed from the
-    # toric set, and the second from the first basis
+    # three distinct scenario costs. The decisions walk from x-hat over
+    # the stacked system's own bases for all three; in the build the first
+    # is served by the Phase-I set and the other two by W's own bases. M
+    # is saturated once, its first basis is completed from the toric set,
+    # and each later one from the basis before it
     take = _chain_spy(monkeypatch, opcost, opcost)
     inst = per_scenario_cost_four_node_snd(3)
     assert len({sc.cost for sc in inst.scenarios}) == 3
     dec = single_scenario_decisions(inst)
-    assert len(take()) == 2
+    assert len(take()) == 3
     mk = opcost_kernel(inst, dec)
     assert len(take()) == 2
     assert mk == opcost_oracle(inst, dec)
@@ -655,8 +757,10 @@ def test_unscaled_hs_kernel_equals_graver_at_n100():
 def test_element_cap_bounds_every_pipeline_completion(monkeypatch):
     # The decisions phase, both builders' bases and the Phase-I sets all
     # complete through buchberger, which reads groebner.ELEMENT_CAP.
+    # The kernel build is handed a list made by hand, so it completes its
+    # own Phase-I set.
     inst = gen_snd(SndConfig(scenario_count=2, seed=3))
-    dec = single_scenario_decisions(inst)
+    dec = DecisionList(single_scenario_decisions(inst).decisions)
     monkeypatch.setattr(groebner, "ELEMENT_CAP", 3)
     for build in (single_scenario_decisions, lambda i: opcost_kernel(i, dec),
                   lambda i: opcost_graver(i, dec)):
@@ -703,7 +807,8 @@ def test_timings_account_for_the_build_wall_clock():
 
 def test_timings_add_up_when_the_hook_declines():
     # a declined cell builds W's Phase-I set inside the row loop: its time
-    # must be booked once, not by both phase_one_us and the loop
+    # must be booked once, not by both phase_one_us and the loop. The
+    # builds are handed lists made by hand, which carry no Phase-I set
     snd = gen_snd(SndConfig(scenario_count=30, seed=1, max_demand=2))
     hs = gen_hs(HsConfig(scenario_count=30, seed=1, scaled=True))
     cases = (
@@ -711,7 +816,7 @@ def test_timings_add_up_when_the_hook_declines():
         (hs, lambda x, h: None if h[0] % 2 == 0 else hs_feasible(x, h)),
     )
     for inst, declining in cases:
-        dec = single_scenario_decisions(inst)
+        dec = DecisionList(single_scenario_decisions(inst).decisions)
         hooked = dataclasses.replace(inst, feasible_recourse=declining)
         for build in (opcost_kernel, opcost_graver):
             t0 = time.perf_counter_ns()
