@@ -305,21 +305,6 @@ def _first_stage_start(instance: SipInstance) -> Optional[IntVector]:
     return oracle.lex_max_point(A, as_vector(b), bounds)
 
 
-def _hook_points(instance: SipInstance, head: tuple = ()):
-    """cell -> head followed by the hook's recourse point for the cell, or
-    None where the hook gives none; None when the instance has no hook."""
-    hook = instance.feasible_recourse
-    if hook is None:
-        return None
-
-    def point(cell):
-        x, j = cell
-        y = hook(x, instance.scenarios[j].rhs)
-        return None if y is None else head + as_entries(y)
-
-    return point
-
-
 class _Solver:
     """One method's solves of min cost.z : M z = b, z >= 0 for one matrix M.
 
@@ -333,10 +318,12 @@ class _Solver:
     the Phase-I extension has one artificial column per (row, sign) they
     use, and is built, with its test set, only when a start first needs
     Phase-I, unless a Phase-I set was put in `_built` beforehand.
-    `start` gives a walk's first point: `points(cell)`, a point the caller
-    supplies (the hook's in a build), or else a Phase-I point. Both phases
-    call it: a build through `solve`, and the decisions phase through
-    `solve` on the stacked matrix and directly on W. The oracle builds
+    `start` gives a walk's first point: `head` followed by the hook's
+    point for the cell, or else `points(cell)`, a point the caller
+    supplies (x-hat's in the decisions phase), or else a Phase-I point.
+    `head` None asks no hook. Both phases call it: a build through
+    `solve`, and the decisions phase through `solve` on the stacked matrix
+    and directly on W. The oracle builds
     nothing, and `solve` derives each of its boxes from the instance and b.
     Each object is built on its first use, wherever that falls; its build
     is timed and counted there, so the build's solver for W records exactly
@@ -353,13 +340,15 @@ class _Solver:
     """
 
     def __init__(self, instance: SipInstance, method: str, M: IntMatrix,
-                 rhss: Callable, points: Optional[Callable] = None):
+                 rhss: Callable, head: Optional[tuple] = (),
+                 points: Optional[Callable] = None):
         if method not in METHODS:
             raise ValueError("unknown method %r" % method)
         self.instance = instance
         self.method = method
         self.M = M
         self.rhss = rhss
+        self.head = head
         self.points = points
         self.counters = BuildCounters()
         self.timings_us = {"toric_us": 0, "groebner_us": 0, "graver_us": 0,
@@ -408,12 +397,19 @@ class _Solver:
         """(z, optimal): where the walk for `cell` (the (x, j) that b
         serves) under cost starts, kernel and graver methods.
 
-        z is `points(cell)` when that gives a point, which the walk tests;
-        otherwise the Phase-I point for b, None where b is infeasible. The
+        z is the first of `head` followed by the hook's point for the cell
+        and `points(cell)` that there is, which the walk tests; otherwise
+        the Phase-I point for b, None where b is infeasible. The
         Phase-I set has the first Phase-I start's cost on the kernel path
         and 0 on the graver path, and `optimal` is True when z is None or a
         Phase-I point of that cost, which is cost's optimum.
         """
+        hook = self.instance.feasible_recourse
+        if hook is not None and self.head is not None:
+            x, j = cell
+            y = hook(x, self.instance.scenarios[j].rhs)
+            if y is not None:
+                return self.head + as_entries(y), False
         z = None if self.points is None else self.points(cell)
         if z is not None:
             return z, False
@@ -493,26 +489,25 @@ def single_scenario_decisions(instance: SipInstance,
     # reaches _Solver, which rejects it; the hook's point starts a walk at
     # x = 0, which must meet A x = b
     method = METHOD_KERNEL if method == METHOD_GRAVER else method
-    hook = None if any(head) else _hook_points(instance, x0.entries)
     x_hat = None if method == METHOD_ORACLE else _first_stage_start(instance)
     w = None
     if x_hat is not None:
         t_hat = instance.technology.mat_vec(x_hat)
         w = _Solver(instance, method, instance.recourse,
-                    lambda: (sc.rhs - t_hat for sc in instance.scenarios))
+                    lambda: (sc.rhs - t_hat for sc in instance.scenarios),
+                    head=None)
 
-    def points(cell):
-        z = None if hook is None else hook(cell)
-        if z is None and w is not None:
-            j = cell[1]
-            y, _ = w.start(instance.scenarios[j].rhs - t_hat, (x_hat, j),
-                           instance.scenarios[0].cost)
-            z = None if y is None else x_hat.entries + y.entries
-        return z
+    def at_x_hat(cell):
+        j = cell[1]
+        y, _ = w.start(instance.scenarios[j].rhs - t_hat, (x_hat, j),
+                       instance.scenarios[0].cost)
+        return None if y is None else x_hat.entries + y.entries
 
     solver = _Solver(instance, method, M,
                      lambda: (head + sc.rhs.entries
-                              for sc in instance.scenarios), points)
+                              for sc in instance.scenarios),
+                     head=None if any(head) else x0.entries,
+                     points=None if w is None else at_x_hat)
     out = []
     for j, sc in enumerate(instance.scenarios):
         cost = IntVector(instance.gamma.entries + sc.cost.entries)
@@ -540,8 +535,7 @@ def _build(instance, decisions, method, q_only):
     ts = list(zip(*(t.entries for t in tx.values())))
     extremes = (tuple(max(h) - min(t) for h, t in zip(hs, ts)),
                 tuple(min(h) - max(t) for h, t in zip(hs, ts)))
-    solver = _Solver(instance, method, W, lambda: extremes,
-                     _hook_points(instance))
+    solver = _Solver(instance, method, W, lambda: extremes)
     timings = solver.timings_us
     # a kernel build takes over the decisions' W Phase-I set where it
     # serves every cell, and only reads it; the check is Phase-I time
