@@ -349,6 +349,7 @@ class _Solver:
         self.M = M
         self.rhss = rhss
         self.head = head
+        self.hook = None if head is None else instance.feasible_recourse
         self.points = points
         self.counters = BuildCounters()
         self.timings_us = {"toric_us": 0, "groebner_us": 0, "graver_us": 0,
@@ -404,10 +405,9 @@ class _Solver:
         and 0 on the graver path, and `optimal` is True when z is None or a
         Phase-I point of that cost, which is cost's optimum.
         """
-        hook = self.instance.feasible_recourse
-        if hook is not None and self.head is not None:
+        if self.hook is not None:
             x, j = cell
-            y = hook(x, self.instance.scenarios[j].rhs)
+            y = self.hook(x, self.instance.scenarios[j].rhs)
             if y is not None:
                 return self.head + as_entries(y), False
         z = None if self.points is None else self.points(cell)
