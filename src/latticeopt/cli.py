@@ -20,14 +20,16 @@ import time
 from .augment import augment  # noqa: F401 -- perfbench traces it here
 from .graver import (GraverResourceError, SipBlockStructure,
                      contains_groebner, graver_basis, lift_sip_graver)
+from . import groebner
 from .groebner import buchberger
 from .instances import (SND_FAMILIES, HsConfig, SndConfig, _dec_as, _dec_mat,
                         _dec_vec, gen_hs, gen_snd, gen_snd_family,
-                        instance_from_json, instance_to_json)
+                        instance_from_json, instance_to_json,
+                        wide_stairstep_matrix)
 from .lattice import CostOrder, IntMatrix, IntVector
 from .opcost import (DecisionList, METHOD_GRAVER, METHOD_KERNEL,
-                     METHOD_ORACLE, METHODS, opcost_graver, opcost_kernel,
-                     opcost_oracle, single_scenario_decisions)
+                     METHOD_ORACLE, METHODS, _stacked_system, opcost_graver,
+                     opcost_kernel, opcost_oracle, single_scenario_decisions)
 from .oracle import OracleResourceError, enumerate_graver_in_box
 from .toric import test_set, toric_generating_set
 
@@ -255,6 +257,21 @@ def _verify_checks():
                            CostOrder((1, 2, 3)), IntMatrix(((1, 1, 1),)))
         return {g.entries for g in basis} == {(-1, 1, 0), (-1, 0, 1)}
 
+    def groebner_graded_completion():
+        snd = gen_snd(SndConfig(scenario_count=2, seed=3))
+        wide = wide_stairstep_matrix()
+        for A, cost in ((wide, (1,) * wide.ncols),
+                        (_stacked_system(snd)[0],
+                         snd.gamma.entries + snd.scenarios[0].cost.entries)):
+            gens = toric_generating_set(A).generators
+            order = CostOrder(cost)
+            graded = buchberger(gens, order, A)
+            if (groebner._grading([g.entries for g in gens], A) is None
+                    or graded.elements != groebner._complete(
+                        gens, order, A, False).elements):
+                return False
+        return True
+
     def groebner_inside_graver():
         W = gen_hs(HsConfig(scenario_count=1, seed=0)).recourse
         gamma = graver_basis(W)
@@ -306,6 +323,7 @@ def _verify_checks():
         ("toric-sum-matrix", toric_sum_matrix),
         ("groebner-reduced-example", groebner_reduced_example),
         ("groebner-inside-graver", groebner_inside_graver),
+        ("groebner-graded-completion", groebner_graded_completion),
         ("graver-box-equality", graver_box_equality),
         ("sip-lift", sip_lift),
         ("reuse-counters", reuse_counters),

@@ -32,6 +32,26 @@ popped), and a pair the death rule never formed is in neither. Skipping
 only drops work and the reduced basis is unique, so the result is the
 same as without the rules.
 
+A fourth rule, degree, needs a positive grading w = lambda^T A > 0 of the
+matrix A and a seed that generates the lattice ideal of ker(A); it is
+the truncated-basis setting of Kreuzer-Robbiano (Computational
+Commutative Algebra 2, 4.5) that Hemmecke-Malkin work in. Every kernel
+vector v has w.v = 0, so its binomial is homogeneous of degree w.v+, and
+pairs are selected by degree w.lcm. A remainder has the degree of its
+pair, so pairs pop in nondecreasing degree, and when one of degree d pops
+every pair below d has been handled: the working basis is a Groebner
+basis truncated at d, and every ideal element of degree below d reduces
+to zero. A popped pair whose trails share a variable has that factor in
+both of its points, so S = v_i - v_j is of degree below d; the rule drops
+it, and so adds and removes no element. The grading exists exactly when
+the fiber of 0 holds no point but 0 (Stiemke), and a generating seed's
+moves connect that fiber, so a one-signed seed vector shows there is
+none; otherwise a batch perceptron looks for lambda (`_grading`). Toric
+saturation's rounds complete seeds that do not generate their matrix's
+lattice ideal, since saturating is what makes them generate it, so they
+call `_complete` without a grading; completion without one keys and
+drops pairs as the first three rules alone do.
+
 One loop, `_reduce`, serves completion, inter-reduction, `normal_form` and
 every augmentation walk. It and the chain criterion ask one question, whose
 lead divides this exponent vector, and `_divisors` answers it from a lead
@@ -59,6 +79,7 @@ from typing import Iterable
 from .lattice import CostOrder, IntMatrix, IntVector, KernelVectorSet
 
 ELEMENT_CAP = 2_000  # most elements a working basis may hold
+GRADING_ROUNDS = 64  # most perceptron rounds spent looking for a grading
 
 
 class GraverResourceError(RuntimeError):
@@ -232,12 +253,43 @@ def _interreduce(vecs, order):
             for idx, rec in enumerate(kept)]
 
 
+def _grading(seed, matrix):
+    """A positive grading w = lambda^T matrix > 0 for seed's lattice, or
+    None.
+
+    None at once when a seed tuple is one-signed: no w > 0 is orthogonal
+    to it. Otherwise a batch perceptron looks for lambda: each round adds
+    to it every column a_j with lambda.a_j <= 0, and after GRADING_ROUNDS
+    rounds it gives up.
+    """
+    if not seed or any(min(t) >= 0 or max(t) <= 0 for t in seed):
+        return None
+    cols = tuple(zip(*matrix.rows))
+    lam, w = (0,) * matrix.nrows, (0,) * matrix.ncols
+    for _ in range(GRADING_ROUNDS):
+        low = (col for col, x in zip(cols, w) if x <= 0)
+        lam = tuple(map(add, lam, map(sum, zip(*low))))
+        w = tuple(sum(map(mul, lam, col)) for col in cols)
+        if min(w) > 0:
+            return w
+    return None
+
+
+def _trails_meet(u, v):
+    """Whether u and v are both negative in some coordinate."""
+    return any(a < 0 and b < 0 for a, b in zip(u, v))
+
+
 def buchberger(seed: Iterable[IntVector], order: CostOrder,
                matrix: IntMatrix) -> GroebnerBasis:
     """Complete a kernel-vector seed to the unique reduced basis for the order.
 
-    Pairs are processed in ascending order of the componentwise max of the two
-    leads (normal selection), and a queued pair's key is that lcm.
+    The seed must generate the lattice ideal of ker(matrix), as a toric
+    generating set or a Groebner basis of that ideal does. Pairs are
+    processed in ascending order of the componentwise max of the two leads
+    (normal selection), and a queued pair's key is that lcm, weighted by
+    a positive grading w = lambda^T matrix where `_grading` finds one and
+    by the cost otherwise.
     Each new element, seed or remainder, pairs with every earlier element
     still alive and kills those whose lead its own lead divides (death
     rule). A pair with disjoint lead supports is never queued (product
@@ -245,8 +297,11 @@ def buchberger(seed: Iterable[IntVector], order: CostOrder,
     dividing its lcm and both (i, k) and (j, k) are settled: formed, and
     dropped by the product criterion or popped (chain criterion). The
     settled partners are kept as one bitset per element, and the lead
-    index searches only their intersection. The module docstring says why
-    all three rules are sound. The working basis is one lead index, grown
+    index searches only their intersection. With a grading, a popped pair
+    that survives the chain criterion is also dropped when the trails of
+    i and j share a variable, since its S-vector is of lower degree
+    (degree criterion). The module docstring says why all four rules are
+    sound. The working basis is one lead index, grown
     by each insertion, and inter-reduction of the completed basis takes one
     pass. The matrix is required: the GroebnerBasis returned checks each
     element against its kernel and keeps them in canonical order. A matrix
@@ -254,10 +309,26 @@ def buchberger(seed: Iterable[IntVector], order: CostOrder,
     A working basis that grows past ELEMENT_CAP, read at each insertion,
     raises GraverResourceError.
     """
+    return _complete(seed, order, matrix, True)
+
+
+def _complete(seed, order, matrix, graded):
+    """`buchberger`, which looks for a grading only when `graded` is set.
+    Toric saturation's rounds pass False: their seeds do not generate the
+    lattice ideal of their matrix, which the degree criterion needs."""
     if matrix.ncols != order.dim:
         raise ValueError("cost has %d entries, the matrix %d columns"
                          % (order.dim, matrix.ncols))
     cost = order.cost.entries
+    seen = {}  # the oriented seed, deduplicated, in seed order
+    for v in seed:
+        if len(v) != order.dim:
+            raise ValueError("cost has %d entries, a seed vector %d"
+                             % (order.dim, len(v)))
+        if not v.is_zero():
+            seen.setdefault(_orient_tuple(v.entries, cost))
+    grading = _grading(seen, matrix) if graded else None
+    weight = cost if grading is None else grading
     basis = _LeadIndex(order.dim)
     live = []  # live[k]: no later element's lead divides k's
     settled = []  # settled[k]: the h whose pair with k is formed, not queued
@@ -268,13 +339,13 @@ def buchberger(seed: Iterable[IntVector], order: CostOrder,
         settled[j] |= 1 << i
 
     def push(i, j):
-        """Queue the pair i < j keyed by its lcm, (c.lcm, lcm, j, i), unless
-        its leads are disjoint (product criterion), which settles it. Pairs
-        are pushed in (j, i) order, so (j, i) breaks ties first in, first
-        out."""
+        """Queue the pair i < j keyed by its lcm, (weight.lcm, lcm, j, i),
+        unless its leads are disjoint (product criterion), which settles it.
+        The weight is the grading, else the cost. Pairs are pushed in (j, i)
+        order, so (j, i) breaks ties first in, first out."""
         if basis[i][2] & basis[j][2]:
             lcm = tuple(map(max, basis[i][1], basis[j][1]))
-            heapq.heappush(heap, (sum(map(mul, cost, lcm)), lcm, j, i))
+            heapq.heappush(heap, (sum(map(mul, weight, lcm)), lcm, j, i))
         else:
             settle(i, j)
 
@@ -297,17 +368,8 @@ def buchberger(seed: Iterable[IntVector], order: CostOrder,
                 if not mask & ~mask_k and all(map(le, lead, lead_k)):
                     live[k] = False
 
-    seen = set()
-    for v in seed:
-        if len(v) != order.dim:
-            raise ValueError("cost has %d entries, a seed vector %d"
-                             % (order.dim, len(v)))
-        if v.is_zero():
-            continue
-        t = _orient_tuple(v.entries, cost)
-        if t not in seen:
-            seen.add(t)
-            add(t)
+    for t in seen:
+        add(t)
 
     while heap:
         _, lcm, j, i = heapq.heappop(heap)
@@ -315,6 +377,8 @@ def buchberger(seed: Iterable[IntVector], order: CostOrder,
         chain = _divisors(lcm, basis, settled[i] & settled[j])
         if next(chain, None) is not None:
             continue  # chain criterion: a settled k's lead divides lcm
+        if grading is not None and _trails_meet(basis[i][0], basis[j][0]):
+            continue  # degree criterion: S is of lower degree, reduces to 0
         s = _orient_tuple(tuple(map(sub, basis[i][0], basis[j][0])), cost)
         s, _ = _reduce(s, basis, cost, False)
         if s is None:

@@ -255,6 +255,15 @@ def gen_snd_family(name: str, scenario_count: int,
         for sc in inst.scenarios))
 
 
+def wide_stairstep_matrix() -> IntMatrix:
+    """The dense 7x17 stress matrix: seven arithmetic-progression rows
+    beside an identity block."""
+    rows = [(1,) * 10] + [tuple(i + j for j in range(10)) for i in range(1, 7)]
+    return IntMatrix(tuple(
+        row + tuple(1 if k == r else 0 for k in range(7))
+        for r, row in enumerate(rows)))
+
+
 def _enc(x: int):
     return x if -_JSON_SAFE <= x <= _JSON_SAFE else str(x)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .groebner import GroebnerBasis, buchberger, orient
+from .groebner import GroebnerBasis, _complete, buchberger, orient
 from .lattice import (CostOrder, IntMatrix, IntVector, KernelVectorSet,
                       kernel_basis)
 
@@ -110,9 +110,9 @@ def toric_generating_set(A: IntMatrix) -> ToricGenerators:
     generators = _flip(basis, pending)
 
     for j in J:
-        gb = buchberger(generators,
-                        CostOrder(tuple(1 if i == j else 0 for i in range(n))),
-                        matrix=IntMatrix(_flip(A.rows, pending)))
+        gb = _complete(generators,
+                       CostOrder(tuple(1 if i == j else 0 for i in range(n))),
+                       IntMatrix(_flip(A.rows, pending)), False)
         pending.discard(j)
         generators = _flip(gb, {j})
 

@@ -8,7 +8,8 @@ import itertools
 import random
 from operator import le, mul
 
-from latticeopt.instances import gen_snd_family
+from latticeopt.instances import (  # noqa: F401 -- tests read it here
+    gen_snd_family, wide_stairstep_matrix)
 from latticeopt.lattice import IntMatrix, IntVector
 
 
@@ -101,15 +102,6 @@ def shuffled_vectorset(rng, vectors):
     items = [IntVector(tuple(v)) for v in vectors]
     rng.shuffle(items)
     return VectorSet(items)
-
-
-def wide_stairstep_matrix() -> IntMatrix:
-    """The dense 7x17 stress matrix: seven arithmetic-progression rows
-    beside an identity block."""
-    rows = [(1,) * 10] + [tuple(i + j for j in range(10)) for i in range(1, 7)]
-    return IntMatrix(tuple(
-        row + tuple(1 if k == r else 0 for k in range(7))
-        for r, row in enumerate(rows)))
 
 
 def four_node_snd(scenario_count):

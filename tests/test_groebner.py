@@ -2,14 +2,18 @@
 
 import hashlib
 import heapq
+import operator
 import random
 import types
 
 import pytest
 
-from latticeopt import groebner, toric
+from latticeopt import groebner, opcost, toric
+from latticeopt.augment import artificial_system
 from latticeopt.groebner import (GraverResourceError, GroebnerBasis,
                                  buchberger, normal_form, orient)
+from latticeopt.instances import (SND_FAMILIES, HsConfig, SndConfig, gen_hs,
+                                  gen_snd, gen_snd_family)
 from latticeopt.lattice import CostOrder, IntMatrix, IntVector, VectorSet
 from latticeopt.toric import toric_generating_set
 
@@ -327,13 +331,15 @@ def _spy_pushes(monkeypatch):
 
 def test_death_rule_halves_the_queued_pairs_on_the_wide_matrix(monkeypatch):
     # Before the death rule, completing the 7x17 toric generators under the
-    # all-ones cost queued 9,028 pairs; it now queues 4,204. The basis is the
-    # one perfbench's completion_7x17 workload checks. The work is pinned
-    # exactly: the lead index and the settled-pair chain criterion change
-    # how divisors are found, not which pairs are reduced.
+    # all-ones cost queued 9,028 pairs; ungraded it queues 4,204 and reduces
+    # 1,163 S-pairs. The lattice has a positive grading, and selection by
+    # degree with the degree criterion takes that to 1,829 and 406. The
+    # basis is the one perfbench's completion_7x17 workload checks. The
+    # work is pinned exactly: the lead index and the settled-pair chain
+    # criterion change how divisors are found, not which pairs are reduced.
     A = support.wide_stairstep_matrix()
     gens = toric_generating_set(A).generators
-    pushed = _spy_pushes(monkeypatch)
+    order = CostOrder((1,) * A.ncols)
     calls = {False: 0, True: 0}
     real_reduce = groebner._reduce
 
@@ -342,13 +348,19 @@ def test_death_rule_halves_the_queued_pairs_on_the_wide_matrix(monkeypatch):
         return real_reduce(vec, leads, cost, full, *among)
 
     monkeypatch.setattr(groebner, "_reduce", counting)
-    gb = buchberger(gens, CostOrder((1,) * A.ncols), matrix=A)
-    assert len(pushed) == 4204 <= 9028 // 2
-    assert calls == {False: 1163, True: 88}  # S-pairs, inter-reduction
-    assert len(gb) == 88
-    text = ";".join(",".join(map(str, g.entries))
-                    for g in gb.elements.canonical())
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "63878ca8e3289456"
+    for complete, queued, reduced in (
+            (lambda: groebner._complete(gens, order, A, False), 4204, 1163),
+            (lambda: buchberger(gens, order, matrix=A), 1829, 406)):
+        pushed = _spy_pushes(monkeypatch)
+        calls.update({False: 0, True: 0})
+        gb = complete()
+        assert len(pushed) == queued <= 9028 // 2
+        assert calls == {False: reduced, True: 88}  # S-pairs, inter-reduction
+        assert len(gb) == 88
+        text = ";".join(",".join(map(str, g.entries))
+                        for g in gb.elements.canonical())
+        assert hashlib.sha256(
+            text.encode()).hexdigest()[:16] == "63878ca8e3289456"
 
 
 def test_dead_element_forms_no_later_pairs(monkeypatch):
@@ -428,14 +440,137 @@ def test_chain_counts_product_dropped_pairs_but_not_unformed_ones(monkeypatch):
 
     # Under (1, 2, 3) element 0 dies at 1 and 1 at 2, so (0, 2) is never
     # formed though its leads overlap. It is not settled: (0, 1) has the
-    # divisor 2 and (1, 2) is popped, yet (0, 1) must be reduced.
+    # divisor 2 and (1, 2) is popped, yet the ungraded completion must
+    # reduce (0, 1). [[2, 1, 1]] is graded, and the trails of 0 and 1 share
+    # x1, so buchberger drops (0, 1) by the degree criterion instead.
     seed = _vs((1, 1, -3), (1, 0, -2), (0, 1, -1))
     order = CostOrder((1, 2, 3))
+    A = IntMatrix([[2, 1, 1]])
     popped, reduced, working = _spy_reduced_pairs(monkeypatch)
-    gb = buchberger(seed, order, matrix=IntMatrix([[2, 1, 1]]))
+    gb = groebner._complete(seed, order, A, False)
     basis = working[0]
     assert basis[0][2] & basis[2][2]
     assert divides(basis[2], map(max, basis[0][1], basis[1][1]))
     assert popped == reduced == [(1, 2), (0, 1)]
     assert sorted(g.entries for g in gb) == support.reference_completion(
         seed, order)
+
+    popped, reduced, working = _spy_reduced_pairs(monkeypatch)
+    graded = buchberger(seed, order, matrix=A)
+    basis = working[0]
+    assert groebner._trails_meet(basis[0][0], basis[1][0])
+    assert popped == [(1, 2), (0, 1)] and reduced == [(1, 2)]
+    assert support.as_tuple_set(graded) == support.as_tuple_set(gb)
+
+
+def _completion_checking_drops(monkeypatch):
+    """buchberger, and the remainders of the pairs its degree criterion
+    drops, each reduced against the working basis at its drop (None when
+    the remainder is zero)."""
+    remainders, working = [], []
+
+    class Working(groebner._LeadIndex):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            working[:] = [self]
+
+    real_meet = groebner._trails_meet
+
+    def complete(seed, order, A):
+        cost = order.cost.entries
+
+        def meet(u, v):
+            if not real_meet(u, v):
+                return False
+            s = groebner._orient_tuple(tuple(a - b for a, b in zip(u, v)),
+                                       cost)
+            remainders.append(groebner._reduce(s, working[0], cost, False)[0])
+            return True
+
+        monkeypatch.setattr(groebner, "_trails_meet", meet)
+        return buchberger(seed, order, matrix=A)
+
+    monkeypatch.setattr(groebner, "_LeadIndex", Working)
+    return complete, remainders
+
+
+def test_degree_criterion_drops_only_pairs_that_reduce_to_zero(monkeypatch):
+    # Every pair the degree criterion drops, reduced against the working
+    # basis at that moment, reaches zero, and each graded completion is the
+    # criterion-free reference's basis.
+    complete, remainders = _completion_checking_drops(monkeypatch)
+    rng = random.Random(3410)
+    graded = 0
+    for A, gens, order in support.random_toric_completions(
+            rng, 40, [(1, 4), (2, 5), (2, 6), (3, 6), (3, 7)]):
+        if groebner._grading([g.entries for g in gens], A) is None:
+            continue
+        basis = complete(gens, order, A)
+        assert sorted(g.entries for g in basis) == \
+            support.reference_completion(gens, order)
+        graded += 1
+    assert graded >= 80 and len(remainders) >= 1000
+    assert remainders == [None] * len(remainders)
+
+    del remainders[:]
+    A = support.wide_stairstep_matrix()
+    gens = toric_generating_set(A).generators
+    order = CostOrder((1,) * A.ncols)
+    basis = complete(gens, order, A)
+    assert sorted(g.entries for g in basis) == \
+        support.reference_completion(gens, order)
+    assert len(remainders) >= 100 and remainders == [None] * len(remainders)
+
+
+# (matrix name, toric set digest), the digests those sets had before
+# completion had a degree criterion
+GRADED_TORIC_SETS = (
+    ("7x17", "050f7ab84ccca497"), ("snd", "1fab1721ca20332e"),
+    ("snd-4node", "8dd122c2a6d90bcd"), ("snd-2commodity", "e483e585b660165d"),
+    ("snd-5node", "9ed42d1ac9c59274"), ("snd-4node-costs-1-9",
+                                        "8dd122c2a6d90bcd"),
+    ("snd-4node-costs-4-6", "8dd122c2a6d90bcd"))
+
+
+def _vectors_digest(vectors):
+    text = ";".join(",".join(map(str, t)) for t in sorted(vectors))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_grading_is_none_where_the_fiber_of_zero_has_a_one_signed_move():
+    # A Phase-I extension with both signs' columns for a row has their sum
+    # in its kernel. One whose rows each use one sign, like the triangle's
+    # W set for its scenarios' h_j, can be graded.
+    hs = gen_hs(HsConfig(scenario_count=3, seed=1, scaled=True))
+    snd = gen_snd(SndConfig(3, 1, max_demand=2))
+    h = snd.scenarios[0].rhs
+    both_signs = artificial_system(snd.recourse, [h, -h]).moves.matrix
+    for A in (hs.recourse, opcost._stacked_system(hs)[0], both_signs):
+        gens = [g.entries for g in toric_generating_set(A)]
+        assert any(min(g) >= 0 or max(g) <= 0 for g in gens)
+        assert groebner._grading(gens, A) is None
+    one_sign = artificial_system(
+        snd.recourse, [sc.rhs for sc in snd.scenarios]).moves.matrix
+    for A in (snd.recourse, one_sign):
+        gens = [g.entries for g in toric_generating_set(A)]
+        assert min(groebner._grading(gens, A)) > 0
+
+
+def test_grading_is_positive_and_leaves_the_toric_sets_unchanged():
+    stacked = {"7x17": support.wide_stairstep_matrix(),
+               "snd": opcost._stacked_system(
+                   gen_snd(SndConfig(3, 1, max_demand=2)))[0]}
+    for name in SND_FAMILIES:
+        stacked[name] = opcost._stacked_system(gen_snd_family(name, 3))[0]
+    sets = {}
+    for name, digest in GRADED_TORIC_SETS:
+        A = stacked[name]
+        if A not in sets:
+            sets[A] = [g.entries for g in toric_generating_set(A)]
+        gens = sets[A]
+        assert _vectors_digest(gens) == digest, name
+        w = groebner._grading(gens, A)
+        assert len(w) == A.ncols and min(w) > 0, name
+        assert all(sum(map(operator.mul, w, g)) == 0 for g in gens), name
