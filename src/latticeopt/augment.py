@@ -19,6 +19,19 @@ elimination order refined by a cost c on A's columns, prepared as moves
 that carry the extension as their matrix, its only copy. It serves every
 such b: each walk starts at (0, |b| on the matching columns) and ends at
 A's refined optimum for c, or at a positive artificial total.
+
+The extension's toric ideal needs no saturation when its columns match
+A's signs: (i, sign A_ij) is a column for every nonzero A_ij. Then each
+column j of A gives v_j = (e_j, -|A_ij| on column (i, sign A_ij)), each
+row with both columns gives u_i = e_(i,+) + e_(i,-), and these vectors are
+a lattice basis of ker [A | S]: subtracting x_j v_j from a kernel vector
+(x, t) leaves (0, t') with S t' = 0, a sum of u_i. Their ideal J is prime,
+since k[y, t]/J is k[t] modulo t_(i,+) t_(i,-) - 1 for the rows with both
+columns, a domain in which no variable is zero; so J is its own
+saturation, which is the toric ideal (Sturmfels, "Groebner Bases and
+Convex Polytopes", Lemma 12.2). Conti and Traverso write it down the same
+way for [A | I], A >= 0. Extensions whose columns do not match are
+saturated.
 """
 
 from __future__ import annotations
@@ -156,6 +169,35 @@ def _extension(A: IntMatrix, columns) -> IntMatrix:
                       for i, row in enumerate(A.rows)])
 
 
+def _written_generators(A: IntMatrix, columns, ext: IntMatrix):
+    """The toric generating set of ext = [A | S] written down, or None when
+    some nonzero A_ij has no column (i, sign A_ij).
+
+    Column j of A gives v_j: 1 at j and -|A_ij| on column (i, sign A_ij)
+    for each nonzero A_ij; a row with both signs gives u_i, 1 on each of
+    its two columns. `toric.ToricGenerators` checks each against ext's
+    kernel.
+    """
+    at = {col: A.ncols + k for k, col in enumerate(columns)}
+    vectors = []
+    for j, col in enumerate(zip(*A.rows)):
+        v = [0] * ext.ncols
+        v[j] = 1
+        for i, a in enumerate(col):
+            if a:
+                k = at.get((i, 1 if a > 0 else -1))
+                if k is None:
+                    return None
+                v[k] = -abs(a)
+        vectors.append(v)
+    for i, s in columns:
+        if s > 0 and (i, -1) in at:
+            v = [0] * ext.ncols
+            v[at[i, 1]] = v[at[i, -1]] = 1
+            vectors.append(v)
+    return toric.ToricGenerators(ext, vectors)
+
+
 def serves(system: ArtificialSystem, A: IntMatrix, rhss) -> bool:
     """Whether `system` can find Phase-I points for A and every b in rhss:
     it extends A, and has an artificial column for every (row, sign) those
@@ -170,13 +212,18 @@ def artificial_system(A: IntMatrix, rhss, c=None) -> ArtificialSystem:
     Rows whose b is always 0 get no column. The extension's test set is
     completed here under K*(artificial columns) + c, c a cost on A's
     columns (0 when None); K starts at 1000 and doubles while an element
-    has a negative artificial total. The extension is saturated once: its
-    toric set seeds the first completion, and each doubling re-completes
-    from the basis that failed, which generates the same ideal. Both go
-    through the attributes of the `toric` and `groebner` modules, so a
-    wrapper set there sees them. Once the check passes, the cost orients
-    every element as the elimination order (artificial total, then c, then
-    variable order) does, so the basis is also that order's reduced basis:
+    has a negative artificial total. The first completion is seeded with
+    the extension's toric set, and each doubling re-completes from the
+    basis that failed, which generates the same ideal. When every nonzero
+    A_ij has the column (i, sign A_ij) that toric set is written down, the
+    v_j and u_i of the module docstring, whose ideal is prime and so needs
+    no saturation; otherwise the extension is saturated once. Either way
+    the reduced basis is the same, since it is unique. The saturation and
+    each completion go through the attributes of the `toric` and
+    `groebner` modules, so a wrapper set there sees them. Once the check
+    passes, the cost orients every element as the elimination order
+    (artificial total, then c, then variable order) does, so the basis is
+    also that order's reduced basis:
     two nested initial ideals of one ideal are equal (Sturmfels, "Groebner
     Bases and Convex Polytopes", Ch. 1-2). When the right-hand sides use
     both signs in every row the extension is [A | I | -I]. A b whose length
@@ -185,7 +232,10 @@ def artificial_system(A: IntMatrix, rhss, c=None) -> ArtificialSystem:
     columns = _columns(A, rhss)
     ext = _extension(A, columns)
     c = (0,) * A.ncols if c is None else as_entries(c)
-    K, basis = 1000, toric.toric_generating_set(ext).generators
+    seed = _written_generators(A, columns, ext)
+    if seed is None:
+        seed = toric.toric_generating_set(ext)
+    K, basis = 1000, seed.generators
     while True:
         cost = IntVector(c + (K,) * len(columns))
         basis = groebner.buchberger(basis, CostOrder(cost), matrix=ext)

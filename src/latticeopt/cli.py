@@ -17,6 +17,7 @@ import statistics
 import sys
 import time
 
+from .augment import _written_generators
 from .augment import augment  # noqa: F401 -- perfbench traces it here
 from .graver import (GraverResourceError, SipBlockStructure,
                      contains_groebner, graver_basis, lift_sip_graver)
@@ -278,6 +279,17 @@ def _verify_checks():
         basis = test_set(W, IntVector((16, 19, 47, 54, 0, 0, 0, 0)))
         return contains_groebner(basis, gamma)
 
+    def phase_one_direct_seed():
+        # at N = 10 the triangle's cells use both signs of every node row
+        snd = gen_snd(SndConfig(scenario_count=10, seed=1, max_demand=2))
+        system = single_scenario_decisions(snd).phase_one_set
+        ext, order = system.moves.matrix, CostOrder(system.moves.cost)
+        written = _written_generators(snd.recourse, system.columns, ext)
+        return written is not None and (
+            buchberger(written.generators, order, ext).elements
+            == buchberger(toric_generating_set(ext).generators, order,
+                          ext).elements)
+
     def graver_box_equality():
         A = IntMatrix(((1, 2),))
         basis = graver_basis(A)
@@ -324,6 +336,7 @@ def _verify_checks():
         ("groebner-reduced-example", groebner_reduced_example),
         ("groebner-inside-graver", groebner_inside_graver),
         ("groebner-graded-completion", groebner_graded_completion),
+        ("phase-one-direct-seed", phase_one_direct_seed),
         ("graver-box-equality", graver_box_equality),
         ("sip-lift", sip_lift),
         ("reuse-counters", reuse_counters),

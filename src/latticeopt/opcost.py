@@ -29,11 +29,12 @@ graver both take it from the kernel solver and only the oracle searches a
 box. A walk over M's Groebner basis for (gamma, c_j) ends at that optimum
 from any feasible start, so the kernel decisions start from one
 first-stage point x-hat, the lexicographically largest of the first-stage
-box on A x = b, with y_j from W's Phase-I set over the right-hand sides
-h_j - T x-hat; only a scenario without recourse at x-hat, or an instance
-without first-stage bounds, completes M's own Phase-I set. W's set rides
-on the decision list, and a kernel build that finds it covers its cells'
-signs uses it instead of completing its own.
+box on A x = b, with y_j from W's Phase-I set, whose columns are the
+signs h_j - T x takes over the first-stage box; only a scenario without
+recourse at x-hat, or an instance without first-stage bounds, completes
+M's own Phase-I set. W's set rides on the decision list, and a kernel
+build that finds it covers its cells' signs, as it does for any decisions
+in the box, uses it instead of completing its own.
 
 A matrix row depends only on its decision, so each distinct decision is
 solved once, and its T x and gamma.x computed once, as its row is written;
@@ -51,6 +52,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional
 
 from . import oracle
@@ -292,6 +294,26 @@ def _stacked_system(instance: SipInstance):
     return IntMatrix(rows), head
 
 
+def _sign_range(instance: SipInstance, t_low, t_high) -> tuple:
+    """Two vectors that use every (row, sign) h_j - T x uses while each
+    row i of T x lies in [t_low_i, t_high_i]: row i's largest h_ji less
+    t_low_i, and its least h_ji less t_high_i."""
+    hs = list(zip(*(sc.rhs.entries for sc in instance.scenarios)))
+    return (tuple(max(h) - t for h, t in zip(hs, t_low)),
+            tuple(min(h) - t for h, t in zip(hs, t_high)))
+
+
+def _box_sign_range(instance: SipInstance) -> tuple:
+    """`_sign_range` over the first-stage box 0 <= x <= u: row i of T x
+    lies between the sum of the negative T_ik u_k and that of the positive
+    ones. Phase-I columns for these two vectors serve h_j - T x for every x
+    in the box."""
+    tu = [tuple(map(mul, row, instance.first_stage_bounds))
+          for row in instance.technology.rows]
+    return _sign_range(instance, [sum(min(t, 0) for t in row) for row in tu],
+                       [sum(max(t, 0) for t in row) for row in tu])
+
+
 def _first_stage_start(instance: SipInstance) -> Optional[IntVector]:
     """x-hat: the lexicographically largest point of the first-stage box
     on A x = b, the box's upper corner when there is no A; None without
@@ -473,7 +495,8 @@ def single_scenario_decisions(instance: SipInstance,
     - at (x-hat, y_j): x-hat is the lexicographically largest point of the
       first-stage box on A x = b, and y_j is the Phase-I point of W y =
       h_j - T x-hat over W's narrow Phase-I set, completed once under the
-      first scenario's recourse cost c_0;
+      first scenario's recourse cost c_0, with a column for each (row,
+      sign) that h_j - T x takes for some x in the first-stage box;
     - at a Phase-I point of M, where there are no first-stage bounds or
       scenario j's recourse is infeasible at x-hat: M's Phase-I set is
       completed once, under the first such scenario's cost.
@@ -494,8 +517,7 @@ def single_scenario_decisions(instance: SipInstance,
     if x_hat is not None:
         t_hat = instance.technology.mat_vec(x_hat)
         w = _Solver(instance, method, instance.recourse,
-                    lambda: (sc.rhs - t_hat for sc in instance.scenarios),
-                    head=None)
+                    lambda: _box_sign_range(instance), head=None)
 
     def at_x_hat(cell):
         j = cell[1]
@@ -528,13 +550,9 @@ def _build(instance, decisions, method, q_only):
     W, scenarios = instance.recourse, instance.scenarios
     # a row depends only on its decision: solve each distinct one once
     tx = {x: instance.technology.mat_vec(x) for x in dict.fromkeys(decisions)}
-    # row i of a cell's b = h_j - T x lies between the least h_ji less the
-    # largest (T x)_i and the largest h_ji less the least (T x)_i: those
-    # two vectors use the (row, sign)s that all the cells use
-    hs = list(zip(*(sc.rhs.entries for sc in scenarios)))
+    # the two vectors use the (row, sign)s that all the cells use
     ts = list(zip(*(t.entries for t in tx.values())))
-    extremes = (tuple(max(h) - min(t) for h, t in zip(hs, ts)),
-                tuple(min(h) - max(t) for h, t in zip(hs, ts)))
+    extremes = _sign_range(instance, map(min, ts), map(max, ts))
     solver = _Solver(instance, method, W, lambda: extremes)
     timings = solver.timings_us
     # a kernel build takes over the decisions' W Phase-I set where it

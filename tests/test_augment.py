@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import latticeopt
+from latticeopt import augment as augment_module
 from latticeopt import oracle, toric
 from latticeopt.augment import (PreparedMoves, artificial_system, augment,
                                 phase_one_feasible, prepare_moves)
@@ -288,6 +289,53 @@ def test_artificial_system_one_column_per_used_sign():
     columns, moves = artificial_system(A, [(0, 0)])
     assert moves.matrix == A and moves.cost == IntVector((0, 0))
     assert columns == ()
+
+
+def _count_saturations(monkeypatch):
+    """A list that grows by one entry per `toric_generating_set` call."""
+    calls, saturate = [], toric.toric_generating_set
+
+    def counted(M):
+        calls.append(M)
+        return saturate(M)
+
+    monkeypatch.setattr(toric, "toric_generating_set", counted)
+    return calls
+
+
+def test_written_seed_completes_as_the_saturated_seed(monkeypatch):
+    # mixed-sign matrices whose right-hand sides use the sign of every
+    # nonzero entry in its row, beside a random one: the extension's toric
+    # set is written down, and completes to the moves and columns that the
+    # saturated set gives
+    rng = random.Random(3535)
+    saturations = _count_saturations(monkeypatch)
+    for m, n in ((1, 3), (2, 3), (2, 4), (3, 4)) * 5:
+        A = support.random_matrix(rng, m, n, -3, 3)
+        rhss = [tuple(s if any(s * a > 0 for a in row) else 0
+                      for row in A.rows) for s in (1, -1)]
+        rhss.append(tuple(rng.randint(-2, 2) for _ in range(m)))
+        c = [rng.randint(0, 5) for _ in range(n)]
+        written = artificial_system(A, rhss, c)
+        assert saturations == []
+        with monkeypatch.context() as patch:
+            patch.setattr(augment_module, "_written_generators",
+                          lambda *args: None)
+            saturated = artificial_system(A, rhss, c)
+        assert len(saturations) == 1
+        saturations.clear()
+        assert written == saturated, (A.rows, rhss, c)
+
+
+def test_unmatched_columns_are_saturated(monkeypatch):
+    # row 0 has a negative entry but only the positive column: saturate
+    saturations = _count_saturations(monkeypatch)
+    A = IntMatrix([[1, -1], [2, 1]])
+    system = artificial_system(A, [(1, 0), (2, 3)])
+    assert system.columns == ((0, 1), (1, 1))
+    assert len(saturations) == 1
+    assert augment_module._written_generators(
+        A, system.columns, system.moves.matrix) is None
 
 
 def test_artificial_system_rejects_rhs_of_wrong_length():

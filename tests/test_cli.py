@@ -114,10 +114,11 @@ def test_opcost_kernel_oracle_identical_csv(tmp_path):
     assert runs["1"][0] == o_csv.read_bytes()
     doc = json.loads(meta.read_text())
     assert doc["method"] == "kernel"
-    # the JSON round trip drops the hook: every cell takes Phase-I, whose
-    # set is completed under the one scenario cost, so W needs no algebra
+    # the JSON round trip drops the hook: every cell takes Phase-I over the
+    # decisions' set, whose columns cover every sign over the first-stage
+    # box and whose cost is the one scenario cost, so W needs no algebra
     assert doc["counters"]["toric_runs"] == 0
-    assert doc["counters"]["phase_one_bases"] == 1
+    assert doc["counters"]["phase_one_bases"] == 0
 
 
 

@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 from latticeopt import cli, groebner, opcost, toric
-from latticeopt.augment import artificial_system
+from latticeopt.augment import _columns, artificial_system
 from latticeopt.groebner import GraverResourceError, buchberger
-from latticeopt.instances import (HsConfig, SndConfig, gen_hs, gen_snd,
-                                  hs_feasible, instance_from_json,
-                                  instance_to_json)
+from latticeopt.instances import (SND_FAMILIES, HsConfig, SndConfig, gen_hs,
+                                  gen_snd, gen_snd_family, hs_feasible,
+                                  instance_from_json, instance_to_json)
 from latticeopt.lattice import CostOrder, IntMatrix, IntVector
 from latticeopt.opcost import (CELL_INFEASIBLE, CELL_OK, DecisionList,
                                METHOD_GRAVER, METHOD_KERNEL, METHOD_ORACLE,
@@ -156,17 +156,19 @@ def test_single_scenario_decisions_build_each_stacked_test_set_once(
         calls[name] = 0
     assert tuple(map(tuple, single_scenario_decisions(two_costs))) == expected
     # T x-hat = 8 at the box's upper corner x-hat = (4, 4) exceeds every
-    # h_j, so W's Phase-I set (one saturation) finds no recourse there and
-    # every scenario takes the stacked path: one stacked Phase-I set,
-    # completed under the first scenario's cost, serves the three
-    # scenarios of that cost; the other cost gets M's toric generators and
-    # its own Groebner basis; each extension is saturated once
+    # h_j, so W's Phase-I set finds no recourse there and every scenario
+    # takes the stacked path: one stacked Phase-I set, completed under the
+    # first scenario's cost, serves the three scenarios of that cost; the
+    # other cost gets M's toric generators and its own Groebner basis.
+    # Neither extension is saturated: W's set has both columns of its row
+    # (h_j - T x ranges over -4..7 in the box) and M = [T | W] is positive
+    # with a positive column, so both toric sets are written down
     assert calls == {"toric_generating_set": 1, "buchberger": 1,
-                     "graver_basis": 0, "extension_saturations": 2}
+                     "graver_basis": 0, "extension_saturations": 0}
     assert tuple(map(tuple, single_scenario_decisions(
         two_costs, method=METHOD_GRAVER))) == expected
     assert calls == {"toric_generating_set": 2, "buchberger": 2,
-                     "graver_basis": 0, "extension_saturations": 4}
+                     "graver_basis": 0, "extension_saturations": 0}
 
 
 def _counts(dec, solver):
@@ -224,16 +226,67 @@ def test_kernel_build_takes_over_the_decisions_phase_one_set():
     assert opcost_graver(inst, dec).counters.phase_one_bases == 1
 
 
-def test_kernel_build_completes_its_own_set_where_the_list_s_does_not_serve():
+def test_snd_families_keep_their_w_columns():
+    # T is zero on the flow rows and -capacity x_a on the capacity rows,
+    # where h is 0: over the box x_a <= 1 those rows take the signs they
+    # take at x-hat (every arc open), so W's set keeps its columns
+    for name in ("snd",) + tuple(SND_FAMILIES):
+        for n in (10, 30):
+            inst = (gen_snd(SndConfig(n, seed=1, max_demand=2))
+                    if name == "snd" else gen_snd_family(name, n))
+            t_hat = inst.technology.mat_vec(opcost._first_stage_start(inst))
+            at_x_hat = [sc.rhs - t_hat for sc in inst.scenarios]
+            assert (_columns(inst.recourse, opcost._box_sign_range(inst))
+                    == _columns(inst.recourse, at_x_hat)), (name, n)
+    inst = gen_snd(SndConfig(6, seed=1, max_demand=2))
+    t_hat = inst.technology.mat_vec(opcost._first_stage_start(inst))
+    assert single_scenario_decisions(inst).phase_one_set.columns == _columns(
+        inst.recourse, [sc.rhs - t_hat for sc in inst.scenarios])
+
+
+def test_kernel_build_adopts_the_set_of_hookless_scaled_hs():
     # read back from JSON, scaled HS has no hook: x-hat = (12, 12) leaves
-    # rows 0 and 1 of h_j - T x-hat at most 0, while the decisions' cells
-    # use both signs there
+    # rows 0 and 1 of h_j - T x-hat at most 0, but W's set has the columns
+    # of every sign h_j - T x takes over the first-stage box, so it serves
+    # the decisions' cells, which use both signs there
     hs = instance_from_json(instance_to_json(gen_hs(HS_CFG)))
     dec = single_scenario_decisions(hs)
-    assert dec.phase_one_set is not None
+    assert dec.phase_one_set.columns == (
+        (0, 1), (1, 1), (2, 1), (3, 1), (0, -1), (1, -1))
     built = opcost_kernel(hs, dec)
-    assert built.counters.phase_one_bases == 1
+    assert built.counters.phase_one_bases == 0
     assert built.values == HS_VALUES
+
+
+def test_kernel_build_completes_its_own_set_where_the_list_s_does_not_serve():
+    # the stacked programs do not bound x: decisions (10, 0), (11, 0) and
+    # (9, 0) leave the box x <= (4, 4), where h_j - T x >= 1, so their cells
+    # use the negative sign that W's set has no column for
+    def scenario(cost, h):
+        return Scenario(Fraction(1, 4), IntVector(cost), IntVector(h))
+
+    inst = SipInstance(
+        gamma=IntVector((1, 2)),
+        technology=IntMatrix(((1, 1),)),
+        recourse=IntMatrix(((1, 2),)),
+        scenarios=(scenario((2, 3), (10,)), scenario((1, 3), (12,)),
+                   scenario((2, 3), (11,)), scenario((2, 3), (9,))),
+        first_stage_bounds=(4, 4),
+    )
+    dec = single_scenario_decisions(inst)
+    assert dec.phase_one_set.columns == ((0, 1),)
+    assert max(x[0] for x in dec) == 11
+    built = opcost_kernel(inst, dec)
+    assert built.counters.phase_one_bases == 1
+    assert built.values == opcost_oracle(inst, dec).values
+    # a set that extends another instance's W does not serve either
+    snd = gen_snd(SndConfig(3, seed=1, max_demand=2))
+    snd_dec = single_scenario_decisions(snd)
+    foreign = dataclasses.replace(snd_dec, phase_one_set=(
+        single_scenario_decisions(four_node_snd(3)).phase_one_set))
+    m = opcost_kernel(snd, foreign)
+    assert m.counters.phase_one_bases == 1
+    assert m.values == opcost_kernel(snd, snd_dec).values
     # a set that extends another instance's W does not serve either
     snd = gen_snd(SndConfig(3, seed=1, max_demand=2))
     snd_dec = single_scenario_decisions(snd)
