@@ -14,6 +14,7 @@ from latticeopt.oracle import (
     IpProblem,
     OracleResourceError,
     enumerate_graver_in_box,
+    lex_max_point,
     solve_bruteforce,
 )
 
@@ -111,6 +112,39 @@ def test_solve_permutation_invariance():
         assert base.status == permuted.status
         if base.status == OPTIMAL:
             assert base.value == permuted.value
+
+
+def test_lex_max_point_matches_raw_enumeration_random():
+    # negative entries, zero bounds, and boxes that hold no point of A z = b
+    rng = random.Random(17)
+    empty = 0
+    for _ in range(200):
+        m = rng.randint(1, 2)
+        n = rng.randint(1, 4)
+        A = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
+        highs = tuple(rng.randint(0, 3) for _ in range(n))
+        if rng.random() < 0.5:
+            b = A.mat_vec(IntVector(rng.randint(0, u) for u in highs))
+        else:
+            b = IntVector(rng.randint(-6, 6) for _ in range(m))
+        points = [p for p in itertools.product(*(range(u + 1) for u in highs))
+                  if A.mat_vec(IntVector(p)) == b]
+        got = lex_max_point(A, b, highs)
+        if not points:
+            empty += 1
+            assert got is None
+        else:
+            assert got == IntVector(max(points))
+    assert empty > 0
+
+
+def test_lex_max_point_node_cap_raises(monkeypatch):
+    # parity makes every branch fail, which the row intervals cannot see
+    A, b = IntMatrix([[2, 2, 2, 2]]), IntVector([7])
+    assert lex_max_point(A, b, (8,) * 4) is None
+    monkeypatch.setattr(oracle, "NODE_CAP", 5)
+    with pytest.raises(OracleResourceError, match="node cap 5 exceeded"):
+        lex_max_point(A, b, (8,) * 4)
 
 
 def _raw_graver(A, bound):
