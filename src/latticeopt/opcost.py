@@ -13,28 +13,29 @@ Graver basis, W's; it prepares a walk's moves once per cost. M's toric set
 seeds only M's first Groebner basis: any reduced basis generates M's
 lattice ideal (Sturmfels, "Groebner Bases and Convex Polytopes", Ch. 1-2),
 so each later cost's completion starts from the previous cost's basis, the
-simple form of the Groebner walk. A walk starts at the instance's hook
-point for its cell, which `augment` tests, or at a Phase-I point found over
-the matrix's narrow artificial system: one artificial column per (row,
-sign) that a right-hand side the solver will see uses, gathered, and the
+simple form of the Groebner walk. A walk starts at the point its caller
+hands the solver, which `augment` tests (a build hands each cell the
+instance's hook point for it), or else at a Phase-I point found over the
+matrix's narrow artificial system: one artificial column per (row, sign)
+that a right-hand side the solver will see uses, gathered, and the
 extension's test set completed, when Phase-I is first needed. On the kernel
-path that set is completed under the cost of the first solve that needs
-it, so its walk ends at that cost's optimum and needs no basis of the
-matrix for it. A Phase-I point depends only on its right-hand side, so
-each distinct one is walked once, feasible or not.
+path that set is completed under the cost of the first solve that needs it,
+so its walk ends at that cost's optimum and needs no basis of the matrix
+for it. A Phase-I point depends only on its right-hand side, so each
+distinct one is walked once, feasible or not.
 
 The decisions phase solves every scenario's one-scenario program over M;
 each decision is that program's unique refined optimum, so kernel and
 graver both take it from the kernel solver and only the oracle searches a
 box. A walk over M's Groebner basis for (gamma, c_j) ends at that optimum
-from any feasible start, so the kernel decisions start from one
-first-stage point x-hat, the lexicographically largest of the first-stage
-box on A x = b, with y_j from W's Phase-I set, whose columns are the
-signs h_j - T x takes over the first-stage box; only a scenario without
-recourse at x-hat, or an instance without first-stage bounds, completes
-M's own Phase-I set. W's set rides on the decision list, and a kernel
-build that finds it covers its cells' signs, as it does for any decisions
-in the box, uses it instead of completing its own.
+from any feasible start, so the kernel decisions start from one first-stage
+point x-hat, the lexicographically largest of the first-stage box on
+A x = b, with y_j the hook's point at x-hat or else from W's Phase-I set,
+whose columns are the signs h_j - T x takes over the first-stage box; only
+a scenario without recourse at x-hat, or an instance without first-stage
+bounds, completes M's own Phase-I set. W's set rides on the decision list,
+and a kernel build that finds it covers its cells' signs, as it does for
+any decisions in the box, uses it instead of completing its own.
 
 A matrix row depends only on its decision, so each distinct decision is
 solved once, and its T x and gamma.x computed once, as its row is written;
@@ -327,52 +328,39 @@ def _first_stage_start(instance: SipInstance) -> Optional[IntVector]:
     return oracle.lex_max_point(A, as_vector(b), bounds)
 
 
+def _hook_point(instance: SipInstance, method: str, x: IntVector, j: int):
+    """The instance's hook point for decision x under scenario j, or None
+    where the instance has no hook, the hook declines, or the method is the
+    oracle, which asks none."""
+    hook = instance.feasible_recourse
+    if hook is None or method == METHOD_ORACLE:
+        return None
+    return hook(x, instance.scenarios[j].rhs)
+
+
 class _Solver:
     """One method's solves of min cost.z : M z = b, z >= 0 for one matrix M.
 
-    A solver serves one matrix: its toric generators, its Graver basis and
-    its Phase-I artificial system are built at most once, Groebner bases
-    and the walks' prepared improving moves once per cost, on first use.
-    The toric generators seed the first Groebner basis only; each later
-    one is completed from the last, which the solver keeps as a reference
-    to the basis `_built` holds.
-    `rhss` is a callable giving every right-hand side the solver will see;
-    the Phase-I extension has one artificial column per (row, sign) they
-    use, and is built, with its test set, only when a start first needs
-    Phase-I, unless a Phase-I set was put in `_built` beforehand.
-    `start` gives a walk's first point: `head` followed by the hook's
-    point for the cell, or else `points(cell)`, a point the caller
-    supplies (x-hat's in the decisions phase), or else a Phase-I point.
-    `head` None asks no hook. Both phases call it: a build through
-    `solve`, and the decisions phase through `solve` on the stacked matrix
-    and directly on W. The oracle builds
-    nothing, and `solve` derives each of its boxes from the instance and b.
-    Each object is built on its first use, wherever that falls; its build
-    is timed and counted there, so the build's solver for W records exactly
-    the build's algebra. A Phase-I point is such an object, one per distinct
-    right-hand side, None where b is infeasible, and `_once` times its walk
-    as `phase_one_walk_us`. Inside a build the (cost, b) memo answers a
-    repeated cell first, so there the object is the walk's stopwatch and
-    saves a walk only where scenarios of different costs share a b; it
-    saves more in the decisions phase, which has no memo (11 walks for 30
-    scenarios on SND N=30). Outside the solver only two places read the
-    method: `single_scenario_decisions` hands graver decisions to the
-    kernel solver, and `_build` books the row loop's time to `oracle_us`
-    or `augment_us` and lets only a kernel build take over a Phase-I set.
+    A solver caches M's algebra: its toric generators, its Graver basis and
+    its Phase-I set at most once, Groebner bases and the walks' prepared
+    moves once per cost, each built, timed and counted on first use. The
+    toric generators seed the first Groebner basis only; each later one is
+    completed from the last. `rhss` gives every right-hand side the solver
+    will see, and the Phase-I extension has one artificial column per (row,
+    sign) they use, unless a set was put in `_built` beforehand. A Phase-I
+    point is walked once per distinct right-hand side. The caller hands
+    `solve` each walk's start, or none for a Phase-I start; the oracle
+    builds nothing and ignores the start.
     """
 
     def __init__(self, instance: SipInstance, method: str, M: IntMatrix,
-                 rhss: Callable, head: Optional[tuple] = (),
-                 points: Optional[Callable] = None):
+                 rhss: Callable):
         if method not in METHODS:
             raise ValueError("unknown method %r" % method)
         self.instance = instance
         self.method = method
         self.M = M
         self.rhss = rhss
-        self.head = head
-        self.hook = None if head is None else instance.feasible_recourse
-        self.points = points
         self.counters = BuildCounters()
         self.timings_us = {"toric_us": 0, "groebner_us": 0, "graver_us": 0,
                            "phase_one_us": 0, "phase_one_walk_us": 0,
@@ -416,25 +404,13 @@ class _Solver:
             (timing, "moves", cost.entries), lambda: prepare_moves(basis, cost))
         return moves
 
-    def start(self, b: IntVector, cell: tuple, cost: IntVector):
-        """(z, optimal): where the walk for `cell` (the (x, j) that b
-        serves) under cost starts, kernel and graver methods.
-
-        z is the first of `head` followed by the hook's point for the cell
-        and `points(cell)` that there is, which the walk tests; otherwise
-        the Phase-I point for b, None where b is infeasible. The
-        Phase-I set has the first Phase-I start's cost on the kernel path
-        and 0 on the graver path, and `optimal` is True when z is None or a
-        Phase-I point of that cost, which is cost's optimum.
+    def phase_one(self, b: IntVector, cost: IntVector):
+        """(z, optimal): the Phase-I point for b, None where b is
+        infeasible, kernel and graver methods. The Phase-I set has the
+        first call's cost on the kernel path and 0 on the graver path, and
+        `optimal` is True when z is None or the set's cost is cost, so that
+        z is cost's optimum.
         """
-        if self.hook is not None:
-            x, j = cell
-            y = self.hook(x, self.instance.scenarios[j].rhs)
-            if y is not None:
-                return self.head + as_entries(y), False
-        z = None if self.points is None else self.points(cell)
-        if z is not None:
-            return z, False
         M, c = self.M, self.counters
         c.phase_one_calls += 1
         system = self._once(("phase_one_us",), lambda: artificial_system(
@@ -447,15 +423,15 @@ class _Solver:
         return z, z is None or (system.moves.cost.entries[:M.ncols]
                                 == cost.entries)
 
-    def solve(self, b: IntVector, cell: tuple, cost: IntVector):
+    def solve(self, b: IntVector, cost: IntVector, z=None):
         """The refined optimum of min cost.z : M z = b, z >= 0, or None.
 
         The result carries the optimum as `.solution` and its cost as
-        `.value`. Kernel and graver walk over `self.moves(cost)` from
-        `start(b, cell, cost)`; `augment` tests the start. The oracle asks
-        no hook and searches the box 0 <= z <= max(1, max(first-stage
-        bounds) + max|b|); a miss there is an infeasible cell, and an
-        instance without first-stage bounds raises ValueError.
+        `.value`. Kernel and graver walk over `self.moves(cost)` from z,
+        which `augment` tests, or from `phase_one(b, cost)` when z is None.
+        The oracle ignores z and searches the box 0 <= z <= max(1,
+        max(first-stage bounds) + max|b|); a miss there is an infeasible
+        cell, and an instance without first-stage bounds raises ValueError.
         """
         M, c = self.M, self.counters
         if self.method == METHOD_ORACLE:
@@ -466,11 +442,12 @@ class _Solver:
             res = oracle.solve_bruteforce(oracle.IpProblem(M, b, cost, max(
                 1, max(fs, default=0) + max(map(abs, b.entries)))))
             return res if res.status == oracle.OPTIMAL else None
-        z, optimal = self.start(b, cell, cost)
         if z is None:
-            return None
-        if optimal:
-            return AugmentResult(z, cost.dot(z), 0)
+            z, optimal = self.phase_one(b, cost)
+            if z is None:
+                return None
+            if optimal:
+                return AugmentResult(z, cost.dot(z), 0)
         c.augment_calls += 1
         res = augment(z, self._moves.get(cost.entries) or self.moves(cost), b)
         c.walk_steps += res.steps
@@ -489,52 +466,45 @@ def single_scenario_decisions(instance: SipInstance,
     W]] is solved to the unique refinement optimum; x_j is its first-stage
     part. The kernel and graver methods both solve with the kernel solver
     and give the same decisions; the oracle searches a box. Kernel walks
-    start, in this order of preference:
-    - at x = 0 and the hook's point, where the instance has a hook and
-      A x = b holds at 0;
-    - at (x-hat, y_j): x-hat is the lexicographically largest point of the
-      first-stage box on A x = b, and y_j is the Phase-I point of W y =
-      h_j - T x-hat over W's narrow Phase-I set, completed once under the
-      first scenario's recourse cost c_0, with a column for each (row,
-      sign) that h_j - T x takes for some x in the first-stage box;
-    - at a Phase-I point of M, where there are no first-stage bounds or
-      scenario j's recourse is infeasible at x-hat: M's Phase-I set is
-      completed once, under the first such scenario's cost.
-    Every walk runs over M's Groebner basis for (gamma, c_j), completed
-    once per distinct cost, the first from M's toric generators and each
-    later one from the basis before it. The list carries W's Phase-I set,
-    if it was built, as `phase_one_set`, and both solvers' timings and
-    counters as `phase_report`.
+    start at (x-hat, y_j): x-hat is the lexicographically largest point of
+    the first-stage box on A x = b, and y_j is the hook's point at x-hat,
+    or else the Phase-I point of W y = h_j - T x-hat over W's narrow
+    Phase-I set, completed once under the first scenario's recourse cost
+    c_0, with a column for each (row, sign) that h_j - T x takes for some
+    x in the first-stage box. Where there are no first-stage bounds, or
+    scenario j has no recourse at x-hat, the walk starts at a Phase-I
+    point of M, whose set is completed once, under the first such
+    scenario's cost. Every walk runs over M's Groebner basis for (gamma,
+    c_j), completed once per distinct cost, the first from M's toric
+    generators and each later one from the basis before it. The list
+    carries W's Phase-I set, if it was built, as `phase_one_set`, and both
+    solvers' timings and counters as `phase_report`.
     """
     M, head = _stacked_system(instance)
-    x0 = IntVector((0,) * instance.first_stage_dim)
     # graver decisions come from the kernel solver, and an unknown method
-    # reaches _Solver, which rejects it; the hook's point starts a walk at
-    # x = 0, which must meet A x = b
+    # reaches _Solver, which rejects it
     method = METHOD_KERNEL if method == METHOD_GRAVER else method
     x_hat = None if method == METHOD_ORACLE else _first_stage_start(instance)
     w = None
     if x_hat is not None:
         t_hat = instance.technology.mat_vec(x_hat)
         w = _Solver(instance, method, instance.recourse,
-                    lambda: _box_sign_range(instance), head=None)
-
-    def at_x_hat(cell):
-        j = cell[1]
-        y, _ = w.start(instance.scenarios[j].rhs - t_hat, (x_hat, j),
-                       instance.scenarios[0].cost)
-        return None if y is None else x_hat.entries + y.entries
-
+                    lambda: _box_sign_range(instance))
     solver = _Solver(instance, method, M,
                      lambda: (head + sc.rhs.entries
-                              for sc in instance.scenarios),
-                     head=None if any(head) else x0.entries,
-                     points=None if w is None else at_x_hat)
+                              for sc in instance.scenarios))
     out = []
     for j, sc in enumerate(instance.scenarios):
         cost = IntVector(instance.gamma.entries + sc.cost.entries)
         b = IntVector(head + sc.rhs.entries)
-        res = solver.solve(b, (x0, j), cost)
+        z = None
+        if x_hat is not None:
+            y = _hook_point(instance, method, x_hat, j)
+            if y is None:
+                y, _ = w.phase_one(sc.rhs - t_hat, instance.scenarios[0].cost)
+            if y is not None:
+                z = x_hat.entries + as_entries(y)
+        res = solver.solve(b, cost, z)
         if res is None:
             raise ValueError("scenario %d: stacked system infeasible" % j)
         out.append(IntVector(res.solution.entries[:instance.first_stage_dim]))
@@ -574,7 +544,8 @@ def _build(instance, decisions, method, q_only):
             if key in memo:
                 solver.counters.memo_hits += 1
             else:
-                res = solver.solve(b, (x, j), sc.cost)
+                res = solver.solve(b, sc.cost,
+                                   _hook_point(instance, method, x, j))
                 memo[key] = None if res is None else res.value
             q = memo[key]
             row.append(None if q is None else gx + q)

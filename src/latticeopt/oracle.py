@@ -100,7 +100,9 @@ def _value_range(j, rows, b, s, lo, hi, vlo, vhi):
 
 
 def _walk(rows, b, lows, highs, leaf):
-    """Depth-first over the box lows <= z <= highs; leaf(z) at each A z = b.
+    """Depth-first over the box lows <= z <= highs, each variable's values
+    in increasing order; leaf(z) at each A z = b, and the walk stops at the
+    first leaf that returns True.
 
     z is one list, reused for every point: a leaf copies what it keeps.
     """
@@ -110,14 +112,13 @@ def _walk(rows, b, lows, highs, leaf):
     s = [0] * len(rows)
     nodes = 0
 
-    def walk(j: int):
+    def walk(j: int) -> bool:
         nonlocal nodes
         if j == n:
-            leaf(z)
-            return
+            return leaf(z)
         vlo, vhi = _value_range(j, rows, b, s, lo, hi, lows[j], highs[j])
         if vlo > vhi:
-            return
+            return False
         arj = [row[j] for row in rows]
         for r, a in enumerate(arj):
             s[r] += a * vlo
@@ -128,13 +129,15 @@ def _walk(rows, b, lows, highs, leaf):
                 raise OracleResourceError(
                     "node cap %d exceeded: the box is too large" % NODE_CAP)
             z[j] = val
-            walk(j + 1)
+            if walk(j + 1):
+                return True
             val += 1
             for r, a in enumerate(arj):
                 s[r] += a
         for r, a in enumerate(arj):
             s[r] -= a * (vhi + 1)
         z[j] = 0
+        return False
 
     walk(0)
 
@@ -144,34 +147,20 @@ def lex_max_point(A: IntMatrix, b: IntVector,
     """The lexicographically largest z with A z = b and 0 <= z <= highs,
     or None when the box holds no such z.
 
-    Depth first over the box, each variable's highest value first, pruned
-    by the row intervals of the box search: the first point reached is the
-    largest. Visiting more than NODE_CAP nodes raises OracleResourceError.
+    Reflected through z = highs - z', it is the lexicographically smallest
+    z' in the same box with -A z' = b - A highs: the first point `_walk`
+    reaches. Visiting more than NODE_CAP nodes raises OracleResourceError.
     """
-    rows, b, highs = [tuple(r) for r in A.rows], tuple(b.entries), tuple(highs)
-    lo, hi = _suffix_intervals(rows, (0,) * len(highs), highs)
-    z, s, nodes = [0] * len(highs), [0] * len(rows), 0
+    highs = tuple(highs)
+    found = []
 
-    def walk(j: int) -> bool:
-        nonlocal nodes
-        if j == len(z):
-            return True
-        vlo, vhi = _value_range(j, rows, b, s, lo, hi, 0, highs[j])
-        for val in range(vhi, vlo - 1, -1):
-            nodes += 1
-            if nodes > NODE_CAP:
-                raise OracleResourceError(
-                    "node cap %d exceeded: the box is too large" % NODE_CAP)
-            z[j] = val
-            for r, row in enumerate(rows):
-                s[r] += row[j] * val
-            if walk(j + 1):
-                return True
-            for r, row in enumerate(rows):
-                s[r] -= row[j] * val
-        return False
+    def first(z):
+        found.append(IntVector(u - v for u, v in zip(highs, z)))
+        return True
 
-    return IntVector(z) if walk(0) else None
+    _walk([tuple(-a for a in row) for row in A.rows],
+          (b - A.mat_vec(highs)).entries, (0,) * len(highs), highs, first)
+    return found[0] if found else None
 
 
 def solve_bruteforce(problem: IpProblem) -> IpOutcome:

@@ -287,14 +287,6 @@ def test_kernel_build_completes_its_own_set_where_the_list_s_does_not_serve():
     m = opcost_kernel(snd, foreign)
     assert m.counters.phase_one_bases == 1
     assert m.values == opcost_kernel(snd, snd_dec).values
-    # a set that extends another instance's W does not serve either
-    snd = gen_snd(SndConfig(3, seed=1, max_demand=2))
-    snd_dec = single_scenario_decisions(snd)
-    foreign = dataclasses.replace(snd_dec, phase_one_set=(
-        single_scenario_decisions(four_node_snd(3)).phase_one_set))
-    m = opcost_kernel(snd, foreign)
-    assert m.counters.phase_one_bases == 1
-    assert m.values == opcost_kernel(snd, snd_dec).values
 
 
 def test_triangle_with_per_scenario_flow_costs_walks_over_m_bases():
@@ -364,6 +356,28 @@ def test_oracle_asks_no_hook():
     assert (single_scenario_decisions(hooked, method=METHOD_ORACLE)
             == single_scenario_decisions(small))
     assert calls == []
+
+
+def test_decisions_ask_the_hook_only_at_x_hat():
+    calls = []
+
+    def counting(x, h):
+        calls.append(tuple(x))
+        return hs_feasible(x, h)
+
+    hooked = dataclasses.replace(gen_hs(HS_CFG), feasible_recourse=counting)
+    dec = single_scenario_decisions(hooked)
+    assert tuple(map(tuple, dec)) == HS_DECISIONS
+    assert calls == [(12, 12)] * hooked.num_scenarios
+    # without first-stage bounds there is no x-hat: every walk starts at a
+    # Phase-I point of M, and no solver for W is made
+    calls.clear()
+    unbounded = dataclasses.replace(hooked, first_stage_bounds=None)
+    dec = single_scenario_decisions(unbounded)
+    assert tuple(map(tuple, dec)) == HS_DECISIONS
+    assert calls == []
+    assert _counts(dec, "M")["phase_one_bases"] == 1
+    assert "W" not in dec.phase_report
 
 
 def test_oracle_ignores_an_invalid_hook():
