@@ -48,6 +48,7 @@ class BenchRecord:
     total_us_max: int
     checksum: str
     counters: dict
+    decisions_phase: dict
 
     def to_json_line(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
@@ -99,8 +100,10 @@ def bench(family, n_list, seed, methods):
     Each size takes BENCH_RUNS runs of its decisions, which every method's
     build in the run shares. A row reports each timing's median, the
     lowest and highest run totals, and the last run's checksum and
-    counters. An unknown method raises ValueError, and an unknown family
-    KeyError, before any work is done.
+    counters. Its `decisions_phase` is the decisions' `phase_report`, per
+    solver ("M", and "W" where one ran) the median of each timing and the
+    last run's counters. An unknown method raises ValueError, and an
+    unknown family KeyError, before any work is done.
     """
     for method in methods:
         if method not in METHODS:
@@ -110,14 +113,21 @@ def bench(family, n_list, seed, methods):
     for n in n_list:
         inst = BENCH_FAMILIES[family](n, seed)
         runs = {method: [] for method in methods}
+        phases = []
         for _ in range(BENCH_RUNS):
             t0 = time.perf_counter_ns()
             dec = single_scenario_decisions(inst)
             decisions_us = (time.perf_counter_ns() - t0) // 1000
+            phases.append(dec.phase_report)
             for method in methods:
                 m = _opcost(method, inst, dec)
                 runs[method].append(
                     ({"decisions_us": decisions_us, **m.timings_us}, m))
+        decisions_phase = {
+            solver: {"timings_us": _medians(
+                [phase[solver]["timings_us"] for phase in phases]),
+                "counters": report["counters"]}
+            for solver, report in phases[-1].items()}
         for method in methods:
             timings = [t for t, _ in runs[method]]
             totals = [sum(t.values()) for t in timings]
@@ -125,11 +135,16 @@ def bench(family, n_list, seed, methods):
             records.append(BenchRecord(
                 family=family, method=method, scenario_count=n,
                 variable_count=inst.recourse.ncols,
-                timings_us={key: statistics.median(t[key] for t in timings)
-                            for key in timings[0]},
+                timings_us=_medians(timings),
                 total_us_min=min(totals), total_us_max=max(totals),
-                checksum=matrix_checksum(m), counters=m.counters.as_dict()))
+                checksum=matrix_checksum(m), counters=m.counters.as_dict(),
+                decisions_phase=decisions_phase))
     return records
+
+
+def _medians(dicts):
+    """Each key's median over a list of dicts with the same keys."""
+    return {key: statistics.median(d[key] for d in dicts) for key in dicts[0]}
 
 
 def _read_matrix(path: str) -> IntMatrix:

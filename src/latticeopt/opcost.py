@@ -198,12 +198,16 @@ class BuildCounters:
     the cells of those rows that repeat an earlier cell's (cost, b) and
     take its value unsolved. walk_steps sums the steps of the optimisation
     walks and of each distinct right-hand side's Phase-I walk, counted
-    once however many cells share it.
+    once however many cells share it. toric_rounds counts the saturation
+    rounds of the toric sets counted in toric_runs, and
+    toric_round_elements sums each set's largest round: the largest
+    reduced basis one of its rounds completed.
     """
 
     __slots__ = ("toric_runs", "buchberger_runs", "graver_runs",
                  "augment_calls", "oracle_solves", "phase_one_calls",
-                 "phase_one_bases", "toric_elements", "groebner_elements",
+                 "phase_one_bases", "toric_elements", "toric_rounds",
+                 "toric_round_elements", "groebner_elements",
                  "graver_elements", "walk_steps", "memo_hits")
 
     def __init__(self):
@@ -393,8 +397,7 @@ class _Solver:
             timing = "groebner_us"
             seed = self._last_basis
             if seed is None:
-                seed = self._once(("toric_us",),
-                                  lambda: toric_generating_set(M),
+                seed = self._once(("toric_us",), self._saturate,
                                   "toric_runs", "toric_elements").generators
             basis = self._last_basis = self._once(
                 (timing, cost.entries),
@@ -403,6 +406,13 @@ class _Solver:
         moves = self._moves[cost.entries] = self._once(
             (timing, "moves", cost.entries), lambda: prepare_moves(basis, cost))
         return moves
+
+    def _saturate(self):
+        """M's toric set, its saturation rounds added to the counters."""
+        gens, c = toric_generating_set(self.M), self.counters
+        c.toric_rounds += gens.rounds
+        c.toric_round_elements += gens.largest_round
+        return gens
 
     def phase_one(self, b: IntVector, cost: IntVector):
         """(z, optimal): the Phase-I point for b, None where b is

@@ -225,3 +225,35 @@ def reference_completion(seed, order):
             kept.append(g)
     return sorted(_plain_reduce(g[0], [h for h in kept if h != g], cost, True)
                   for g in kept)
+
+
+def ascending_toric_generating_set(A: IntMatrix):
+    """`toric.toric_generating_set` with its saturation rounds in ascending
+    column order, the order used before largest coefficient last: a second
+    generating set of the same toric ideal, which must complete to the
+    same reduced bases."""
+    from latticeopt import toric
+
+    rule = toric._round_order
+    toric._round_order = lambda A, columns: sorted(columns)
+    try:
+        return toric.toric_generating_set(A)
+    finally:
+        toric._round_order = rule
+
+
+def check_round_orders_agree(A: IntMatrix, orders):
+    """Under each cost order, A's toric sets from both round orders must
+    complete to one reduced basis, the criterion-free reference's."""
+    from latticeopt.groebner import buchberger
+    from latticeopt.toric import toric_generating_set
+
+    sets = (toric_generating_set(A), ascending_toric_generating_set(A))
+    for order in orders:
+        rule, ascending = (
+            sorted(g.entries for g in buchberger(s.generators, order, A))
+            for s in sets)
+        if not rule == ascending == reference_completion(sets[0].generators,
+                                                         order):
+            raise AssertionError(("round orders disagree", A.rows,
+                                  order.cost.entries))

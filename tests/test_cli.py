@@ -239,6 +239,16 @@ def test_bench_emits_json_lines(capsys):
     oracle_counters = by_method["oracle"]["counters"]
     assert oracle_counters["oracle_solves"] == 4
     assert oracle_counters["walk_steps"] == 0
+    # every row carries the shared decisions' phase report: HS's hook
+    # leaves W's solver idle, and M's toric set takes four rounds
+    phase = by_method["kernel"]["decisions_phase"]
+    assert all(rec["decisions_phase"] == phase for rec in lines)
+    assert set(phase) == {"M", "W"}
+    assert all(set(report) == {"timings_us", "counters"}
+               for report in phase.values())
+    assert phase["W"]["counters"]["phase_one_bases"] == 0
+    assert phase["M"]["counters"]["toric_rounds"] == 4
+    assert phase["M"]["counters"]["toric_round_elements"] == 6
 
 
 def test_bench_rows_report_medians_and_total_range(monkeypatch):

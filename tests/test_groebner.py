@@ -183,18 +183,22 @@ def test_groebner_basis_kernel_assert():
         GroebnerBasis(IntMatrix([[1, 1]]), order, _vs((1, 1)))
 
 
-# sha256 of every toric generating set and reduced basis that
-# test_seeded_completions_match_frozen_digest builds, recorded before the
-# chain criterion and the counted orthant push were added. Both only skip
-# work, so the generators and the (unique) reduced bases must not move.
-FROZEN_COMPLETION_DIGEST = (
-    "8375d630f377cb651405a1756f25febb630e0e0c1b2f20d3a0957254c1a17534")
+# sha256 digests of the 24 seeded toric generating sets, and of their
+# matrices with the reduced bases completed from them, that
+# test_seeded_completions_match_frozen_digest builds. The reduced bases are
+# unique, so no change to an algorithm may move their digest; the toric
+# sets depend on the saturation's round order (largest coefficient last).
+FROZEN_TORIC_SETS_DIGEST = (
+    "b6974d9eb9cd1a75aec22b8c7ee31a3bcde9ad0bc8a5505df4395bfc3112de4c")
+FROZEN_BASES_DIGEST = (
+    "5a0f788f30cadd05286f7b788735c4a177f5d37a96d62a02c470f5ce50a9ec19")
 
 
 def seeded_completions_digest():
-    """sha256 over 24 seeded toric generating sets and their reduced bases."""
+    """(toric sets digest, bases digest): sha256 over 24 seeded toric
+    generating sets, and over their matrices and reduced bases."""
     rng = random.Random(20261018)
-    digest = hashlib.sha256()
+    sets, bases = hashlib.sha256(), hashlib.sha256()
     for k in range(24):
         nrows, ncols = rng.choice([(1, 3), (2, 4), (2, 5), (3, 5), (3, 6)])
         lo = -2 if k % 3 == 2 else 0
@@ -202,18 +206,20 @@ def seeded_completions_digest():
         costs = [tuple(rng.randint(0, 5) for _ in range(ncols))
                  for _ in range(rng.choice([2, 3]))]
         gens = toric_generating_set(A)
-        digest.update(repr((A.rows, sorted(g.entries for g in gens))).encode())
+        sets.update(repr((A.rows, sorted(g.entries for g in gens))).encode())
+        bases.update(repr(A.rows).encode())
         for c in costs:
             order = CostOrder(c)
             gb = buchberger(gens.generators, order, matrix=A)
             for g in gens:
                 assert normal_form(g, gb, order).is_zero()
-            digest.update(repr((c, sorted(g.entries for g in gb))).encode())
-    return digest.hexdigest()
+            bases.update(repr((c, sorted(g.entries for g in gb))).encode())
+    return sets.hexdigest(), bases.hexdigest()
 
 
 def test_seeded_completions_match_frozen_digest():
-    assert seeded_completions_digest() == FROZEN_COMPLETION_DIGEST
+    assert seeded_completions_digest() == (FROZEN_TORIC_SETS_DIGEST,
+                                           FROZEN_BASES_DIGEST)
 
 
 def test_interreduction_reaches_its_fixed_point_in_one_pass(monkeypatch):
@@ -229,7 +235,8 @@ def test_interreduction_reaches_its_fixed_point_in_one_pass(monkeypatch):
         return out
 
     monkeypatch.setattr(groebner, "_interreduce", checking)
-    assert seeded_completions_digest() == FROZEN_COMPLETION_DIGEST
+    assert seeded_completions_digest() == (FROZEN_TORIC_SETS_DIGEST,
+                                           FROZEN_BASES_DIGEST)
     toric_generating_set(support.wide_stairstep_matrix())
     assert len(outs) > 100
 
@@ -524,14 +531,16 @@ def test_degree_criterion_drops_only_pairs_that_reduce_to_zero(monkeypatch):
     assert len(remainders) >= 100 and remainders == [None] * len(remainders)
 
 
-# (matrix name, toric set digest), the digests those sets had before
-# completion had a degree criterion
+# (matrix name, toric set digest) under largest coefficient last. 7x17's
+# saturated columns' largest entries grow with the column index, so its
+# rounds run in ascending order and its set is the one it had before
+# completion had a degree criterion.
 GRADED_TORIC_SETS = (
-    ("7x17", "050f7ab84ccca497"), ("snd", "1fab1721ca20332e"),
-    ("snd-4node", "8dd122c2a6d90bcd"), ("snd-2commodity", "e483e585b660165d"),
-    ("snd-5node", "9ed42d1ac9c59274"), ("snd-4node-costs-1-9",
-                                        "8dd122c2a6d90bcd"),
-    ("snd-4node-costs-4-6", "8dd122c2a6d90bcd"))
+    ("7x17", "050f7ab84ccca497"), ("snd", "ee80dd76c85b1e7d"),
+    ("snd-4node", "02cd9b653d44ebde"), ("snd-2commodity", "1854db5659f76c0e"),
+    ("snd-5node", "ceb12bc45ebe7465"), ("snd-4node-costs-1-9",
+                                        "02cd9b653d44ebde"),
+    ("snd-4node-costs-4-6", "02cd9b653d44ebde"))
 
 
 def _vectors_digest(vectors):

@@ -175,6 +175,18 @@ def _counts(dec, solver):
     return dec.phase_report[solver]["counters"]
 
 
+def test_decisions_count_the_saturation_rounds_of_m():
+    # (toric_elements, toric_rounds, toric_round_elements) of M. Largest
+    # coefficient last, each of the triangle's seven rounds completes 4
+    # elements (in ascending order 10, 8, 8, 7, 7, 7, 9, keeping 9), and
+    # each of HS's four rounds 6 (ascending: 7, 9, 7, 8, keeping 8)
+    snd = gen_snd(SndConfig(3, 1, max_demand=2))
+    for inst, work in ((snd, (4, 7, 4)), (gen_hs(HS_CFG), (6, 4, 6))):
+        c = _counts(single_scenario_decisions(inst), "M")
+        assert (c["toric_elements"], c["toric_rounds"],
+                c["toric_round_elements"]) == work
+
+
 def test_decisions_fall_back_to_the_stacked_path_where_x_hat_is_infeasible():
     # T x-hat = 8 at the box's upper corner x-hat = (4, 4): scenarios 1 and
     # 2 (h = 10, 12) find recourse there and walk from (x-hat, y_j) over
@@ -755,7 +767,8 @@ def test_build_counters_frozen_for_every_method():
     snd_dec = DecisionList(SND_DECISIONS)
     cases = [
         (opcost_kernel(hs, hs_dec), _counters(
-            toric_runs=1, toric_elements=6, buchberger_runs=1,
+            toric_runs=1, toric_elements=4, toric_rounds=4,
+            toric_round_elements=4, buchberger_runs=1,
             groebner_elements=8, augment_calls=4, walk_steps=6)),
         (opcost_graver(hs, hs_dec), _counters(
             graver_runs=1, graver_elements=44, augment_calls=4,

@@ -1,5 +1,6 @@
 """Scale fixtures: completion on a dense 7x17 system, a wide sweep
-against a completion that skips no pair, the 16x24 Graver basis of a
+against a completion that skips no pair, the same check on both toric
+saturation round orders over wider matrices, the 16x24 Graver basis of a
 stacked network design system, and the matrices of the larger network
 design families.
 
@@ -17,7 +18,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from latticeopt import instances
+from latticeopt import groebner, instances
 from latticeopt.cli import matrix_checksum
 from latticeopt.graver import graver_basis
 from latticeopt.groebner import buchberger, normal_form
@@ -101,6 +102,30 @@ def test_completion_matches_criterion_free_reference_sweep():
             runs += 1
     assert len(skipped) <= 10
     assert runs >= 600
+
+
+def test_round_orders_agree_on_wider_random_matrices():
+    # test_toric's round-order check on 24 random 4-5 x 10-12 matrices with
+    # entries 0..2. A few of them make a saturation round or a completion
+    # outgrow 500 working elements (2 of the 24 here); those matrices are
+    # skipped and counted.
+    rng = random.Random(23)
+    skipped = []
+    default_cap = groebner.ELEMENT_CAP
+    with time_guard(GUARD_SECONDS):
+        for _ in range(24):
+            A = support.random_matrix(rng, rng.choice([4, 5]),
+                                      rng.choice([10, 11, 12]), 0, 2)
+            order = CostOrder(tuple(rng.randint(0, 5)
+                                    for _ in range(A.ncols)))
+            groebner.ELEMENT_CAP = 500
+            try:
+                support.check_round_orders_agree(A, [order])
+            except groebner.GraverResourceError:
+                skipped.append(A)
+            finally:
+                groebner.ELEMENT_CAP = default_cap
+    assert len(skipped) <= 6
 
 
 # sha256 of repr(sorted element tuples) of the 4-node SND stacked system's

@@ -175,3 +175,49 @@ def test_orthant_push_matches_the_every_column_scoring():
                     [(2, -1, 0), (0, 1, -1), (-1, 0, 1)]):
         assert _common_orthant_push(vectors) == \
             _reference_orthant_push(vectors)
+
+
+def test_rounds_run_largest_coefficient_last_and_are_counted():
+    # max |A_ij| per column is 1, 3, 1, 2: the ties at 1 go later column
+    # first, then the column with 2, then the one with 3
+    A = IntMatrix([[1, -3, 0, 2], [0, 1, -1, 0]])
+    assert toric._round_order(A, range(4)) == [2, 0, 3, 1]
+    assert toric._round_order(A, [1, 0]) == [0, 1]
+    # the twisted cubic: two saturated columns, and the largest round
+    # completes the four generators the set keeps
+    gens = toric_generating_set(IntMatrix([[3, 2, 1, 0], [0, 1, 2, 3]]))
+    assert (gens.rounds, gens.largest_round, len(gens)) == (2, 4, 4)
+    assert repr(gens) == "ToricGenerators(4 elements, 4 cols)"
+    # a set with nothing to saturate, or one written down, ran no round
+    trivial = toric_generating_set(IntMatrix.identity(2))
+    assert (trivial.rounds, trivial.largest_round) == (0, 0)
+    written = ToricGenerators(IntMatrix([[1, 1]]), [IntVector((1, -1))])
+    assert (written.rounds, written.largest_round) == (0, 0)
+
+
+def test_round_orders_complete_to_one_reduced_basis():
+    # Every round order saturates the same ideal, so the ascending order's
+    # set and the largest-coefficient-last set complete to one reduced
+    # basis, the criterion-free reference's, under random costs: on the
+    # SND stacked matrices at N=3 (the per-scenario-cost families share
+    # snd-4node's), HS's W and M, and random 2-3 x 6-8 matrices.
+    from latticeopt import opcost
+    from latticeopt.instances import (SND_FAMILIES, HsConfig, SndConfig,
+                                      gen_hs, gen_snd, gen_snd_family)
+
+    rng = random.Random(37)
+    hs = gen_hs(HsConfig(3, 1, scaled=True))
+    matrices = [
+        opcost._stacked_system(gen_snd(SndConfig(3, 1, max_demand=2)))[0],
+        hs.recourse, opcost._stacked_system(hs)[0]]
+    for name in SND_FAMILIES:
+        M = opcost._stacked_system(gen_snd_family(name, 3))[0]
+        if M not in matrices:
+            matrices.append(M)
+    matrices += [support.random_matrix(rng, rng.choice([2, 3]),
+                                       rng.choice([6, 7, 8]), -3, 3)
+                 for _ in range(12)]
+    for A in matrices:
+        support.check_round_orders_agree(A, [
+            CostOrder(tuple(rng.randint(0, 5) for _ in range(A.ncols)))
+            for _ in range(2)])
