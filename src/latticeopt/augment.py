@@ -136,10 +136,14 @@ class ArtificialSystem(NamedTuple):
     column order: every positive sign in row order, then every negative one.
     The moves are prepared for `moves.cost`, c on A's columns and K on S's,
     and `moves.matrix` is the extension they were checked against.
+    `rounds` and `largest_round` are those of the toric set that seeded
+    the completion: 0 where it was written down.
     """
 
     columns: tuple
     moves: PreparedMoves
+    rounds: int = 0
+    largest_round: int = 0
 
 
 def _columns(A: IntMatrix, rhss) -> tuple:
@@ -240,7 +244,8 @@ def artificial_system(A: IntMatrix, rhss, c=None) -> ArtificialSystem:
         cost = IntVector(c + (K,) * len(columns))
         basis = groebner.buchberger(basis, CostOrder(cost), matrix=ext)
         if all(sum(g.entries[A.ncols:]) >= 0 for g in basis):
-            return ArtificialSystem(columns, prepare_moves(basis, cost))
+            return ArtificialSystem(columns, prepare_moves(basis, cost),
+                                    seed.rounds, seed.largest_round)
         K *= 2
 
 

@@ -73,21 +73,13 @@ def _opcost(method, inst, dec, q_only=False):
             METHOD_ORACLE: opcost_oracle}[method](inst, dec, q_only=q_only)
 
 
-def _as_read(inst):
-    """The instance read back from its JSON, as `opcost` reads it."""
-    return instance_from_json(instance_to_json(inst))
-
-
-# Each family's instance for (scenario count, seed). SND is the triangle
-# network with demands up to 2 and the snd-* families are
-# `instances.SND_FAMILIES`, each read back from its JSON.
+# Each family's instance for (scenario count, seed): the two HS families
+# and every `instances.SND_FAMILIES` entry, the triangle "snd" among them.
 BENCH_FAMILIES = {
     "hs-scaled": lambda n, seed: gen_hs(HsConfig(n, seed, scaled=True)),
     "hs-unscaled": lambda n, seed: gen_hs(HsConfig(n, seed)),
-    "snd": lambda n, seed: _as_read(gen_snd(SndConfig(n, seed,
-                                                      max_demand=2))),
-    **{name: (lambda n, seed, name=name: _as_read(
-        gen_snd_family(name, n, seed))) for name in SND_FAMILIES},
+    **{name: (lambda n, seed, name=name: gen_snd_family(name, n, seed))
+       for name in SND_FAMILIES},
 }
 
 

@@ -3,8 +3,9 @@
 gen_hs builds a family of two-stage aircraft-allocation style instances
 with a fixed 4x8 recourse matrix; gen_snd builds stochastic network design
 instances on a small digraph, with first-stage binaries encoded as bounded
-integers, and gen_snd_family the named network design families past the
-default triangle. All are deterministic per seed.
+integers, and gen_snd_family the named network design families of
+SND_FAMILIES, the triangle among them, each defined there once. All are
+deterministic per seed.
 """
 
 from __future__ import annotations
@@ -108,7 +109,6 @@ class SndConfig:
     arcs: tuple = ((0, 1), (1, 2), (2, 0))
     commodities: int = 1
     fixed_costs: tuple = (3, 4, 5)
-    flow_costs: Optional[tuple] = None
     capacities: tuple = (2, 2, 2)
     max_demand: int = 1
 
@@ -130,17 +130,6 @@ class SndConfig:
             raise ValueError("capacities must be positive")
         if self.max_demand < 0:
             raise ValueError("max_demand must be non-negative")
-        fc = self.resolved_flow_costs()
-        if len(fc) != self.commodities or any(
-                len(row) != len(self.arcs) for row in fc):
-            raise ValueError("flow costs must be commodities x arcs")
-        if any(q < 0 for row in fc for q in row):
-            raise ValueError("flow costs must be non-negative")
-
-    def resolved_flow_costs(self) -> tuple:
-        if self.flow_costs is not None:
-            return tuple(tuple(row) for row in self.flow_costs)
-        return tuple((1,) * len(self.arcs) for _ in range(self.commodities))
 
 
 def gen_snd(config: SndConfig) -> SipInstance:
@@ -148,14 +137,14 @@ def gen_snd(config: SndConfig) -> SipInstance:
 
     First stage holds one open/closed variable and one bound slack per arc
     (x_a + s_a = 1); the recourse stage holds one flow variable per
-    (commodity, arc) plus one capacity slack per arc per scenario.
+    (commodity, arc), of cost 1, plus one capacity slack per arc, of cost
+    0, per scenario.
     """
     rng = random.Random(config.seed)
     narcs = len(config.arcs)
     ncom = config.commodities
     nx = 2 * narcs
     ny = narcs * (ncom + 1)
-    flow_costs = config.resolved_flow_costs()
 
     fs_rows = []
     for a in range(narcs):
@@ -187,8 +176,7 @@ def gen_snd(config: SndConfig) -> SipInstance:
         trow[a] = -config.capacities[a]
         t_rows.append(tuple(trow))
 
-    cost = IntVector(tuple(flow_costs[c][a] for c in range(ncom)
-                           for a in range(narcs)) + (0,) * narcs)
+    cost = IntVector((1,) * (ncom * narcs) + (0,) * narcs)
 
     n = config.scenario_count
     scenarios = []
@@ -219,10 +207,11 @@ _FOUR_NODE = dict(vertices=4,
                   arcs=((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)),
                   fixed_costs=(3, 4, 5, 3, 6, 6), capacities=(2,) * 6)
 
-# The network design families past the triangle: the SndConfig fields of
-# each network (every family draws demands up to 2) and, for two of them,
-# the range of the per-scenario flow costs.
+# Every named network design family: the SndConfig fields of each network
+# past the default triangle (every family draws demands up to 2) and, for
+# two of them, the range of the per-scenario flow costs.
 SND_FAMILIES = {
+    "snd": ({}, None),
     "snd-4node": (_FOUR_NODE, None),
     "snd-2commodity": (dict(commodities=2, capacities=(4, 4, 4)), None),
     "snd-5node": (dict(vertices=5, arcs=((0, 1), (1, 2), (2, 3), (3, 4),
@@ -236,7 +225,8 @@ SND_FAMILIES = {
 
 def gen_snd_family(name: str, scenario_count: int,
                    seed: int = 1) -> SipInstance:
-    """The instance of the SND_FAMILIES entry `name`.
+    """The instance of the SND_FAMILIES entry `name`: "snd" is
+    gen_snd(SndConfig(scenario_count, seed, max_demand=2)), the triangle.
 
     A family with a cost range gives each scenario, in scenario order, its
     own flow costs drawn from random.Random(5).randint(*range), the same

@@ -18,11 +18,14 @@ hands the solver, which `augment` tests (a build hands each cell the
 instance's hook point for it), or else at a Phase-I point found over the
 matrix's narrow artificial system: one artificial column per (row, sign)
 that a right-hand side the solver will see uses, gathered, and the
-extension's test set completed, when Phase-I is first needed. On the kernel
-path that set is completed under the cost of the first solve that needs it,
-so its walk ends at that cost's optimum and needs no basis of the matrix
-for it. A Phase-I point depends only on its right-hand side, so each
-distinct one is walked once, feasible or not.
+extension's test set completed, when Phase-I is first needed, under the
+cost of the first solve that needs it. On the kernel path its walk then
+ends at that cost's optimum and needs no basis of the matrix for it; a
+graver cell still walks the Graver basis from the Phase-I point, since a
+Graver basis is a universal test set (Graver, Math. Programming 9, 1975),
+so every graver cell keeps its Graver certificate. A Phase-I point depends
+only on its right-hand side, so each distinct one is walked once, feasible
+or not.
 
 The decisions phase solves every scenario's one-scenario program over M;
 each decision is that program's unique refined optimum, so kernel and
@@ -34,8 +37,9 @@ A x = b, with y_j the hook's point at x-hat or else from W's Phase-I set,
 whose columns are the signs h_j - T x takes over the first-stage box; only
 a scenario without recourse at x-hat, or an instance without first-stage
 bounds, completes M's own Phase-I set. W's set rides on the decision list,
-and a kernel build that finds it covers its cells' signs, as it does for
-any decisions in the box, uses it instead of completing its own.
+and a kernel or graver build that finds it covers its cells' signs, as it
+does for any decisions in the box, uses it instead of completing its own,
+so a pipeline completes one Phase-I set of W.
 
 A matrix row depends only on its decision, so each distinct decision is
 solved once, and its T x and gamma.x computed once, as its row is written;
@@ -146,10 +150,11 @@ class DecisionList:
     """First-stage decisions, one matrix row each.
 
     `single_scenario_decisions` also leaves the W Phase-I set its
-    decisions used in `phase_one_set`, for a kernel build to take over,
-    and its solvers' timings and counters in `phase_report`, keyed "M"
-    (the stacked matrix) and "W". A list made by hand has neither. Neither
-    takes part in equality or repr.
+    decisions used in `phase_one_set`, for a kernel or graver build to
+    take over, and its solvers' timings and counters in `phase_report`,
+    keyed "M" (the stacked matrix) and "W". A list made by hand has
+    neither, so a build handed one completes its own set. Neither takes
+    part in equality or repr.
     """
 
     decisions: tuple
@@ -188,18 +193,20 @@ class BuildCounters:
     phase_one_bases is 1 when the build completed the test set of W's
     Phase-I extension (one artificial column per (row, sign) the cells'
     right-hand sides use), 0 when closed-form starts made it unnecessary or
-    the build took over the set its decision list carries (a kernel build
-    of `single_scenario_decisions`' list, when that set covers its cells'
-    signs; the set's time is then in the list's `phase_report`), and
-    phase_one_calls counts the cells handed that set; cells of the cost
-    it was completed under (kernel) make no augment_calls. The per-cell
+    the build took over the set its decision list carries (a kernel or
+    graver build of `single_scenario_decisions`' list, when that set covers
+    its cells' signs; the set's time and rounds are then in the list's
+    `phase_report`), and phase_one_calls counts the cells handed that set;
+    kernel cells of the cost it was completed under make no augment_calls,
+    and every feasible graver cell makes one. The per-cell
     tallies cover the distinct (cost, b) cells of the rows of distinct
     decisions only: repeated decisions copy their row, and memo_hits counts
     the cells of those rows that repeat an earlier cell's (cost, b) and
     take its value unsolved. walk_steps sums the steps of the optimisation
     walks and of each distinct right-hand side's Phase-I walk, counted
     once however many cells share it. toric_rounds counts the saturation
-    rounds of the toric sets counted in toric_runs, and
+    rounds of the toric sets counted in toric_runs and of the seed of a
+    Phase-I set counted in phase_one_bases (0 for a seed written down), and
     toric_round_elements sums each set's largest round: the largest
     reduced basis one of its rounds completed.
     """
@@ -347,14 +354,16 @@ class _Solver:
 
     A solver caches M's algebra: its toric generators, its Graver basis and
     its Phase-I set at most once, Groebner bases and the walks' prepared
-    moves once per cost, each built, timed and counted on first use. The
-    toric generators seed the first Groebner basis only; each later one is
-    completed from the last. `rhss` gives every right-hand side the solver
-    will see, and the Phase-I extension has one artificial column per (row,
-    sign) they use, unless a set was put in `_built` beforehand. A Phase-I
-    point is walked once per distinct right-hand side. The caller hands
-    `solve` each walk's start, or none for a Phase-I start; the oracle
-    builds nothing and ignores the start.
+    moves once per cost, each built, timed and counted on first use, a
+    saturation's rounds included. The toric generators seed the first
+    Groebner basis only; each later one is completed from the last. `rhss`
+    gives every right-hand side the solver will see, and the Phase-I
+    extension has one artificial column per (row, sign) they use, unless a
+    set was put in `_built` beforehand; a set the solver builds itself is
+    completed under the cost of the first `phase_one` call, on either
+    method. A Phase-I point is walked once per distinct right-hand side.
+    The caller hands `solve` each walk's start, or none for a Phase-I
+    start; the oracle builds nothing and ignores the start.
     """
 
     def __init__(self, instance: SipInstance, method: str, M: IntMatrix,
@@ -397,8 +406,9 @@ class _Solver:
             timing = "groebner_us"
             seed = self._last_basis
             if seed is None:
-                seed = self._once(("toric_us",), self._saturate,
-                                  "toric_runs", "toric_elements").generators
+                seed = self._once(("toric_us",), lambda: self._counted(
+                    toric_generating_set(M)), "toric_runs",
+                    "toric_elements").generators
             basis = self._last_basis = self._once(
                 (timing, cost.entries),
                 lambda: buchberger(seed, CostOrder(cost), matrix=M),
@@ -407,31 +417,31 @@ class _Solver:
             (timing, "moves", cost.entries), lambda: prepare_moves(basis, cost))
         return moves
 
-    def _saturate(self):
-        """M's toric set, its saturation rounds added to the counters."""
-        gens, c = toric_generating_set(self.M), self.counters
-        c.toric_rounds += gens.rounds
-        c.toric_round_elements += gens.largest_round
-        return gens
+    def _counted(self, built):
+        """built, a toric set or a Phase-I set, its saturation rounds added
+        to the counters."""
+        c = self.counters
+        c.toric_rounds += built.rounds
+        c.toric_round_elements += built.largest_round
+        return built
 
     def phase_one(self, b: IntVector, cost: IntVector):
         """(z, optimal): the Phase-I point for b, None where b is
-        infeasible, kernel and graver methods. The Phase-I set has the
-        first call's cost on the kernel path and 0 on the graver path, and
-        `optimal` is True when z is None or the set's cost is cost, so that
-        z is cost's optimum.
+        infeasible, kernel and graver methods. A set the solver builds
+        itself has the first call's cost. `optimal` is True when z is None
+        or, on the kernel path only, the set's cost is cost, so that z is
+        cost's optimum; a graver cell walks its Graver basis from z.
         """
         M, c = self.M, self.counters
         c.phase_one_calls += 1
-        system = self._once(("phase_one_us",), lambda: artificial_system(
-            M, self.rhss(), None if self.method == METHOD_GRAVER else cost),
-            "phase_one_bases")
+        system = self._once(("phase_one_us",), lambda: self._counted(
+            artificial_system(M, self.rhss(), cost)), "phase_one_bases")
         steps = []
         z = self._once(("phase_one_walk_us", b.entries),
                        lambda: phase_one_feasible(system, b, steps))
         c.walk_steps += sum(steps)
-        return z, z is None or (system.moves.cost.entries[:M.ncols]
-                                == cost.entries)
+        return z, z is None or (self.method == METHOD_KERNEL and (
+            system.moves.cost.entries[:M.ncols] == cost.entries))
 
     def solve(self, b: IntVector, cost: IntVector, z=None):
         """The refined optimum of min cost.z : M z = b, z >= 0, or None.
@@ -535,10 +545,10 @@ def _build(instance, decisions, method, q_only):
     extremes = _sign_range(instance, map(min, ts), map(max, ts))
     solver = _Solver(instance, method, W, lambda: extremes)
     timings = solver.timings_us
-    # a kernel build takes over the decisions' W Phase-I set where it
+    # a walking build takes over the decisions' W Phase-I set where it
     # serves every cell, and only reads it; the check is Phase-I time
     system = decisions.phase_one_set
-    if method == METHOD_KERNEL and system is not None:
+    if method != METHOD_ORACLE and system is not None:
         t1 = time.perf_counter_ns()
         if serves(system, W, extremes):
             solver._built[("phase_one_us",)] = system

@@ -267,7 +267,9 @@ def _phase_one(A, b):
 
 def test_artificial_system_shape():
     A = IntMatrix([[1, -1], [2, 1]])
-    columns, moves = artificial_system(A, BOTH_SIGNS)
+    # every nonzero A_ij has its column: the toric set is written down
+    columns, moves, rounds, largest_round = artificial_system(A, BOTH_SIGNS)
+    assert (rounds, largest_round) == (0, 0)
     ext = moves.matrix
     assert ext.rows == ((1, -1, 1, 0, -1, 0), (2, 1, 0, 1, 0, -1))
     assert moves.cost == IntVector((0, 0) + (1000,) * 4)
@@ -278,15 +280,19 @@ def test_artificial_system_shape():
 
 def test_artificial_system_one_column_per_used_sign():
     A = IntMatrix([[1, -1], [2, 1]])
-    columns, moves = artificial_system(A, [(1, 0), (2, 3)])
+    # A_01 = -1 has no column (0, -1): the extension is saturated, and
+    # the system carries its rounds
+    columns, moves, rounds, largest_round = artificial_system(
+        A, [(1, 0), (2, 3)])
+    assert (rounds, largest_round) == (3, 3)
     assert moves.matrix.rows == ((1, -1, 1, 0), (2, 1, 0, 1))
     assert moves.cost == IntVector((0, 0, 1000, 1000))
     assert columns == ((0, 1), (1, 1))
     # row 0 is always zero: it gets no column; row 1 only the negative one
-    columns, moves = artificial_system(A, [(0, -1), (0, 0)])
+    columns, moves = artificial_system(A, [(0, -1), (0, 0)])[:2]
     assert moves.matrix.rows == ((1, -1, 0), (2, 1, -1))
     assert moves.cost == IntVector((0, 0, 1000)) and columns == ((1, -1),)
-    columns, moves = artificial_system(A, [(0, 0)])
+    columns, moves = artificial_system(A, [(0, 0)])[:2]
     assert moves.matrix == A and moves.cost == IntVector((0, 0))
     assert columns == ()
 
@@ -324,7 +330,8 @@ def test_written_seed_completes_as_the_saturated_seed(monkeypatch):
             saturated = artificial_system(A, rhss, c)
         assert len(saturations) == 1
         saturations.clear()
-        assert written == saturated, (A.rows, rhss, c)
+        assert written[:2] == saturated[:2], (A.rows, rhss, c)
+        assert (written.rounds, written.largest_round) == (0, 0)
 
 
 def test_unmatched_columns_are_saturated(monkeypatch):

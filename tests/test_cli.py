@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from latticeopt import cli, groebner, oracle
-from latticeopt.instances import (HsConfig, gen_hs, instance_from_json,
+from latticeopt.instances import (SND_FAMILIES, HsConfig, SndConfig, gen_hs,
+                                  gen_snd, gen_snd_family, instance_from_json,
                                   instance_to_json)
 from latticeopt.opcost import opcost_oracle, single_scenario_decisions
 
@@ -295,6 +296,19 @@ def test_bench_label_writes_every_family_to_one_file(tmp_path, monkeypatch,
     hs, snd = lines
     assert (hs["family"], hs["variable_count"]) == ("hs-scaled", 8)
     assert (snd["family"], snd["variable_count"]) == ("snd", 6)
+
+
+def test_bench_builds_every_snd_family_from_its_one_definition():
+    # every network design family, the triangle among them, is an
+    # instances.SND_FAMILIES entry that bench builds as gen_snd_family does;
+    # none has a hook, so its JSON round trip returns an equal instance
+    assert gen_snd_family("snd", 10, 1) == gen_snd(
+        SndConfig(10, 1, max_demand=2))
+    for name in SND_FAMILIES:
+        for n, seed in ((10, 1), (30, 1), (7, 3)):
+            inst = cli.BENCH_FAMILIES[name](n, seed)
+            assert inst == gen_snd_family(name, n, seed), (name, n, seed)
+            assert instance_from_json(instance_to_json(inst)) == inst
 
 
 def test_bench_rejects_an_unknown_family(capsys):

@@ -568,9 +568,7 @@ def test_grading_is_none_where_the_fiber_of_zero_has_a_one_signed_move():
 
 
 def test_grading_is_positive_and_leaves_the_toric_sets_unchanged():
-    stacked = {"7x17": support.wide_stairstep_matrix(),
-               "snd": opcost._stacked_system(
-                   gen_snd(SndConfig(3, 1, max_demand=2)))[0]}
+    stacked = {"7x17": support.wide_stairstep_matrix()}
     for name in SND_FAMILIES:
         stacked[name] = opcost._stacked_system(gen_snd_family(name, 3))[0]
     sets = {}

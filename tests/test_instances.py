@@ -126,7 +126,6 @@ def test_snd_conservation_rows_sum_to_zero():
                              arcs=((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)),
                              commodities=2,
                              fixed_costs=(1, 1, 1, 1, 1),
-                             flow_costs=((1, 2, 1, 2, 1), (2, 1, 2, 1, 2)),
                              capacities=(3, 3, 3, 3, 3),
                              max_demand=2))
     narcs, ncom, nv = 5, 2, 4
@@ -164,8 +163,6 @@ def test_snd_config_validation():
         SndConfig(scenario_count=1, seed=0, capacities=(0, 2, 2))
     with pytest.raises(ValueError):
         SndConfig(scenario_count=1, seed=0, fixed_costs=(1, 2))
-    with pytest.raises(ValueError):
-        SndConfig(scenario_count=1, seed=0, flow_costs=((1, 1),))
 
 
 def test_json_round_trip_bit_exact():

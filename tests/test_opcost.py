@@ -234,18 +234,17 @@ def test_kernel_build_takes_over_the_decisions_phase_one_set():
     again = opcost_kernel(inst, dec)
     assert again.counters.as_dict() == adopted.counters.as_dict()
     assert again.values == adopted.values
-    # the graver build keeps its own Phase-I set, of cost 0
-    assert opcost_graver(inst, dec).counters.phase_one_bases == 1
+    # the graver build takes the set over too
+    assert opcost_graver(inst, dec).counters.phase_one_bases == 0
 
 
 def test_snd_families_keep_their_w_columns():
     # T is zero on the flow rows and -capacity x_a on the capacity rows,
     # where h is 0: over the box x_a <= 1 those rows take the signs they
     # take at x-hat (every arc open), so W's set keeps its columns
-    for name in ("snd",) + tuple(SND_FAMILIES):
+    for name in SND_FAMILIES:
         for n in (10, 30):
-            inst = (gen_snd(SndConfig(n, seed=1, max_demand=2))
-                    if name == "snd" else gen_snd_family(name, n))
+            inst = gen_snd_family(name, n)
             t_hat = inst.technology.mat_vec(opcost._first_stage_start(inst))
             at_x_hat = [sc.rhs - t_hat for sc in inst.scenarios]
             assert (_columns(inst.recourse, opcost._box_sign_range(inst))
@@ -254,6 +253,40 @@ def test_snd_families_keep_their_w_columns():
     t_hat = inst.technology.mat_vec(opcost._first_stage_start(inst))
     assert single_scenario_decisions(inst).phase_one_set.columns == _columns(
         inst.recourse, [sc.rhs - t_hat for sc in inst.scenarios])
+
+
+def test_graver_build_takes_over_the_decisions_phase_one_set():
+    # a Graver basis is a universal test set: a graver build takes over the
+    # decisions' W set, which was completed under another cost than most
+    # cells', and each feasible Phase-I cell still walks its Graver basis
+    # from the set's point, once per distinct (cost, b)
+    hs = instance_from_json(instance_to_json(gen_hs(HS_CFG)))
+    for inst in (gen_snd(SndConfig(6, seed=1, max_demand=2)), hs):
+        dec = single_scenario_decisions(inst)
+        assert dec.phase_one_set is not None
+        graver = opcost_graver(inst, dec)
+        c = graver.counters
+        assert (c.phase_one_bases, c.graver_runs) == (0, 1)
+        cells = {(sc.cost.entries, rhs(inst, x, j).entries): v
+                 for x, row in zip(dec, graver.values)
+                 for j, (sc, v) in enumerate(zip(inst.scenarios, row))}
+        assert c.phase_one_calls == len(cells)
+        assert c.augment_calls == sum(v is not None for v in cells.values())
+        assert graver == opcost_kernel(inst, dec) == opcost_oracle(inst, dec)
+        # a list made by hand carries no set: the build completes its own
+        own = opcost_graver(inst, DecisionList(tuple(dec)))
+        assert own.counters.phase_one_bases == 1 and own == graver
+
+
+def test_decisions_count_the_saturation_rounds_of_w_s_phase_one_set():
+    # at N=10 no 4-node scenario ships from vertex 1 or to vertex 3, so
+    # W's set lacks those conservation rows' columns (1, +) and (3, -) and
+    # its extension is saturated, in rounds the W report counts; at N=30
+    # every column is there and the toric set is written down
+    for n, work in ((10, (12, 18)), (30, (0, 0))):
+        c = _counts(single_scenario_decisions(four_node_snd(n)), "W")
+        assert c["phase_one_bases"] == 1
+        assert (c["toric_rounds"], c["toric_round_elements"]) == work
 
 
 def test_kernel_build_adopts_the_set_of_hookless_scaled_hs():
@@ -663,14 +696,16 @@ def test_phase_one_set_doubles_k_until_the_check_passes(monkeypatch):
     # saturates its extension once, through the toric module: the toric
     # set seeds the first completion, and each doubling re-completes from
     # the basis that failed. The decisions complete W's set at x-hat, and
-    # a kernel build handed a list without it completes its own
+    # a build handed a list without it completes its own
     take = _chain_spy(monkeypatch, toric, groebner)
 
     def ks():
         return [basis.order.cost.entries[-1] for basis in take()]
 
-    inst = gen_snd(SndConfig(3, seed=1, flow_costs=((5000,) * 3,),
-                             max_demand=2))
+    base = gen_snd(SndConfig(3, seed=1, max_demand=2))
+    inst = dataclasses.replace(base, scenarios=tuple(
+        dataclasses.replace(sc, cost=IntVector((5000,) * 3 + (0,) * 3))
+        for sc in base.scenarios))
     dec = single_scenario_decisions(inst)
     assert ks() == [1000, 2000, 4000, 8000]
     assert dec.decisions == single_scenario_decisions(
@@ -681,8 +716,12 @@ def test_phase_one_set_doubles_k_until_the_check_passes(monkeypatch):
     assert adopted == mk and adopted.counters.phase_one_bases == 0
     assert mk == opcost_oracle(inst, dec)
     assert mk.values == ((10007, 5007, 7), (None, 5003, 3), (None, None, 0))
-    # graver's Phase-I set has cost 0 on W's columns: K = 1000 passes
-    assert opcost_graver(inst, dec) == mk and ks() == [1000]
+    # a graver build takes the decisions' set over as well; handed a list
+    # without it, it completes its own under the first cell's cost
+    graver = opcost_graver(inst, dec)
+    assert graver == mk and graver.counters.phase_one_bases == 0
+    assert opcost_graver(inst, DecisionList(dec.decisions)) == mk
+    assert ks() == [1000, 2000, 4000, 8000]
 
 
 def test_each_later_completion_is_seeded_with_the_previous_basis(
@@ -776,12 +815,17 @@ def test_build_counters_frozen_for_every_method():
         (opcost_oracle(hs, hs_dec), _counters(oracle_solves=4)),
         # one infeasible cell: four Phase-I calls; the Phase-I set is
         # completed under the one scenario cost, so its walks end at the
-        # optimum, no cell walks again and W gets no basis of its own
+        # optimum, no kernel cell walks again and W gets no basis of its
+        # own. Each graver cell still walks its Graver basis, and takes no
+        # step. The set's extension is saturated in 6 rounds, the largest
+        # completing 7 elements
         (opcost_kernel(snd, snd_dec), _counters(
-            phase_one_calls=4, phase_one_bases=1, walk_steps=7)),
+            phase_one_calls=4, phase_one_bases=1, toric_rounds=6,
+            toric_round_elements=7, walk_steps=7)),
         (opcost_graver(snd, snd_dec), _counters(
             graver_runs=1, graver_elements=2, augment_calls=3,
-            phase_one_calls=4, phase_one_bases=1, walk_steps=7)),
+            phase_one_calls=4, phase_one_bases=1, toric_rounds=6,
+            toric_round_elements=7, walk_steps=7)),
         (opcost_oracle(snd, snd_dec), _counters(oracle_solves=4)),
     ]
     for m, expected in cases:

@@ -146,7 +146,7 @@ def test_four_node_stacked_graver_basis():
         FOUR_NODE_STACKED_GRAVER_DIGEST
 
 
-# Network design families past the triangle (`instances.SND_FAMILIES`),
+# Network design families, the triangle among them (`instances.SND_FAMILIES`),
 # seed 1, at the scenario count of each one's standing checksum
 # (cli.matrix_checksum), recorded before the Phase-I set served the walk.
 # The per-scenario-cost families complete one Groebner basis per distinct
