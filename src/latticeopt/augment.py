@@ -137,13 +137,18 @@ class ArtificialSystem(NamedTuple):
     The moves are prepared for `moves.cost`, c on A's columns and K on S's,
     and `moves.matrix` is the extension they were checked against.
     `rounds` and `largest_round` are those of the toric set that seeded
-    the completion: 0 where it was written down.
+    the completion: 0 where it was written down. `pairs_queued`,
+    `pair_reductions` and `zero_reductions` sum those of its completions,
+    one per K tried (`groebner.GroebnerBasis`).
     """
 
     columns: tuple
     moves: PreparedMoves
     rounds: int = 0
     largest_round: int = 0
+    pairs_queued: int = 0
+    pair_reductions: int = 0
+    zero_reductions: int = 0
 
 
 def _columns(A: IntMatrix, rhss) -> tuple:
@@ -239,13 +244,15 @@ def artificial_system(A: IntMatrix, rhss, c=None) -> ArtificialSystem:
     seed = _written_generators(A, columns, ext)
     if seed is None:
         seed = toric.toric_generating_set(ext)
-    K, basis = 1000, seed.generators
+    K, basis, work = 1000, seed.generators, (0, 0, 0)
     while True:
         cost = IntVector(c + (K,) * len(columns))
         basis = groebner.buchberger(basis, CostOrder(cost), matrix=ext)
+        work = (work[0] + basis.pairs_queued, work[1] + basis.pair_reductions,
+                work[2] + basis.zero_reductions)
         if all(sum(g.entries[A.ncols:]) >= 0 for g in basis):
             return ArtificialSystem(columns, prepare_moves(basis, cost),
-                                    seed.rounds, seed.largest_round)
+                                    seed.rounds, seed.largest_round, *work)
         K *= 2
 
 

@@ -38,19 +38,26 @@ the truncated-basis setting of Kreuzer-Robbiano (Computational
 Commutative Algebra 2, 4.5) that Hemmecke-Malkin work in. Every kernel
 vector v has w.v = 0, so its binomial is homogeneous of degree w.v+, and
 pairs are selected by degree w.lcm. A remainder has the degree of its
-pair, so pairs pop in nondecreasing degree, and when one of degree d pops
-every pair below d has been handled: the working basis is a Groebner
-basis truncated at d, and every ideal element of degree below d reduces
-to zero. A popped pair whose trails share a variable has that factor in
-both of its points, so S = v_i - v_j is of degree below d; the rule drops
-it, and so adds and removes no element. The grading exists exactly when
-the fiber of 0 holds no point but 0 (Stiemke), and a generating seed's
-moves connect that fiber, so a one-signed seed vector shows there is
-none; otherwise a batch perceptron looks for lambda (`_grading`). Toric
-saturation's rounds complete seeds that do not generate their matrix's
-lattice ideal, since saturating is what makes them generate it, so they
-call `_complete` without a grading; completion without one keys and
-drops pairs as the first three rules alone do.
+pair, so pairs pop in nondecreasing degree and no pair is formed below the
+degree last popped; when one of degree d pops every pair below d has been
+handled: the working basis is a Groebner basis truncated at d, and every
+ideal element of degree below d reduces to zero. A pair whose trails share
+a variable has that factor in both of its points, so S = v_i - v_j is of
+degree below its own w.lcm. Both trails are known when the pair is
+formed: each element keeps the support of its trail as a bitmask, and a
+pair whose leads and trail masks both meet is settled there, as the
+product criterion settles a pair, with no lcm and nothing queued. From the
+first pop of degree w.lcm or more on, its S reduces to zero, so the rule
+adds and removes no element, and the chain criterion, whose pairs (i, k)
+and (j, k) have lcms dividing lcm(i, j), may count it as settled. The
+grading exists exactly when the fiber of 0 holds no point but 0
+(Stiemke), and a generating seed's moves connect that fiber, so a
+one-signed seed vector shows there is none; otherwise a batch perceptron
+looks for lambda (`_grading`). Toric saturation's rounds complete seeds
+that do not generate their matrix's lattice ideal, since saturating is
+what makes them generate it, so they call `_complete` without a grading;
+completion without one keys and drops pairs as the first three rules
+alone do.
 
 One loop, `_reduce`, serves completion, inter-reduction, `normal_form` and
 every augmentation walk. It and the chain criterion ask one question, whose
@@ -87,12 +94,24 @@ class GraverResourceError(RuntimeError):
 
 
 class GroebnerBasis(KernelVectorSet):
-    """Reduced basis for one matrix/order pair; elements are oriented vectors."""
+    """Reduced basis for one matrix/order pair; elements are oriented vectors.
 
-    __slots__ = ("order",)
+    `pairs_queued`, `pair_reductions` and `zero_reductions` count the work
+    of the completion that made it: the pairs it queued, the S-vectors it
+    reduced and those that reduced to zero. They are 0 for a basis written
+    down, and neither repr nor the elements show them.
+    """
 
-    def __init__(self, matrix: IntMatrix, order: CostOrder, elements):
+    __slots__ = ("order", "pairs_queued", "pair_reductions",
+                 "zero_reductions")
+
+    def __init__(self, matrix: IntMatrix, order: CostOrder, elements,
+                 pairs_queued: int = 0, pair_reductions: int = 0,
+                 zero_reductions: int = 0):
         self.order = order
+        self.pairs_queued = pairs_queued
+        self.pair_reductions = pair_reductions
+        self.zero_reductions = zero_reductions
         super().__init__(matrix, elements)
 
     def __repr__(self) -> str:
@@ -275,11 +294,6 @@ def _grading(seed, matrix):
     return None
 
 
-def _trails_meet(u, v):
-    """Whether u and v are both negative in some coordinate."""
-    return any(a < 0 and b < 0 for a, b in zip(u, v))
-
-
 def buchberger(seed: Iterable[IntVector], order: CostOrder,
                matrix: IntMatrix) -> GroebnerBasis:
     """Complete a kernel-vector seed to the unique reduced basis for the order.
@@ -295,13 +309,15 @@ def buchberger(seed: Iterable[IntVector], order: CostOrder,
     rule). A pair with disjoint lead supports is never queued (product
     criterion), and a popped pair (i, j) is dropped when some k has a lead
     dividing its lcm and both (i, k) and (j, k) are settled: formed, and
-    dropped by the product criterion or popped (chain criterion). The
-    settled partners are kept as one bitset per element, and the lead
-    index searches only their intersection. With a grading, a popped pair
-    that survives the chain criterion is also dropped when the trails of
-    i and j share a variable, since its S-vector is of lower degree
-    (degree criterion). The module docstring says why all four rules are
-    sound. The working basis is one lead index, grown
+    dropped at formation or popped (chain criterion). The settled partners
+    are kept as one bitset per element, and the lead index searches only
+    their intersection. With a grading, each element also keeps its trail's
+    support as a bitmask, and a pair whose trails share a variable is
+    settled when it is formed, as a product-criterion pair is, since its
+    S-vector is of lower degree (degree criterion). The module
+    docstring says why all four rules are sound. The result counts the
+    pairs queued, the S-pair reductions and the zero reductions. The
+    working basis is one lead index, grown
     by each insertion, and inter-reduction of the completed basis takes one
     pass. The matrix is required: the GroebnerBasis returned checks each
     element against its kernel and keeps them in canonical order. A matrix
@@ -332,7 +348,9 @@ def _complete(seed, order, matrix, graded):
     basis = _LeadIndex(order.dim)
     live = []  # live[k]: no later element's lead divides k's
     settled = []  # settled[k]: the h whose pair with k is formed, not queued
+    trails = []  # trails[k]: the support of k's trail, 0 without a grading
     heap = []
+    queued = reductions = zeros = 0
 
     def settle(i, j):
         settled[i] |= 1 << j
@@ -340,10 +358,11 @@ def _complete(seed, order, matrix, graded):
 
     def push(i, j):
         """Queue the pair i < j keyed by its lcm, (weight.lcm, lcm, j, i),
-        unless its leads are disjoint (product criterion), which settles it.
-        The weight is the grading, else the cost. Pairs are pushed in (j, i)
+        unless its leads are disjoint (product criterion) or, under a
+        grading, its trails meet (degree criterion); either settles it. The
+        weight is the grading, else the cost. Pairs are pushed in (j, i)
         order, so (j, i) breaks ties first in, first out."""
-        if basis[i][2] & basis[j][2]:
+        if basis[i][2] & basis[j][2] and not trails[i] & trails[j]:
             lcm = tuple(map(max, basis[i][1], basis[j][1]))
             heapq.heappush(heap, (sum(map(mul, weight, lcm)), lcm, j, i))
         else:
@@ -357,6 +376,7 @@ def _complete(seed, order, matrix, graded):
         basis.append(_record(t))
         live.append(True)
         settled.append(0)
+        trails.append(0 if grading is None else _part_mask(x < 0 for x in t))
         if n >= ELEMENT_CAP:
             raise GraverResourceError(
                 "completion exceeded %d elements" % ELEMENT_CAP)
@@ -373,17 +393,19 @@ def _complete(seed, order, matrix, graded):
 
     while heap:
         _, lcm, j, i = heapq.heappop(heap)
+        queued += 1  # every queued pair pops once
         settle(i, j)
         chain = _divisors(lcm, basis, settled[i] & settled[j])
         if next(chain, None) is not None:
             continue  # chain criterion: a settled k's lead divides lcm
-        if grading is not None and _trails_meet(basis[i][0], basis[j][0]):
-            continue  # degree criterion: S is of lower degree, reduces to 0
         s = _orient_tuple(tuple(map(sub, basis[i][0], basis[j][0])), cost)
         s, _ = _reduce(s, basis, cost, False)
+        reductions += 1
         if s is None:
+            zeros += 1
             continue
         add(s)
 
     return GroebnerBasis(matrix, order,
-                         _interreduce([rec[0] for rec in basis], order))
+                         _interreduce([rec[0] for rec in basis], order),
+                         queued, reductions, zeros)

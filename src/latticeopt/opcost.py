@@ -208,14 +208,19 @@ class BuildCounters:
     rounds of the toric sets counted in toric_runs and of the seed of a
     Phase-I set counted in phase_one_bases (0 for a seed written down), and
     toric_round_elements sums each set's largest round: the largest
-    reduced basis one of its rounds completed.
+    reduced basis one of its rounds completed. pairs_queued,
+    pair_reductions and zero_reductions sum the completion work of the
+    Groebner bases counted in buchberger_runs and of the completions of the
+    Phase-I set counted in phase_one_bases (`groebner.GroebnerBasis`);
+    saturation rounds are not in them.
     """
 
     __slots__ = ("toric_runs", "buchberger_runs", "graver_runs",
                  "augment_calls", "oracle_solves", "phase_one_calls",
                  "phase_one_bases", "toric_elements", "toric_rounds",
                  "toric_round_elements", "groebner_elements",
-                 "graver_elements", "walk_steps", "memo_hits")
+                 "graver_elements", "walk_steps", "memo_hits",
+                 "pairs_queued", "pair_reductions", "zero_reductions")
 
     def __init__(self):
         for name in self.__slots__:
@@ -355,15 +360,16 @@ class _Solver:
     A solver caches M's algebra: its toric generators, its Graver basis and
     its Phase-I set at most once, Groebner bases and the walks' prepared
     moves once per cost, each built, timed and counted on first use, a
-    saturation's rounds included. The toric generators seed the first
-    Groebner basis only; each later one is completed from the last. `rhss`
-    gives every right-hand side the solver will see, and the Phase-I
-    extension has one artificial column per (row, sign) they use, unless a
-    set was put in `_built` beforehand; a set the solver builds itself is
-    completed under the cost of the first `phase_one` call, on either
-    method. A Phase-I point is walked once per distinct right-hand side.
-    The caller hands `solve` each walk's start, or none for a Phase-I
-    start; the oracle builds nothing and ignores the start.
+    saturation's rounds and a completion's work included. The toric
+    generators seed the first Groebner basis only; each later one is
+    completed from the last. `rhss` gives every right-hand side the solver
+    will see, and the Phase-I extension has one artificial column per (row,
+    sign) they use, unless a set was put in `_built` beforehand; a set the
+    solver builds itself is completed under the cost of the first
+    `phase_one` call, on either method. A Phase-I point is walked once per
+    distinct right-hand side. The caller hands `solve` each walk's start, or
+    none for a Phase-I start; the oracle builds nothing and ignores the
+    start.
     """
 
     def __init__(self, instance: SipInstance, method: str, M: IntMatrix,
@@ -410,8 +416,8 @@ class _Solver:
                     toric_generating_set(M)), "toric_runs",
                     "toric_elements").generators
             basis = self._last_basis = self._once(
-                (timing, cost.entries),
-                lambda: buchberger(seed, CostOrder(cost), matrix=M),
+                (timing, cost.entries), lambda: self._worked(
+                    buchberger(seed, CostOrder(cost), matrix=M)),
                 "buchberger_runs", "groebner_elements")
         moves = self._moves[cost.entries] = self._once(
             (timing, "moves", cost.entries), lambda: prepare_moves(basis, cost))
@@ -425,6 +431,15 @@ class _Solver:
         c.toric_round_elements += built.largest_round
         return built
 
+    def _worked(self, built):
+        """built, a Groebner basis or a Phase-I set, its completion work
+        added to the counters."""
+        c = self.counters
+        c.pairs_queued += built.pairs_queued
+        c.pair_reductions += built.pair_reductions
+        c.zero_reductions += built.zero_reductions
+        return built
+
     def phase_one(self, b: IntVector, cost: IntVector):
         """(z, optimal): the Phase-I point for b, None where b is
         infeasible, kernel and graver methods. A set the solver builds
@@ -434,8 +449,9 @@ class _Solver:
         """
         M, c = self.M, self.counters
         c.phase_one_calls += 1
-        system = self._once(("phase_one_us",), lambda: self._counted(
-            artificial_system(M, self.rhss(), cost)), "phase_one_bases")
+        system = self._once(("phase_one_us",), lambda: self._worked(
+            self._counted(artificial_system(M, self.rhss(), cost))),
+            "phase_one_bases")
         steps = []
         z = self._once(("phase_one_walk_us", b.entries),
                        lambda: phase_one_feasible(system, b, steps))

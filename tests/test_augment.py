@@ -268,7 +268,8 @@ def _phase_one(A, b):
 def test_artificial_system_shape():
     A = IntMatrix([[1, -1], [2, 1]])
     # every nonzero A_ij has its column: the toric set is written down
-    columns, moves, rounds, largest_round = artificial_system(A, BOTH_SIGNS)
+    columns, moves, rounds, largest_round = artificial_system(
+        A, BOTH_SIGNS)[:4]
     assert (rounds, largest_round) == (0, 0)
     ext = moves.matrix
     assert ext.rows == ((1, -1, 1, 0, -1, 0), (2, 1, 0, 1, 0, -1))
@@ -283,7 +284,7 @@ def test_artificial_system_one_column_per_used_sign():
     # A_01 = -1 has no column (0, -1): the extension is saturated, and
     # the system carries its rounds
     columns, moves, rounds, largest_round = artificial_system(
-        A, [(1, 0), (2, 3)])
+        A, [(1, 0), (2, 3)])[:4]
     assert (rounds, largest_round) == (3, 3)
     assert moves.matrix.rows == ((1, -1, 1, 0), (2, 1, 0, 1))
     assert moves.cost == IntVector((0, 0, 1000, 1000))

@@ -252,6 +252,25 @@ def test_bench_emits_json_lines(capsys):
     assert phase["M"]["counters"]["toric_round_elements"] == 6
 
 
+def test_bench_rows_count_the_same_work_on_every_run():
+    # Counts of work do not drift with the host: two runs of one row give
+    # the same build and decisions counters, the completions' pairs queued
+    # and S-pair reductions among them
+    def counts():
+        return [(rec.counters, {solver: report["counters"] for solver, report
+                                in rec.decisions_phase.items()})
+                for rec in cli.bench("snd-4node-costs-1-9", [3], 1,
+                                     ("kernel",))]
+
+    first = counts()
+    assert first == counts()
+    (_, phase), = first
+    assert phase["M"]["buchberger_runs"] == 3
+    assert phase["M"]["pairs_queued"] >= phase["M"]["pair_reductions"] > (
+        phase["M"]["zero_reductions"]) > 0
+    assert phase["W"]["pairs_queued"] > 0
+
+
 def test_bench_rows_report_medians_and_total_range(monkeypatch):
     # each row runs the decisions and the build BENCH_RUNS times; here a
     # build's timings are fixed per run, so the median and range are known

@@ -339,11 +339,15 @@ def _spy_pushes(monkeypatch):
 def test_death_rule_halves_the_queued_pairs_on_the_wide_matrix(monkeypatch):
     # Before the death rule, completing the 7x17 toric generators under the
     # all-ones cost queued 9,028 pairs; ungraded it queues 4,204 and reduces
-    # 1,163 S-pairs. The lattice has a positive grading, and selection by
-    # degree with the degree criterion takes that to 1,829 and 406. The
-    # basis is the one perfbench's completion_7x17 workload checks. The
-    # work is pinned exactly: the lead index and the settled-pair chain
-    # criterion change how divisors are found, not which pairs are reduced.
+    # 1,163 S-pairs, 1,007 to zero. The lattice has a positive grading, and
+    # selection by degree with the degree criterion at each pop took that
+    # to 1,829 and 406 (319 to zero). Deciding the criterion when a pair is
+    # formed queues none of the pairs it drops, and the chain criterion
+    # then drops more: 1,079 and 332 (245 to zero). The basis is the one
+    # perfbench's completion_7x17 workload checks. The work is pinned
+    # exactly: the lead index and the settled-pair chain criterion change
+    # how divisors are found, not which pairs are reduced. The basis
+    # carries the same counts.
     A = support.wide_stairstep_matrix()
     gens = toric_generating_set(A).generators
     order = CostOrder((1,) * A.ncols)
@@ -355,14 +359,17 @@ def test_death_rule_halves_the_queued_pairs_on_the_wide_matrix(monkeypatch):
         return real_reduce(vec, leads, cost, full, *among)
 
     monkeypatch.setattr(groebner, "_reduce", counting)
-    for complete, queued, reduced in (
-            (lambda: groebner._complete(gens, order, A, False), 4204, 1163),
-            (lambda: buchberger(gens, order, matrix=A), 1829, 406)):
+    for complete, queued, reduced, zeros in (
+            (lambda: groebner._complete(gens, order, A, False),
+             4204, 1163, 1007),
+            (lambda: buchberger(gens, order, matrix=A), 1079, 332, 245)):
         pushed = _spy_pushes(monkeypatch)
         calls.update({False: 0, True: 0})
         gb = complete()
         assert len(pushed) == queued <= 9028 // 2
         assert calls == {False: reduced, True: 88}  # S-pairs, inter-reduction
+        assert (gb.pairs_queued, gb.pair_reductions,
+                gb.zero_reductions) == (queued, reduced, zeros)
         assert len(gb) == 88
         text = ";".join(",".join(map(str, g.entries))
                         for g in gb.elements.canonical())
@@ -433,23 +440,30 @@ def test_chain_counts_product_dropped_pairs_but_not_unformed_ones(monkeypatch):
     # Element 2's lead (0, 0, 2, 0) is disjoint from element 0's, so (0, 2)
     # is dropped by the product criterion when formed, and it counts as
     # settled: with (1, 2) popped first, the chain through 2 drops (0, 1).
+    # The matrix is graded and the trails of 0 and 1 share x2, so only the
+    # ungraded completion pops (0, 1); buchberger settles it when formed.
     A = IntMatrix([[0, 2, 1, 2], [2, 4, 1, 0]])
     seed = _vs((2, -1, 0, 1), (1, -1, 2, 0), (1, 0, -2, 1))
     order = CostOrder((3, 3, 5, 4))
     popped, reduced, working = _spy_reduced_pairs(monkeypatch)
-    gb = buchberger(seed, order, matrix=A)
+    gb = groebner._complete(seed, order, A, False)
     basis = working[0]
     assert not basis[0][2] & basis[2][2]
     assert divides(basis[2], map(max, basis[0][1], basis[1][1]))
     assert popped == [(1, 2), (0, 1)] and reduced == [(1, 2)]
     assert sorted(g.entries for g in gb) == support.reference_completion(
         seed, order)
+    popped, reduced, working = _spy_reduced_pairs(monkeypatch)
+    graded = buchberger(seed, order, matrix=A)
+    assert popped == reduced == [(1, 2)]
+    assert support.as_tuple_set(graded) == support.as_tuple_set(gb)
 
     # Under (1, 2, 3) element 0 dies at 1 and 1 at 2, so (0, 2) is never
     # formed though its leads overlap. It is not settled: (0, 1) has the
     # divisor 2 and (1, 2) is popped, yet the ungraded completion must
     # reduce (0, 1). [[2, 1, 1]] is graded, and the trails of 0 and 1 share
-    # x1, so buchberger drops (0, 1) by the degree criterion instead.
+    # x1, so buchberger settles (0, 1) by the degree criterion when it is
+    # formed, and queues and pops only (1, 2).
     seed = _vs((1, 1, -3), (1, 0, -2), (0, 1, -1))
     order = CostOrder((1, 2, 3))
     A = IntMatrix([[2, 1, 1]])
@@ -465,47 +479,80 @@ def test_chain_counts_product_dropped_pairs_but_not_unformed_ones(monkeypatch):
     popped, reduced, working = _spy_reduced_pairs(monkeypatch)
     graded = buchberger(seed, order, matrix=A)
     basis = working[0]
-    assert groebner._trails_meet(basis[0][0], basis[1][0])
-    assert popped == [(1, 2), (0, 1)] and reduced == [(1, 2)]
+    assert any(a < 0 and b < 0 for a, b in zip(basis[0][0], basis[1][0]))
+    assert popped == reduced == [(1, 2)] and graded.pairs_queued == 1
     assert support.as_tuple_set(graded) == support.as_tuple_set(gb)
 
 
 def _completion_checking_drops(monkeypatch):
     """buchberger, and the remainders of the pairs its degree criterion
-    drops, each reduced against the working basis at its drop (None when
-    the remainder is zero)."""
-    remainders, working = [], []
+    settles when they are formed (None when the remainder is zero).
 
-    class Working(groebner._LeadIndex):
+    A dropped pair (i, j) is one the completion formed (j is added while i
+    is alive: no element added between them has a lead dividing i's) whose
+    leads meet and whose trails meet; every other formed pair with meeting
+    leads must be queued. Its S-vector is reduced against the working basis
+    as it stood when the first pair of degree w.lcm(i, j) or more popped
+    after j was added, or against the final working basis when none did: the
+    moment the truncated basis first covers its degree.
+    """
+    remainders, working, pops = [], [], []
+    lead_index = groebner._LeadIndex
+
+    class Working(lead_index):
         __slots__ = ()
 
         def __init__(self, *args):
             super().__init__(*args)
-            working[:] = [self]
+            working.append(self)  # the working basis, then inter-reduction
 
-    real_meet = groebner._trails_meet
+    def pop(heap):
+        item = heapq.heappop(heap)
+        pops.append((item[0], len(working[0])))
+        return item
+
+    def meet(a, b):
+        return any(x and y for x, y in zip(a, b))
 
     def complete(seed, order, A):
-        cost = order.cost.entries
-
-        def meet(u, v):
-            if not real_meet(u, v):
-                return False
-            s = groebner._orient_tuple(tuple(a - b for a, b in zip(u, v)),
-                                       cost)
-            remainders.append(groebner._reduce(s, working[0], cost, False)[0])
-            return True
-
-        monkeypatch.setattr(groebner, "_trails_meet", meet)
-        return buchberger(seed, order, matrix=A)
+        del working[:], pops[:]
+        pushed = _spy_pushes(monkeypatch)
+        monkeypatch.setattr(groebner.heapq, "heappop", pop)
+        basis = buchberger(seed, order, matrix=A)
+        cost, records = order.cost.entries, working[0]
+        w = groebner._grading([g.entries for g in seed], A)
+        died = [next((t for t in range(k + 1, len(records))
+                      if all(map(operator.le, records[t][1], records[k][1]))),
+                     len(records)) for k in range(len(records))]
+        queued, prefixes = set(), {}
+        for j, (v, lead_v, _) in enumerate(records):
+            for i in range(j):
+                u, lead_u, _ = records[i]
+                if j > died[i] or not meet(lead_u, lead_v):
+                    continue  # never formed, or the product criterion's
+                if not meet((x < 0 for x in u), (x < 0 for x in v)):
+                    queued.add((i, j))
+                    continue
+                degree = sum(map(operator.mul, w, map(max, lead_u, lead_v)))
+                size = next((n for d, n in pops if n > j and d >= degree),
+                            len(records))
+                if size not in prefixes:
+                    prefixes[size] = lead_index(len(cost), records[:size])
+                s = groebner._orient_tuple(tuple(map(operator.sub, u, v)),
+                                           cost)
+                remainders.append(
+                    groebner._reduce(s, prefixes[size], cost, False)[0])
+        assert set(pushed) == queued and len(pushed) == len(queued)
+        return basis
 
     monkeypatch.setattr(groebner, "_LeadIndex", Working)
     return complete, remainders
 
 
 def test_degree_criterion_drops_only_pairs_that_reduce_to_zero(monkeypatch):
-    # Every pair the degree criterion drops, reduced against the working
-    # basis at that moment, reaches zero, and each graded completion is the
+    # Every pair the degree criterion settles when it is formed, reduced
+    # against the working basis once the completion first pops a pair of
+    # its degree or more, reaches zero, and each graded completion is the
     # criterion-free reference's basis.
     complete, remainders = _completion_checking_drops(monkeypatch)
     rng = random.Random(3410)

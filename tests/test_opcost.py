@@ -805,10 +805,12 @@ def test_build_counters_frozen_for_every_method():
     snd = gen_snd(SndConfig(scenario_count=2, seed=3))
     snd_dec = DecisionList(SND_DECISIONS)
     cases = [
+        # W's one completion queues 13 pairs and reduces 12, 8 to zero
         (opcost_kernel(hs, hs_dec), _counters(
             toric_runs=1, toric_elements=4, toric_rounds=4,
             toric_round_elements=4, buchberger_runs=1,
-            groebner_elements=8, augment_calls=4, walk_steps=6)),
+            groebner_elements=8, augment_calls=4, walk_steps=6,
+            pairs_queued=13, pair_reductions=12, zero_reductions=8)),
         (opcost_graver(hs, hs_dec), _counters(
             graver_runs=1, graver_elements=44, augment_calls=4,
             walk_steps=6)),
@@ -818,14 +820,17 @@ def test_build_counters_frozen_for_every_method():
         # optimum, no kernel cell walks again and W gets no basis of its
         # own. Each graver cell still walks its Graver basis, and takes no
         # step. The set's extension is saturated in 6 rounds, the largest
-        # completing 7 elements
+        # completing 7 elements, and its completion queues 8 pairs and
+        # reduces 4, 2 to zero
         (opcost_kernel(snd, snd_dec), _counters(
             phase_one_calls=4, phase_one_bases=1, toric_rounds=6,
-            toric_round_elements=7, walk_steps=7)),
+            toric_round_elements=7, walk_steps=7, pairs_queued=8,
+            pair_reductions=4, zero_reductions=2)),
         (opcost_graver(snd, snd_dec), _counters(
             graver_runs=1, graver_elements=2, augment_calls=3,
             phase_one_calls=4, phase_one_bases=1, toric_rounds=6,
-            toric_round_elements=7, walk_steps=7)),
+            toric_round_elements=7, walk_steps=7, pairs_queued=8,
+            pair_reductions=4, zero_reductions=2)),
         (opcost_oracle(snd, snd_dec), _counters(oracle_solves=4)),
     ]
     for m, expected in cases:
