@@ -36,6 +36,7 @@ saturated.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import repeat
 from operator import mul
 from typing import Iterable, NamedTuple, Optional
@@ -136,19 +137,14 @@ class ArtificialSystem(NamedTuple):
     column order: every positive sign in row order, then every negative one.
     The moves are prepared for `moves.cost`, c on A's columns and K on S's,
     and `moves.matrix` is the extension they were checked against.
-    `rounds` and `largest_round` are those of the toric set that seeded
-    the completion: 0 where it was written down. `pairs_queued`,
-    `pair_reductions` and `zero_reductions` sum those of its completions,
-    one per K tried (`groebner.GroebnerBasis`).
+    `work` sums the `work` of the toric set that seeded the completion
+    (empty where it was written down) and of each completion, one per K
+    tried.
     """
 
     columns: tuple
     moves: PreparedMoves
-    rounds: int = 0
-    largest_round: int = 0
-    pairs_queued: int = 0
-    pair_reductions: int = 0
-    zero_reductions: int = 0
+    work: dict
 
 
 def _columns(A: IntMatrix, rhss) -> tuple:
@@ -244,15 +240,14 @@ def artificial_system(A: IntMatrix, rhss, c=None) -> ArtificialSystem:
     seed = _written_generators(A, columns, ext)
     if seed is None:
         seed = toric.toric_generating_set(ext)
-    K, basis, work = 1000, seed.generators, (0, 0, 0)
+    K, basis, work = 1000, seed.generators, Counter(seed.work)
     while True:
         cost = IntVector(c + (K,) * len(columns))
         basis = groebner.buchberger(basis, CostOrder(cost), matrix=ext)
-        work = (work[0] + basis.pairs_queued, work[1] + basis.pair_reductions,
-                work[2] + basis.zero_reductions)
+        work.update(basis.work)
         if all(sum(g.entries[A.ncols:]) >= 0 for g in basis):
             return ArtificialSystem(columns, prepare_moves(basis, cost),
-                                    seed.rounds, seed.largest_round, *work)
+                                    dict(work))
         K *= 2
 
 

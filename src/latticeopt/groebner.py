@@ -96,23 +96,17 @@ class GraverResourceError(RuntimeError):
 class GroebnerBasis(KernelVectorSet):
     """Reduced basis for one matrix/order pair; elements are oriented vectors.
 
-    `pairs_queued`, `pair_reductions` and `zero_reductions` count the work
-    of the completion that made it: the pairs it queued, the S-vectors it
-    reduced and those that reduced to zero. They are 0 for a basis written
-    down, and neither repr nor the elements show them.
+    The `work` of a completed basis is {"pairs_queued", "pair_reductions",
+    "zero_reductions"}: the pairs its completion queued, the S-vectors it
+    reduced and those that reduced to zero.
     """
 
-    __slots__ = ("order", "pairs_queued", "pair_reductions",
-                 "zero_reductions")
+    __slots__ = ("order",)
 
     def __init__(self, matrix: IntMatrix, order: CostOrder, elements,
-                 pairs_queued: int = 0, pair_reductions: int = 0,
-                 zero_reductions: int = 0):
+                 work: "dict | None" = None):
         self.order = order
-        self.pairs_queued = pairs_queued
-        self.pair_reductions = pair_reductions
-        self.zero_reductions = zero_reductions
-        super().__init__(matrix, elements)
+        super().__init__(matrix, elements, work)
 
     def __repr__(self) -> str:
         return "GroebnerBasis(%d elements, order=%r)" % (len(self), self.order)
@@ -315,10 +309,10 @@ def buchberger(seed: Iterable[IntVector], order: CostOrder,
     support as a bitmask, and a pair whose trails share a variable is
     settled when it is formed, as a product-criterion pair is, since its
     S-vector is of lower degree (degree criterion). The module
-    docstring says why all four rules are sound. The result counts the
-    pairs queued, the S-pair reductions and the zero reductions. The
-    working basis is one lead index, grown
-    by each insertion, and inter-reduction of the completed basis takes one
+    docstring says why all four rules are sound. The result's `work`
+    counts the pairs queued, the S-pair reductions and the zero
+    reductions. The working basis is one lead index, grown by each
+    insertion, and inter-reduction of the completed basis takes one
     pass. The matrix is required: the GroebnerBasis returned checks each
     element against its kernel and keeps them in canonical order. A matrix
     or seed vector whose length differs from the order's raises ValueError.
@@ -408,4 +402,5 @@ def _complete(seed, order, matrix, graded):
 
     return GroebnerBasis(matrix, order,
                          _interreduce([rec[0] for rec in basis], order),
-                         queued, reductions, zeros)
+                         dict(pairs_queued=queued, pair_reductions=reductions,
+                              zero_reductions=zeros))

@@ -76,11 +76,12 @@ class CostOrder:
     """Total order on non-negative vectors: compare c.x first, ties lexicographic.
 
     Ties are read in variable order; `groebner.orient` applies the order
-    to a difference u - v, and `tie_order` is kept, read-only, so readers
-    can see the tie order. Elimination orders need no other: vectors
-    that tie on the cost e_j share entry j. Negative cost entries are
-    rejected: with c >= 0 the order is a well-founded monomial order, which
-    the completion procedures rely on for termination.
+    to a difference u - v. Elimination orders need no other: vectors
+    that tie on the cost e_j share entry j. `tie_order` stays only because
+    `perfbench/tracing.py`'s `_buchberger_key` reads it; ROADMAP item 20
+    removes it. Negative cost entries are rejected: with c >= 0 the order
+    is a well-founded monomial order, which the completion procedures rely
+    on for termination.
     """
 
     __slots__ = ("cost",)
@@ -200,13 +201,18 @@ class KernelVectorSet:
     must lie in the matrix's kernel and pass the subclass's `_admits`, or
     ValueError quotes `_refusal`. The toric, Groebner and Graver results
     subclass it; their builders hand it plain vectors or entry tuples.
+    `work` maps `opcost.BuildCounters` slot names to the counts of the
+    work that built the set, outside equality and repr; it is empty for a
+    set written down.
     """
 
-    __slots__ = ("matrix", "elements")
+    __slots__ = ("matrix", "elements", "work")
     _refusal = "element not in the kernel: %r"
 
-    def __init__(self, matrix: IntMatrix, vectors: Iterable):
+    def __init__(self, matrix: IntMatrix, vectors: Iterable,
+                 work: "dict | None" = None):
         self.matrix = matrix
+        self.work = {} if work is None else work
         self.elements = VectorSet(
             map(IntVector, sorted(set(map(as_entries, vectors)))))
         for g in self.elements:

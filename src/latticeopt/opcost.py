@@ -212,7 +212,9 @@ class BuildCounters:
     pair_reductions and zero_reductions sum the completion work of the
     Groebner bases counted in buchberger_runs and of the completions of the
     Phase-I set counted in phase_one_bases (`groebner.GroebnerBasis`);
-    saturation rounds are not in them.
+    saturation rounds are not in them. Those five are the sums of the
+    `work` records of the sets the build made (`lattice.KernelVectorSet`,
+    `augment.ArtificialSystem`), each keyed by slot name.
     """
 
     __slots__ = ("toric_runs", "buchberger_runs", "graver_runs",
@@ -389,7 +391,9 @@ class _Solver:
         self._last_basis = None  # M's latest Groebner basis, held in _built
 
     def _once(self, key, build, runs=None, elements=None):
-        """The object under key, built on first use; key[0] is its timing."""
+        """The object under key, built on first use; key[0] is its timing.
+        A build adds one run, its size and its own `work`, if it has one,
+        to the counters."""
         if key not in self._built:
             t0 = time.perf_counter_ns()
             obj = self._built[key] = build()
@@ -399,6 +403,8 @@ class _Solver:
                 setattr(c, runs, getattr(c, runs) + 1)
             if elements is not None:
                 setattr(c, elements, getattr(c, elements) + len(obj))
+            for name, n in getattr(obj, "work", {}).items():
+                setattr(c, name, getattr(c, name) + n)
         return self._built[key]
 
     def moves(self, cost: IntVector) -> PreparedMoves:
@@ -412,33 +418,16 @@ class _Solver:
             timing = "groebner_us"
             seed = self._last_basis
             if seed is None:
-                seed = self._once(("toric_us",), lambda: self._counted(
-                    toric_generating_set(M)), "toric_runs",
-                    "toric_elements").generators
+                seed = self._once(("toric_us",),
+                                  lambda: toric_generating_set(M),
+                                  "toric_runs", "toric_elements").generators
             basis = self._last_basis = self._once(
-                (timing, cost.entries), lambda: self._worked(
-                    buchberger(seed, CostOrder(cost), matrix=M)),
+                (timing, cost.entries),
+                lambda: buchberger(seed, CostOrder(cost), matrix=M),
                 "buchberger_runs", "groebner_elements")
         moves = self._moves[cost.entries] = self._once(
             (timing, "moves", cost.entries), lambda: prepare_moves(basis, cost))
         return moves
-
-    def _counted(self, built):
-        """built, a toric set or a Phase-I set, its saturation rounds added
-        to the counters."""
-        c = self.counters
-        c.toric_rounds += built.rounds
-        c.toric_round_elements += built.largest_round
-        return built
-
-    def _worked(self, built):
-        """built, a Groebner basis or a Phase-I set, its completion work
-        added to the counters."""
-        c = self.counters
-        c.pairs_queued += built.pairs_queued
-        c.pair_reductions += built.pair_reductions
-        c.zero_reductions += built.zero_reductions
-        return built
 
     def phase_one(self, b: IntVector, cost: IntVector):
         """(z, optimal): the Phase-I point for b, None where b is
@@ -449,8 +438,8 @@ class _Solver:
         """
         M, c = self.M, self.counters
         c.phase_one_calls += 1
-        system = self._once(("phase_one_us",), lambda: self._worked(
-            self._counted(artificial_system(M, self.rhss(), cost))),
+        system = self._once(
+            ("phase_one_us",), lambda: artificial_system(M, self.rhss(), cost),
             "phase_one_bases")
         steps = []
         z = self._once(("phase_one_walk_us", b.entries),

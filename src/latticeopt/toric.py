@@ -14,8 +14,9 @@ depends on the order. On the stacked network design matrices that puts the
 capacity columns last and keeps every round's basis small. A test set for
 a cost is that set completed under the cost. `ToricGenerators` is a
 `lattice.KernelVectorSet`, which checks each generator against the
-matrix's kernel and keeps them in canonical (sorted) order; it also
-carries the saturation's work, outside equality and repr.
+matrix's kernel and keeps them in canonical (sorted) order; its `work`
+counts the saturation's rounds and largest round, outside equality and
+repr.
 """
 
 from __future__ import annotations
@@ -30,21 +31,16 @@ from .lattice import (CostOrder, IntMatrix, IntVector, KernelVectorSet,
 class ToricGenerators(KernelVectorSet):
     """Kernel vectors whose moves connect every fiber of the matrix.
 
-    `rounds` counts the saturation rounds that made them and
-    `largest_round` is the largest reduced basis a round completed; a set
-    written down without saturating has 0 for both.
+    The `work` of a saturated set is {"toric_rounds": its saturation
+    rounds, "toric_round_elements": the largest reduced basis a round
+    completed}.
     """
 
-    __slots__ = ("rounds", "largest_round")
+    __slots__ = ()
     _refusal = "generator not in the kernel: %r"
 
-    generators = KernelVectorSet.elements  # the elements slot, by its old name
-
-    def __init__(self, matrix: IntMatrix, vectors, rounds: int = 0,
-                 largest_round: int = 0):
-        self.rounds = rounds
-        self.largest_round = largest_round
-        super().__init__(matrix, vectors)
+    # the elements slot under the name callers and perfbench/workloads.py read
+    generators = KernelVectorSet.elements
 
 
 def _flip(rows, cols):
@@ -120,9 +116,9 @@ def toric_generating_set(A: IntMatrix) -> ToricGenerators:
     vectors that tie on it share entry j. Each round saturates one
     coordinate, and the flips cancel exactly, so the result lives in ker(A)
     again. Any round order saturates the same ideal (module docstring).
-    The result counts its rounds and the largest reduced basis one
-    completed. A round whose working basis outgrows `groebner.ELEMENT_CAP`
-    raises GraverResourceError.
+    The result's `work` counts its rounds and the largest reduced basis
+    one completed. A round whose working basis outgrows
+    `groebner.ELEMENT_CAP` raises GraverResourceError.
     """
     basis = _common_orthant_push([tuple(v) for v in kernel_basis(A)])
 
@@ -142,7 +138,8 @@ def toric_generating_set(A: IntMatrix) -> ToricGenerators:
 
     zero_cost = CostOrder((0,) * n)  # orients by the first nonzero entry
     return ToricGenerators(A, (orient(g, zero_cost) for g in generators),
-                           len(J), largest)
+                           dict(toric_rounds=len(J),
+                                toric_round_elements=largest))
 
 
 def _round_order(A: IntMatrix, columns) -> list:

@@ -265,16 +265,26 @@ def _phase_one(A, b):
     return phase_one_feasible(artificial_system(A, [b]), b)
 
 
+def _saturation(system):
+    """The saturation rounds in a Phase-I system's work and its largest
+    round, 0 each where its toric set was written down."""
+    return (system.work.get("toric_rounds", 0),
+            system.work.get("toric_round_elements", 0))
+
+
 def test_artificial_system_shape():
     A = IntMatrix([[1, -1], [2, 1]])
-    # every nonzero A_ij has its column: the toric set is written down
-    columns, moves, rounds, largest_round = artificial_system(
-        A, BOTH_SIGNS)[:4]
-    assert (rounds, largest_round) == (0, 0)
+    # every nonzero A_ij has its column: the toric set is written down, so
+    # the system's work is its completion's alone
+    system = artificial_system(A, BOTH_SIGNS)
+    assert _saturation(system) == (0, 0)
+    assert set(system.work) == {"pairs_queued", "pair_reductions",
+                                "zero_reductions"}
+    moves = system.moves
     ext = moves.matrix
     assert ext.rows == ((1, -1, 1, 0, -1, 0), (2, 1, 0, 1, 0, -1))
     assert moves.cost == IntVector((0, 0) + (1000,) * 4)
-    assert columns == ((0, 1), (1, 1), (0, -1), (1, -1))
+    assert system.columns == ((0, 1), (1, 1), (0, -1), (1, -1))
     assert moves == prepare_moves(toric.test_set(ext, moves.cost),
                                   moves.cost)
 
@@ -283,19 +293,19 @@ def test_artificial_system_one_column_per_used_sign():
     A = IntMatrix([[1, -1], [2, 1]])
     # A_01 = -1 has no column (0, -1): the extension is saturated, and
     # the system carries its rounds
-    columns, moves, rounds, largest_round = artificial_system(
-        A, [(1, 0), (2, 3)])[:4]
-    assert (rounds, largest_round) == (3, 3)
-    assert moves.matrix.rows == ((1, -1, 1, 0), (2, 1, 0, 1))
-    assert moves.cost == IntVector((0, 0, 1000, 1000))
-    assert columns == ((0, 1), (1, 1))
+    system = artificial_system(A, [(1, 0), (2, 3)])
+    assert _saturation(system) == (3, 3)
+    assert system.moves.matrix.rows == ((1, -1, 1, 0), (2, 1, 0, 1))
+    assert system.moves.cost == IntVector((0, 0, 1000, 1000))
+    assert system.columns == ((0, 1), (1, 1))
     # row 0 is always zero: it gets no column; row 1 only the negative one
-    columns, moves = artificial_system(A, [(0, -1), (0, 0)])[:2]
-    assert moves.matrix.rows == ((1, -1, 0), (2, 1, -1))
-    assert moves.cost == IntVector((0, 0, 1000)) and columns == ((1, -1),)
-    columns, moves = artificial_system(A, [(0, 0)])[:2]
-    assert moves.matrix == A and moves.cost == IntVector((0, 0))
-    assert columns == ()
+    system = artificial_system(A, [(0, -1), (0, 0)])
+    assert system.moves.matrix.rows == ((1, -1, 0), (2, 1, -1))
+    assert system.moves.cost == IntVector((0, 0, 1000))
+    assert system.columns == ((1, -1),)
+    system = artificial_system(A, [(0, 0)])
+    assert system.moves.matrix == A and system.moves.cost == IntVector((0, 0))
+    assert system.columns == ()
 
 
 def _count_saturations(monkeypatch):
@@ -331,8 +341,9 @@ def test_written_seed_completes_as_the_saturated_seed(monkeypatch):
             saturated = artificial_system(A, rhss, c)
         assert len(saturations) == 1
         saturations.clear()
-        assert written[:2] == saturated[:2], (A.rows, rhss, c)
-        assert (written.rounds, written.largest_round) == (0, 0)
+        assert (written.columns, written.moves) == (
+            saturated.columns, saturated.moves), (A.rows, rhss, c)
+        assert _saturation(written) == (0, 0)
 
 
 def test_unmatched_columns_are_saturated(monkeypatch):

@@ -368,8 +368,9 @@ def test_death_rule_halves_the_queued_pairs_on_the_wide_matrix(monkeypatch):
         gb = complete()
         assert len(pushed) == queued <= 9028 // 2
         assert calls == {False: reduced, True: 88}  # S-pairs, inter-reduction
-        assert (gb.pairs_queued, gb.pair_reductions,
-                gb.zero_reductions) == (queued, reduced, zeros)
+        assert gb.work == {"pairs_queued": queued,
+                           "pair_reductions": reduced,
+                           "zero_reductions": zeros}
         assert len(gb) == 88
         text = ";".join(",".join(map(str, g.entries))
                         for g in gb.elements.canonical())
@@ -480,7 +481,7 @@ def test_chain_counts_product_dropped_pairs_but_not_unformed_ones(monkeypatch):
     graded = buchberger(seed, order, matrix=A)
     basis = working[0]
     assert any(a < 0 and b < 0 for a, b in zip(basis[0][0], basis[1][0]))
-    assert popped == reduced == [(1, 2)] and graded.pairs_queued == 1
+    assert popped == reduced == [(1, 2)] and graded.work["pairs_queued"] == 1
     assert support.as_tuple_set(graded) == support.as_tuple_set(gb)
 
 

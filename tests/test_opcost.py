@@ -707,7 +707,15 @@ def test_phase_one_set_doubles_k_until_the_check_passes(monkeypatch):
         dataclasses.replace(sc, cost=IntVector((5000,) * 3 + (0,) * 3))
         for sc in base.scenarios))
     dec = single_scenario_decisions(inst)
-    assert ks() == [1000, 2000, 4000, 8000]
+    bases = take()
+    assert [basis.order.cost.entries[-1] for basis in bases] == [
+        1000, 2000, 4000, 8000]
+    # the set's work sums its four completions', and its extension is
+    # saturated once
+    for name in ("pairs_queued", "pair_reductions", "zero_reductions"):
+        assert dec.phase_one_set.work[name] == sum(
+            basis.work[name] for basis in bases) > 0, name
+    assert dec.phase_one_set.work["toric_rounds"] > 0
     assert dec.decisions == single_scenario_decisions(
         inst, method=METHOD_ORACLE).decisions
     mk = opcost_kernel(inst, DecisionList(dec.decisions))

@@ -186,13 +186,15 @@ def test_rounds_run_largest_coefficient_last_and_are_counted():
     # the twisted cubic: two saturated columns, and the largest round
     # completes the four generators the set keeps
     gens = toric_generating_set(IntMatrix([[3, 2, 1, 0], [0, 1, 2, 3]]))
-    assert (gens.rounds, gens.largest_round, len(gens)) == (2, 4, 4)
+    assert gens.work == {"toric_rounds": 2, "toric_round_elements": 4}
+    assert len(gens) == 4
     assert repr(gens) == "ToricGenerators(4 elements, 4 cols)"
-    # a set with nothing to saturate, or one written down, ran no round
+    # a set with nothing to saturate ran no round; one written down did no
+    # work at all
     trivial = toric_generating_set(IntMatrix.identity(2))
-    assert (trivial.rounds, trivial.largest_round) == (0, 0)
+    assert trivial.work == {"toric_rounds": 0, "toric_round_elements": 0}
     written = ToricGenerators(IntMatrix([[1, 1]]), [IntVector((1, -1))])
-    assert (written.rounds, written.largest_round) == (0, 0)
+    assert written.work == {}
 
 
 def test_round_orders_complete_to_one_reduced_basis():
